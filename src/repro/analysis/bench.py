@@ -2,8 +2,10 @@
 
 Regenerates every entry of ``BENCH_kernels.json`` from fixed seeds: the
 4 kBP pairwise scan (naive -> vectorized -> workspace), the batched row
-block, the 1,000-sequence database search through both the classic batched
-kernel and the striped query-profile kernel of :mod:`repro.core.striped`,
+block, one 500 x 500 blocked tile through the compiled rows and through
+numpy's, the 1,000-sequence database search through both the classic
+batched kernel and the striped query-profile kernel of
+:mod:`repro.core.striped`,
 the score-bound-pruned search over a planted-homolog database
 (:mod:`repro.strategies.prefilter`), and the pool-vs-spawn wavefront
 repeat.  The same workloads and timing
@@ -162,6 +164,47 @@ def _bench_batched_rows(quick: bool, rounds: int) -> dict:
         "lane_mode": "pairwise",
         "cells_per_s": m * n / elapsed,
         "gcups": gcups(m * n, elapsed),
+    }
+
+
+def _bench_tile(quick: bool, rounds: int) -> dict:
+    """One blocked-strategy tile: the compiled rows against numpy's.
+
+    The paper's band x block tile through :func:`compute_tile`, once with
+    the compiled tile loop of :mod:`repro.core.ckernel` and once with the
+    numpy reference rows; the two tiles are asserted bitwise equal first.
+    """
+    from ..core import ckernel
+    from ..core.engine import NumpyWorkspace, compute_tile
+
+    n = 200 if quick else 500
+    s = random_dna(n, rng=13)
+    t = random_dna(n, rng=14)
+    top = np.zeros(n + 1, dtype=SCORE_DTYPE)
+    left = np.zeros(n, dtype=SCORE_DTYPE)
+    compiled = KernelWorkspace(t)
+    reference = NumpyWorkspace(t)
+
+    def run(ws):
+        return lambda: compute_tile(top, left, s, t, workspace=ws)
+
+    if not np.array_equal(run(compiled)(), run(reference)()):
+        raise AssertionError("compiled tile diverged from the numpy rows")
+    rounds *= 10  # a compiled tile takes well under a millisecond
+    compiled_s = _best_of(run(compiled), rounds)
+    numpy_s = _best_of(run(reference), rounds)
+    cells = n * n
+    return {
+        "kernel": "classic",
+        "dtype": "int32",
+        "lane_mode": "pairwise",
+        "compiled": ckernel.available(),
+        "cells": cells,
+        "compiled_seconds": compiled_s,
+        "numpy_seconds": numpy_s,
+        "compiled_gcups": gcups(cells, compiled_s),
+        "numpy_gcups": gcups(cells, numpy_s),
+        "compiled_speedup_vs_numpy": numpy_s / compiled_s,
     }
 
 
@@ -437,6 +480,8 @@ def run_kernel_bench(quick: bool = False, progress=None) -> dict:
     results["sw_scan_4096x4096"] = _bench_pair_scan(quick, rounds)
     note("sw_rows: batched block ...")
     results["sw_rows_batched_512x4096"] = _bench_batched_rows(quick, rounds)
+    note("tile: compiled vs numpy rows ...")
+    results["tile_500x500"] = _bench_tile(quick, rounds)
     note("db_search: classic batched ...")
     results["db_search_1000seq_2kbp_query"] = _bench_db_search(quick, rounds)
     note("db_search: striped ...")

@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import count_cells
+from . import ckernel
 from .scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
 
 
@@ -59,7 +60,13 @@ class KernelWorkspace:
         "_wide",
         "_zero",
         "_profile",
+        "_table",
     )
+
+    #: Whether the batched row APIs may run the compiled tile loop
+    #: (:mod:`repro.core.ckernel`).  Subclasses that override the per-row
+    #: kernels switch it off so their batches keep dispatching through them.
+    COMPILED_ROWS = True
 
     def __init__(
         self,
@@ -87,6 +94,7 @@ class KernelWorkspace:
         # loop for integer maximum (~20x slower per row), an array does not.
         self._zero = np.zeros(n + 1, dtype=SCORE_DTYPE)
         self._profile: dict[int, np.ndarray] = {}
+        self._table: np.ndarray | None = None  # (n_codes, n) for the C rows
         for code in eager_codes:
             self.profile_row(int(code))
 
@@ -173,6 +181,56 @@ class KernelWorkspace:
 
     # -- batched kernels ---------------------------------------------------
 
+    def _profile_table(self, top: int) -> np.ndarray:
+        """The profile rows of codes ``0..top`` as one ``(top + 1, n)`` block."""
+        table = self._table
+        if table is None or table.shape[0] <= top:
+            table = np.empty((top + 1, self.width), dtype=SCORE_DTYPE)
+            for code in range(top + 1):
+                table[code] = self.profile_row(code)
+            self._table = table
+        return table
+
+    def _compiled_rows(self, prev, s_codes, lefts, clamp: bool, out) -> bool:
+        """Advance a batch through the compiled tile loop.
+
+        Returns False, having written nothing, when the loop does not apply
+        (no compiled module, a subclass with its own row kernels, or a layout
+        or dtype the C side does not take); the caller then runs the numpy
+        rows, which also raise any shape error.
+        """
+        k = len(s_codes)
+        if (
+            not self.COMPILED_ROWS
+            or k == 0
+            or prev.dtype != SCORE_DTYPE
+            or prev.shape != (self.width + 1,)
+            or out.dtype != SCORE_DTYPE
+            or out.shape != (k, self.width + 1)
+            or out.strides[1] != out.itemsize
+            or (lefts is not None and len(lefts) < k)
+            or ckernel.load() is None
+        ):
+            return False
+        codes = np.asarray(s_codes)
+        if codes.dtype != np.uint8:
+            if codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() > 255:
+                return False
+            codes = codes.astype(np.uint8)
+        codes = np.ascontiguousarray(codes)
+        if lefts is not None:
+            lefts = np.ascontiguousarray(lefts[:k], dtype=SCORE_DTYPE)
+        ckernel.rows(
+            self._profile_table(int(codes.max())),
+            np.ascontiguousarray(prev),
+            lefts,
+            codes,
+            self._gap,
+            clamp,
+            out,
+        )
+        return True
+
     def sw_rows(
         self, prev: np.ndarray, s_codes, out: np.ndarray | None = None
     ) -> np.ndarray:
@@ -180,9 +238,10 @@ class KernelWorkspace:
         k = len(s_codes)
         if out is None:
             out = np.empty((k, prev.size), dtype=SCORE_DTYPE)
-        row = prev
-        for r in range(k):
-            row = self.sw_row(row, int(s_codes[r]), out=out[r])
+        if not self._compiled_rows(prev, s_codes, None, True, out):
+            row = prev
+            for r in range(k):
+                row = self.sw_row(row, int(s_codes[r]), out=out[r])
         count_cells(k * self.width)  # one guarded hook per batch, never per row
         return out
 
@@ -197,9 +256,10 @@ class KernelWorkspace:
         k = len(s_codes)
         if out is None:
             out = np.empty((k, prev.size), dtype=SCORE_DTYPE)
-        row = prev
-        for r in range(k):
-            row = self.nw_row(row, int(s_codes[r]), int(boundaries[r]), out=out[r])
+        if not self._compiled_rows(prev, s_codes, boundaries, False, out):
+            row = prev
+            for r in range(k):
+                row = self.nw_row(row, int(s_codes[r]), int(boundaries[r]), out=out[r])
         count_cells(k * self.width)
         return out
 
@@ -210,15 +270,32 @@ class KernelWorkspace:
         lefts,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Advance a batch of slice rows; ``lefts[r]`` is the left border of row r."""
+        """Advance a batch of slice rows; ``lefts[r]`` is the left border of row r.
+
+        ``out`` may be a view into a wider buffer (its rows strided, its
+        columns contiguous), so a blocked band fills in place; ``lefts`` may
+        alias ``out[:, 0]``.
+        """
         k = len(s_codes)
         if out is None:
             out = np.empty((k, prev.size), dtype=SCORE_DTYPE)
-        row = prev
-        for r in range(k):
-            row = self.sw_row_slice(row, int(s_codes[r]), int(lefts[r]), out=out[r])
+        if not self._compiled_rows(prev, s_codes, lefts, True, out):
+            row = prev
+            for r in range(k):
+                row = self.sw_row_slice(row, int(s_codes[r]), int(lefts[r]), out=out[r])
         count_cells(k * self.width)
         return out
+
+
+class NumpyWorkspace(KernelWorkspace):
+    """:class:`KernelWorkspace` with the compiled rows switched off.
+
+    The numpy reference the compiled tile loop is fuzzed and benchmarked
+    against (``tests/core/test_ckernel.py``, ``bench kernels``).
+    """
+
+    __slots__ = ()
+    COMPILED_ROWS = False
 
 
 def compute_tile(

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..seq.alphabet import encode
+from . import ckernel
 from .alignment import LocalAlignment
 from .scoring import DEFAULT_SCORING, Scoring
 
@@ -123,52 +124,94 @@ class StreamingRegionFinder:
         else:
             segments = [js]
         for seg in segments:
-            j_lo, j_hi = int(seg[0]), int(seg[-1])
             k = int(np.argmax(row[seg]))
-            seg_score, seg_peak_j = int(row[seg[k]]), int(seg[k])
-            matches = [
-                r
-                for r in self._active
-                # Allow for the ~1 column/row rightward drift of a diagonal
-                # streak across any skipped rows.
-                if j_lo <= r.cur_hi + cfg.col_tolerance + (i - r.last_row)
-                and j_hi >= r.cur_lo - cfg.col_tolerance
-            ]
-            if not matches:
-                self._active.append(
-                    Region(
-                        s_start=i - 1,
-                        s_end=i,
-                        t_start=j_lo - 1,
-                        t_end=j_hi,
-                        score=seg_score,
-                        peak_i=i,
-                        peak_j=seg_peak_j,
-                        n_hits=len(seg),
-                        last_row=i,
-                        cur_lo=j_lo,
-                        cur_hi=j_hi,
-                    )
+            self._add_segment(
+                i, int(seg[0]), int(seg[-1]), int(seg[k]), int(row[seg[k]]), len(seg)
+            )
+
+    def feed_rows(self, i0: int, band: np.ndarray) -> None:
+        """Consume DP rows ``i0, i0 + 1, ...``: the rows of a ``(h, w + 1)`` band.
+
+        Equivalent to :meth:`feed` row by row.  The above-threshold segments
+        of the whole band are cut in one compiled scan
+        (:func:`repro.core.ckernel.band_segments`); the merge below stays
+        the same Python as :meth:`feed`'s.
+        """
+        h = len(band)
+        if h == 0:
+            return
+        if i0 <= self._last_fed:
+            raise ValueError(f"rows must be fed in increasing order (got {i0})")
+        segments = ckernel.band_segments(
+            band, self.config.threshold, self.config.col_tolerance
+        )
+        if segments is None:
+            for r in range(h):
+                self.feed(i0 + r, band[r])
+            return
+        self._last_fed = i0 + h - 1
+        k, n = 0, len(segments)
+        for r in range(h):
+            i = i0 + r
+            if self._active:
+                self._retire(i)
+            while k < n and segments[k][0] == r:
+                _, j_lo, j_hi, peak_j, score, hits = segments[k]
+                self._add_segment(i, j_lo, j_hi, peak_j, score, hits)
+                k += 1
+
+    def open_count(self) -> int:
+        """Regions found so far, finished or still open."""
+        return len(self._finished) + len(self._active)
+
+    def _add_segment(
+        self, i: int, j_lo: int, j_hi: int, peak_j: int, score: int, hits: int
+    ) -> None:
+        """Attribute one above-threshold segment of row ``i`` to a region."""
+        cfg = self.config
+        matches = [
+            r
+            for r in self._active
+            # Allow for the ~1 column/row rightward drift of a diagonal
+            # streak across any skipped rows.
+            if j_lo <= r.cur_hi + cfg.col_tolerance + (i - r.last_row)
+            and j_hi >= r.cur_lo - cfg.col_tolerance
+        ]
+        if not matches:
+            self._active.append(
+                Region(
+                    s_start=i - 1,
+                    s_end=i,
+                    t_start=j_lo - 1,
+                    t_end=j_hi,
+                    score=score,
+                    peak_i=i,
+                    peak_j=peak_j,
+                    n_hits=hits,
+                    last_row=i,
+                    cur_lo=j_lo,
+                    cur_hi=j_hi,
                 )
-                continue
-            target = matches[0]
-            for extra in matches[1:]:
-                self._absorb(target, extra)
-                self._active.remove(extra)
-            target.s_end = i
-            target.t_start = min(target.t_start, j_lo - 1)
-            target.t_end = max(target.t_end, j_hi)
-            target.n_hits += len(seg)
-            if target.last_row == i:
-                target.cur_lo = min(target.cur_lo, j_lo)
-                target.cur_hi = max(target.cur_hi, j_hi)
-            else:
-                target.cur_lo, target.cur_hi = j_lo, j_hi
-            target.last_row = i
-            if seg_score > target.score:
-                target.score = seg_score
-                target.peak_i = i
-                target.peak_j = seg_peak_j
+            )
+            return
+        target = matches[0]
+        for extra in matches[1:]:
+            self._absorb(target, extra)
+            self._active.remove(extra)
+        target.s_end = i
+        target.t_start = min(target.t_start, j_lo - 1)
+        target.t_end = max(target.t_end, j_hi)
+        target.n_hits += hits
+        if target.last_row == i:
+            target.cur_lo = min(target.cur_lo, j_lo)
+            target.cur_hi = max(target.cur_hi, j_hi)
+        else:
+            target.cur_lo, target.cur_hi = j_lo, j_hi
+        target.last_row = i
+        if score > target.score:
+            target.score = score
+            target.peak_i = i
+            target.peak_j = peak_j
 
     @staticmethod
     def _absorb(target: Region, extra: Region) -> None:

@@ -522,6 +522,8 @@ class StripedPairWorkspace(KernelWorkspace):
         "_scarry", "_sc3", "_sdecay", "_szero", "_sprof",
     )
 
+    COMPILED_ROWS = False  # batches dispatch through the striped rows below
+
     def __init__(
         self,
         t_codes: np.ndarray,

@@ -105,7 +105,8 @@ def _worker(
                     tracer.record("border_wait", "communication", t0, waited, row=lo)
             t0 = perf_counter() if tracing else 0.0
             runtime.run_tile(tile)
-            cells += tile.cells  # sw_row_slice bypasses the engine's cell hook
+            if not runtime.ENGINE_COUNTS_CELLS:
+                cells += tile.cells
             if tracing:
                 spent = perf_counter() - t0
                 busy_s += spent

@@ -142,7 +142,7 @@ class WavefrontRuntime(PlanRuntime):
     """
 
     SPAN_NAME = "rows"
-    ENGINE_COUNTS_CELLS = False  # sw_row_slice is a single-row kernel
+    ENGINE_COUNTS_CELLS = True  # sw_rows_slice counts each batch
 
     def __init__(
         self,
@@ -178,16 +178,16 @@ class WavefrontRuntime(PlanRuntime):
         lo, hi, _c0, _c1 = tile.payload
         p = tile.owner
         st = self._owner(p)
-        ws, prev, finder = st["ws"], st["prev"], st["finder"]
-        s, borders = self.s, self.borders
-        last = p == self.graph.n_procs - 1
-        for i in range(lo, hi):
-            left = int(borders[p - 1, i]) if p > 0 else 0
-            prev = ws.sw_row_slice(prev, int(s[i]), left, out=prev)
-            finder.feed(i + 1, prev)
-            if not last:
-                borders[p, i] = prev[-1]
-        st["prev"] = prev
+        h = hi - lo
+        if h <= 0:
+            return
+        block = np.empty((h, st["prev"].size), dtype=SCORE_DTYPE)
+        lefts = self.borders[p - 1, lo:hi] if p > 0 else np.zeros(h, dtype=SCORE_DTYPE)
+        st["ws"].sw_rows_slice(st["prev"], self.s[lo:hi], lefts, out=block)
+        if p != self.graph.n_procs - 1:
+            self.borders[p, lo:hi] = block[:, -1]
+        st["prev"][:] = block[-1]
+        st["finder"].feed_rows(lo + 1, block)
 
     def emit(self, owner: int) -> list:
         """Regions of one owner as global-coordinate alignment tuples."""
@@ -200,8 +200,7 @@ class WavefrontRuntime(PlanRuntime):
         return out
 
     def open_region_count(self, owner: int) -> int:
-        finder = self._owner(owner)["finder"]
-        return len(finder._finished) + len(finder._active)
+        return self._owner(owner)["finder"].open_count()
 
 
 class _BandedRuntime(PlanRuntime):
@@ -266,10 +265,16 @@ class _BandedRuntime(PlanRuntime):
 
 
 class BlockedRuntime(_BandedRuntime):
-    """Section 4.3 execution: banded blocks plus per-band region detection."""
+    """Section 4.3 execution: banded blocks plus per-band region detection.
+
+    Each owner keeps the rows of its current band in one ``(h, cols + 1)``
+    buffer.  A tile's DP is written straight into its column window, whose
+    column 0 (the previous block's last column) is the tile's left border,
+    so no tile matrix or left column is ever copied.
+    """
 
     SPAN_NAME = "tile"
-    ENGINE_COUNTS_CELLS = True  # compute_tile uses the batched slice kernel
+    ENGINE_COUNTS_CELLS = True  # sw_rows_slice counts each tile
 
     def __init__(self, graph, s, t, scoring, state) -> None:
         super().__init__(graph, s, t, scoring, state)
@@ -281,19 +286,25 @@ class BlockedRuntime(_BandedRuntime):
         r0, r1 = self.row_bounds[band]
         c0, c1 = self.col_bounds[block]
         h = r1 - r0
-        if block == 0 and h:
+        if h == 0:
+            return
+        if block == 0:
             self._band_rows[tile.owner] = np.zeros(
                 (h, self.graph.shape[1] + 1), dtype=SCORE_DTYPE
             )
-        matrix = self._compute(tile)
-        if matrix is not None:
-            self._band_rows[tile.owner][:, c0 + 1 : c1 + 1] = matrix[:, 1:]
-        if block == len(self.col_bounds) - 1 and h:
+        rows = self._band_rows[tile.owner]
+        if c1 > c0:
+            self._workspace(block, c0, c1).sw_rows_slice(
+                self.boundaries[band, c0 : c1 + 1],
+                self.s[r0:r1],
+                rows[:, c0],
+                out=rows[:, c0 : c1 + 1],
+            )
+            self.boundaries[band + 1, c0 + 1 : c1 + 1] = rows[-1, c0 + 1 : c1 + 1]
+        if block == len(self.col_bounds) - 1:
             # band finished: phase-1 candidate detection over its rows
             finder = StreamingRegionFinder(_region_config(self.graph.params))
-            band_rows = self._band_rows[tile.owner]
-            for r in range(h):
-                finder.feed(r0 + r + 1, band_rows[r])
+            finder.feed_rows(r0 + 1, rows)
             found = self._found.setdefault(tile.owner, [])
             for region in finder.finish():
                 a = region.as_alignment()

@@ -58,6 +58,8 @@ or :func:`set_strict`).
 from __future__ import annotations
 
 import os
+import pickle
+from collections import OrderedDict
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -563,6 +565,34 @@ def is_strict() -> bool:
     return os.environ.get(_ENV_FLAG, "").strip() not in ("", "0", "false")
 
 
+#: Recent verdicts of :func:`maybe_verify`, keyed by everything
+#: :func:`verify_graph` reads, so an edited graph is a new key.
+_VERDICTS: "OrderedDict[tuple, list[Finding]]" = OrderedDict()
+_VERDICT_SLOTS = 32
+
+
+def _verdict_key(graph: TaskGraph, backend: str) -> Optional[tuple]:
+    """The full input of ``verify_graph(graph, backend)``, hashable.
+
+    Tiles are nested tuples (hashed and compared in C); ``params`` goes in
+    pickled.  None when the params do not pickle: then nothing is cached.
+    """
+    try:
+        params = pickle.dumps(graph.params, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
+    return (
+        backend,
+        graph.kind,
+        graph.n_procs,
+        graph.n_shards,
+        graph.shape,
+        graph.tiles,
+        params,
+        graph.spec is None,
+    )
+
+
 def maybe_verify(graph: TaskGraph, backend: str) -> None:
     """The executors' strict-mode hook: verify-or-raise, off by default.
 
@@ -571,10 +601,22 @@ def maybe_verify(graph: TaskGraph, backend: str) -> None:
     the planners' own outputs are verified exhaustively in CI
     (``repro check --plans``) and re-proving each production run is only
     worth it when debugging a new planner or executor.
+
+    Verdicts are cached by the graph's full content: with the compiled tile
+    kernels a repeated run of one plan (a pool serving requests, an inline
+    benchmark loop) is short enough that proving the same graph again on
+    every run would cost several percent of it.
     """
     if not is_strict():
         return
-    findings = verify_graph(graph, backend)
+    key = _verdict_key(graph, backend)
+    findings = _VERDICTS.get(key) if key is not None else None
+    if findings is None:
+        findings = verify_graph(graph, backend)
+        if key is not None:
+            _VERDICTS[key] = findings
+            if len(_VERDICTS) > _VERDICT_SLOTS:
+                _VERDICTS.popitem(last=False)
     if findings:
         raise PlanVerificationError(findings)
 

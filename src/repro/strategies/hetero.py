@@ -192,8 +192,7 @@ def run_hetero(
             yield Delay(inner_sync + fill)
             boundaries[ci][band + 1][c_lo + 1 : c_hi + 1] = tile[-1, 1:]
             finder = StreamingRegionFinder(config.regions.region_config())
-            for r in range(h):
-                finder.feed(r0 + r + 1, tile[r])
+            finder.feed_rows(r0 + 1, tile)
             finders[ci].append(finder)
             if band + 1 < n_bands:
                 dsm.write(

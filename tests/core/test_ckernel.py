@@ -1,0 +1,242 @@
+"""Parity fuzz: the compiled tile path against the numpy reference.
+
+``repro.core.ckernel`` is the one C loop behind the batched row kernels
+and the region finder's segment scan.  No static check reads C, so these
+properties are its only guard: every compiled result must be bitwise equal
+to the numpy rows and to row-by-row :meth:`StreamingRegionFinder.feed`,
+over every scoring regime the kernels serve -- plain and matrix DNA
+scoring, the int64 ``_wide`` regime, lazily profiled protein codes -- and
+over degenerate tiles.  A failing loader must fall back to numpy with
+identical results and exactly one warning.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import KernelWorkspace, Scoring, ckernel
+from repro.core.engine import NumpyWorkspace, compute_tile
+from repro.core.regions import RegionConfig, StreamingRegionFinder
+from repro.core.scoring import SCORE_DTYPE, MatrixScoring
+from repro.protein.blosum import BLOSUM62_SCORING
+
+from _strategies import scorings
+
+pytestmark = pytest.mark.skipif(
+    not ckernel.available(), reason="compiled tile kernel not built on this host"
+)
+
+
+@st.composite
+def matrix_scorings(draw):
+    off = draw(st.lists(st.integers(-5, 1), min_size=16, max_size=16))
+    diag = draw(st.lists(st.integers(2, 6), min_size=4, max_size=4))
+    matrix = [[diag[a] if a == b else off[4 * a + b] for b in range(4)] for a in range(4)]
+    return MatrixScoring(gap=draw(st.integers(-6, -1)), matrix=tuple(map(tuple, matrix)))
+
+
+#: (scoring, alphabet size, max rows).  The wide regime's +2^28 matches
+#: overflow int32 after 7 rows in *both* paths, so its tiles stay short.
+REGIMES = st.one_of(
+    st.tuples(scorings, st.just(4), st.just(24)),
+    st.tuples(matrix_scorings(), st.just(4), st.just(24)),
+    st.tuples(st.just(Scoring(2**28, -1, -2)), st.just(4), st.just(6)),
+    st.tuples(st.just(BLOSUM62_SCORING), st.just(20), st.just(24)),
+)
+
+
+@st.composite
+def tiles(draw):
+    scoring, alphabet, max_h = draw(REGIMES)
+    h = draw(st.integers(0, max_h))
+    w = draw(st.integers(0, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, alphabet, h).astype(np.uint8)
+    t = rng.integers(0, alphabet, w).astype(np.uint8)
+    prev = rng.integers(0, 30, w + 1).astype(SCORE_DTYPE)
+    lefts = rng.integers(-10, 30, h).astype(SCORE_DTYPE)
+    return scoring, s, t, prev, lefts
+
+
+def _pair(t, scoring, lazy):
+    eager = () if lazy else range(4)
+    return KernelWorkspace(t, scoring, eager), NumpyWorkspace(t, scoring, eager)
+
+
+class TestRowsParity:
+    @given(tiles(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_sw_rows(self, tile, lazy):
+        scoring, s, t, prev, _ = tile
+        fast, ref = _pair(t, scoring, lazy)
+        assert np.array_equal(fast.sw_rows(prev, s), ref.sw_rows(prev, s))
+
+    @given(tiles(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_nw_rows(self, tile, lazy):
+        scoring, s, t, prev, lefts = tile
+        fast, ref = _pair(t, scoring, lazy)
+        assert np.array_equal(fast.nw_rows(prev, s, lefts), ref.nw_rows(prev, s, lefts))
+
+    @given(tiles(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_sw_rows_slice(self, tile, lazy):
+        scoring, s, t, prev, lefts = tile
+        fast, ref = _pair(t, scoring, lazy)
+        assert np.array_equal(
+            fast.sw_rows_slice(prev, s, lefts), ref.sw_rows_slice(prev, s, lefts)
+        )
+
+    @given(tiles(), st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_slice_into_strided_band_with_aliased_lefts(self, tile, c0):
+        """The blocked runtime's layout: out is a view into a wider band
+        buffer and lefts is that view's own column 0."""
+        scoring, s, t, prev, lefts = tile
+        h, w = len(s), len(t)
+        band = np.full((h, c0 + w + 3), -7, dtype=SCORE_DTYPE)
+        band[:, c0] = lefts
+        view = band[:, c0 : c0 + w + 1]
+        KernelWorkspace(t, scoring).sw_rows_slice(prev, s, band[:, c0], out=view)
+        expected = NumpyWorkspace(t, scoring).sw_rows_slice(prev, s, lefts)
+        assert np.array_equal(view, expected)
+        assert (band[:, c0 + w + 1 :] == -7).all()  # nothing written past the tile
+
+    @given(tiles())
+    @settings(max_examples=100, deadline=None)
+    def test_compute_tile(self, tile):
+        scoring, s, t, prev, lefts = tile
+        ref = NumpyWorkspace(t, scoring)
+        assert np.array_equal(
+            compute_tile(prev, lefts, s, t, scoring),
+            compute_tile(prev, lefts, s, t, scoring, workspace=ref),
+        )
+
+    @pytest.mark.parametrize("h,w", [(0, 0), (0, 5), (5, 0), (1, 1)])
+    def test_degenerate_tiles(self, h, w):
+        rng = np.random.default_rng(h * 10 + w)
+        s = rng.integers(0, 4, h).astype(np.uint8)
+        t = rng.integers(0, 4, w).astype(np.uint8)
+        prev = rng.integers(0, 9, w + 1).astype(SCORE_DTYPE)
+        lefts = rng.integers(0, 9, h).astype(SCORE_DTYPE)
+        fast, ref = KernelWorkspace(t), NumpyWorkspace(t)
+        assert np.array_equal(fast.sw_rows(prev, s), ref.sw_rows(prev, s))
+        assert np.array_equal(fast.nw_rows(prev, s, lefts), ref.nw_rows(prev, s, lefts))
+        assert np.array_equal(
+            fast.sw_rows_slice(prev, s, lefts), ref.sw_rows_slice(prev, s, lefts)
+        )
+
+    def test_in_place_single_row_batch(self):
+        """``out`` may alias ``prev`` for a one-row batch (two-row scans)."""
+        rng = np.random.default_rng(3)
+        t = rng.integers(0, 4, 50).astype(np.uint8)
+        row = rng.integers(0, 20, 51).astype(SCORE_DTYPE)
+        expected = NumpyWorkspace(t).sw_rows(row.copy(), [2])[0]
+        KernelWorkspace(t).sw_rows(row, [2], out=row[None, :])
+        assert np.array_equal(row, expected)
+
+
+@st.composite
+def bands(draw):
+    h = draw(st.integers(0, 30))
+    w = draw(st.integers(0, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # Mostly low scores with sparse above-threshold streaks, like a DP band.
+    band = rng.integers(0, 6, (h, w + 1)).astype(SCORE_DTYPE)
+    hot = rng.random((h, w + 1)) < draw(st.sampled_from([0.0, 0.05, 0.3, 0.9]))
+    band[hot] += rng.integers(5, 40, int(hot.sum())).astype(SCORE_DTYPE)
+    cuts = sorted(draw(st.lists(st.integers(0, h), max_size=4)))
+    return band, cuts
+
+
+def _regions(config, band, cuts=None, i0=1):
+    finder = StreamingRegionFinder(config)
+    if cuts is None:
+        for r in range(len(band)):
+            finder.feed(i0 + r, band[r])
+    else:
+        edges = [0, *cuts, len(band)]
+        for lo, hi in zip(edges, edges[1:]):
+            finder.feed_rows(i0 + lo, band[lo:hi])
+    return finder.finish()
+
+
+class TestFeedRowsParity:
+    @given(
+        bands(),
+        st.integers(1, 45),
+        st.integers(0, 20),
+        st.integers(0, 20),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_feed_rows_matches_feed(self, band_cuts, threshold, col_tol, row_tol, min_hits):
+        band, cuts = band_cuts
+        config = RegionConfig(threshold, col_tol, row_tol, min_hits)
+        assert _regions(config, band, cuts) == _regions(config, band)
+
+    @given(bands(), st.integers(1, 45), st.integers(0, 20))
+    @settings(max_examples=100, deadline=None)
+    def test_strided_band_view(self, band_cuts, threshold, col_tol):
+        """A band that is a column window of a wider buffer (row stride > w)."""
+        band, _ = band_cuts
+        wide = np.zeros((band.shape[0], band.shape[1] + 9), dtype=SCORE_DTYPE)
+        wide[:, : band.shape[1]] = band
+        config = RegionConfig(threshold, col_tol, 4)
+        assert _regions(config, wide[:, : band.shape[1]], []) == _regions(config, band)
+
+    def test_rows_must_increase(self):
+        finder = StreamingRegionFinder(RegionConfig(5))
+        band = np.zeros((3, 4), dtype=SCORE_DTYPE)
+        finder.feed_rows(1, band)
+        with pytest.raises(ValueError):
+            finder.feed_rows(3, band)
+
+    def test_open_count(self):
+        finder = StreamingRegionFinder(RegionConfig(5, col_tolerance=0, row_tolerance=0))
+        band = np.zeros((4, 8), dtype=SCORE_DTYPE)
+        band[0, 2] = band[0, 6] = band[3, 4] = 9
+        finder.feed_rows(1, band)
+        assert finder.open_count() == 3
+        assert len(finder.finish()) == 3
+
+
+def _workload():
+    rng = np.random.default_rng(17)
+    t = rng.integers(0, 4, 70).astype(np.uint8)
+    s = rng.integers(0, 4, 30).astype(np.uint8)
+    prev = np.zeros(71, dtype=SCORE_DTYPE)
+    ws = KernelWorkspace(t, Scoring(2, -1, -2))
+    band = ws.sw_rows(prev, s)
+    finder = StreamingRegionFinder(RegionConfig(4, col_tolerance=3, row_tolerance=3))
+    finder.feed_rows(1, band)
+    boundaries = np.arange(1, 31, dtype=SCORE_DTYPE) * -2
+    return band, ws.nw_rows(prev, s, boundaries), finder.finish()
+
+
+def test_failed_loader_falls_back_with_one_warning(monkeypatch):
+    band, nw, regions = _workload()
+
+    def broken():
+        raise RuntimeError("no compiler")
+
+    monkeypatch.setattr(ckernel, "_load", broken)
+    monkeypatch.setattr(ckernel, "_tried", False)
+    monkeypatch.setattr(ckernel, "_handle", None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = _workload()
+        second = _workload()
+    assert not ckernel.available()
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(runtime) == 1
+    assert "no compiler" in str(runtime[0].message)
+    for fallback in (first, second):
+        assert np.array_equal(fallback[0], band)
+        assert np.array_equal(fallback[1], nw)
+        assert fallback[2] == regions
