@@ -3,9 +3,9 @@
 Regenerates every entry of ``BENCH_kernels.json`` from fixed seeds: the
 4 kBP pairwise scan (naive -> vectorized -> workspace), the batched row
 block, one 500 x 500 blocked tile through the compiled rows and through
-numpy's, the 1,000-sequence database search through both the classic
-batched kernel and the striped query-profile kernel of
-:mod:`repro.core.striped`,
+numpy's, the 1,000-sequence database search through the classic batched
+kernel (its compiled and numpy lanes timed apart) and the striped
+query-profile kernel of :mod:`repro.core.striped`,
 the score-bound-pruned search over a planted-homolog database
 (:mod:`repro.strategies.prefilter`), and the pool-vs-spawn wavefront
 repeat.  The same workloads and timing
@@ -217,7 +217,17 @@ def _search_workload(quick: bool):
 
 
 def _bench_db_search(quick: bool, rounds: int) -> dict:
-    """Classic batched search vs the one-at-a-time sequential reference."""
+    """Classic batched search vs the one-at-a-time sequential reference.
+
+    ``batched_*`` times the whole :func:`search_db`.  ``compiled_*`` and
+    ``numpy_*`` time the kernel alone -- every bucket's
+    :meth:`MultiSequenceWorkspace.sw_best_scores`, profile build included
+    -- through the compiled lanes of :mod:`repro.core.ckernel` and through
+    the numpy reference rows; their scores are asserted bitwise equal first.
+    """
+    from ..core import ckernel
+    from ..core.multi_engine import MultiSequenceWorkspace, NumpyMultiWorkspace
+
     query, db, n_db = _search_workload(quick)
     subset = db[: max(20, n_db // 10)]
     config = SearchConfig(top_k=10)
@@ -227,6 +237,19 @@ def _bench_db_search(quick: bool, rounds: int) -> dict:
         raise AssertionError("batched search ranking diverged from sequential")
 
     packed = pack_database(db)
+
+    def scan(workspace):
+        return lambda: [
+            workspace(b.codes, b.lengths).sw_best_scores(query) for b in packed.buckets
+        ]
+
+    compiled = scan(MultiSequenceWorkspace)
+    reference = scan(NumpyMultiWorkspace)
+    if not all(map(np.array_equal, compiled(), reference())):
+        raise AssertionError("compiled search lanes diverged from the numpy lanes")
+    compiled_s = _best_of(compiled, rounds)
+    numpy_s = _best_of(reference, rounds)
+
     elapsed = _best_of(lambda: search_db(query, packed, config), rounds)
     result = search_db(query, packed, config)
 
@@ -236,6 +259,7 @@ def _bench_db_search(quick: bool, rounds: int) -> dict:
         "kernel": "classic",
         "dtype": "int16",
         "lane_mode": "batched",
+        "compiled": ckernel.available(),
         "n_sequences": n_db,
         "total_cells": result.total_cells,
         "padded_slots": packed.padded_slots,
@@ -245,6 +269,11 @@ def _bench_db_search(quick: bool, rounds: int) -> dict:
         "batched_gcups": gcups(result.total_cells, elapsed),
         "batched_seconds": elapsed,
         "batched_speedup_vs_sequential": batched_rate / sequential_rate,
+        "compiled_seconds": compiled_s,
+        "numpy_seconds": numpy_s,
+        "compiled_gcups": gcups(result.total_cells, compiled_s),
+        "numpy_gcups": gcups(result.total_cells, numpy_s),
+        "compiled_speedup_vs_numpy": numpy_s / compiled_s,
     }
 
 

@@ -1,8 +1,10 @@
-/* Compiled phase-1 tile path: linear-gap DP rows and a hit-segment scan.
+/* Compiled phase-1 paths: linear-gap DP rows, a hit-segment scan and the
+ * inter-sequence search lanes.
  *
- * The numpy kernels in engine.py / regions.py are the reference; these two
- * loops must stay bitwise equal to them (tests/core/test_ckernel.py is the
- * guard).  Keep this file small: no check rule reads C.
+ * The numpy kernels in engine.py / regions.py / multi_engine.py are the
+ * reference; these loops must stay bitwise equal to them
+ * (tests/core/test_ckernel.py is the guard).  Keep this file small: no check
+ * rule reads C.
  */
 #include <stdint.h>
 
@@ -90,4 +92,66 @@ int64_t band_segments(const int32_t *band, int64_t h, int64_t w,
     }
     *rows_done = r;
     return n;
+}
+
+/* One query row over a packed lanes-contiguous block, in the lane dtype T.
+ *
+ * Column j of every lane is k contiguous cells, so the innermost loop runs
+ * over lanes with no cross-lane dependency: the compiler vectorizes it as
+ * written (at -O3; -O2's cheap cost model leaves it scalar).  Sums are
+ * truncated to T before every max, as numpy's same-dtype adds are; the
+ * caller picks T so that nothing wraps (MultiSequenceWorkspace's regimes).
+ */
+#define LANES_ROW(NAME, T)                                                    \
+static void NAME(const T *restrict sub, int64_t n, int64_t k, T gap,         \
+                 T *restrict row, T *restrict diag, T *restrict best)        \
+{                                                                             \
+    for (int64_t l = 0; l < k; l++)                                           \
+        diag[l] = row[l];                                                     \
+    for (int64_t j = 1; j <= n; j++) {                                        \
+        T *restrict cur = row + j * k;                                        \
+        const T *restrict left = cur - k;                                     \
+        const T *restrict p = sub + (j - 1) * k;                              \
+        for (int64_t l = 0; l < k; l++) {                                     \
+            T up = cur[l];                                                    \
+            T v = (T)(diag[l] + p[l]);                                        \
+            T g = (T)(up + gap);                                              \
+            v = v > g ? v : g;                                                \
+            g = (T)(left[l] + gap);                                           \
+            v = v > g ? v : g;                                                \
+            v = v > 0 ? v : 0;                                                \
+            diag[l] = up;                                                     \
+            cur[l] = v;                                                       \
+            best[l] = best[l] > v ? best[l] : v;                              \
+        }                                                                     \
+    }                                                                         \
+}
+
+LANES_ROW(lanes_row16, int16_t)
+LANES_ROW(lanes_row32, int32_t)
+
+/* Advance every lane of a packed (n + 1, k) Smith-Waterman block through a
+ * whole query: H = max(up_diag + profile, up + gap, left + gap, 0), with a
+ * running per-lane best.
+ *
+ * profile  (n_codes, n, k) substitution blocks; block c scores query code c
+ *          against every target position of every lane (PAD cells included)
+ * row      the (n + 1, k) block, advanced in place; column 0 stays as given
+ * diag     k cells of scratch
+ * best     k running maxima, updated in place
+ * itemsize 2 for int16 lanes, 4 for int32 (every buffer has that dtype)
+ */
+void lanes(const void *profile, const uint8_t *query, int64_t m, int64_t n,
+           int64_t k, int32_t gap, int itemsize, void *row, void *diag,
+           void *best)
+{
+    const int64_t block = n * k;
+    for (int64_t i = 0; i < m; i++) {
+        if (itemsize == 2)
+            lanes_row16((const int16_t *)profile + query[i] * block, n, k,
+                        (int16_t)gap, row, diag, best);
+        else
+            lanes_row32((const int32_t *)profile + query[i] * block, n, k,
+                        gap, row, diag, best);
+    }
 }

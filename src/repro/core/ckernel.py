@@ -1,22 +1,32 @@
-"""Compiled phase-1 tile path: the one checked-in C loop behind the kernels.
+"""Compiled kernel paths: the one checked-in C source behind the kernels.
 
 The paper's unit of work (the band x block tile of §4.3, the NW rows of
 §4.4 phase 2) runs one DP row at a time through numpy, about eight ufunc
-calls per row; on 100 x 100 tiles that dispatch is the whole cost.
-``ckernel.c`` holds the two loops that replace it:
+calls per row; on 100 x 100 tiles that dispatch is the whole cost.  The
+database search (one query against many packed targets) pays the same
+per-row dispatch, once per query residue.  ``ckernel.c`` holds the three
+loops that replace them:
 
 * ``rows`` -- the linear-gap recurrence over a whole tile, behind
   :meth:`KernelWorkspace.sw_rows`, ``nw_rows`` and ``sw_rows_slice``;
 * ``band_segments`` -- the above-threshold segment scan behind
-  :meth:`StreamingRegionFinder.feed_rows`.
+  :meth:`StreamingRegionFinder.feed_rows`;
+* ``lanes`` -- a whole query down a packed lanes-contiguous batch, behind
+  :meth:`MultiSequenceWorkspace.sw_best_scores`, in int16 or int32 lanes.
 
 The module is built with cffi in API mode on the *first kernel call*
 (never on ``import repro``), in a child interpreter so the compiler
 toolchain never lands in the caller's memory.  Builds are cached next to
 the source, one directory per cffi runtime version, under a module name
-keyed by the SHA-256 of the C source, the declarations and the
-interpreter's ABI tag, and published with an atomic ``os.replace`` so
-concurrent pool workers can race to build safely.
+keyed by the SHA-256 of the C source, the declarations, the build script
+with its compiler flags and the interpreter's ABI tag, and published with
+an atomic ``os.replace`` so concurrent pool workers can race to build
+safely.
+
+The flags are ``-O3`` and nothing CPU-specific: the lane loop vectorizes
+only under -O3's vectorizer cost model (at -O2 it runs scalar), and the
+cache is not keyed by CPU, so ``-march=native`` would make a cached
+build unsafe to load on another machine.
 
 The numpy kernels stay the reference.  When cffi or a compiler is missing
 the build fails once, :func:`load` warns once, and every caller keeps
@@ -38,7 +48,7 @@ import numpy as np
 
 from .scoring import SCORE_DTYPE
 
-__all__ = ["available", "band_segments", "load", "rows"]
+__all__ = ["available", "band_segments", "lanes", "load", "rows"]
 
 _SOURCE = Path(__file__).with_name("ckernel.c")
 
@@ -49,16 +59,23 @@ void rows(const int32_t *profile, int64_t w, const int32_t *prev,
 int64_t band_segments(const int32_t *band, int64_t h, int64_t w,
                       int64_t stride, int64_t threshold, int64_t col_tol,
                       int64_t *seg, int64_t cap, int64_t *rows_done);
+void lanes(const void *profile, const uint8_t *query, int64_t m, int64_t n,
+           int64_t k, int32_t gap, int itemsize, void *row, void *diag,
+           void *best);
 """
 
-#: Run in a child interpreter: argv is (module name, C source, cdef, out dir).
+#: Compiler flags, appended after the interpreter's own CFLAGS.
+_COMPILE_ARGS = ("-O3",)
+
+#: Run in a child interpreter: argv is (module name, C source, cdef, out dir,
+#: compiler flags...).
 _BUILD_SCRIPT = """
 import sys, cffi
-name, source, cdef, out = sys.argv[1:]
+name, source, cdef, out, *flags = sys.argv[1:]
 ffi = cffi.FFI()
 ffi.cdef(cdef)
 with open(source, encoding="utf-8") as fh:
-    ffi.set_source(name, fh.read(), extra_compile_args=["-O2"])
+    ffi.set_source(name, fh.read(), extra_compile_args=flags)
 ffi.compile(tmpdir=out)
 """
 
@@ -69,7 +86,10 @@ _ABI = EXTENSION_SUFFIXES[0]
 
 
 def _module_name() -> str | None:
-    """``_repro_ckernel_<key>``, keyed by SHA-256 of source, cdef and ABI tag.
+    """``_repro_ckernel_<key>``: SHA-256 of everything that shapes the build.
+
+    That is the C source, the cdef, the build script, the compiler flags
+    and the ABI tag, so a flag-only change never loads a stale module.
 
     Worked out once at import: a pool worker forked afterwards inherits the
     string instead of paging in file I/O and the hash for it (every page a
@@ -79,7 +99,8 @@ def _module_name() -> str | None:
         source = _SOURCE.read_bytes()
     except OSError:
         return None  # no source installed: load() warns and numpy runs
-    digest = hashlib.sha256(source + _CDEF.encode() + _ABI.encode())
+    recipe = "\0".join((_CDEF, _BUILD_SCRIPT, *_COMPILE_ARGS, _ABI))
+    digest = hashlib.sha256(source + b"\0" + recipe.encode())
     return "_repro_ckernel_" + digest.hexdigest()[:20]
 
 
@@ -104,7 +125,8 @@ def _build(name: str, target: Path) -> None:
 
     with tempfile.TemporaryDirectory(dir=target.parent, prefix="tmp-") as tmp:
         proc = subprocess.run(
-            [sys.executable, "-c", _BUILD_SCRIPT, name, str(_SOURCE), _CDEF, tmp],
+            [sys.executable, "-c", _BUILD_SCRIPT, name, str(_SOURCE), _CDEF, tmp,
+             *_COMPILE_ARGS],
             capture_output=True,
             text=True,
             timeout=_BUILD_TIMEOUT_S,
@@ -238,3 +260,35 @@ def band_segments(band: np.ndarray, threshold: int, col_tolerance: int) -> list 
         out.extend(chunk.tolist())
         r0 += done[0]
     return out
+
+
+def lanes(
+    table: np.ndarray,
+    query: np.ndarray,
+    gap: int,
+    row: np.ndarray,
+    diag: np.ndarray,
+    best: np.ndarray,
+) -> None:
+    """Run the compiled ``lanes`` over the whole query; :func:`load` must
+    have succeeded.
+
+    The caller guarantees the layout: ``table`` is a C-contiguous
+    ``(n_codes, n, k)`` profile covering every code of ``query`` (contiguous
+    uint8), ``row`` a C-contiguous ``(n + 1, k)`` block advanced in place,
+    ``diag`` and ``best`` contiguous ``(k,)`` vectors; ``table``, ``row``,
+    ``diag`` and ``best`` are all int16 or all int32.
+    """
+    ffi, lib = _handle
+    lib.lanes(
+        ffi.from_buffer(table),
+        ffi.from_buffer("uint8_t[]", query),
+        query.size,
+        row.shape[0] - 1,
+        row.shape[1],
+        gap,
+        row.itemsize,
+        ffi.from_buffer(row),
+        ffi.from_buffer(diag),
+        ffi.from_buffer(best),
+    )

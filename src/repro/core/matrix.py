@@ -105,8 +105,10 @@ def _trace(
     """
     end_i, end_j = i, j
     score = int(H[i, j])
-    a: list[str] = []
-    b: list[str] = []
+    # Residue positions along the path, end first; -1 marks a space.  Each
+    # side is decoded once at the end, not one residue per step.
+    a: list[int] = []
+    b: list[int] = []
     gap = scoring.gap
     while i > 0 or j > 0:
         if local and H[i, j] == 0:
@@ -115,24 +117,40 @@ def _trace(
         if i > 0 and j > 0:
             sub = scoring.pair_score(int(s[i - 1]), int(t[j - 1]))
             if h == int(H[i - 1, j - 1]) + sub:
-                a.append(alphabet.decode(s[i - 1 : i]))
-                b.append(alphabet.decode(t[j - 1 : j]))
                 i -= 1
                 j -= 1
+                a.append(i)
+                b.append(j)
                 continue
         if i > 0 and h == int(H[i - 1, j]) + gap:
-            a.append(alphabet.decode(s[i - 1 : i]))
-            b.append("-")
             i -= 1
+            a.append(i)
+            b.append(-1)
             continue
         if j > 0 and h == int(H[i, j - 1]) + gap:
-            a.append("-")
-            b.append(alphabet.decode(t[j - 1 : j]))
             j -= 1
+            a.append(-1)
+            b.append(j)
             continue
         raise AssertionError("inconsistent similarity matrix during traceback")
-    alignment = GlobalAlignment("".join(reversed(a)), "".join(reversed(b)), score)
+    alignment = GlobalAlignment(
+        _render(alphabet, s, a[::-1]), _render(alphabet, t, b[::-1]), score
+    )
     return TracebackResult(alignment, i, j, end_i, end_j)
+
+
+def _render(alphabet: Alphabet, codes: np.ndarray, positions: list[int]) -> str:
+    """One alignment row: ``codes[p]`` decoded for each position, ``-`` for -1.
+
+    The residues are decoded in one :meth:`Alphabet.decode` call, so an
+    invalid code still raises :class:`AlphabetError`.
+    """
+    pos = np.array(positions, dtype=np.int64)
+    residues = pos >= 0
+    row = np.full(pos.size, ord("-"), dtype=np.uint8)
+    decoded = alphabet.decode(codes[pos[residues]]).encode("ascii")
+    row[residues] = np.frombuffer(decoded, dtype=np.uint8)
+    return row.tobytes().decode("ascii")
 
 
 def smith_waterman(

@@ -46,6 +46,15 @@ Valid-column values are bitwise identical to a per-sequence
 :class:`KernelWorkspace` scan: column ``j``'s recurrence only reads columns
 ``<= j`` of the current row and ``j-1, j`` of the previous one, all valid
 when ``j`` is.
+
+:meth:`MultiSequenceWorkspace.sw_best_scores` hands the whole query to the
+compiled ``lanes`` loop of :mod:`repro.core.ckernel` in the int16 and int32
+regimes: the same layout, one query row at a time, with the plain
+recurrence ``max(diag + profile, up + gap, left + gap, 0)`` per cell and no
+chain.  Its innermost loop runs over the contiguous lanes, which have no
+dependency on each other, so the compiler vectorizes it as written.  The
+int64 ``_wide`` regime and :class:`NumpyMultiWorkspace` (the reference the
+C is fuzzed and benchmarked against) run the numpy rows above.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import count_cells
+from . import ckernel
 from .scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
 
 #: Code used for padded positions of the packed target matrix.  Outside every
@@ -110,7 +120,7 @@ class MultiSequenceWorkspace:
         "width",
         "dtype",
         "_codes_t",
-        "_valid",
+        "_present",
         "_gap",
         "_pad_score",
         "_wide",
@@ -123,7 +133,13 @@ class MultiSequenceWorkspace:
         "_row_views",
         "_rowmax",
         "_profile",
+        "_table",
     )
+
+    #: Whether :meth:`sw_best_scores` may run the compiled lane loop
+    #: (:mod:`repro.core.ckernel`); :class:`NumpyMultiWorkspace` switches it
+    #: off.  The int64 ``_wide`` regime always runs the numpy rows.
+    COMPILED_LANES = True
 
     def __init__(
         self,
@@ -146,7 +162,11 @@ class MultiSequenceWorkspace:
         self.width = n
         self._gap = int(scoring.gap)
         self._codes_t = np.ascontiguousarray(codes.T)
-        self._valid = self._codes_t != PAD_CODE
+        # The residue codes the targets use: a profile block is gathered
+        # from a 256-entry table scored over these codes alone (scorings may
+        # index 4x4 matrices with them, so PAD_CODE is never scored).
+        counts = np.bincount(codes.ravel(), minlength=256)[:PAD_CODE]
+        self._present = np.flatnonzero(counts).astype(np.uint8)
         match, mismatch = int(scoring.match), int(scoring.mismatch)
         # Lane dtype: int16 when the score bound match*n and every
         # intermediate fit with margin (see module docstring), else the same
@@ -163,6 +183,63 @@ class MultiSequenceWorkspace:
             self.dtype = SCORE_DTYPE
             self._pad_score = PAD_SCORE
             self._wide = (match - self._gap) * (n + 1) >= 2**30
+        self._row = np.zeros((n + 1, k), dtype=self.dtype)
+        self._rowmax = np.empty(k, dtype=self.dtype)
+        # The numpy rows' scratch (_ramp, _cand, _tmp, _acc, _zero,
+        # _row_views) is built on their first use: the compiled lanes need
+        # none of it.
+        self._cand = None
+        # Profile blocks live in one (n_codes, n, k) table, the layout the
+        # compiled lanes index by query code; _profile maps code -> block.
+        eager = [int(code) for code in eager_codes]
+        self._table = np.empty((max(eager, default=-1) + 1, n, k), dtype=self.dtype)
+        self._profile: dict[int, np.ndarray] = {}
+        for code in eager:
+            self.profile_block(code)
+
+    # -- profile -----------------------------------------------------------
+
+    def profile_block(self, s_char: int) -> np.ndarray:
+        """The ``(n, k)`` substitution block of ``s_char`` vs every lane."""
+        block = self._profile.get(s_char)
+        if block is None:
+            self._reserve(s_char + 1)
+            block = self._table[s_char]
+            lookup = np.zeros(256, dtype=self.dtype)
+            lookup[self._present] = self.scoring.substitution_row(s_char, self._present)
+            lookup[PAD_CODE] = self._pad_score
+            np.take(lookup, self._codes_t, out=block)
+            self._profile[s_char] = block
+        return block
+
+    def _reserve(self, n_codes: int) -> None:
+        """Grow the profile table to cover codes ``0..n_codes-1``."""
+        table = self._table
+        if table.shape[0] >= n_codes:
+            return
+        grown = np.empty((n_codes, *table.shape[1:]), dtype=self.dtype)
+        for code in self._profile:
+            grown[code] = table[code]
+        self._table = grown
+        self._profile = {code: grown[code] for code in self._profile}
+
+    def _query_table(self, codes: np.ndarray) -> np.ndarray:
+        """The profile table with every code of ``codes`` profiled."""
+        present = np.flatnonzero(np.bincount(codes))
+        self._reserve(int(present[-1]) + 1)
+        for code in present.tolist():
+            self.profile_block(code)
+        return self._table
+
+    # -- row kernel --------------------------------------------------------
+
+    def initial_rows(self) -> np.ndarray:
+        """A fresh all-zero ``(n+1, k)`` row block (local row 0)."""
+        return np.zeros((self.width + 1, self.lanes), dtype=self.dtype)
+
+    def _numpy_scratch(self) -> None:
+        """Allocate the numpy rows' scratch buffers (once, on first use)."""
+        n, k = self.width, self.lanes
         ramp_dtype = np.int64 if self._wide else self.dtype
         self._ramp = ((-self._gap) * np.arange(n + 1, dtype=ramp_dtype))[:, None]
         self._cand = np.empty((n + 1, k), dtype=self.dtype)
@@ -171,35 +248,11 @@ class MultiSequenceWorkspace:
         # Zero-clamp operand: a scalar 0 falls off numpy's vectorized inner
         # loop for integer maximum, an array operand does not.
         self._zero = np.zeros((n + 1, k), dtype=np.int64 if self._wide else self.dtype)
-        self._row = np.zeros((n + 1, k), dtype=self.dtype)
         # Pre-sliced per-column views of the owned row buffer: the chain loop
         # costs one vectorized maximum per column, no per-iteration slicing.
-        self._row_views = [self._row[j] for j in range(n + 1)] if k >= CHAIN_LOOP_MIN_LANES else None
-        self._rowmax = np.empty(k, dtype=self.dtype)
-        self._profile: dict[int, np.ndarray] = {}
-        for code in eager_codes:
-            self.profile_block(int(code))
-
-    # -- profile -----------------------------------------------------------
-
-    def profile_block(self, s_char: int) -> np.ndarray:
-        """The ``(n, k)`` substitution block of ``s_char`` vs every lane."""
-        block = self._profile.get(s_char)
-        if block is None:
-            # Scorings may index 4x4 matrices with the codes, so padded cells
-            # are remapped to code 0 for the lookup and then overwritten.
-            safe = np.where(self._valid, self._codes_t, np.uint8(0))
-            block = self.scoring.substitution_row(s_char, safe).astype(self.dtype)
-            block[~self._valid] = self._pad_score
-            self._profile[s_char] = np.ascontiguousarray(block)
-            block = self._profile[s_char]
-        return block
-
-    # -- row kernel --------------------------------------------------------
-
-    def initial_rows(self) -> np.ndarray:
-        """A fresh all-zero ``(n+1, k)`` row block (local row 0)."""
-        return np.zeros((self.width + 1, self.lanes), dtype=self.dtype)
+        self._row_views = (
+            [self._row[j] for j in range(n + 1)] if k >= CHAIN_LOOP_MIN_LANES else None
+        )
 
     def _chain(self, x: np.ndarray) -> None:
         """In-place prefix maximum along axis 0 (the ramped gap chain)."""
@@ -231,6 +284,8 @@ class MultiSequenceWorkspace:
                 f"prev block is {prev.shape}; workspace needs "
                 f"{(self.width + 1, self.lanes)}"
             )
+        if self._cand is None:
+            self._numpy_scratch()
         cand = self._cand
         np.add(prev[:-1], self.profile_block(int(s_char)), out=cand[1:])
         np.add(prev[1:], self.dtype(self._gap), out=self._tmp)
@@ -254,6 +309,36 @@ class MultiSequenceWorkspace:
 
     # -- whole-query scans -------------------------------------------------
 
+    @property
+    def compiled(self) -> bool:
+        """True when :meth:`sw_best_scores` runs the compiled lane loop."""
+        return self.COMPILED_LANES and not self._wide and ckernel.load() is not None
+
+    def _compiled_scan(self, s_codes, best: np.ndarray) -> bool:
+        """Run the whole query through the compiled lane loop into ``best``.
+
+        Returns False, having written nothing, when the loop does not apply
+        (see :attr:`compiled`, or codes that are not bytes); the caller then
+        runs the numpy rows.  Everything the loop touches is the workspace's
+        own: the profile table, the row block and ``_rowmax`` as its
+        diagonal scratch.
+        """
+        if not self.compiled:
+            return False
+        codes = np.asarray(s_codes)
+        if codes.dtype != np.uint8:
+            if codes.size and (
+                codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() > 255
+            ):
+                return False
+            codes = codes.astype(np.uint8)
+        if codes.size and self.lanes and self.width:
+            codes = np.ascontiguousarray(codes)
+            table = self._query_table(codes)
+            self._row.fill(0)
+            ckernel.lanes(table, codes, self._gap, self._row, self._rowmax, best)
+        return True
+
     def sw_best_scores(self, s_codes) -> np.ndarray:
         """Best local alignment score of the query against every lane.
 
@@ -262,13 +347,25 @@ class MultiSequenceWorkspace:
         bitwise equal to ``k`` independent :class:`KernelWorkspace` scans.
         """
         best = np.zeros(self.lanes, dtype=self.dtype)
-        row = self._row
-        row[:] = 0
-        rowmax = self._rowmax
-        for ch in s_codes:
-            row = self.sw_row(row, int(ch), out=row)
-            np.max(row, axis=0, out=rowmax)
-            np.maximum(best, rowmax, out=best)
+        if not self._compiled_scan(s_codes, best):
+            row = self._row
+            row[:] = 0
+            rowmax = self._rowmax
+            for ch in s_codes:
+                row = self.sw_row(row, int(ch), out=row)
+                np.max(row, axis=0, out=rowmax)
+                np.maximum(best, rowmax, out=best)
         # Only real cells count: padded slots do no useful work.
         count_cells(int(len(s_codes)) * int(self.lengths.sum()))
         return best.astype(SCORE_DTYPE)
+
+
+class NumpyMultiWorkspace(MultiSequenceWorkspace):
+    """:class:`MultiSequenceWorkspace` with the compiled lanes switched off.
+
+    The numpy reference the compiled lane loop is fuzzed and benchmarked
+    against (``tests/core/test_ckernel.py``, ``bench kernels``).
+    """
+
+    __slots__ = ()
+    COMPILED_LANES = False

@@ -1,13 +1,15 @@
-"""Parity fuzz: the compiled tile path against the numpy reference.
+"""Parity fuzz: the compiled kernel paths against the numpy reference.
 
-``repro.core.ckernel`` is the one C loop behind the batched row kernels
-and the region finder's segment scan.  No static check reads C, so these
-properties are its only guard: every compiled result must be bitwise equal
-to the numpy rows and to row-by-row :meth:`StreamingRegionFinder.feed`,
-over every scoring regime the kernels serve -- plain and matrix DNA
-scoring, the int64 ``_wide`` regime, lazily profiled protein codes -- and
-over degenerate tiles.  A failing loader must fall back to numpy with
-identical results and exactly one warning.
+``repro.core.ckernel`` is the one C source behind the batched row kernels,
+the region finder's segment scan and the database-search lanes.  No static
+check reads C, so these properties are its only guard: every compiled
+result must be bitwise equal to the numpy rows, to row-by-row
+:meth:`StreamingRegionFinder.feed` and to the numpy lanes of
+:class:`NumpyMultiWorkspace`, over every scoring regime the kernels serve
+-- plain and matrix DNA scoring, int16 and int32 lanes, the int64 ``_wide``
+regime, lazily profiled protein codes -- and over degenerate shapes.  A
+failing loader must fall back to numpy with identical results and exactly
+one warning.
 """
 
 import warnings
@@ -17,10 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import KernelWorkspace, Scoring, ckernel
+from repro.core import KernelWorkspace, Scoring, ckernel, striped
 from repro.core.engine import NumpyWorkspace, compute_tile
+from repro.core.multi_engine import (
+    CHAIN_LOOP_MIN_LANES,
+    MultiSequenceWorkspace,
+    NumpyMultiWorkspace,
+    pack_codes,
+)
 from repro.core.regions import RegionConfig, StreamingRegionFinder
 from repro.core.scoring import SCORE_DTYPE, MatrixScoring
+from repro.core.striped import StripedMultiWorkspace
 from repro.protein.blosum import BLOSUM62_SCORING
 
 from _strategies import scorings
@@ -206,6 +215,95 @@ class TestFeedRowsParity:
         assert len(finder.finish()) == 3
 
 
+#: (scoring, alphabet size, lane dtype, max query length).  The int32 lanes
+#: come from a match too large for int16; the wide regime's +2^28 matches
+#: overflow int32 after 7 rows, so its queries stay short.
+LANE_REGIMES = st.one_of(
+    st.tuples(scorings, st.just(4), st.just(np.int16), st.just(30)),
+    st.tuples(matrix_scorings(), st.just(4), st.just(np.int16), st.just(30)),
+    st.tuples(
+        st.builds(
+            Scoring, st.integers(2**13 + 1, 2**16), st.integers(-9, 0), st.integers(-9, -1)
+        ),
+        st.just(4),
+        st.just(np.int32),
+        st.just(30),
+    ),
+    st.tuples(st.just(Scoring(2**28, -1, -2)), st.just(4), st.just(np.int32), st.just(6)),
+    st.tuples(st.just(BLOSUM62_SCORING), st.just(20), st.just(np.int16), st.just(30)),
+)
+
+
+@st.composite
+def lane_batches(draw):
+    """A packed batch with mixed-length PAD lanes and a query for it."""
+    scoring, alphabet, dtype, max_m = draw(LANE_REGIMES)
+    k = draw(st.sampled_from([0, 1, 2, 5, 9, CHAIN_LOOP_MIN_LANES + 3]))
+    n = draw(st.integers(1, 40))
+    m = draw(st.sampled_from([0, 1, max_m, draw(st.integers(0, max_m))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lane_lengths = rng.integers(0, n + 1, k)
+    targets = [rng.integers(0, alphabet, length).astype(np.uint8) for length in lane_lengths]
+    codes, lengths = pack_codes(targets, width=n)
+    query = rng.integers(0, alphabet, m).astype(np.uint8)
+    return scoring, dtype, codes, lengths, query
+
+
+class TestLanesParity:
+    @given(lane_batches(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_sw_best_scores(self, batch, lazy):
+        scoring, dtype, codes, lengths, query = batch
+        eager = () if lazy else range(4)
+        fast = MultiSequenceWorkspace(codes, lengths, scoring, eager)
+        ref = NumpyMultiWorkspace(codes, lengths, scoring, eager)
+        assert fast.dtype == dtype
+        assert fast.compiled != fast._wide
+        got = fast.sw_best_scores(query)
+        want = ref.sw_best_scores(query)
+        assert got.dtype == want.dtype == SCORE_DTYPE
+        assert np.array_equal(got, want)
+        assert np.array_equal(fast.sw_best_scores(query), want)  # state resets
+
+    @given(lane_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_query_code_dtypes(self, batch):
+        """Queries as int64 arrays or Python lists take the same path."""
+        scoring, _, codes, lengths, query = batch
+        want = NumpyMultiWorkspace(codes, lengths, scoring).sw_best_scores(query)
+        fast = MultiSequenceWorkspace(codes, lengths, scoring)
+        assert np.array_equal(fast.sw_best_scores(query.astype(np.int64)), want)
+        assert np.array_equal(fast.sw_best_scores(query.tolist()), want)
+
+    def test_zero_lanes_and_empty_query(self):
+        rng = np.random.default_rng(5)
+        empty = MultiSequenceWorkspace(*pack_codes([], width=7))
+        assert empty.sw_best_scores(rng.integers(0, 4, 9).astype(np.uint8)).shape == (0,)
+        ws = MultiSequenceWorkspace(*pack_codes([rng.integers(0, 4, 6).astype(np.uint8)]))
+        assert ws.sw_best_scores(np.array([], np.uint8)).tolist() == [0]
+
+    @given(lane_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_striped_int32_rescue(self, batch):
+        """Every lane flagged on every rung, so the striped ladder hands the
+        whole batch to its classic MultiSequenceWorkspace rescue."""
+        scoring, _, codes, lengths, query = batch
+        want = NumpyMultiWorkspace(codes, lengths, scoring).sw_best_scores(query)
+        run_scan = striped._run_scan
+
+        def flag_every_lane(*args):
+            scores, overflow = run_scan(*args)
+            return scores, np.ones_like(overflow)
+
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(striped, "_run_scan", flag_every_lane)
+                got = StripedMultiWorkspace(codes, lengths, scoring).sw_best_scores(query)
+        finally:
+            striped.reset_overflow_stats()
+        assert np.array_equal(got, want)
+
+
 def _workload():
     rng = np.random.default_rng(17)
     t = rng.integers(0, 4, 70).astype(np.uint8)
@@ -216,11 +314,13 @@ def _workload():
     finder = StreamingRegionFinder(RegionConfig(4, col_tolerance=3, row_tolerance=3))
     finder.feed_rows(1, band)
     boundaries = np.arange(1, 31, dtype=SCORE_DTYPE) * -2
-    return band, ws.nw_rows(prev, s, boundaries), finder.finish()
+    targets = [rng.integers(0, 4, length).astype(np.uint8) for length in (49, 0, 7, 30, 1, 44)]
+    lanes = MultiSequenceWorkspace(*pack_codes(targets)).sw_best_scores(s)
+    return band, ws.nw_rows(prev, s, boundaries), finder.finish(), lanes
 
 
 def test_failed_loader_falls_back_with_one_warning(monkeypatch):
-    band, nw, regions = _workload()
+    band, nw, regions, lanes = _workload()
 
     def broken():
         raise RuntimeError("no compiler")
@@ -240,3 +340,40 @@ def test_failed_loader_falls_back_with_one_warning(monkeypatch):
         assert np.array_equal(fallback[0], band)
         assert np.array_equal(fallback[1], nw)
         assert fallback[2] == regions
+        assert np.array_equal(fallback[3], lanes)
+
+
+def test_module_name_keys_the_build_recipe(monkeypatch):
+    """A flag-only or build-script-only change must not load a stale build."""
+    name = ckernel._module_name()
+    assert ckernel._module_name() == name == ckernel._NAME
+    monkeypatch.setattr(ckernel, "_COMPILE_ARGS", ("-O2",))
+    flags_changed = ckernel._module_name()
+    assert flags_changed != name
+    monkeypatch.setattr(ckernel, "_COMPILE_ARGS", ("-O3", "-fno-tree-vectorize"))
+    assert ckernel._module_name() not in (name, flags_changed)
+    monkeypatch.undo()
+    monkeypatch.setattr(ckernel, "_BUILD_SCRIPT", ckernel._BUILD_SCRIPT + "\n")
+    assert ckernel._module_name() != name
+
+
+def test_search_db_pool_sharded_auto_matches_sequential():
+    """The compiled lanes behind a real search: pool workers, two shards and
+    the auto prefilter (on: the database is past its size gate)."""
+    from repro.parallel import AlignmentWorkerPool
+    from repro.seq import pack_database, random_dna, synthetic_database
+    from repro.strategies import SearchConfig, search_db, search_db_sequential
+    from repro.strategies.cache import DEFAULT_CACHE
+    from repro.strategies.prefilter import AUTO_MIN_SEQUENCES
+
+    rng = np.random.default_rng(23)
+    db = synthetic_database(n=AUTO_MIN_SEQUENCES + 8, min_length=20, max_length=90, rng=rng)
+    packed = pack_database(db)
+    query = np.concatenate([db[3].codes[:40], random_dna(30, rng)])
+    want = search_db_sequential(query, packed, SearchConfig(top_k=7)).hits
+    config = SearchConfig(top_k=7, n_shards=2, prefilter="auto")
+    DEFAULT_CACHE.clear()
+    with AlignmentWorkerPool(n_workers=2) as pool:
+        got = search_db(query, packed, config, pool=pool)
+    assert got.hits == want
+    assert got.prefilter != "off"  # the size gate let the tiers run

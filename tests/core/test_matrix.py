@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DEFAULT_SCORING,
@@ -11,7 +12,11 @@ from repro.core import (
     similarity_matrix,
     smith_waterman,
 )
-from repro.seq import decode, encode, genome_pair
+from repro.core.matrix import _trace
+from repro.protein import BLOSUM62_SCORING, PROTEIN_ALPHABET, protein_needleman_wunsch
+from repro.protein.blosum import AMINO_ACIDS
+from repro.seq import AlphabetError, decode, encode, genome_pair
+from repro.seq.alphabet import DNA_ALPHABET
 
 from _strategies import dna_codes, dna_text, scorings
 
@@ -190,3 +195,74 @@ class TestLocalAlignmentsAbove:
 
     def test_empty_when_threshold_too_high(self):
         assert local_alignments_above("ACGT", "TGCA", min_score=100) == []
+
+
+def _trace_per_residue(H, s, t, i, j, local, scoring, alphabet):
+    """The traceback walk decoding one residue per step (the old renderer),
+    kept as the oracle for the batched decode in ``repro.core.matrix``."""
+    a, b = [], []
+    while i > 0 or j > 0:
+        if local and H[i, j] == 0:
+            break
+        h = int(H[i, j])
+        if i > 0 and j > 0:
+            if h == int(H[i - 1, j - 1]) + scoring.pair_score(int(s[i - 1]), int(t[j - 1])):
+                a.append(alphabet.decode(s[i - 1 : i]))
+                b.append(alphabet.decode(t[j - 1 : j]))
+                i, j = i - 1, j - 1
+                continue
+        if i > 0 and h == int(H[i - 1, j]) + scoring.gap:
+            a.append(alphabet.decode(s[i - 1 : i]))
+            b.append("-")
+            i -= 1
+            continue
+        a.append("-")
+        b.append(alphabet.decode(t[j - 1 : j]))
+        j -= 1
+    return "".join(reversed(a)), "".join(reversed(b)), i, j
+
+
+protein_text = st.text(alphabet=AMINO_ACIDS, min_size=0, max_size=40)
+
+
+class TestTracebackRendering:
+    """The traceback decodes each side once; the strings must not change."""
+
+    @given(dna_text(max_size=50), dna_text(max_size=50), scorings, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_dna_matches_per_residue_decode(self, s, t, scoring, local):
+        sc, tc = encode(s), encode(t)
+        H = similarity_matrix(sc, tc, local=local, scoring=scoring)
+        i, j = best_cell(H) if local else (len(sc), len(tc))
+        got = _trace(H, sc, tc, i, j, local=local, scoring=scoring)
+        want = _trace_per_residue(H, sc, tc, i, j, local, scoring, DNA_ALPHABET)
+        assert (got.alignment.aligned_s, got.alignment.aligned_t) == want[:2]
+        assert (got.s_start, got.t_start) == want[2:]
+
+    @given(protein_text, protein_text)
+    @settings(max_examples=100, deadline=None)
+    def test_protein_needleman_wunsch_matches_per_residue_decode(self, s, t):
+        got = protein_needleman_wunsch(s, t)
+        sc, tc = PROTEIN_ALPHABET.encode(s), PROTEIN_ALPHABET.encode(t)
+        H = similarity_matrix(
+            sc, tc, local=False, scoring=BLOSUM62_SCORING, alphabet=PROTEIN_ALPHABET
+        )
+        want = _trace_per_residue(
+            H, sc, tc, len(sc), len(tc), False, BLOSUM62_SCORING, PROTEIN_ALPHABET
+        )
+        assert (got.aligned_s, got.aligned_t) == want[:2]
+        assert got.aligned_s.replace("-", "") == s
+        assert got.aligned_t.replace("-", "") == t
+
+    def test_gapped_dna_strings(self):
+        alignment = needleman_wunsch("ACGTACGT", "ACGACGT")
+        assert alignment.aligned_s.replace("-", "") == "ACGTACGT"
+        assert alignment.aligned_t.replace("-", "") == "ACGACGT"
+        assert "-" in alignment.aligned_t
+
+    def test_invalid_codes_raise_alphabet_error(self):
+        """Codes valid for the matrix's alphabet but not the renderer's."""
+        s = PROTEIN_ALPHABET.encode("WWYY")
+        H = similarity_matrix(s, s, local=False, alphabet=PROTEIN_ALPHABET)
+        with pytest.raises(AlphabetError):
+            _trace(H, s, s, 4, 4, local=False, scoring=DEFAULT_SCORING)

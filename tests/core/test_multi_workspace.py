@@ -19,7 +19,7 @@ from repro.core import (
     pack_codes,
 )
 from repro.core.kernels import SCORE_DTYPE, initial_row
-from repro.core.multi_engine import CHAIN_LOOP_MIN_LANES
+from repro.core.multi_engine import CHAIN_LOOP_MIN_LANES, NumpyMultiWorkspace
 from repro.seq import random_dna
 
 
@@ -82,15 +82,20 @@ class TestParity:
         np.testing.assert_array_equal(got, reference_scores(query, targets, scoring))
 
     def test_wide_batch_takes_chain_loop(self, rng):
-        """Above CHAIN_LOOP_MIN_LANES the per-column chain must stay exact."""
+        """Above CHAIN_LOOP_MIN_LANES the per-column chain must stay exact.
+
+        Only the numpy rows run the chain (the compiled lanes have none), so
+        this drives the numpy reference workspace.
+        """
         k = CHAIN_LOOP_MIN_LANES + 5
         targets = make_batch(rng, k, 5, 40)
         query = random_dna(25, rng)
         codes, lengths = pack_codes(targets)
-        ws = MultiSequenceWorkspace(codes, lengths)
+        ws = NumpyMultiWorkspace(codes, lengths)
+        scores = ws.sw_best_scores(query)
         assert ws._row_views is not None  # the loop variant is actually engaged
         np.testing.assert_array_equal(
-            ws.sw_best_scores(query), reference_scores(query, targets, DEFAULT_SCORING)
+            scores, reference_scores(query, targets, DEFAULT_SCORING)
         )
 
     def test_heavily_padded_tail(self, rng):
