@@ -5,7 +5,8 @@ Regenerates every entry of ``BENCH_kernels.json`` from fixed seeds: the
 block, one 500 x 500 blocked tile through the compiled rows and through
 numpy's, the 1,000-sequence database search through the classic batched
 kernel (its compiled and numpy lanes timed apart) and the striped
-query-profile kernel of :mod:`repro.core.striped`,
+query-profile kernel of :mod:`repro.core.striped` (its compiled and numpy
+scans timed apart),
 the score-bound-pruned search over a planted-homolog database
 (:mod:`repro.strategies.prefilter`), and the pool-vs-spawn wavefront
 repeat.  The same workloads and timing
@@ -280,11 +281,12 @@ def _bench_db_search(quick: bool, rounds: int) -> dict:
 def _bench_db_search_striped(quick: bool, rounds: int, classic_gcups: float) -> dict:
     """The striped kernel on the same database-search workload.
 
-    Parity with the classic ranking is asserted on the *full* database
-    before anything is timed; the recorded profile-cache and overflow
-    counters come from the striped kernel's own stats hooks.
+    Parity with the classic ranking is asserted on the *full* database, and
+    the compiled striped scan's scores against the numpy scan's, bitwise,
+    before anything is timed; the recorded overflow counters come from the
+    striped kernel's own stats hooks.
     """
-    from ..core import striped
+    from ..core import ckernel, striped
 
     query, db, n_db = _search_workload(quick)
     config = SearchConfig(top_k=10, kernel="striped")
@@ -299,10 +301,20 @@ def _bench_db_search_striped(quick: bool, rounds: int, classic_gcups: float) -> 
     if result.scores() != classic.scores():
         raise AssertionError("striped search ranking diverged from classic")
 
-    striped.clear_profile_cache()
+    def scan(workspace):
+        return lambda: [
+            workspace(b.codes, b.lengths).sw_best_scores(query) for b in packed.buckets
+        ]
+
+    compiled = scan(StripedMultiWorkspace)
+    reference = scan(striped.NumpyStripedMultiWorkspace)
+    if not all(map(np.array_equal, compiled(), reference())):
+        raise AssertionError("compiled striped scan diverged from the numpy scan")
+    compiled_s = _best_of(compiled, rounds)
+    numpy_s = _best_of(reference, rounds)
+
     striped.reset_overflow_stats()
     elapsed = _best_of(lambda: search_db(query, packed, config), rounds)
-    cache = striped.profile_cache_stats()
     overflow = striped.overflow_stats()
 
     striped_gcups = gcups(result.total_cells, elapsed)
@@ -310,6 +322,7 @@ def _bench_db_search_striped(quick: bool, rounds: int, classic_gcups: float) -> 
         "kernel": "striped",
         "dtype": "int8",
         "lane_mode": "auto",
+        "compiled": ckernel.available(),
         "n_sequences": n_db,
         "total_cells": result.total_cells,
         "padded_slots": packed.padded_slots,
@@ -319,8 +332,11 @@ def _bench_db_search_striped(quick: bool, rounds: int, classic_gcups: float) -> 
         "striped_speedup_vs_batched": (
             striped_gcups / classic_gcups if classic_gcups else 0.0
         ),
-        "profile_cache_hits": cache["hits"],
-        "profile_cache_misses": cache["misses"],
+        "compiled_seconds": compiled_s,
+        "numpy_seconds": numpy_s,
+        "compiled_gcups": gcups(result.total_cells, compiled_s),
+        "numpy_gcups": gcups(result.total_cells, numpy_s),
+        "compiled_speedup_vs_numpy": numpy_s / compiled_s,
         "overflow_lanes": overflow["lanes"],
         "overflow_recomputes": overflow["recomputes"],
     }

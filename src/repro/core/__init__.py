@@ -42,12 +42,9 @@ from .striped import (
     LANE_MODES,
     StripedMultiWorkspace,
     StripedPairWorkspace,
-    clear_profile_cache,
     overflow_stats,
-    profile_cache_stats,
     reset_overflow_stats,
     score_bounds,
-    striped_profile,
 )
 from .bounds import (
     ADMISSIBLE_BOUNDS,
@@ -129,7 +126,6 @@ __all__ = [
     "best_cell",
     "cigar_of",
     "composition_bound",
-    "clear_profile_cache",
     "count_hits",
     "expand_cigar",
     "exact_alignments_above",
@@ -151,7 +147,6 @@ __all__ = [
     "pack_codes",
     "predicted_necessary_fraction",
     "predicted_unnecessary_cells",
-    "profile_cache_stats",
     "rebuild_alignment",
     "reset_overflow_stats",
     "reverse_scan",
@@ -160,7 +155,6 @@ __all__ = [
     "semiglobal_matrix",
     "similarity_matrix",
     "smith_waterman",
-    "striped_profile",
     "sw_best_endpoint",
     "sw_endpoints_above",
     "sw_row",

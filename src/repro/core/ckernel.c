@@ -1,7 +1,8 @@
-/* Compiled phase-1 paths: linear-gap DP rows, a hit-segment scan and the
- * inter-sequence search lanes.
+/* Compiled phase-1 paths: linear-gap DP rows, a hit-segment scan, the
+ * inter-sequence search lanes and the striped search scan.
  *
- * The numpy kernels in engine.py / regions.py / multi_engine.py are the
+ * The numpy kernels in engine.py / regions.py / multi_engine.py / striped.py
+ * are the
  * reference; these loops must stay bitwise equal to them
  * (tests/core/test_ckernel.py is the guard).  Keep this file small: no check
  * rule reads C.
@@ -154,4 +155,158 @@ void lanes(const void *profile, const uint8_t *query, int64_t m, int64_t n,
             lanes_row32((const int32_t *)profile + query[i] * block, n, k,
                         gap, row, diag, best);
     }
+}
+
+/* Wrapping lane add: the sum truncated to T, as numpy's same-dtype adds are
+ * (unsigned arithmetic, so an int32 wrap is not undefined behaviour). */
+#define WRAP(T, U, a, b) ((T)((U)(a) + (U)(b)))
+
+/* The striped scan of striped.py (_StripedScan._row), one query row at a
+ * time over a (seg, p, k) block: plane r holds target position c*seg + r of
+ * segment c of every lane, lanes contiguous.  Every sum wraps in T exactly
+ * where numpy's does, so scores and overflow flags match the numpy scan bit
+ * for bit, flagged (wrapped) lanes included.
+ *
+ * One change of schedule, not of values: numpy clamps the finished row at
+ * 0 in a read-write pass of its own.  Here the row is stored unclamped,
+ * every read of it clamps (MAX0), and the row maximum is a read-only pass
+ * (a maximum from 0 up is the maximum of the clamped cells).
+ */
+#define MAX(a, b) ((a) > (b) ? (a) : (b))
+#define MAX0(a) ((a) > 0 ? (a) : 0)
+
+/* Signed byte max is SSE4.1 (pmaxsb): on the baseline x86-64 target the
+ * int8 rung emulates it with compare and blend.  Where the loader supports
+ * it, gcc builds an AVX2 clone of the row as well and picks one per CPU at
+ * load time, so the cached build stays safe on any x86-64 machine.  Both
+ * clones compile the same integer C, so their results are identical. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__linux__)
+#define SIMD_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define SIMD_CLONES
+#endif
+
+#define STRIPES_ROW(NAME, T, U)                                               \
+SIMD_CLONES static void NAME(const T *restrict prof, int64_t seg, int64_t p, int64_t k,  \
+                 T gap, const T *restrict h, T *restrict o,                   \
+                 T *restrict carry, T *restrict rowmax)                       \
+{                                                                             \
+    const int64_t plane = p * k;                                              \
+    const int64_t gi = -(int64_t)gap;                                         \
+    /* Phase 1: diagonal + vertical, fused with the within-segment chain.    \
+     * Plane 0's diagonal is the last plane of the segment before (0 for     \
+     * the first segment). */                                                 \
+    const T *hlast = h + (seg - 1) * plane;                                   \
+    for (int64_t i = 0; i < k; i++) {                                         \
+        T u = WRAP(T, U, MAX0(h[i]), gap);                                    \
+        o[i] = MAX(prof[i], u);                                               \
+    }                                                                         \
+    for (int64_t i = k; i < plane; i++) {                                     \
+        T v = WRAP(T, U, MAX0(hlast[i - k]), prof[i]);                        \
+        T u = WRAP(T, U, MAX0(h[i]), gap);                                    \
+        o[i] = MAX(v, u);                                                     \
+    }                                                                         \
+    for (int64_t r = 1; r < seg; r++) {                                       \
+        const T *hr = h + r * plane;                                          \
+        const T *pr = prof + r * plane;                                       \
+        T *or_ = o + r * plane;                                               \
+        for (int64_t i = 0; i < plane; i++) {                                 \
+            T v = WRAP(T, U, MAX0(hr[i - plane]), pr[i]);                     \
+            T u = MAX(MAX0(hr[i]), or_[i - plane]);                           \
+            u = WRAP(T, U, u, gap);                                           \
+            or_[i] = MAX(v, u);                                               \
+        }                                                                     \
+    }                                                                         \
+    /* Phase 2: cross-segment carries; carry[c] enters segment c.  Only an   \
+     * end value above span can cross a whole segment, so the serial chain  \
+     * runs only then. */                                                     \
+    const T *tend = o + (seg - 1) * plane;                                    \
+    T tm = 0; /* below 1 it neither takes the chain nor injects */          \
+    for (int64_t i = 0; i < plane; i++)                                       \
+        tm = MAX(tm, tend[i]);                                                \
+    for (int64_t l = 0; l < k; l++)                                           \
+        carry[l] = 0;                                                         \
+    if ((int64_t)tm > gi * seg) {                                             \
+        const T gseg = (T)(gap * seg);                                        \
+        for (int64_t i = k; i < plane; i++) {                                 \
+            T e = i < 2 * k ? tend[i - k]                                     \
+                            : WRAP(T, U, carry[i - k], gseg);                 \
+            carry[i] = MAX(e, tend[i - k]);                                   \
+        }                                                                     \
+        tm = 0;                                                               \
+        for (int64_t i = 0; i < plane; i++)                                   \
+            tm = MAX(tm, carry[i]);                                           \
+    } else {                                                                  \
+        for (int64_t i = k; i < plane; i++)                                   \
+            carry[i] = tend[i - k];                                           \
+    }                                                                         \
+    /* Phase 3: inject the carries down to the depth d the row maximum can  \
+     * still reach, then the per-lane row maximum. */                         \
+    int64_t d = tm >= 1 ? ((int64_t)tm - 1) / gi : 0;                         \
+    d = d < seg ? d : seg;                                                    \
+    for (int64_t r = 0; r < d; r++) {                                         \
+        T *or_ = o + r * plane;                                               \
+        const T decay = (T)(gap * (r + 1));                                   \
+        for (int64_t i = 0; i < plane; i++)                                   \
+            or_[i] = MAX(or_[i], WRAP(T, U, carry[i], decay));                \
+    }                                                                         \
+    for (int64_t l = 0; l < k; l++)                                           \
+        rowmax[l] = 0;                                                        \
+    for (int64_t i = 0; i < seg * p; i++) {                                   \
+        const T *oc = o + i * k;                                              \
+        for (int64_t l = 0; l < k; l++)                                       \
+            rowmax[l] = MAX(rowmax[l], oc[l]);                                \
+    }                                                                         \
+}                                                                             \
+                                                                              \
+static void NAME##_scan(const T *profile, const uint8_t *query, int64_t m,   \
+                        int64_t seg, int64_t p, int64_t k, T gap, T cap,     \
+                        T *state, T *carry, T *rowmax, T *best,               \
+                        uint8_t *ovf)                                         \
+{                                                                             \
+    const int64_t block = seg * p * k;                                        \
+    T *h = state;                                                             \
+    T *o = state + block;                                                     \
+    for (int64_t i = 0; i < m; i++) {                                         \
+        NAME(profile + query[i] * block, seg, p, k, gap, h, o, carry,         \
+             rowmax);                                                         \
+        for (int64_t l = 0; l < k; l++) {                                     \
+            best[l] = MAX(best[l], rowmax[l]);                                \
+            ovf[l] |= rowmax[l] >= cap;                                       \
+        }                                                                     \
+        T *t = h;                                                             \
+        h = o;                                                                \
+        o = t;                                                                \
+    }                                                                         \
+}
+
+STRIPES_ROW(stripes_row8, int8_t, uint8_t)
+STRIPES_ROW(stripes_row16, int16_t, uint16_t)
+STRIPES_ROW(stripes_row32, int32_t, uint32_t)
+
+/* Run a whole query through a packed (seg, p, k) striped block.
+ *
+ * profile  (n_codes, seg, p, k) striped profiles; block c scores query
+ *          code c against every position of every lane (PAD cells hold
+ *          the lane dtype's pad score)
+ * state    (2, seg, p, k) all zeros on entry: the ping-pong row blocks
+ * carry    (p, k) scratch; rowmax (k,) scratch
+ * best     k running maxima, updated in place
+ * ovf      k sticky overflow flags (rowmax >= cap), or-ed in place
+ * itemsize 1, 2 or 4 for int8, int16 or int32 lanes (every T buffer)
+ */
+void stripes(const void *profile, const uint8_t *query, int64_t m,
+             int64_t seg, int64_t p, int64_t k, int32_t gap, int32_t cap,
+             int itemsize, void *state, void *carry, void *rowmax,
+             void *best, uint8_t *ovf)
+{
+    if (itemsize == 1)
+        stripes_row8_scan(profile, query, m, seg, p, k, (int8_t)gap,
+                          (int8_t)cap, state, carry, rowmax, best, ovf);
+    else if (itemsize == 2)
+        stripes_row16_scan(profile, query, m, seg, p, k, (int16_t)gap,
+                           (int16_t)cap, state, carry, rowmax, best, ovf);
+    else
+        stripes_row32_scan(profile, query, m, seg, p, k, gap, cap, state,
+                           carry, rowmax, best, ovf);
 }

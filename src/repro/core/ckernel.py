@@ -4,7 +4,7 @@ The paper's unit of work (the band x block tile of §4.3, the NW rows of
 §4.4 phase 2) runs one DP row at a time through numpy, about eight ufunc
 calls per row; on 100 x 100 tiles that dispatch is the whole cost.  The
 database search (one query against many packed targets) pays the same
-per-row dispatch, once per query residue.  ``ckernel.c`` holds the three
+per-row dispatch, once per query residue.  ``ckernel.c`` holds the four
 loops that replace them:
 
 * ``rows`` -- the linear-gap recurrence over a whole tile, behind
@@ -12,7 +12,10 @@ loops that replace them:
 * ``band_segments`` -- the above-threshold segment scan behind
   :meth:`StreamingRegionFinder.feed_rows`;
 * ``lanes`` -- a whole query down a packed lanes-contiguous batch, behind
-  :meth:`MultiSequenceWorkspace.sw_best_scores`, in int16 or int32 lanes.
+  :meth:`MultiSequenceWorkspace.sw_best_scores`, in int16 or int32 lanes;
+* ``stripes`` -- a whole query through a packed ``(seg, p, k)`` striped
+  block, behind :meth:`StripedMultiWorkspace.sw_best_scores`, in int8,
+  int16 or int32 lanes that wrap exactly as the numpy scan's do.
 
 The module is built with cffi in API mode on the *first kernel call*
 (never on ``import repro``), in a child interpreter so the compiler
@@ -26,7 +29,9 @@ safely.
 The flags are ``-O3`` and nothing CPU-specific: the lane loop vectorizes
 only under -O3's vectorizer cost model (at -O2 it runs scalar), and the
 cache is not keyed by CPU, so ``-march=native`` would make a cached
-build unsafe to load on another machine.
+build unsafe to load on another machine.  The striped row instead asks gcc
+(x86-64 Linux) for an AVX2 clone beside the baseline one, picked per CPU
+at load time.
 
 The numpy kernels stay the reference.  When cffi or a compiler is missing
 the build fails once, :func:`load` warns once, and every caller keeps
@@ -48,7 +53,7 @@ import numpy as np
 
 from .scoring import SCORE_DTYPE
 
-__all__ = ["available", "band_segments", "lanes", "load", "rows"]
+__all__ = ["available", "band_segments", "lanes", "load", "rows", "stripes"]
 
 _SOURCE = Path(__file__).with_name("ckernel.c")
 
@@ -62,6 +67,10 @@ int64_t band_segments(const int32_t *band, int64_t h, int64_t w,
 void lanes(const void *profile, const uint8_t *query, int64_t m, int64_t n,
            int64_t k, int32_t gap, int itemsize, void *row, void *diag,
            void *best);
+void stripes(const void *profile, const uint8_t *query, int64_t m,
+             int64_t seg, int64_t p, int64_t k, int32_t gap, int32_t cap,
+             int itemsize, void *state, void *carry, void *rowmax,
+             void *best, uint8_t *ovf);
 """
 
 #: Compiler flags, appended after the interpreter's own CFLAGS.
@@ -291,4 +300,21 @@ def lanes(
         ffi.from_buffer(row),
         ffi.from_buffer(diag),
         ffi.from_buffer(best),
+    )
+
+
+def stripes(table, query, gap: int, cap: int, best, overflowed) -> None:
+    """Run the compiled ``stripes`` over the whole query; :func:`load` must
+    have succeeded.  ``table`` is a C-contiguous ``(n_codes, seg, p, k)``
+    profile in the lane dtype covering every code of ``query`` (contiguous
+    uint8); ``best`` (lane dtype) and ``overflowed`` (bool) are zeroed
+    ``(k,)`` vectors, updated in place."""
+    ffi, lib = _handle
+    _, seg, p, k = table.shape
+    buf, dt = ffi.from_buffer, table.dtype
+    state = np.zeros((2, seg, p, k), dtype=dt)  # the ping-pong row blocks
+    carry, rowmax = np.empty((p, k), dtype=dt), np.empty(k, dtype=dt)
+    lib.stripes(
+        buf(table), buf("uint8_t[]", query), query.size, seg, p, k, gap, cap, dt.itemsize,
+        buf(state), buf(carry), buf(rowmax), buf(best), buf("uint8_t[]", overflowed.view(np.uint8)),
     )

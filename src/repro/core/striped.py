@@ -46,21 +46,26 @@ chain (same identity as :mod:`repro.core.multi_engine` --
 ``max_{i<=j}(max(C[i],0)+g*i) = max(max_{i<=j}(C[i]+g*i), g*j)``), and every
 narrow-lane result is either provably unwrapped or flagged and recomputed.
 
-Striped query profiles are cached module-wide (LRU, keyed by target-batch
-digest, scoring, lane dtype and segment length) so repeated searches against
-the same packed database -- the pool serving pattern -- pay the profile
-build once.  Hit/miss counters are exported through :mod:`repro.obs`.
+:meth:`StripedMultiWorkspace.sw_best_scores` hands each rung's whole scan
+to the compiled ``stripes`` loop of :mod:`repro.core.ckernel`: the same
+three phases over the same block, with every sum truncated to the lane
+dtype as numpy's are, so scores and overflow flags match this module's
+numpy scan bit for bit.  :class:`NumpyStripedMultiWorkspace` (the
+reference) runs the numpy scan, as does every workspace without a compiler.
+
+The striped profile is built per scan, one ``np.take`` per query code from
+a 256-entry lookup whose extremes over the codes actually scored also set
+the lane limits.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from collections import OrderedDict
 
 import numpy as np
 
 from ..obs import count_cells, get_metrics, is_enabled
+from . import ckernel
 from .engine import KernelWorkspace
 from .multi_engine import PAD_CODE, MultiSequenceWorkspace
 from .scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
@@ -68,15 +73,12 @@ from .scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
 __all__ = [
     "LANE_MODES",
     "LaneLimits",
+    "NumpyStripedMultiWorkspace",
     "StripedMultiWorkspace",
     "StripedPairWorkspace",
-    "StripedProfile",
-    "clear_profile_cache",
     "overflow_stats",
-    "profile_cache_stats",
     "reset_overflow_stats",
     "score_bounds",
-    "striped_profile",
 ]
 
 #: Accepted ``lane_mode`` values: the *starting* rung of the escalation
@@ -95,31 +97,37 @@ _LADDERS = {
 #: cost dominates any further vector-width gain.
 MAX_SEG = 64
 
-#: Entries kept in the module-wide striped-profile LRU cache.
-PROFILE_CACHE_CAPACITY = 16
-
-_PROFILE_CACHE: "OrderedDict[tuple, StripedProfile]" = OrderedDict()
-_PROFILE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 _OVERFLOW_STATS = {"lanes": 0, "recomputes": 0}
 
-_BOUNDS_CACHE: dict[Scoring, tuple[int, int]] = {}
 
+def _lookup(scoring: Scoring, query_codes, target_codes) -> tuple[np.ndarray, int, int]:
+    """``(table, lo, hi)``: the ``(max query code + 1, 256)`` int64 lookup.
 
-def score_bounds(scoring: Scoring) -> tuple[int, int]:
-    """``(lo, hi)`` bounds of the substitution scores over the DNA alphabet.
-
-    Derived from the scoring object itself (not its ``match``/``mismatch``
-    summary fields, which for :class:`MatrixScoring` are the diagonal max and
-    off-diagonal min, not global bounds).
+    Row ``c`` of each query code scores ``c`` against each target code;
+    every other entry (``PAD_CODE`` included) is 0, as only real codes may
+    be scored (scorings may index 4x4 matrices with them).  ``lo``/``hi``
+    are the extremes of the scored entries.
     """
-    bounds = _BOUNDS_CACHE.get(scoring)
-    if bounds is None:
-        probe = np.arange(4, dtype=np.uint8)
-        rows = [scoring.substitution_row(code, probe) for code in range(4)]
-        flat = np.concatenate(rows)
-        bounds = (int(flat.min()), int(flat.max()))
-        _BOUNDS_CACHE[scoring] = bounds
-    return bounds
+    n_rows = int(query_codes.max()) + 1 if query_codes.size else 0
+    table = np.zeros((n_rows, 256), dtype=np.int64)
+    for code in query_codes.tolist():
+        table[code, target_codes] = scoring.substitution_row(code, target_codes)
+    if not (query_codes.size and target_codes.size):
+        return table, 0, 0
+    scored = table[np.ix_(query_codes, target_codes)]
+    return table, int(scored.min()), int(scored.max())
+
+
+def score_bounds(scoring: Scoring, query_codes=range(4), target_codes=range(4)) -> tuple[int, int]:
+    """``(lo, hi)`` bounds of the substitution scores over the given codes.
+
+    The DNA alphabet by default.  Derived from the scoring object itself
+    (not its ``match``/``mismatch`` summary fields, which for
+    :class:`MatrixScoring` are the diagonal max and off-diagonal min, not
+    global bounds).
+    """
+    q, t = (np.asarray(codes, dtype=np.uint8) for codes in (query_codes, target_codes))
+    return _lookup(scoring, q, t)[1:]
 
 
 class LaneLimits:
@@ -168,18 +176,6 @@ def _pick_seg(n: int, dtype, gap: int, lo: int, hi: int) -> int:
     return min(base, seg_cap, MAX_SEG)
 
 
-def profile_cache_stats() -> dict[str, int]:
-    """Hit/miss/eviction counters of the striped-profile LRU cache."""
-    return dict(_PROFILE_STATS)
-
-
-def clear_profile_cache() -> None:
-    """Drop every cached striped profile and zero the cache counters."""
-    _PROFILE_CACHE.clear()
-    for key in _PROFILE_STATS:
-        _PROFILE_STATS[key] = 0
-
-
 def overflow_stats() -> dict[str, int]:
     """Cumulative overflow-escalation counters (lanes flagged, recomputes)."""
     return dict(_OVERFLOW_STATS)
@@ -190,82 +186,29 @@ def reset_overflow_stats() -> None:
         _OVERFLOW_STATS[key] = 0
 
 
-class StripedProfile:
-    """Farrar-striped query profile of one packed target batch.
+def _profile_table(
+    codes: np.ndarray, s_codes: np.ndarray, lookup: np.ndarray, limits: LaneLimits
+) -> np.ndarray:
+    """The ``(n_codes, seg, p, k)`` striped profile of one packed batch.
 
-    For each query code the profile is a ``(seg, p, k)`` block in the lane
-    dtype -- plane ``r`` holds the substitution scores of the code against
-    target position ``r`` of every segment of every lane -- stored as a
-    tuple of per-plane views so the row kernel indexes no arrays in its hot
-    loop.  Padded positions hold :attr:`LaneLimits.pad`.  DNA codes are
-    profiled eagerly, anything else lazily (protein batches work unchanged).
+    Block ``c`` holds, in plane ``r``, the scores of query code ``c``
+    against target position ``r`` of every segment of every lane; padded
+    positions hold :attr:`LaneLimits.pad`.  Only the query's codes are
+    filled, one ``np.take`` each from the 256-entry ``lookup``.
     """
-
-    __slots__ = ("scoring", "limits", "seg", "p", "k", "n", "npad", "_safe", "_invalid", "_blocks")
-
-    def __init__(self, codes: np.ndarray, scoring: Scoring, limits: LaneLimits) -> None:
-        k, n = codes.shape
-        seg = limits.seg
-        self.scoring = scoring
-        self.limits = limits
-        self.seg = seg
-        self.k = k
-        self.n = n
-        self.p = -(-n // seg)
-        self.npad = seg * self.p
-        ct = np.full((self.npad, k), PAD_CODE, dtype=np.uint8)
-        ct[:n] = codes.T
-        striped = np.ascontiguousarray(ct.reshape(self.p, seg, k).transpose(1, 0, 2))
-        self._invalid = striped == PAD_CODE
-        # Scorings may index 4x4 matrices with the codes, so padded cells are
-        # remapped to code 0 for the lookup and then overwritten.
-        self._safe = np.where(self._invalid, np.uint8(0), striped)
-        self._blocks: dict[int, tuple] = {}
-        for code in range(4):
-            self.block(code)
-
-    def block(self, code: int) -> tuple:
-        """Per-plane ``(p, k)`` views of the striped profile of ``code``."""
-        planes = self._blocks.get(code)
-        if planes is None:
-            raw = self.scoring.substitution_row(code, self._safe).astype(self.limits.dtype)
-            raw[self._invalid] = self.limits.pad
-            block = np.ascontiguousarray(raw)
-            planes = tuple(block[r] for r in range(self.seg))
-            self._blocks[code] = planes
-        return planes
-
-
-def striped_profile(codes: np.ndarray, scoring: Scoring, limits: LaneLimits) -> StripedProfile:
-    """The cached striped profile for ``(codes, scoring, dtype, seg)``.
-
-    ``codes`` must be a C-contiguous ``(k, n)`` uint8 batch; the cache key is
-    a digest of its bytes plus the scoring scheme and lane geometry, so pool
-    workers re-serving the same packed database hit the cache on every query.
-    """
-    key = (
-        hashlib.sha1(codes.tobytes()).hexdigest(),
-        codes.shape,
-        scoring,
-        limits.dtype.name,
-        limits.seg,
-    )
-    prof = _PROFILE_CACHE.get(key)
-    if prof is not None:
-        _PROFILE_CACHE.move_to_end(key)
-        _PROFILE_STATS["hits"] += 1
-        if is_enabled():
-            get_metrics().counter("striped_profile_hits").inc()
-        return prof
-    _PROFILE_STATS["misses"] += 1
-    if is_enabled():
-        get_metrics().counter("striped_profile_misses").inc()
-    prof = StripedProfile(codes, scoring, limits)
-    _PROFILE_CACHE[key] = prof
-    while len(_PROFILE_CACHE) > PROFILE_CACHE_CAPACITY:
-        _PROFILE_CACHE.popitem(last=False)
-        _PROFILE_STATS["evictions"] += 1
-    return prof
+    k, n = codes.shape
+    seg = limits.seg
+    p = -(-n // seg)
+    padded = np.full((k, p * seg), PAD_CODE, dtype=np.uint8)
+    padded[:, :n] = codes
+    striped = np.ascontiguousarray(padded.reshape(k, p, seg).transpose(2, 1, 0))
+    table = np.empty((lookup.shape[0], seg, p, k), dtype=limits.dtype)
+    row = np.empty(256, dtype=limits.dtype)
+    for code in np.unique(s_codes).tolist():
+        row[:] = lookup[code]
+        row[PAD_CODE] = limits.pad
+        np.take(row, striped, out=table[code])
+    return table
 
 
 class _StripedScan:
@@ -276,16 +219,15 @@ class _StripedScan:
     """
 
     __slots__ = (
-        "_prof", "_seg", "_p", "_k", "_gi", "_g", "_gseg", "_span", "_cap",
+        "_table", "_seg", "_p", "_k", "_gi", "_g", "_gseg", "_span", "_cap",
         "_u", "_diag0", "_carry", "_endh", "_c3", "_zplane", "_decay",
-        "_best", "_rowmax", "_ovf", "_ovtmp", "_plans", "_parity", "chain_rows",
+        "_best", "_rowmax", "_ovf", "_ovtmp", "_plans", "_parity",
     )
 
-    def __init__(self, prof: StripedProfile) -> None:
-        limits = prof.limits
+    def __init__(self, table: np.ndarray, limits: LaneLimits) -> None:
         dt = limits.dtype
-        seg, p, k = prof.seg, prof.p, prof.k
-        self._prof = prof
+        _, seg, p, k = table.shape
+        self._table = table
         self._seg = seg
         self._p = p
         self._k = k
@@ -311,7 +253,6 @@ class _StripedScan:
         self._ovtmp = np.empty(k, dtype=bool)
         self._plans = (self._plan(h, t), self._plan(t, h))
         self._parity = 0
-        self.chain_rows = 0
 
     def _plan(self, prev_arr: np.ndarray, out_arr: np.ndarray) -> tuple:
         seg = self._seg
@@ -324,9 +265,10 @@ class _StripedScan:
     def run(self, s_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stream the query; returns ``(best, overflowed)`` per lane."""
         row = self._row
-        prof = self._prof
-        for ch in s_codes:
-            row(prof.block(int(ch)))
+        table = self._table
+        planes = {code: tuple(table[code]) for code in np.unique(s_codes).tolist()}
+        for ch in s_codes.tolist():
+            row(planes[ch])
         return self._best.astype(SCORE_DTYPE), self._ovf
 
     def _row(self, pv: tuple) -> None:  # repro: kernel -- striped lazy-F row advance
@@ -359,7 +301,6 @@ class _StripedScan:
         tm = int(prev.max())
         if tm > self._span:
             tm = self._chain(prev)
-            self.chain_rows += 1
         else:
             carry[1:] = prev[:-1]
             carry[0] = 0
@@ -396,9 +337,15 @@ class _StripedScan:
         return int(carry.max())
 
 
-def _run_scan(codes, s_codes, scoring, limits) -> tuple[np.ndarray, np.ndarray]:
-    prof = striped_profile(codes, scoring, limits)
-    return _StripedScan(prof).run(s_codes)
+def _run_scan(codes, s_codes, lookup, limits, compiled) -> tuple[np.ndarray, np.ndarray]:
+    """One rung over one packed batch: ``(best, overflowed)`` per lane."""
+    table = _profile_table(codes, s_codes, lookup, limits)
+    if not compiled:
+        return _StripedScan(table, limits).run(s_codes)
+    best = np.zeros(codes.shape[0], dtype=limits.dtype)
+    overflowed = np.zeros(codes.shape[0], dtype=bool)
+    ckernel.stripes(table, s_codes, limits.gap, limits.cap, best, overflowed)
+    return best.astype(SCORE_DTYPE), overflowed
 
 
 def _note_overflow(lanes_flagged: int) -> None:
@@ -422,7 +369,11 @@ class StripedMultiWorkspace:
     with only the flagged sequences re-scanned.
     """
 
-    __slots__ = ("scoring", "lengths", "lanes", "width", "lane_mode", "seg", "_codes")
+    __slots__ = ("scoring", "lengths", "lanes", "width", "lane_mode", "seg", "_codes", "_present")
+
+    #: Whether :meth:`sw_best_scores` may run the compiled ``stripes`` loop;
+    #: :class:`NumpyStripedMultiWorkspace` switches it off.
+    COMPILED_STRIPES = True
 
     def __init__(
         self,
@@ -449,10 +400,18 @@ class StripedMultiWorkspace:
         self.lane_mode = lane_mode
         self.seg = seg
         self._codes = codes
+        # The residue codes the targets use: the lookup scores these alone.
+        counts = np.bincount(codes.ravel(), minlength=256)[:PAD_CODE]
+        self._present = np.flatnonzero(counts).astype(np.uint8)
 
-    def _ladder(self) -> list[LaneLimits]:
-        """The feasible lane dtypes, narrowest first, always ending in int32."""
-        lo, hi = score_bounds(self.scoring)
+    @property
+    def compiled(self) -> bool:
+        """True when :meth:`sw_best_scores` runs the compiled striped scan."""
+        return self.COMPILED_STRIPES and ckernel.load() is not None
+
+    def _ladder(self, lo: int, hi: int) -> list[LaneLimits]:
+        """The feasible lane dtypes for profile entries in ``[lo, hi]``,
+        narrowest first, always ending in int32."""
         gap = int(self.scoring.gap)
         ladder = []
         for dt in _LADDERS[self.lane_mode]:
@@ -476,18 +435,20 @@ class StripedMultiWorkspace:
         :class:`MultiSequenceWorkspace`, whose int64 widening path has no
         ceiling.
         """
-        s_codes = np.asarray(s_codes, dtype=np.uint8)
+        s_codes = np.ascontiguousarray(s_codes, dtype=np.uint8)
         best = np.zeros(self.lanes, dtype=SCORE_DTYPE)
         m = int(s_codes.size)
         if self.lanes == 0 or self.width == 0 or m == 0:
             return best
-        ladder = self._ladder()
+        lookup, lo, hi = _lookup(self.scoring, np.unique(s_codes), self._present)
+        ladder = self._ladder(lo, hi)
+        compiled = self.compiled
         codes = self._codes
         lengths = self.lengths
         indices = np.arange(self.lanes, dtype=np.int64)
         for rung, limits in enumerate(ladder):
             count_cells(m * int(lengths.sum()))
-            scores, ovf = _run_scan(codes, s_codes, self.scoring, limits)
+            scores, ovf = _run_scan(codes, s_codes, lookup, limits, compiled)
             ok = ~ovf
             best[indices[ok]] = scores[ok]
             flagged = int(ovf.sum())
@@ -502,6 +463,17 @@ class StripedMultiWorkspace:
                 best[indices] = rescue.sw_best_scores(s_codes)
                 break
         return best
+
+
+class NumpyStripedMultiWorkspace(StripedMultiWorkspace):
+    """:class:`StripedMultiWorkspace` with the compiled scan switched off.
+
+    The numpy reference the compiled ``stripes`` loop is fuzzed and
+    benchmarked against (``tests/core/test_ckernel.py``, ``bench kernels``).
+    """
+
+    __slots__ = ()
+    COMPILED_STRIPES = False
 
 
 class StripedPairWorkspace(KernelWorkspace):

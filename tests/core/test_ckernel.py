@@ -1,13 +1,15 @@
 """Parity fuzz: the compiled kernel paths against the numpy reference.
 
 ``repro.core.ckernel`` is the one C source behind the batched row kernels,
-the region finder's segment scan and the database-search lanes.  No static
-check reads C, so these properties are its only guard: every compiled
-result must be bitwise equal to the numpy rows, to row-by-row
-:meth:`StreamingRegionFinder.feed` and to the numpy lanes of
-:class:`NumpyMultiWorkspace`, over every scoring regime the kernels serve
--- plain and matrix DNA scoring, int16 and int32 lanes, the int64 ``_wide``
-regime, lazily profiled protein codes -- and over degenerate shapes.  A
+the region finder's segment scan, the database-search lanes and the
+striped search scan.  No static check reads C, so these properties are its
+only guard: every compiled result must be bitwise equal to the numpy rows,
+to row-by-row :meth:`StreamingRegionFinder.feed`, to the numpy lanes of
+:class:`NumpyMultiWorkspace` and to the numpy striped scan of
+:class:`NumpyStripedMultiWorkspace` (overflow flags included), over every
+scoring regime the kernels serve -- plain and matrix DNA scoring, int8,
+int16 and int32 lanes, the int64 ``_wide`` regime, lazily profiled protein
+codes -- and over degenerate shapes.  A
 failing loader must fall back to numpy with identical results and exactly
 one warning.
 """
@@ -29,7 +31,7 @@ from repro.core.multi_engine import (
 )
 from repro.core.regions import RegionConfig, StreamingRegionFinder
 from repro.core.scoring import SCORE_DTYPE, MatrixScoring
-from repro.core.striped import StripedMultiWorkspace
+from repro.core.striped import LaneLimits, NumpyStripedMultiWorkspace, StripedMultiWorkspace
 from repro.protein.blosum import BLOSUM62_SCORING
 
 from _strategies import scorings
@@ -303,6 +305,165 @@ class TestLanesParity:
             striped.reset_overflow_stats()
         assert np.array_equal(got, want)
 
+
+
+#: (scoring, alphabet size, max query length).  The +2^28 matches flag every
+#: int32 lane after a few rows, so those lanes reach the classic rescue.
+STRIPE_REGIMES = st.one_of(
+    st.tuples(scorings, st.just(4), st.just(40)),
+    st.tuples(matrix_scorings(), st.just(4), st.just(40)),
+    st.tuples(
+        st.builds(
+            Scoring, st.integers(2**8, 2**13), st.integers(-9, 0), st.integers(-9, -1)
+        ),
+        st.just(4),
+        st.just(40),
+    ),
+    st.tuples(st.just(Scoring(2**28, -1, -2)), st.just(4), st.just(6)),
+    st.tuples(st.just(BLOSUM62_SCORING), st.just(20), st.just(40)),
+)
+
+
+@st.composite
+def stripe_batches(draw):
+    """A packed batch, a query (often a copy of one lane, so scores climb
+    past the segment span and the narrow rungs overflow), a starting rung
+    and an optional explicit segment length."""
+    scoring, alphabet, max_m = draw(STRIPE_REGIMES)
+    k = draw(st.sampled_from([0, 1, 2, 5, 131]))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lane_lengths = rng.integers(0, n + 1, k)
+    targets = [rng.integers(0, alphabet, length).astype(np.uint8) for length in lane_lengths]
+    codes, lengths = pack_codes(targets, width=n)
+    m = draw(st.sampled_from([0, 1, max_m, draw(st.integers(0, max_m))]))
+    query = rng.integers(0, alphabet, m).astype(np.uint8)
+    if k and m and draw(st.booleans()):
+        lane = targets[int(rng.integers(k))]
+        query = np.concatenate([lane, query])[:m]
+    lane_mode = draw(st.sampled_from(["int8", "int16", "int32"]))
+    seg = draw(st.one_of(st.none(), st.integers(1, n + 3)))
+    return scoring, codes, lengths, query, lane_mode, seg
+
+
+_RUN_SCAN = striped._run_scan
+
+
+def _paired_scans(monkeypatch):
+    """Make every rung run both scans and check them against each other.
+
+    Returns the list of ``(limits, lanes, any flagged)`` rungs run; each
+    rung's scores and overflow flags must be bitwise equal, wrapped lanes
+    included.
+    """
+    run_scan = _RUN_SCAN
+    rungs = []
+
+    def both(codes, s_codes, lookup, limits, compiled):
+        assert compiled
+        got = run_scan(codes, s_codes, lookup, limits, True)
+        want = run_scan(codes, s_codes, lookup, limits, False)
+        assert got[0].dtype == want[0].dtype == SCORE_DTYPE
+        assert np.array_equal(got[0], want[0]), limits.dtype
+        assert np.array_equal(got[1], want[1]), limits.dtype
+        rungs.append((limits, codes.shape[0], bool(got[1].any())))
+        return got
+
+    monkeypatch.setattr(striped, "_run_scan", both)
+    return rungs
+
+
+class TestStripesParity:
+    @given(stripe_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_sw_best_scores(self, batch):
+        scoring, codes, lengths, query, lane_mode, seg = batch
+        want = NumpyMultiWorkspace(codes, lengths, scoring).sw_best_scores(query)
+        try:
+            ref = NumpyStripedMultiWorkspace(codes, lengths, scoring, lane_mode, seg)
+            ref_scores = ref.sw_best_scores(query)
+        except ValueError:  # an explicit seg no rung fits: both paths refuse
+            with pytest.raises(ValueError):
+                StripedMultiWorkspace(codes, lengths, scoring, lane_mode, seg).sw_best_scores(
+                    query
+                )
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            _paired_scans(patch)
+            fast = StripedMultiWorkspace(codes, lengths, scoring, lane_mode, seg)
+            assert fast.compiled and not ref.compiled
+            got = fast.sw_best_scores(query)
+            # A second scan on the same workspace, from a strided view.
+            again = fast.sw_best_scores(np.repeat(query, 2)[::2])
+        striped.reset_overflow_stats()
+        assert got.dtype == SCORE_DTYPE
+        assert np.array_equal(got, want)
+        assert np.array_equal(again, want)
+        assert np.array_equal(ref_scores, want)
+
+    def test_every_rung_chain_and_depth(self, monkeypatch):
+        """A self-repeat through int8 -> int16 -> int32 at seg 1 and seg 3:
+        every rung overflows but the last, and the scores cross the span
+        (the serial chain) as well as stay below it (truncated depth)."""
+        rng = np.random.default_rng(41)
+        repeat = rng.integers(0, 4, 600).astype(np.uint8)
+        # The gapped copy's best alignment runs a 3-cell horizontal gap, which
+        # at seg 1 crosses three segments: only the serial chain carries it.
+        gapped = np.concatenate([repeat[:300], [0, 1, 2], repeat[300:]]).astype(np.uint8)
+        targets = [repeat, rng.integers(0, 4, 97).astype(np.uint8), repeat[:5], gapped]
+        codes, lengths = pack_codes(targets)
+        scoring = Scoring(60, -3, -2)  # 36,000 for the repeat: past int16
+        want = NumpyMultiWorkspace(codes, lengths, scoring).sw_best_scores(repeat)
+        for seg in (1, 3, None):
+            rungs = _paired_scans(monkeypatch)
+            got = StripedMultiWorkspace(codes, lengths, scoring, "int8", seg)
+            assert np.array_equal(got.sw_best_scores(repeat), want)
+            dtypes = [r[0].dtype.name for r in rungs]
+            assert dtypes[0] == "int8" and dtypes[-1] == "int32", dtypes
+            assert all(r[2] for r in rungs[:-1]) and not rungs[-1][2]
+        striped.reset_overflow_stats()
+
+    def test_protein_lanes_bound_by_the_lookup(self, monkeypatch):
+        """BLOSUM62 protein lanes: the rung geometry comes from (-4, 11)."""
+        rng = np.random.default_rng(43)
+        targets = [rng.integers(0, 20, length).astype(np.uint8) for length in (50, 7, 0, 33)]
+        targets[0][:20] = np.arange(20)  # every residue, W-W's 11 included
+        codes, lengths = pack_codes(targets)
+        query = np.concatenate([np.arange(20, dtype=np.uint8), targets[0]])
+        rungs = _paired_scans(monkeypatch)
+        got = StripedMultiWorkspace(codes, lengths, BLOSUM62_SCORING).sw_best_scores(query)
+        want = NumpyMultiWorkspace(codes, lengths, BLOSUM62_SCORING).sw_best_scores(query)
+        assert np.array_equal(got, want)
+        limits = rungs[0][0]
+        assert limits.dtype.name == "int8"
+        want_limits = LaneLimits(np.int8, limits.seg, BLOSUM62_SCORING.gap, -4, 11)
+        assert (limits.cap, limits.pad) == (want_limits.cap, want_limits.pad)
+        striped.reset_overflow_stats()
+
+    def test_failed_loader_falls_back_with_one_warning(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        targets = [rng.integers(0, 4, length).astype(np.uint8) for length in (80, 3, 0, 41)]
+        codes, lengths = pack_codes(targets)
+        query = np.concatenate([targets[0], rng.integers(0, 4, 30).astype(np.uint8)])
+        want = StripedMultiWorkspace(codes, lengths).sw_best_scores(query)
+
+        def broken():
+            raise RuntimeError("no compiler")
+
+        monkeypatch.setattr(ckernel, "_load", broken)
+        monkeypatch.setattr(ckernel, "_tried", False)
+        monkeypatch.setattr(ckernel, "_handle", None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ws = StripedMultiWorkspace(codes, lengths)
+            first = ws.sw_best_scores(query)
+            second = StripedMultiWorkspace(codes, lengths).sw_best_scores(query)
+        striped.reset_overflow_stats()
+        assert not ws.compiled
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert np.array_equal(first, want)
+        assert np.array_equal(second, want)
 
 def _workload():
     rng = np.random.default_rng(17)

@@ -1,4 +1,4 @@
-"""Striped kernel: bitwise parity, overflow escalation, profile cache.
+"""Striped kernel: bitwise parity and overflow escalation.
 
 The striped workspaces promise the same contract as the classic ones --
 scores bitwise identical to independent :class:`KernelWorkspace` scans --
@@ -6,8 +6,8 @@ while running narrow int8/int16 lanes.  These tests pin that contract on
 adversarial inputs (high-scoring repeats, extreme match scores, padded
 tails) and check the recovery machinery itself: the escalation ladder must
 re-scan *only* flagged lanes, escalated results must equal a straight int32
-run bit for bit, and the overflow / profile-cache counters must fire both
-in the module stats and through the ``repro.obs`` metrics registry.
+run bit for bit, and the overflow counters must fire both in the module
+stats and through the ``repro.obs`` metrics registry.
 """
 
 import numpy as np
@@ -26,11 +26,8 @@ from repro.core import (
 from repro.core.kernels import SCORE_DTYPE, initial_row
 from repro.core.striped import (
     LANE_MODES,
-    PROFILE_CACHE_CAPACITY,
     LaneLimits,
-    clear_profile_cache,
     overflow_stats,
-    profile_cache_stats,
     reset_overflow_stats,
     score_bounds,
 )
@@ -40,11 +37,9 @@ from repro.seq import random_dna
 
 @pytest.fixture(autouse=True)
 def _fresh_striped_state():
-    """Each test sees empty cache and zeroed overflow counters."""
-    clear_profile_cache()
+    """Each test sees zeroed overflow counters."""
     reset_overflow_stats()
     yield
-    clear_profile_cache()
     reset_overflow_stats()
 
 
@@ -226,45 +221,6 @@ class TestOverflowEscalation:
             )
         assert metrics.counter("striped_overflow_lanes").value >= 1
         assert metrics.counter("striped_recomputes").value >= 1
-        assert metrics.counter("striped_profile_misses").value >= 1
-
-
-class TestProfileCache:
-    def test_repeat_scans_hit_the_cache(self, rng):
-        targets = make_batch(rng, 5, 20, 60)
-        codes, lengths = pack_codes(targets)
-        q1, q2 = random_dna(30, rng), random_dna(30, rng)
-        ws = StripedMultiWorkspace(codes, lengths)
-        ws.sw_best_scores(q1)
-        after_first = profile_cache_stats()
-        assert after_first["misses"] >= 1
-        ws.sw_best_scores(q2)
-        after_second = profile_cache_stats()
-        assert after_second["misses"] == after_first["misses"]
-        assert after_second["hits"] > after_first["hits"]
-
-    def test_distinct_scorings_miss(self, rng):
-        codes, lengths = pack_codes(make_batch(rng, 3, 20, 40))
-        q = random_dna(20, rng)
-        StripedMultiWorkspace(codes, lengths).sw_best_scores(q)
-        StripedMultiWorkspace(codes, lengths, Scoring(2, -1, -2)).sw_best_scores(q)
-        assert profile_cache_stats()["misses"] >= 2
-
-    def test_lru_eviction(self, rng):
-        q = random_dna(10, rng)
-        for _ in range(PROFILE_CACHE_CAPACITY + 2):
-            codes, lengths = pack_codes(make_batch(rng, 1, 8, 16))
-            StripedMultiWorkspace(codes, lengths).sw_best_scores(q)
-        assert profile_cache_stats()["evictions"] >= 1
-
-    def test_obs_hit_counter(self, rng):
-        codes, lengths = pack_codes(make_batch(rng, 2, 20, 40))
-        q = random_dna(15, rng)
-        with observed("test") as (_, metrics):
-            ws = StripedMultiWorkspace(codes, lengths)
-            ws.sw_best_scores(q)
-            ws.sw_best_scores(q)
-        assert metrics.counter("striped_profile_hits").value >= 1
 
 
 class TestPairWorkspace:

@@ -13,6 +13,7 @@ from repro.protein import (
     protein_needleman_wunsch,
     protein_smith_waterman,
 )
+from repro.core import PAD_CODE, pack_codes, score_bounds
 from repro.seq.alphabet import AlphabetError
 
 protein_text = st.text(alphabet=AMINO_ACIDS, min_size=0, max_size=40)
@@ -44,6 +45,17 @@ class TestBlosumMatrix:
     def test_bounds_derived(self):
         assert BLOSUM62_SCORING.match == 11
         assert BLOSUM62_SCORING.mismatch == -4
+
+    def test_striped_lane_bounds_cover_every_residue(self):
+        """The striped lanes bound a BLOSUM62 batch by the codes it scores,
+        not by the DNA codes 0..3 alone (which would give (-2, 6))."""
+        rng = np.random.default_rng(3)
+        codes, _ = pack_codes([rng.permutation(20).astype(np.uint8), np.arange(9, dtype=np.uint8)])
+        query = rng.integers(0, 20, 60).astype(np.uint8)
+        query[:20] = np.arange(20)
+        present = np.unique(codes[codes != PAD_CODE])
+        assert score_bounds(BLOSUM62_SCORING, np.unique(query), present) == (-4, 11)
+        assert score_bounds(BLOSUM62_SCORING) == (-2, 6)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
