@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.blast import WordIndex
-from repro.core import count_hits, initial_row, nw_row, smith_waterman, sw_row
+from repro.core import KernelWorkspace, count_hits, initial_row, smith_waterman
 from repro.core.kernels import sw_row_naive
 from repro.core.regions import RegionConfig, StreamingRegionFinder
 from repro.seq import random_dna
@@ -23,19 +23,19 @@ ROW_WIDTH = 20_000
 def row_inputs():
     t = random_dna(ROW_WIDTH, rng=1)
     prev = initial_row(ROW_WIDTH, local=True)
-    return prev, t
+    return prev, KernelWorkspace(t)
 
 
 def test_bench_sw_row_vectorized(benchmark, row_inputs):
-    prev, t = row_inputs
-    result = benchmark(sw_row, prev, 0, t)
+    prev, ws = row_inputs
+    result = benchmark(ws.sw_row, prev, 0)
     assert result.shape == prev.shape
 
 
 def test_bench_nw_row_vectorized(benchmark, row_inputs):
-    _, t = row_inputs
+    _, ws = row_inputs
     prev = initial_row(ROW_WIDTH, local=False)
-    result = benchmark(nw_row, prev, 0, t, -2)
+    result = benchmark(ws.nw_row, prev, 0, -2)
     assert result.shape == prev.shape
 
 
@@ -53,11 +53,12 @@ def test_vectorized_kernel_speedup_vs_naive(benchmark):
 
     t = random_dna(4000, rng=3)
     prev = initial_row(4000, local=True)
+    ws = KernelWorkspace(t)
 
     def measure():
         start = time.perf_counter()
         for _ in range(50):
-            sw_row(prev, 1, t)
+            ws.sw_row(prev, 1)
         fast = time.perf_counter() - start
         start = time.perf_counter()
         sw_row_naive(prev, 1, t)
@@ -69,8 +70,8 @@ def test_vectorized_kernel_speedup_vs_naive(benchmark):
 
 
 def test_bench_count_hits(benchmark, row_inputs):
-    prev, t = row_inputs
-    row = sw_row(prev, 0, t)
+    prev, ws = row_inputs
+    row = ws.sw_row(prev, 0)
     hits = benchmark(count_hits, row, 1)
     assert hits >= 0
 
@@ -84,10 +85,10 @@ def test_bench_full_smith_waterman_500(benchmark):
 
 def test_bench_region_finder_feed(benchmark):
     finder_rows = []
-    t = random_dna(ROW_WIDTH, rng=6)
+    ws = KernelWorkspace(random_dna(ROW_WIDTH, rng=6))
     prev = initial_row(ROW_WIDTH, local=True)
     for ch in random_dna(8, rng=7):
-        prev = sw_row(prev, int(ch), t)
+        prev = ws.sw_row(prev, int(ch))
         finder_rows.append(prev.copy())
 
     def feed_all():

@@ -1,9 +1,11 @@
 """The real shared-memory backend: the paper's algorithm on actual processes.
 
 The simulated cluster reproduces the paper's *measurements*; this example
-runs the same blocked wave-front with genuine OS processes sharing a
-:mod:`multiprocessing.shared_memory` segment (JIAJIA's stand-in), then
-verifies both backends return the same alignment queue.
+runs the same blocked wave-front on a persistent pool of OS processes
+sharing the sequences and band borders through
+:mod:`multiprocessing.shared_memory` (JIAJIA's stand-in), checks that both
+backends return the same alignment queue, and then aligns the regions
+globally with phase 2's scattered mapping on the same workers.
 
 On a single-core host the workers serialise -- correctness is unaffected.
 
@@ -11,22 +13,26 @@ Run:  python examples/real_multiprocessing.py
 """
 
 import os
-import time
 
-from repro.parallel import MpBlockedConfig, mp_blocked_alignments, mp_phase2
+from repro.parallel import AlignmentWorkerPool
+from repro.plan import blocked_spec
 from repro.seq import genome_pair
-from repro.strategies import BlockedConfig, ScaledWorkload, run_blocked
+from repro.strategies import BlockedConfig, ScaledWorkload, run_blocked, run_mp_pipeline
 
 pair = genome_pair(3000, 3000, n_regions=3, region_length=150, mutation_rate=0.03, rng=17)
 workers = min(4, os.cpu_count() or 1)
 print(f"host has {os.cpu_count()} CPU(s); using {workers} worker process(es)\n")
 
-t0 = time.perf_counter()
-real = mp_blocked_alignments(
-    pair.s, pair.t, MpBlockedConfig(n_workers=workers, n_bands=12, n_blocks=8)
-)
-wall = time.perf_counter() - t0
-print(f"real backend: {len(real)} regions in {wall:.2f} wall-clock s")
+with AlignmentWorkerPool(n_workers=workers) as pool:
+    result = run_mp_pipeline(
+        pair.s,
+        pair.t,
+        backend="blocked",
+        pool=pool,
+        phase1_config=blocked_spec(n_procs=workers, n_bands=12, n_blocks=8),
+    )
+real = result.regions
+print(f"real backend: {len(real)} regions in {result.phase1_seconds:.2f} wall-clock s")
 
 sim = run_blocked(
     ScaledWorkload(pair.s, pair.t),
@@ -39,8 +45,10 @@ print("\ntop regions:")
 for a in real[:3]:
     print(f"  score {a.score}: s[{a.s_start}:{a.s_end}] ~ t[{a.t_start}:{a.t_end}]")
 
-print("\nphase 2 on the worker pool:")
-records = mp_phase2(pair.s, pair.t, real[:5], n_workers=workers)
-for rec in records[:2]:
+print(
+    f"\nphase 2 on the same workers: {len(result.records)} global alignments "
+    f"in {result.phase2_seconds:.2f} wall-clock s"
+)
+for rec in result.best_records(2):
     print()
     print(rec.render())

@@ -8,8 +8,8 @@ kernel (its compiled and numpy lanes timed apart) and the striped
 query-profile kernel of :mod:`repro.core.striped` (its compiled and numpy
 scans timed apart),
 the score-bound-pruned search over a planted-homolog database
-(:mod:`repro.strategies.prefilter`), and the pool-vs-spawn wavefront
-repeat.  The same workloads and timing
+(:mod:`repro.strategies.prefilter`), and ten wave-front requests on the
+persistent worker pool.  The same workloads and timing
 discipline as the ``benchmarks/`` pytest suite (min-of-rounds after a
 warmup call, cell counts cross-checked against the ``repro.obs`` metrics
 registry), so numbers regenerated here are comparable to the committed
@@ -473,32 +473,26 @@ def _bench_db_search_sharded(quick: bool, rounds: int) -> dict:
     }
 
 
-def _bench_pool_wavefront(quick: bool) -> dict:
-    """Pool-amortized vs spawn-per-call mp_wavefront repeats."""
-    from ..parallel import (
-        AlignmentWorkerPool,
-        MpWavefrontConfig,
-        mp_wavefront_alignments,
-    )
+def _bench_pool_wavefront(quick: bool, rounds: int) -> dict:
+    """Ten wave-front requests on one persistent pool, the pair loaded once."""
+    from ..parallel import AlignmentWorkerPool
+    from ..plan import wavefront_spec
 
     gp = genome_pair(
         600, 600, n_regions=2, region_length=60, mutation_rate=0.02, rng=51
     )
-    config = MpWavefrontConfig(n_workers=2, rows_per_exchange=16)
+    spec = wavefront_spec(n_procs=2, group_rows=16)
     reps = 3 if quick else 10
-
-    start = time.perf_counter()
-    for _ in range(reps):
-        mp_wavefront_alignments(gp.s, gp.t, config)
-    spawn_s = time.perf_counter() - start
 
     with AlignmentWorkerPool(n_workers=2) as pool:
         pool.load_pair(gp.s, gp.t)
-        pool.wavefront(config=config)  # warmup: first call pays arena attach
-        start = time.perf_counter()
-        for _ in range(reps):
-            pool.wavefront(config=config)
-        pool_s = time.perf_counter() - start
+
+        def requests():
+            for _ in range(reps):
+                pool.run_plan(spec)
+
+        # _best_of's warmup call pays the workers' first arena attach.
+        pool_s = _best_of(requests, rounds)
 
     return {
         "kernel": "classic",
@@ -506,9 +500,8 @@ def _bench_pool_wavefront(quick: bool) -> dict:
         "lane_mode": "pairwise",
         "n_workers": 2,
         "repeats": reps,
-        "spawn_seconds": spawn_s,
         "pool_seconds": pool_s,
-        "pool_speedup": spawn_s / pool_s,
+        "pool_gcups": gcups(reps * len(gp.s) * len(gp.t), pool_s),
     }
 
 
@@ -539,8 +532,8 @@ def run_kernel_bench(quick: bool = False, progress=None) -> dict:
     )
     note("db_search: sharded + result cache ...")
     results["db_search_sharded_5000seq"] = _bench_db_search_sharded(quick, rounds)
-    note("mp_wavefront: pool vs spawn ...")
-    results["mp_wavefront_10_repeats_600x600"] = _bench_pool_wavefront(quick)
+    note("pool wavefront: 10 repeats ...")
+    results["pool_wavefront_10_repeats_600x600"] = _bench_pool_wavefront(quick, rounds)
     return results
 
 

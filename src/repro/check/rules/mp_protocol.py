@@ -1,8 +1,9 @@
 """Mp-protocol rules: the pool's queue discipline has exactly one shape.
 
 A blocking ``queue.get()`` with no timeout hangs the caller forever when
-the producer died -- the failure mode :mod:`repro.parallel.guard` exists to
-prevent.  The one sanctioned blocking get is the worker pull loop::
+the producer died -- the failure mode the pool's exit-code polling
+(``AlignmentWorkerPool._collect``) exists to prevent.  The one sanctioned
+blocking get is the worker pull loop::
 
     while True:
         job = tasks.get()
@@ -124,8 +125,8 @@ class UnboundedQueueGet(Rule):
                 ctx,
                 node,
                 ".get() with no timeout blocks forever on producer death; pass "
-                "timeout= and poll exit codes (guard.drain_results), or use the "
-                "sentinel pull-loop",
+                "timeout= and poll exit codes (AlignmentWorkerPool._collect), or "
+                "use the sentinel pull-loop",
             )
 
     def _in_pull_loop(

@@ -80,33 +80,21 @@ def cmd_align(args) -> int:
     observing = bool(args.trace or args.metrics)
     scope = obs.observed("coordinator") if observing else nullcontext((None, None))
     with scope as (tracer, metrics):
-        if args.backend == "mp":
-            from .strategies import canonical_strategy, run_mp_pipeline
+        if args.backend == "pool":
+            from .strategies import canonical_strategy, pool_phase1_spec, run_mp_pipeline
 
             strategy = canonical_strategy(args.strategy)
             if strategy == "pre_process":
                 raise SystemExit(
                     f"strategy {args.strategy!r} has no real-parallel backend; "
-                    "use --strategy heuristic or heuristic_block with --backend mp"
+                    "use --strategy heuristic or heuristic_block with --backend pool"
                 )
-            mp_config = None
-            if args.kernel != "classic":
-                from .parallel import MpBlockedConfig, MpWavefrontConfig
-
-                if strategy == "heuristic":
-                    mp_config = MpWavefrontConfig(
-                        n_workers=args.mp_workers, kernel=args.kernel
-                    )
-                else:
-                    mp_config = MpBlockedConfig(
-                        n_workers=args.mp_workers, kernel=args.kernel
-                    )
             result = run_mp_pipeline(
                 s,
                 t,
-                backend=args.strategy,
-                n_workers=args.mp_workers,
-                phase1_config=mp_config,
+                backend=strategy,
+                n_workers=args.workers,
+                phase1_config=pool_phase1_spec(strategy, args.workers, args.kernel),
             )
             print(
                 f"phase 1 ({result.backend}, {result.n_workers} worker processes): "
@@ -507,6 +495,26 @@ def cmd_dotplot(args) -> int:
     return 0
 
 
+def _count_at_least(text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    return value
+
+
+def positive_count(text: str) -> int:
+    """argparse type of process, worker and shard counts (>= 1)."""
+    return _count_at_least(text, 1)
+
+
+def non_negative_count(text: str) -> int:
+    """argparse type of how-many-to-print counts (>= 0)."""
+    return _count_at_least(text, 0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genomedsm",
@@ -538,14 +546,14 @@ def build_parser() -> argparse.ArgumentParser:
             "preprocess",
         ),
     )
-    p_align.add_argument("--procs", type=int, default=8)
+    p_align.add_argument("--procs", type=positive_count, default=8)
     p_align.add_argument(
         "--backend",
         default="sim",
-        choices=("sim", "inline", "mp"),
+        choices=("sim", "inline", "pool"),
         help="sim = virtual cluster (paper's cost model); "
         "inline = single-process real execution of the same task graph; "
-        "mp = real worker processes via the persistent shared-memory pool",
+        "pool = real worker processes via the persistent shared-memory pool",
     )
     p_align.add_argument(
         "--scale",
@@ -555,13 +563,18 @@ def build_parser() -> argparse.ArgumentParser:
         "when scale > 1; the result says why)",
     )
     p_align.add_argument(
-        "--mp-workers", type=int, default=2, help="process count for --backend mp"
+        "--workers",
+        type=positive_count,
+        default=2,
+        help="worker process count for --backend pool",
     )
-    p_align.add_argument("--top", type=int, default=3, help="alignments to print")
+    p_align.add_argument(
+        "--top", type=non_negative_count, default=3, help="alignments to print"
+    )
     p_align.add_argument(
         "--trace",
         metavar="FILE",
-        help="write a wall-clock Chrome-trace JSON (coordinator + mp worker "
+        help="write a wall-clock Chrome-trace JSON (coordinator + pool worker "
         "spans; open in Perfetto or feed to 'obs report')",
     )
     p_align.add_argument(
@@ -587,10 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="scan a query against a FASTA database")
     p_search.add_argument("query", help="FASTA file; the first record is the query")
     p_search.add_argument("database", help="FASTA database of target sequences")
-    p_search.add_argument("--top", type=int, default=10, help="hits to report")
+    p_search.add_argument(
+        "--top", type=non_negative_count, default=10, help="hits to report"
+    )
     p_search.add_argument(
         "--workers",
-        type=int,
+        type=positive_count,
         default=1,
         help="1 = in-process batched scan; >1 = dynamic dispatch over the pool",
     )
@@ -624,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--shards",
-        type=int,
+        type=positive_count,
         default=1,
         help="deal the database round-robin into this many disjoint shards, "
         "each scanned independently and tournament-merged (rankings are "
@@ -773,12 +788,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune", help="auto-tune the blocking multiplier")
     p_tune.add_argument("--rows", type=int, default=50_000)
     p_tune.add_argument("--cols", type=int, default=50_000)
-    p_tune.add_argument("--procs", type=int, default=8)
+    p_tune.add_argument("--procs", type=positive_count, default=8)
     p_tune.set_defaults(func=cmd_tune)
 
     p_trace = sub.add_parser("trace", help="export a chrome-trace of one run")
     add_pair_args(p_trace)
-    p_trace.add_argument("--procs", type=int, default=8)
+    p_trace.add_argument("--procs", type=positive_count, default=8)
     p_trace.add_argument("--out", default="trace.json")
     p_trace.set_defaults(func=cmd_trace)
 

@@ -57,7 +57,7 @@ from .bounds import (
 from .global_align import SubsequenceAlignment, align_region, global_alignment
 from .heuristic import HeuristicAligner, HeuristicParams, heuristic_local_alignments
 from .hirschberg import hirschberg
-from .kernels import count_hits, initial_row, nw_row, sw_row
+from .kernels import count_hits, initial_row
 from .linear import (
     ScoreEndpoint,
     iter_sw_rows,
@@ -142,7 +142,6 @@ __all__ = [
     "local_alignments_above",
     "needleman_wunsch",
     "nw_last_row",
-    "nw_row",
     "overflow_stats",
     "pack_codes",
     "predicted_necessary_fraction",
@@ -157,7 +156,6 @@ __all__ = [
     "smith_waterman",
     "sw_best_endpoint",
     "sw_endpoints_above",
-    "sw_row",
     "sw_row_hits",
     "sw_scan",
 ]

@@ -26,8 +26,9 @@ layout -- see PAPERS.md):
 
 A workspace is bound to one ``(scoring, target)`` pair -- exactly the shape of
 every loop in this repository: the target (or target slice) is fixed while the
-query characters stream past.  The legacy :func:`repro.core.kernels.sw_row`
-family remains as thin one-shot shims over this module.
+query characters stream past.  The per-cell references the workspace is
+tested against are :func:`repro.core.kernels.sw_row_naive` and
+:func:`repro.core.kernels.nw_row_naive`.
 """
 
 from __future__ import annotations
@@ -171,8 +172,13 @@ class KernelWorkspace:
     ) -> np.ndarray:
         """One SW row over a column slice given the left neighbour's border.
 
-        Same layout contract as :func:`repro.core.kernels.sw_row_slice`; the
-        workspace must have been built over the *slice* of the target.
+        Processor ``p`` owns columns ``[c0, c1)``; ``prev`` has length
+        ``c1 - c0 + 1`` with ``prev[0] = H[i-1, c0-1]`` (the neighbour's
+        border on the previous row) and ``prev[k] = H[i-1, c0+k-1]``;
+        ``left_current = H[i, c0-1]`` is the neighbour's border on the
+        current row.  Returns the same layout for row ``i``; stitching
+        slices computed this way reproduces the full-matrix row exactly.
+        The workspace must have been built over the *slice* of the target.
         """
         cand = self._candidates(prev, int(s_char))
         cand[0] = left_current

@@ -20,87 +20,25 @@ naive per-cell kernel is kept for differential testing and the ablation bench.
 
 The row machinery itself lives in :class:`repro.core.engine.KernelWorkspace`,
 which additionally precomputes the query profile and reuses all scratch
-buffers across rows.  The functions here are one-shot compatibility shims: a
-throwaway lazy workspace per call, correct but without the amortization.  Hot
-loops should hold a workspace instead.
+buffers across rows; callers hold one per query sequence.  This module keeps
+the per-cell references :func:`sw_row_naive` / :func:`nw_row_naive` and the
+small row helpers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import KernelWorkspace
 from .scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
 
 __all__ = [
     "SCORE_DTYPE",
     "count_hits",
     "initial_row",
-    "nw_row",
     "nw_row_naive",
     "row_maximum",
-    "sw_row",
     "sw_row_naive",
-    "sw_row_slice",
 ]
-
-
-def _one_shot(t_codes: np.ndarray, scoring: Scoring) -> KernelWorkspace:
-    """A lazy workspace for a single row advance (no eager profile)."""
-    return KernelWorkspace(t_codes, scoring, eager_codes=())
-
-
-def sw_row(
-    prev: np.ndarray,
-    s_char: int,
-    t_codes: np.ndarray,
-    scoring: Scoring = DEFAULT_SCORING,
-) -> np.ndarray:
-    """Advance one Smith-Waterman (local) row.
-
-    ``prev`` is row ``i-1`` of the similarity array including the boundary
-    column (length ``len(t_codes) + 1``); returns row ``i``.  Entries follow
-    Eq. (1) of the paper: the max of the three gapped/matched predecessors
-    and zero.
-    """
-    return _one_shot(t_codes, scoring).sw_row(prev, int(s_char))
-
-
-def nw_row(
-    prev: np.ndarray,
-    s_char: int,
-    t_codes: np.ndarray,
-    boundary: int,
-    scoring: Scoring = DEFAULT_SCORING,
-) -> np.ndarray:
-    """Advance one Needleman-Wunsch (global) row.
-
-    Identical to :func:`sw_row` but without the zero floor and with
-    ``boundary`` as the first-column value (``i * gap`` for a plain global
-    alignment, per Section 2.3 / Fig. 4 of the paper).
-    """
-    return _one_shot(t_codes, scoring).nw_row(prev, int(s_char), boundary)
-
-
-def sw_row_slice(
-    prev: np.ndarray,
-    s_char: int,
-    t_slice: np.ndarray,
-    left_current: int,
-    scoring: Scoring = DEFAULT_SCORING,
-) -> np.ndarray:
-    """Advance one SW row over a *column slice* of the matrix.
-
-    This is the distributed-kernel primitive of the parallel strategies:
-    processor ``p`` owns columns ``[c0, c1)`` and receives the border values
-    from its left neighbour.  ``prev`` has length ``c1 - c0 + 1`` with
-    ``prev[0] = H[i-1, c0-1]`` (the neighbour's border on the previous row)
-    and ``prev[k] = H[i-1, c0+k-1]``; ``left_current = H[i, c0-1]`` is the
-    neighbour's border on the current row.  Returns the same layout for row
-    ``i``.  Stitching slices computed this way reproduces the full-matrix
-    row exactly (tested property).
-    """
-    return _one_shot(t_slice, scoring).sw_row_slice(prev, int(s_char), left_current)
 
 
 def sw_row_naive(
@@ -109,7 +47,7 @@ def sw_row_naive(
     t_codes: np.ndarray,
     scoring: Scoring = DEFAULT_SCORING,
 ) -> np.ndarray:
-    """Per-cell reference implementation of :func:`sw_row` (tests/ablation)."""
+    """Per-cell reference of :meth:`KernelWorkspace.sw_row` (tests/ablation)."""
     row = np.zeros_like(prev)
     for j in range(1, prev.size):
         sub = scoring.pair_score(int(s_char), int(t_codes[j - 1]))
@@ -129,7 +67,7 @@ def nw_row_naive(
     boundary: int,
     scoring: Scoring = DEFAULT_SCORING,
 ) -> np.ndarray:
-    """Per-cell reference implementation of :func:`nw_row`."""
+    """Per-cell reference of :meth:`KernelWorkspace.nw_row`."""
     row = np.zeros_like(prev)
     row[0] = boundary
     for j in range(1, prev.size):

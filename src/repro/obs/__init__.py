@@ -2,7 +2,7 @@
 
 :mod:`repro.sim.trace` records *simulated* time; this package records what
 the host actually did.  Both export the same Chrome-trace JSON schema, so a
-real ``--backend mp`` run and its simulated counterpart open side by side in
+real ``--backend pool`` run and its simulated counterpart open side by side in
 Perfetto (https://ui.perfetto.dev).
 
 The package keeps one process-global ``(tracer, metrics)`` pair, defaulting

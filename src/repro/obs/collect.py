@@ -5,8 +5,8 @@ A coordinator that wants telemetry from worker processes passes them an
 enables its own process-local tracer/registry via :func:`observed_worker`,
 runs the job, and writes one *segment* -- a jsonl file named
 ``<key>-<process>.jsonl`` -- holding its spans plus one metrics snapshot.
-After ``drain_results`` the coordinator calls :func:`merge_segments` /
-:func:`merge_into` to fold every segment into its own tracer and registry,
+Once the job's results are in, the coordinator calls :func:`merge_segments`
+/ :func:`merge_into` to fold every segment into its own tracer and registry,
 yielding one coherent timeline (perf_counter is system-wide on Linux, so no
 clock reconciliation is needed).
 

@@ -5,8 +5,8 @@ JSON-serialisable :meth:`MetricsRegistry.snapshot` and a :meth:`merge` that
 combines worker snapshots into the coordinator's registry (counters add,
 gauges keep the maximum, histograms add bucket-wise).  That merge rule is
 what makes cross-process collection trivial: each worker ships one snapshot
-line in its segment file and the coordinator folds them in at
-``drain_results`` time.
+line in its segment file and the coordinator folds them in once the job's
+results are collected.
 
 Conventional metric names used across the repo:
 

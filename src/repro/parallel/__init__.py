@@ -1,9 +1,6 @@
 """Real shared-memory (multiprocessing) backend of the paper's strategies."""
 
-from .guard import WorkerCrashed, drain_results
-from .mp_blocked import MpBlockedConfig, mp_blocked_alignments
-from .mp_phase2 import mp_phase2
-from .mp_wavefront import MpWavefrontConfig, mp_wavefront_alignments
+from .guard import WorkerCrashed
 from .pool import AlignmentWorkerPool, PoolJobError
 from .shm import (
     ArenaHandle,
@@ -16,16 +13,10 @@ from .shm import (
 __all__ = [
     "AlignmentWorkerPool",
     "ArenaHandle",
-    "MpBlockedConfig",
-    "MpWavefrontConfig",
     "PoolJobError",
     "SequenceArena",
     "SharedArray",
     "WorkerCrashed",
     "attach_shared_array",
     "create_shared_array",
-    "drain_results",
-    "mp_blocked_alignments",
-    "mp_phase2",
-    "mp_wavefront_alignments",
 ]

@@ -1,75 +1,21 @@
-"""Crash-safe collection of worker results.
+"""Crash-safe waiting on worker processes.
 
-``Queue.get(timeout=300)`` is how the original mp backends waited for worker
-results, which meant a worker that died before ``results.put`` (OOM kill,
-unpickleable exception, segfault in a C extension) left the parent blocked
-for the *full* timeout while the named shared-memory segment leaked.  The
-helpers here poll with a short timeout and check ``Process.exitcode`` between
-polls, so worker death surfaces in well under a second.
+A ``Queue.get(timeout=300)`` wait leaves the parent blocked for the *full*
+timeout when a worker dies before answering (OOM kill, unpickleable
+exception, segfault in a C extension), while named shared-memory segments
+leak.  The pool therefore polls with short timeouts and checks
+``Process.exitcode`` between polls (see
+:meth:`repro.parallel.pool.AlignmentWorkerPool._collect`), so worker death
+surfaces in well under a second as :class:`WorkerCrashed`.
 """
 
 from __future__ import annotations
 
-import queue
 import time
-from typing import Sequence
 
 
 class WorkerCrashed(RuntimeError):
     """A worker process exited without delivering its result."""
-
-
-def drain_results(
-    results,
-    workers: Sequence,
-    n_expected: int,
-    timeout: float,
-    poll: float = 0.2,
-) -> dict[int, object]:
-    """Collect ``(worker_id, payload)`` tuples, failing fast on worker death.
-
-    Returns ``{worker_id: payload}`` once ``n_expected`` results arrived.
-    Raises :class:`WorkerCrashed` as soon as any worker process is observed
-    dead while results are still missing, and :class:`TimeoutError` if the
-    overall deadline passes.
-    """
-    collected: dict[int, object] = {}
-    deadline = time.monotonic() + timeout
-    while len(collected) < n_expected:
-        try:
-            worker_id, payload = results.get(timeout=poll)
-            collected[worker_id] = payload
-            continue
-        except queue.Empty:
-            pass
-        dead = [
-            (i, w.exitcode)
-            for i, w in enumerate(workers)
-            if w.exitcode is not None and w.exitcode != 0
-        ]
-        if dead:
-            raise WorkerCrashed(
-                f"worker(s) {dead} exited abnormally with "
-                f"{n_expected - len(collected)} result(s) outstanding"
-            )
-        if all(w.exitcode is not None for w in workers):
-            # Everyone exited cleanly; give the queue feeder one last chance
-            # to flush, then give up rather than spinning to the deadline.
-            try:
-                worker_id, payload = results.get(timeout=poll)
-                collected[worker_id] = payload
-                continue
-            except queue.Empty:
-                raise WorkerCrashed(
-                    "all workers exited but "
-                    f"{n_expected - len(collected)} result(s) never arrived"
-                )
-        if time.monotonic() > deadline:
-            raise TimeoutError(
-                f"timed out after {timeout:.0f}s with "
-                f"{n_expected - len(collected)} worker result(s) outstanding"
-            )
-    return collected
 
 
 def poll_until(condition, timeout: float, what: str, interval: float = 1e-4) -> None:

@@ -1,10 +1,10 @@
 """Persistent shared-memory worker pool for repeated alignments.
 
-The one-shot ``mp_*`` backends pay full process spawn plus sequence pickling
-on *every* call -- fine for a single 400 kBP comparison, ruinous for the
-ROADMAP's serving scenario where the same genome pair (or a stream of pairs)
-is aligned over and over.  :class:`AlignmentWorkerPool` keeps ``n_workers``
-processes alive across requests:
+Spawning worker processes and pickling the sequences on *every* call would
+be fine for a single 400 kBP comparison and ruinous for a serving scenario
+where the same genome pair (or a stream of pairs) is aligned over and over.
+:class:`AlignmentWorkerPool` is the program's one real-parallel backend and
+keeps ``n_workers`` processes alive across requests:
 
 * Sequences are published once per pair through a
   :class:`repro.parallel.shm.SequenceArena`; workers attach by name and slice
@@ -58,7 +58,6 @@ from ..plan import (
     PlanSpec,
     SearchRuntime,
     TaskGraph,
-    blocked_spec,
     cached_plan,
     finalize_plan,
     make_runtime,
@@ -66,12 +65,9 @@ from ..plan import (
     plan_search_buckets,
     search_blob,
     state_shape,
-    wavefront_spec,
 )
 from ..seq.alphabet import encode
 from .guard import WorkerCrashed, poll_until
-from .mp_blocked import MpBlockedConfig
-from .mp_wavefront import MpWavefrontConfig
 from .shm import ArenaHandle, SequenceArena, attach_arena, attach_shared_array, create_shared_array
 
 #: End-of-stream marker of every pool queue.  ``None`` by value (needs no
@@ -317,13 +313,13 @@ class AlignmentWorkerPool:
 
     >>> with AlignmentWorkerPool(n_workers=2) as pool:
     ...     pool.load_pair(s, t)                 # publish once
-    ...     regions = pool.wavefront()           # many requests, no respawn
+    ...     spec = wavefront_spec(n_procs=2)
+    ...     regions = pool.run_plan(spec).alignments  # many requests, no respawn
     ...     records = pool.phase2(regions)
 
-    Sequences may also be passed directly to :meth:`wavefront` /
-    :meth:`blocked` / :meth:`phase2`; the pool republishes the arena only
-    when the pair actually changes.  Arbitrary planned jobs go through
-    :meth:`run_plan`.
+    Sequences may also be passed directly to :meth:`run_plan` /
+    :meth:`phase2`; the pool republishes the arena only when the pair
+    actually changes.
     """
 
     def __init__(self, n_workers: int = 2, timeout: float = 300.0) -> None:
@@ -513,9 +509,9 @@ class AlignmentWorkerPool:
             )
         maybe_verify(graph, "pool")
         tracer = get_tracer()
-        # pool.wavefront/blocked come here directly (not through
-        # Executor.run), so the pool stamps its own plan span; attribution
-        # deduplicates the nested copy when a PoolExecutor wraps this call.
+        # run_mp_pipeline comes here directly (not through Executor.run),
+        # so the pool stamps its own plan span; attribution deduplicates the
+        # nested copy when a PoolExecutor wraps this call.
         span_args = graph.span_args(backend="pool") if tracer.enabled else {}
         # Nested `with` (not sequential creates + try/finally): if the second
         # allocation raises, the first segment is still unwound.
@@ -541,49 +537,6 @@ class AlignmentWorkerPool:
         return result
 
     # -- alignment requests -------------------------------------------------
-
-    def wavefront(
-        self,
-        s=None,
-        t=None,
-        config: MpWavefrontConfig | None = None,
-        scoring: Scoring = DEFAULT_SCORING,
-    ) -> list[LocalAlignment]:
-        """Strategy 1 on the persistent workers; same results as
-        :func:`repro.parallel.mp_wavefront.mp_wavefront_alignments`."""
-        config = config or MpWavefrontConfig(n_workers=self.n_workers)
-        handle = self._ensure_pair(s, t)
-        if handle.t_len < self.n_workers:
-            raise ValueError("sequence narrower than the worker count")
-        spec = wavefront_spec(
-            n_procs=self.n_workers,
-            group_rows=config.rows_per_exchange,
-            threshold=config.threshold,
-            min_score=config.min_score,
-            kernel=config.kernel,
-        )
-        return self.run_plan(spec, timeout=config.timeout, scoring=scoring).alignments
-
-    def blocked(
-        self,
-        s=None,
-        t=None,
-        config: MpBlockedConfig | None = None,
-        scoring: Scoring = DEFAULT_SCORING,
-    ) -> list[LocalAlignment]:
-        """Strategy 2 on the persistent workers; same results as
-        :func:`repro.parallel.mp_blocked.mp_blocked_alignments`."""
-        config = config or MpBlockedConfig(n_workers=self.n_workers)
-        self._ensure_pair(s, t)
-        spec = blocked_spec(
-            n_procs=self.n_workers,
-            n_bands=config.n_bands,
-            n_blocks=config.n_blocks,
-            threshold=config.threshold,
-            min_score=config.min_score,
-            kernel=config.kernel,
-        )
-        return self.run_plan(spec, timeout=config.timeout, scoring=scoring).alignments
 
     def phase2(
         self,

@@ -1,8 +1,8 @@
 """Work decomposition: column partitions, band/block tilings, band sizing.
 
-These are the geometry helpers the planners build task graphs from (they
-used to live in ``repro.strategies.partition``, which still re-exports
-them).  Covers the three decompositions the paper uses:
+These are the geometry helpers the planners build task graphs from (the
+simulated strategies in :mod:`repro.strategies` import them from here).
+Covers the three decompositions the paper uses:
 
 * Section 4.2 -- columns split evenly across processors (N/P each);
 * Section 4.3 -- the matrix tiled into *bands* (row groups) x *blocks*

@@ -1,8 +1,6 @@
 """The paper's parallel strategies on the simulated DSM cluster."""
 
-from .base import RegionSettings, ScaledWorkload, StrategyResult
-from .blocked import BlockedConfig, compute_tile, run_blocked, serial_blocked_time
-from .partition import (
+from ..plan.partition import (
     Tiling,
     balanced_band_size,
     band_heights,
@@ -13,6 +11,8 @@ from .partition import (
     split_even,
     tiling_from_multiplier,
 )
+from .base import RegionSettings, ScaledWorkload
+from .blocked import BlockedConfig, compute_tile, run_blocked, serial_blocked_time
 from .column_store import ColumnStore, restart_band_from_store, save_preprocess_columns
 from .hetero import HeteroConfig, SubCluster, hetero_serial_time, run_hetero
 from .phase2 import Phase2Config, run_phase2, serial_phase2_time
@@ -35,7 +35,6 @@ from .search import (
     SearchConfig,
     SearchHit,
     SearchResult,
-    TopK,
     search_db,
     search_db_sequential,
 )
@@ -47,6 +46,7 @@ from .runner import (
     MpPipelineResult,
     PipelineResult,
     canonical_strategy,
+    pool_phase1_spec,
     run_mp_pipeline,
     run_phase1,
     run_pipeline,
@@ -78,10 +78,8 @@ __all__ = [
     "SearchConfig",
     "SearchHit",
     "SearchResult",
-    "StrategyResult",
     "SubCluster",
     "Tiling",
-    "TopK",
     "TuningResult",
     "WavefrontConfig",
     "balanced_band_size",
@@ -96,6 +94,7 @@ __all__ = [
     "explicit_tiling",
     "hetero_serial_time",
     "interesting_regions",
+    "pool_phase1_spec",
     "pooled_pruned_search",
     "resolve_prefilter",
     "run_blocked",

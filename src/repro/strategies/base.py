@@ -23,10 +23,9 @@ import numpy as np
 from ..core.alignment import LocalAlignment
 from ..core.regions import RegionConfig
 from ..core.scoring import DEFAULT_SCORING, Scoring
-from ..plan.result import StrategyResult
 from ..seq.alphabet import encode
 
-__all__ = ["RegionSettings", "ScaledWorkload", "StrategyResult"]
+__all__ = ["RegionSettings", "ScaledWorkload"]
 
 
 @dataclass

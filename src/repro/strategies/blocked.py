@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 from ..core.engine import compute_tile
 from ..plan import SimExecutor, TaskGraph, Tiling, plan_blocked
+from ..plan.partition import explicit_tiling, tiling_from_multiplier
+from ..plan.result import StrategyResult
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
-from .base import RegionSettings, ScaledWorkload, StrategyResult
-from .partition import explicit_tiling, tiling_from_multiplier
+from .base import RegionSettings, ScaledWorkload
 
 __all__ = [
     "BlockedConfig",

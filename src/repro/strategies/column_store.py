@@ -151,7 +151,7 @@ def save_preprocess_columns(
     """
     from ..core.scoring import DEFAULT_SCORING
     from .blocked import compute_tile
-    from .partition import bounds_from_heights
+    from ..plan.partition import bounds_from_heights
 
     scoring = scoring or DEFAULT_SCORING
     if sum(band_heights) != len(s):
@@ -197,7 +197,7 @@ def restart_band_from_store(
     """
     from ..core.scoring import DEFAULT_SCORING
     from .blocked import compute_tile
-    from .partition import bounds_from_heights
+    from ..plan.partition import bounds_from_heights
 
     scoring = scoring or DEFAULT_SCORING
     heights = store.meta["band_heights"]

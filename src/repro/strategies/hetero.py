@@ -26,14 +26,15 @@ from ..core.alignment import AlignmentQueue
 from ..core.kernels import SCORE_DTYPE
 from ..core.regions import StreamingRegionFinder
 from ..dsm.jiajia import JiaJia
+from ..plan.partition import split_even
+from ..plan.result import StrategyResult
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..sim.engine import Delay, Simulator
 from ..sim.network import NetworkParams
 from ..sim.resources import SimCondition
 from ..sim.stats import ClusterStats, NodeStats, PhaseTimes
-from .base import RegionSettings, ScaledWorkload, StrategyResult
+from .base import RegionSettings, ScaledWorkload
 from .blocked import compute_tile
-from .partition import split_even
 
 
 @dataclass(frozen=True)

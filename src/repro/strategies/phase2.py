@@ -25,10 +25,10 @@ from ..core.global_align import SubsequenceAlignment, align_region
 from ..core.linear import nw_last_row
 from ..core.scoring import DEFAULT_SCORING, Scoring
 from ..dsm.jiajia import JiaJia
+from ..plan.result import StrategyResult
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..sim.engine import Simulator
 from ..sim.stats import PhaseTimes
-from .base import StrategyResult
 
 #: Bytes of one queue entry (begin/end coordinates + score, Section 4.4).
 QUEUE_ENTRY_BYTES = 32

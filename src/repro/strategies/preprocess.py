@@ -31,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..plan import SimExecutor, TaskGraph, plan_preprocess
+from ..plan.partition import band_heights
+from ..plan.result import StrategyResult
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
-from .base import ScaledWorkload, StrategyResult
-from .partition import band_heights
+from .base import ScaledWorkload
 
 IO_MODES = ("none", "immediate", "deferred")
 BAND_SCHEMES = ("fixed", "equal", "balanced")

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.alignment import AlignmentQueue, LocalAlignment
 from ..core.matrix import local_alignments_above
 from ..core.scoring import DEFAULT_SCORING, Scoring
-from .base import StrategyResult
+from ..plan.result import StrategyResult
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,10 @@ from ..core.scoring import DEFAULT_SCORING, Scoring
 from ..obs import gcups, get_metrics, get_tracer, is_enabled
 from ..obs.ledger import record_run
 from ..obs.trace import Stopwatch
+from ..plan import PlanSpec, blocked_spec, wavefront_spec
+from ..plan.result import StrategyResult
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
-from .base import ScaledWorkload, StrategyResult
+from .base import ScaledWorkload
 from .blocked import BlockedConfig, blocked_plan, run_blocked
 from .phase2 import Phase2Config, run_phase2
 from .preprocess import PreprocessConfig, preprocess_plan, run_preprocess
@@ -208,6 +210,15 @@ def _mp_backend(name: str) -> str:
     return backend
 
 
+def pool_phase1_spec(backend: str, n_workers: int, kernel: str = "classic") -> PlanSpec:
+    """The default phase-1 plan of :func:`run_mp_pipeline` for ``backend``:
+    the Section 4.2 wave-front row by row, or the Section 4.3 blocked
+    wave-front in 8 bands x 8 blocks; threshold 35 either way."""
+    if _mp_backend(backend) == "wavefront":
+        return wavefront_spec(n_procs=n_workers, kernel=kernel)
+    return blocked_spec(n_procs=n_workers, n_bands=8, n_blocks=8, kernel=kernel)
+
+
 @dataclass
 class MpPipelineResult:
     """Both phases of one genome comparison on real worker processes.
@@ -236,9 +247,9 @@ def run_mp_pipeline(
     s: np.ndarray,
     t: np.ndarray,
     backend: str = "wavefront",
-    n_workers: int = 2,
+    n_workers: int | None = None,
     pool=None,
-    phase1_config=None,
+    phase1_config: PlanSpec | None = None,
     scoring: Scoring = DEFAULT_SCORING,
 ) -> MpPipelineResult:
     """Compare two genomes end to end on real OS processes.
@@ -249,10 +260,30 @@ def run_mp_pipeline(
     the scattered mapping of Section 4.4.  Pass an
     :class:`repro.parallel.AlignmentWorkerPool` as ``pool`` to reuse live
     workers across calls (the sequences are published to shared memory once
-    and both phases run without a respawn); otherwise a pool is created for
-    this call and torn down afterwards.
+    and both phases run without a respawn); otherwise a pool of
+    ``n_workers`` (default 2) is created for this call and torn down
+    afterwards.  With a ``pool``, ``n_workers`` defaults to its worker count
+    and any other value is rejected.
+
+    ``phase1_config`` is the phase-1 :class:`repro.plan.PlanSpec` (default:
+    :func:`pool_phase1_spec` over the pool's workers); its kind must match
+    ``backend``.
     """
     backend = _mp_backend(backend)
+    if phase1_config is not None and phase1_config.kind != backend:
+        raise ValueError(
+            f"phase1_config is a {phase1_config.kind!r} spec "
+            f"but the backend is {backend!r}"
+        )
+    if pool is not None:
+        if n_workers not in (None, pool.n_workers):
+            raise ValueError(
+                f"n_workers={n_workers} but the pool has {pool.n_workers} workers"
+            )
+        n_workers = pool.n_workers
+    elif n_workers is None:
+        n_workers = 2
+    spec = phase1_config or pool_phase1_spec(backend, n_workers)
     from ..parallel import AlignmentWorkerPool  # local import: optional heavy dep chain
 
     owns = pool is None
@@ -264,10 +295,7 @@ def run_mp_pipeline(
         with Stopwatch() as sw1, tracer.span(
             "phase1", "phase", backend=backend, cells=phase1_cells
         ):
-            if backend == "wavefront":
-                regions = pool.wavefront(s, t, phase1_config, scoring=scoring)
-            else:
-                regions = pool.blocked(s, t, phase1_config, scoring=scoring)
+            regions = pool.run_plan(spec, s, t, scoring=scoring).alignments
         alignable = [r for r in regions if r.s_length and r.t_length]
         phase2_cells = sum(
             (r.s_end - r.s_start) * (r.t_end - r.t_start) for r in alignable

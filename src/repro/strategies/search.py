@@ -47,7 +47,6 @@ __all__ = [
     "SearchConfig",
     "SearchHit",
     "SearchResult",
-    "TopK",
     "search_db",
     "search_db_sequential",
     "sequential_best_score",

@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..plan import SimExecutor, TaskGraph, plan_wavefront
+from ..plan.result import StrategyResult
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
-from .base import RegionSettings, ScaledWorkload, StrategyResult
+from .base import RegionSettings, ScaledWorkload
 
 
 @dataclass(frozen=True)

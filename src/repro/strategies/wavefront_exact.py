@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from ..core.alignment import AlignmentQueue, LocalAlignment
 from ..core.heuristic import HeuristicParams, _fresh, _priority
 from ..core.scoring import DEFAULT_SCORING, Scoring
+from ..plan.partition import column_partition
 from ..seq.alphabet import encode
-from .partition import column_partition
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""End-to-end sanitizer runs over every real-parallel backend.
+"""End-to-end sanitizer runs over the real-parallel backend (the pool).
 
-Each test enables ``REPRO_SANITIZE=1``, drives a backend with real worker
+Each test enables ``REPRO_SANITIZE=1``, drives the pool's real worker
 processes (which inherit the environment at fork and ship their events back
 through the obs jsonl segments), and asserts the merged report is clean --
 no lock-order cycles, no leaked owner segments, no double-closes.  The
@@ -17,6 +17,10 @@ import pytest
 
 from repro.check import sanitizer as san_mod
 from repro.check.sanitizer import assert_clean
+from repro.plan import blocked_spec, wavefront_spec
+
+WAVEFRONT = wavefront_spec(n_procs=2, threshold=18)
+BLOCKED = blocked_spec(n_procs=2, n_bands=4, n_blocks=4, threshold=18)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -48,30 +52,12 @@ def pair():
     return make(), make()
 
 
-def test_mp_wavefront_runs_clean(sanitize, pair):
-    from repro.parallel.mp_wavefront import MpWavefrontConfig, mp_wavefront_alignments
-
-    mp_wavefront_alignments(*pair, MpWavefrontConfig(n_workers=2, threshold=18))
-    report = assert_clean()
-    assert report.n_processes >= 3  # coordinator + 2 workers reported in
-
-
-def test_mp_blocked_runs_clean(sanitize, pair):
-    from repro.parallel.mp_blocked import MpBlockedConfig, mp_blocked_alignments
-
-    mp_blocked_alignments(
-        *pair, MpBlockedConfig(n_workers=2, n_bands=4, n_blocks=4, threshold=18)
-    )
-    report = assert_clean()
-    assert report.n_processes >= 3
-
-
 def test_pool_backends_run_clean(sanitize, pair):
     from repro.parallel.pool import AlignmentWorkerPool
 
     with AlignmentWorkerPool(n_workers=2) as pool:
-        pool.wavefront(*pair)
-        pool.blocked(*pair)
+        pool.run_plan(WAVEFRONT, *pair)
+        pool.run_plan(BLOCKED, *pair)
     report = assert_clean()
     assert report.n_processes >= 3
     # The coordinator's owner segments (arena + border/progress arrays) all
@@ -102,10 +88,10 @@ def test_forced_worker_death_leaves_no_owner_leak(sanitize, pair):
     from repro.parallel.pool import AlignmentWorkerPool, PoolJobError, WorkerCrashed
 
     with AlignmentWorkerPool(n_workers=2) as pool:
-        pool.wavefront(*pair)
+        pool.run_plan(WAVEFRONT, *pair)
         os.kill(pool._procs[0].pid, signal.SIGKILL)
         with pytest.raises((WorkerCrashed, PoolJobError)):
-            pool.blocked(*pair)
+            pool.run_plan(BLOCKED, *pair)
     assert_clean()
 
 

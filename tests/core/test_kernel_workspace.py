@@ -3,8 +3,9 @@
 The workspace reuses scratch buffers, caches query profiles and (when the
 scores allow) resolves the horizontal chain in int32 in-place -- every one of
 those optimisations must be invisible.  These properties pin the batched
-rows, the one-shot shims and the slice-stitching contract cell-for-cell to
-``sw_row_naive`` / ``nw_row_naive`` over random sequences and scorings.
+rows, lazy single-row workspaces and the slice-stitching contract
+cell-for-cell to ``sw_row_naive`` / ``nw_row_naive`` over random sequences
+and scorings.
 """
 
 import numpy as np
@@ -12,14 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import KernelWorkspace, Scoring, initial_row
-from repro.core.kernels import (
-    SCORE_DTYPE,
-    nw_row,
-    nw_row_naive,
-    sw_row,
-    sw_row_naive,
-    sw_row_slice,
-)
+from repro.core.kernels import SCORE_DTYPE, nw_row_naive, sw_row_naive
 
 from _strategies import dna_codes, scorings
 
@@ -160,16 +154,33 @@ class TestSliceStitching:
             assert block[r].tolist() == [lefts[r]] + row[mid + 1 :].tolist()
 
 
+def _naive_slice_row(prev, s_char, t_slice, left, scoring):
+    """Per-cell reference of ``sw_row_slice``: column 0 is the neighbour's
+    current-row border ``left``, and the horizontal chain starts from it."""
+    row = np.zeros_like(prev)
+    row[0] = left
+    for j in range(1, prev.size):
+        sub = scoring.pair_score(int(s_char), int(t_slice[j - 1]))
+        row[j] = max(
+            0,
+            int(prev[j - 1]) + sub,
+            int(prev[j]) + scoring.gap,
+            int(row[j - 1]) + scoring.gap,
+        )
+    return row
+
+
 class TestShims:
-    """The legacy kernels.py functions are one-shot workspace wrappers."""
+    """Lazy workspaces built for a single row (no eager profile), the way
+    one-off callers use them, against the naive references."""
 
     @given(dna_codes(1, 40), st.integers(0, 3), scorings)
     @settings(max_examples=60, deadline=None)
     def test_sw_row_shim(self, t, s_char, scoring):
         prev = initial_row(len(t), local=True, scoring=scoring)
+        ws = KernelWorkspace(t, scoring, eager_codes=())
         assert np.array_equal(
-            sw_row(prev, s_char, t, scoring),
-            sw_row_naive(prev, s_char, t, scoring),
+            ws.sw_row(prev, s_char), sw_row_naive(prev, s_char, t, scoring)
         )
 
     @given(dna_codes(1, 40), st.integers(0, 3), st.integers(1, 6), scorings)
@@ -177,8 +188,9 @@ class TestShims:
     def test_nw_row_shim(self, t, s_char, i, scoring):
         prev = initial_row(len(t), local=False, scoring=scoring)
         boundary = i * scoring.gap
+        ws = KernelWorkspace(t, scoring, eager_codes=())
         assert np.array_equal(
-            nw_row(prev, s_char, t, boundary, scoring),
+            ws.nw_row(prev, s_char, boundary),
             nw_row_naive(prev, s_char, t, boundary, scoring),
         )
 
@@ -188,9 +200,11 @@ class TestShims:
         mid = len(t) // 2
         t_slice = t[mid:]
         prev = np.zeros(len(t_slice) + 1, dtype=SCORE_DTYPE)
-        shim = sw_row_slice(prev, s_char, t_slice, left, scoring)
-        ws = KernelWorkspace(t_slice, scoring)
-        assert np.array_equal(shim, ws.sw_row_slice(prev, s_char, left))
+        ws = KernelWorkspace(t_slice, scoring, eager_codes=())
+        assert np.array_equal(
+            ws.sw_row_slice(prev, s_char, left),
+            _naive_slice_row(prev, s_char, t_slice, left, scoring),
+        )
 
 
 class TestWidePath:

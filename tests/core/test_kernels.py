@@ -3,16 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Scoring, count_hits, initial_row, nw_row, sw_row
+from repro.core import KernelWorkspace, Scoring, count_hits, initial_row
 from repro.core.kernels import (
     SCORE_DTYPE,
     nw_row_naive,
     row_maximum,
     sw_row_naive,
 )
+from repro.core.scoring import DEFAULT_SCORING
 from repro.seq import encode
 
 from _strategies import dna_codes, scorings
+
+
+def sw_row(prev, s_char, t, scoring=DEFAULT_SCORING):
+    """One local row through a fresh lazy workspace (no eager profile)."""
+    return KernelWorkspace(t, scoring, eager_codes=()).sw_row(prev, s_char)
+
+
+def nw_row(prev, s_char, t, boundary, scoring=DEFAULT_SCORING):
+    """One global row through a fresh lazy workspace (no eager profile)."""
+    return KernelWorkspace(t, scoring, eager_codes=()).nw_row(prev, s_char, boundary)
 
 
 class TestInitialRow:

@@ -11,6 +11,7 @@ import pytest
 
 import repro.obs as obs
 from repro.obs.report import phase_rows, process_rows, render_report
+from repro.plan import blocked_spec, wavefront_spec
 from repro.seq import genome_pair
 
 
@@ -28,7 +29,7 @@ class TestPoolTelemetry:
         with obs.observed("coordinator") as (tracer, metrics):
             with AlignmentWorkerPool(n_workers=2) as pool:
                 pool.load_pair(pair.s, pair.t)
-                regions = pool.wavefront()
+                regions = pool.run_plan(wavefront_spec(n_procs=2)).alignments
                 pool.phase2([r for r in regions if r.s_length and r.t_length])
         processes = tracer.processes()
         assert "coordinator" in processes
@@ -42,11 +43,12 @@ class TestPoolTelemetry:
         assert any(s.name == "shm_publish" for s in tracer.spans)
 
     def test_blocked_job_traces_tiles(self, pair):
-        from repro.parallel import AlignmentWorkerPool, MpBlockedConfig
+        from repro.parallel import AlignmentWorkerPool
 
+        spec = blocked_spec(n_procs=2, n_bands=4, n_blocks=4)
         with obs.observed() as (tracer, metrics):
             with AlignmentWorkerPool(n_workers=2) as pool:
-                pool.blocked(pair.s, pair.t, MpBlockedConfig(n_workers=2, n_bands=4, n_blocks=4))
+                pool.run_plan(spec, pair.s, pair.t)
         assert any(s.name == "tile" for s in tracer.spans)
         assert metrics.counter("cells_computed").value >= 400 * 400
         assert metrics.counter("worker_busy_seconds").value > 0
@@ -56,30 +58,8 @@ class TestPoolTelemetry:
 
         assert not obs.is_enabled()
         with AlignmentWorkerPool(n_workers=2) as pool:
-            pool.wavefront(pair.s, pair.t)
+            pool.run_plan(wavefront_spec(n_procs=2), pair.s, pair.t)
         assert len(obs.get_tracer().spans) == 0
-
-
-class TestOneShotBackends:
-    def test_mp_wavefront_merges_worker_segments(self, pair):
-        from repro.parallel import MpWavefrontConfig, mp_wavefront_alignments
-
-        with obs.observed() as (tracer, metrics):
-            mp_wavefront_alignments(
-                pair.s, pair.t, MpWavefrontConfig(n_workers=2, rows_per_exchange=16)
-            )
-        assert {"worker-0", "worker-1"} <= set(tracer.processes())
-        assert metrics.counter("cells_computed").value == 400 * 400
-
-    def test_mp_blocked_merges_worker_segments(self, pair):
-        from repro.parallel import MpBlockedConfig, mp_blocked_alignments
-
-        with obs.observed() as (tracer, metrics):
-            mp_blocked_alignments(
-                pair.s, pair.t, MpBlockedConfig(n_workers=2, n_bands=4, n_blocks=4)
-            )
-        assert {"worker-0", "worker-1"} <= set(tracer.processes())
-        assert metrics.counter("cells_computed").value >= 400 * 400
 
 
 class TestRunnerClocks:

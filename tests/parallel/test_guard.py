@@ -1,80 +1,15 @@
-"""Unit coverage for :mod:`repro.parallel.guard` (crash-safe collection)."""
+"""Unit coverage for :func:`repro.parallel.guard.poll_until`.
+
+Worker-death detection lives in the pool's result collection; its tests
+are ``tests/parallel/test_pool.py::TestWorkerDeathDetection`` and the
+forced-death sanitizer run in ``tests/check/test_sanitizer_e2e.py``.
+"""
 
 from __future__ import annotations
 
-import queue
-import time
-from types import SimpleNamespace
-
 import pytest
 
-from repro.parallel.guard import WorkerCrashed, drain_results, poll_until
-
-
-def worker(exitcode=None):
-    """A stand-in for ``multiprocessing.Process``: only exitcode is read."""
-    return SimpleNamespace(exitcode=exitcode)
-
-
-def loaded_queue(*items):
-    q = queue.Queue()
-    for item in items:
-        q.put(item)
-    return q
-
-
-def test_collects_all_expected_results():
-    results = loaded_queue((0, "a"), (1, "b"))
-    out = drain_results(results, [worker(), worker()], 2, timeout=5.0, poll=0.01)
-    assert out == {0: "a", 1: "b"}
-
-
-def test_last_writer_wins_per_worker_id():
-    results = loaded_queue((0, "first"), (0, "second"), (1, "b"))
-    out = drain_results(results, [worker(), worker()], 2, timeout=5.0, poll=0.01)
-    assert out == {0: "second", 1: "b"}
-
-
-def test_crashed_worker_fails_fast():
-    results = loaded_queue((0, "a"))
-    workers = [worker(exitcode=0), worker(exitcode=-9)]  # SIGKILL
-    t0 = time.monotonic()
-    with pytest.raises(WorkerCrashed, match=r"-9"):
-        drain_results(results, workers, 2, timeout=60.0, poll=0.01)
-    assert time.monotonic() - t0 < 5.0  # surfaced well before the deadline
-
-
-def test_all_exited_cleanly_but_result_missing():
-    results = loaded_queue((0, "a"))
-    workers = [worker(exitcode=0), worker(exitcode=0)]
-    with pytest.raises(WorkerCrashed, match="never arrived"):
-        drain_results(results, workers, 2, timeout=60.0, poll=0.01)
-
-
-def test_clean_exit_flushes_the_feeder_grace_window():
-    # All workers exited cleanly but the queue feeder is lagging: the first
-    # poll comes up empty, then the one-shot grace 'get' must deliver.
-    class LaggingQueue:
-        def __init__(self):
-            self.calls = 0
-
-        def get(self, timeout=None):
-            self.calls += 1
-            if self.calls == 1:
-                raise queue.Empty
-            return (0, "late")
-
-    results = LaggingQueue()
-    out = drain_results(results, [worker(exitcode=0)], 1, timeout=5.0, poll=0.01)
-    assert out == {0: "late"}
-    assert results.calls == 2  # empty poll, then the grace read
-
-
-def test_timeout_when_workers_alive_but_silent():
-    results = queue.Queue()
-    workers = [worker(exitcode=None)]  # still running, never reports
-    with pytest.raises(TimeoutError, match="timed out"):
-        drain_results(results, workers, 1, timeout=0.05, poll=0.01)
+from repro.parallel.guard import poll_until
 
 
 def test_poll_until_returns_once_condition_holds():

@@ -1,15 +1,18 @@
-import numpy as np
+"""The blocked strategy and phase 2 on real worker processes (the pool)."""
+
 import pytest
 
 from repro.core import LocalAlignment, needleman_wunsch
-from repro.parallel import (
-    MpBlockedConfig,
-    attach_shared_array,
-    create_shared_array,
-    mp_blocked_alignments,
-    mp_phase2,
-)
+from repro.core.global_align import align_region
+from repro.parallel import AlignmentWorkerPool, attach_shared_array, create_shared_array
+from repro.plan import blocked_spec, wavefront_spec
 from repro.seq import genome_pair
+from repro.strategies import pool_phase1_spec, run_mp_pipeline
+
+
+def blocked(pool, gp, **params):
+    spec = blocked_spec(n_procs=pool.n_workers, **params)
+    return pool.run_plan(spec, gp.s, gp.t).alignments
 
 
 class TestSharedArray:
@@ -36,60 +39,53 @@ class TestSharedArray:
 
 
 class TestMpBlocked:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MpBlockedConfig(n_workers=0)
+    def test_config_validation(self, pool2):
+        gp = genome_pair(100, 100, n_regions=0, rng=49)
+        with pytest.raises(ValueError, match="band/block counts must be positive"):
+            blocked(pool2, gp, n_bands=0, n_blocks=4)
+        with pytest.raises(ValueError, match="n_workers must be positive"):
+            run_mp_pipeline(gp.s, gp.t, backend="blocked", n_workers=0)
 
-    def test_single_worker_finds_regions(self):
+    def test_single_worker_finds_regions(self, pool1):
         gp = genome_pair(500, 500, n_regions=1, region_length=70, mutation_rate=0.0, rng=50)
-        found = mp_blocked_alignments(
-            gp.s, gp.t, MpBlockedConfig(n_workers=1, n_bands=4, n_blocks=4)
-        )
+        found = blocked(pool1, gp, n_bands=4, n_blocks=4)
         assert found
         planted = gp.regions[0]
         assert abs(found[0].s_end - planted.s_end) <= 20
 
-    def test_two_workers_match_one_worker(self):
+    def test_two_workers_match_one_worker(self, pool1, pool2):
         gp = genome_pair(600, 600, n_regions=2, region_length=60, mutation_rate=0.02, rng=51)
-        one = mp_blocked_alignments(
-            gp.s, gp.t, MpBlockedConfig(n_workers=1, n_bands=6, n_blocks=4)
-        )
-        two = mp_blocked_alignments(
-            gp.s, gp.t, MpBlockedConfig(n_workers=2, n_bands=6, n_blocks=4)
-        )
+        one = blocked(pool1, gp, n_bands=6, n_blocks=4)
+        two = blocked(pool2, gp, n_bands=6, n_blocks=4)
+        assert one
         assert [a.score for a in one] == [a.score for a in two]
         assert [a.region for a in one] == [a.region for a in two]
 
-    def test_matches_simulated_backend(self):
+    def test_matches_simulated_backend(self, pool2):
         """The real and simulated backends agree on the alignment queue."""
         from repro.strategies import BlockedConfig, ScaledWorkload, run_blocked
 
         gp = genome_pair(500, 500, n_regions=1, region_length=80, mutation_rate=0.0, rng=52)
-        real = mp_blocked_alignments(
-            gp.s, gp.t, MpBlockedConfig(n_workers=2, n_bands=8, n_blocks=4)
-        )
+        real = blocked(pool2, gp, n_bands=8, n_blocks=4)
         simulated = run_blocked(
             ScaledWorkload(gp.s, gp.t),
             BlockedConfig(n_procs=2, n_bands=8, n_blocks=4),
         ).alignments
         assert [a.score for a in real] == [a.score for a in simulated]
 
-    def test_no_regions_in_noise(self):
+    def test_no_regions_in_noise(self, pool2):
         gp = genome_pair(400, 400, n_regions=0, rng=53)
-        found = mp_blocked_alignments(
-            gp.s, gp.t, MpBlockedConfig(n_workers=2, n_bands=4, n_blocks=2, threshold=40)
-        )
-        assert found == []
+        assert blocked(pool2, gp, n_bands=4, n_blocks=2, threshold=40) == []
 
 
 class TestMpPhase2:
-    def test_records_match_serial_nw(self):
+    def test_records_match_serial_nw(self, pool2):
         gp = genome_pair(800, 800, n_regions=2, region_length=60, mutation_rate=0.05, rng=54)
         regions = [
             LocalAlignment(10, p.s_start, p.s_end, p.t_start, p.t_end)
             for p in gp.regions
         ]
-        records = mp_phase2(gp.s, gp.t, regions, n_workers=2)
+        records = pool2.phase2(regions, gp.s, gp.t)
         assert len(records) == 2
         for rec in records:
             reference = needleman_wunsch(
@@ -98,22 +94,57 @@ class TestMpPhase2:
             )
             assert rec.similarity == reference.score
 
-    def test_empty(self):
+    def test_empty(self, pool2):
         gp = genome_pair(100, 100, n_regions=0, rng=55)
-        assert mp_phase2(gp.s, gp.t, [], n_workers=2) == []
+        assert pool2.phase2([], gp.s, gp.t) == []
 
     def test_invalid_workers(self):
-        gp = genome_pair(100, 100, n_regions=0, rng=56)
-        with pytest.raises(ValueError):
-            mp_phase2(gp.s, gp.t, [], n_workers=0)
+        with pytest.raises(ValueError, match="n_workers must be positive"):
+            AlignmentWorkerPool(n_workers=0)
 
-    def test_sorted_by_size(self):
+    def test_sorted_by_size(self, pool2):
+        """Records come back in the scattered mapping's size order, each equal
+        to a sequential ``align_region`` over the same sorted queue."""
         gp = genome_pair(1000, 1000, n_regions=0, rng=57)
         regions = [
             LocalAlignment(5, 0, 50, 0, 50),
             LocalAlignment(5, 100, 400, 100, 400),
             LocalAlignment(5, 500, 600, 500, 600),
         ]
-        records = mp_phase2(gp.s, gp.t, regions, n_workers=1)
+        records = pool2.phase2(regions, gp.s, gp.t)
         sizes = [r.source.size for r in records]
         assert sizes == sorted(sizes, reverse=True)
+        ordered = sorted(regions, key=lambda r: (-r.size, r.region))
+        expected = [align_region(gp.s, gp.t, r) for r in ordered]
+        assert [(r.source.region, r.similarity) for r in records] == [
+            (e.source.region, e.similarity) for e in expected
+        ]
+
+
+class TestMpPipeline:
+    def test_n_workers_defaults_to_the_pool(self, pool1):
+        gp = genome_pair(300, 300, n_regions=1, region_length=60, mutation_rate=0.0, rng=58)
+        result = run_mp_pipeline(gp.s, gp.t, backend="blocked", pool=pool1)
+        assert result.n_workers == 1
+        assert result.regions
+
+    def test_n_workers_must_match_the_pool(self, pool2):
+        gp = genome_pair(300, 300, n_regions=0, rng=59)
+        with pytest.raises(ValueError, match="n_workers=5 but the pool has 2 workers"):
+            run_mp_pipeline(gp.s, gp.t, backend="blocked", n_workers=5, pool=pool2)
+        result = run_mp_pipeline(gp.s, gp.t, backend="blocked", n_workers=2, pool=pool2)
+        assert result.n_workers == 2
+
+    def test_phase1_spec_kind_must_match_the_backend(self, pool2):
+        gp = genome_pair(300, 300, n_regions=0, rng=60)
+        spec = blocked_spec(n_procs=2, n_bands=8, n_blocks=8)
+        with pytest.raises(ValueError, match="'blocked' spec but the backend is 'wavefront'"):
+            run_mp_pipeline(gp.s, gp.t, backend="heuristic", pool=pool2, phase1_config=spec)
+
+    def test_default_specs(self):
+        assert pool_phase1_spec("heuristic", 2) == wavefront_spec(
+            n_procs=2, group_rows=1, threshold=35
+        )
+        assert pool_phase1_spec("blocked", 2) == blocked_spec(
+            n_procs=2, n_bands=8, n_blocks=8, threshold=35
+        )

@@ -1,53 +1,54 @@
+"""The non-blocked wave-front (Section 4.2) on real worker processes."""
+
 import pytest
 
-from repro.parallel.mp_wavefront import MpWavefrontConfig, mp_wavefront_alignments
+from repro.plan import blocked_spec, wavefront_spec
 from repro.seq import genome_pair
 
 
-class TestMpWavefront:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MpWavefrontConfig(n_workers=0)
-        with pytest.raises(ValueError):
-            MpWavefrontConfig(rows_per_exchange=0)
+def wavefront(pool, gp, **params):
+    spec = wavefront_spec(n_procs=pool.n_workers, **params)
+    return pool.run_plan(spec, gp.s, gp.t).alignments
 
-    def test_single_worker(self):
+
+class TestMpWavefront:
+    def test_config_validation(self, pool2):
+        gp = genome_pair(100, 100, n_regions=0, rng=119)
+        with pytest.raises(ValueError, match="group_rows must be positive"):
+            wavefront(pool2, gp, group_rows=0)
+
+    def test_single_worker(self, pool1):
         gp = genome_pair(400, 400, n_regions=1, region_length=60, mutation_rate=0.0, rng=120)
-        found = mp_wavefront_alignments(gp.s, gp.t, MpWavefrontConfig(n_workers=1))
+        found = wavefront(pool1, gp)
         assert found
         planted = gp.regions[0]
         assert abs(found[0].s_end - planted.s_end) <= 20
 
-    def test_multi_worker_matches_single(self):
+    def test_multi_worker_matches_single(self, pool1, pool2):
         gp = genome_pair(500, 500, n_regions=2, region_length=60, mutation_rate=0.02, rng=121)
-        one = mp_wavefront_alignments(gp.s, gp.t, MpWavefrontConfig(n_workers=1))
-        three = mp_wavefront_alignments(gp.s, gp.t, MpWavefrontConfig(n_workers=3))
+        one = wavefront(pool1, gp)
+        two = wavefront(pool2, gp)
         # the dominant alignments agree (border-split fragments may differ)
-        assert max(a.score for a in one) == max(a.score for a in three)
+        assert max(a.score for a in one) == max(a.score for a in two)
 
-    def test_batched_exchanges_same_result(self):
-        """rows_per_exchange only changes timing, never results."""
+    def test_batched_exchanges_same_result(self, pool2):
+        """group_rows only changes timing, never results."""
         gp = genome_pair(400, 400, n_regions=1, region_length=70, mutation_rate=0.0, rng=122)
-        fine = mp_wavefront_alignments(
-            gp.s, gp.t, MpWavefrontConfig(n_workers=2, rows_per_exchange=1)
-        )
-        coarse = mp_wavefront_alignments(
-            gp.s, gp.t, MpWavefrontConfig(n_workers=2, rows_per_exchange=64)
-        )
+        fine = wavefront(pool2, gp, group_rows=1)
+        coarse = wavefront(pool2, gp, group_rows=64)
+        assert fine
         assert [a.region for a in fine] == [a.region for a in coarse]
         assert [a.score for a in fine] == [a.score for a in coarse]
 
-    def test_matches_blocked_backend(self):
-        from repro.parallel import MpBlockedConfig, mp_blocked_alignments
-
+    def test_matches_blocked_backend(self, pool2):
         gp = genome_pair(400, 400, n_regions=1, region_length=70, mutation_rate=0.0, rng=123)
-        wavefront = mp_wavefront_alignments(gp.s, gp.t, MpWavefrontConfig(n_workers=2))
-        blocked = mp_blocked_alignments(
-            gp.s, gp.t, MpBlockedConfig(n_workers=2, n_bands=1, n_blocks=2)
-        )
-        assert max(a.score for a in wavefront) == max(a.score for a in blocked)
+        front = wavefront(pool2, gp)
+        spec = blocked_spec(n_procs=2, n_bands=1, n_blocks=2)
+        blocked = pool2.run_plan(spec, gp.s, gp.t).alignments
+        assert max(a.score for a in front) == max(a.score for a in blocked)
 
-    def test_narrow_input_rejected(self):
+    def test_narrow_input_rejected(self, pool2):
+        """A ``t`` narrower than the worker count fails in the planner, by name."""
         gp = genome_pair(10, 10, n_regions=0, rng=124)
-        with pytest.raises(ValueError):
-            mp_wavefront_alignments(gp.s, gp.t, MpWavefrontConfig(n_workers=16))
+        with pytest.raises(ValueError, match="1 columns cannot be split over 2"):
+            pool2.run_plan(wavefront_spec(n_procs=2), gp.s, gp.t[:1])

@@ -1,9 +1,9 @@
 """Tests for the persistent shared-memory worker pool.
 
-The pool must be a drop-in for the one-shot ``mp_*`` backends (identical
-results), stay correct across many repeated requests (the amortisation case
-it exists for), and fail fast -- not hang for the full timeout -- when a
-worker dies.
+The pool must return exactly what the in-process :class:`InlineExecutor`
+returns for the same plan, stay correct across many repeated requests (the
+amortisation case it exists for), and fail fast -- not hang for the full
+timeout -- when a worker dies.
 """
 
 import os
@@ -14,20 +14,19 @@ import numpy as np
 import pytest
 
 from repro.core import LocalAlignment
+from repro.core.global_align import align_region
 from repro.parallel import (
     AlignmentWorkerPool,
-    MpBlockedConfig,
-    MpWavefrontConfig,
     SequenceArena,
     SharedArray,
     WorkerCrashed,
     create_shared_array,
-    mp_blocked_alignments,
-    mp_phase2,
-    mp_wavefront_alignments,
 )
 from repro.parallel.shm import attach_arena
+from repro.plan import InlineExecutor, blocked_spec, wavefront_spec
 from repro.seq import genome_pair
+
+WAVEFRONT = wavefront_spec(n_procs=2, group_rows=16)
 
 
 @pytest.fixture(scope="module")
@@ -89,25 +88,33 @@ class TestSharedArrayLifecycle:
 
 
 class TestPoolMatchesOneShotBackends:
+    """The pool against the in-process executor running the same plan."""
+
     def test_wavefront_matches(self, pool, pair):
-        config = MpWavefrontConfig(n_workers=2, rows_per_exchange=16)
-        expected = mp_wavefront_alignments(pair.s, pair.t, config)
-        got = pool.wavefront(pair.s, pair.t, config)
-        assert [a.region for a in got] == [a.region for a in expected]
-        assert [a.score for a in got] == [a.score for a in expected]
+        expected = InlineExecutor().run(WAVEFRONT.build(600, 600), pair.s, pair.t)
+        got = pool.run_plan(WAVEFRONT, pair.s, pair.t)
+        assert [a.region for a in got.alignments] == [
+            a.region for a in expected.alignments
+        ]
+        assert [a.score for a in got.alignments] == [
+            a.score for a in expected.alignments
+        ]
 
     def test_blocked_matches(self, pool, pair):
-        config = MpBlockedConfig(n_workers=2, n_bands=6, n_blocks=4)
-        expected = mp_blocked_alignments(pair.s, pair.t, config)
-        got = pool.blocked(pair.s, pair.t, config)
-        assert [a.region for a in got] == [a.region for a in expected]
+        spec = blocked_spec(n_procs=2, n_bands=6, n_blocks=4)
+        expected = InlineExecutor().run(spec.build(600, 600), pair.s, pair.t)
+        got = pool.run_plan(spec, pair.s, pair.t)
+        assert [a.region for a in got.alignments] == [
+            a.region for a in expected.alignments
+        ]
 
     def test_phase2_matches(self, pool, pair):
         regions = [
             LocalAlignment(10, p.s_start, p.s_end, p.t_start, p.t_end)
             for p in pair.regions
         ]
-        expected = mp_phase2(pair.s, pair.t, regions, n_workers=2)
+        ordered = sorted(regions, key=lambda r: (-r.size, r.region))
+        expected = [align_region(pair.s, pair.t, r) for r in ordered]
         got = pool.phase2(regions, pair.s, pair.t)
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
@@ -116,21 +123,21 @@ class TestPoolMatchesOneShotBackends:
 
     def test_repeated_requests_stay_correct(self, pool, pair):
         """Ten requests on live workers: the amortisation scenario."""
-        config = MpWavefrontConfig(n_workers=2, rows_per_exchange=16)
-        expected = mp_wavefront_alignments(pair.s, pair.t, config)
+        expected = InlineExecutor().run(WAVEFRONT.build(600, 600), pair.s, pair.t)
         pool.load_pair(pair.s, pair.t)
         for _ in range(10):
-            got = pool.wavefront(config=config)
-            assert [a.region for a in got] == [a.region for a in expected]
+            got = pool.run_plan(WAVEFRONT)
+            assert [a.region for a in got.alignments] == [
+                a.region for a in expected.alignments
+            ]
 
     def test_pair_switch(self, pool, pair):
         other = genome_pair(
             400, 400, n_regions=1, region_length=70, mutation_rate=0.0, rng=50
         )
-        config = MpWavefrontConfig(n_workers=2, rows_per_exchange=16)
-        first = pool.wavefront(pair.s, pair.t, config)
-        second = pool.wavefront(other.s, other.t, config)
-        third = pool.wavefront(pair.s, pair.t, config)
+        first = pool.run_plan(WAVEFRONT, pair.s, pair.t).alignments
+        second = pool.run_plan(WAVEFRONT, other.s, other.t).alignments
+        third = pool.run_plan(WAVEFRONT, pair.s, pair.t).alignments
         assert [a.region for a in first] == [a.region for a in third]
         assert [a.region for a in second] != [a.region for a in first]
 
@@ -142,7 +149,7 @@ class TestPoolLifecycle:
     def test_requires_loaded_pair(self):
         with AlignmentWorkerPool(n_workers=1) as p:
             with pytest.raises(ValueError):
-                p.wavefront()
+                p.run_plan(wavefront_spec(n_procs=1))
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
@@ -152,7 +159,7 @@ class TestPoolLifecycle:
         p = AlignmentWorkerPool(n_workers=1)
         p.close()
         with pytest.raises(RuntimeError):
-            p.wavefront(pair.s, pair.t)
+            p.run_plan(wavefront_spec(n_procs=1), pair.s, pair.t)
 
     def test_close_idempotent(self):
         p = AlignmentWorkerPool(n_workers=1)
@@ -166,12 +173,9 @@ class TestPoolLifecycle:
         with AlignmentWorkerPool(n_workers=2) as p:
             with pytest.raises((PoolJobError, ValueError)):
                 # t narrower than worker count -> worker-side / parent-side error
-                p.wavefront(pair.s[:4], pair.t[:1])
+                p.run_plan(WAVEFRONT, pair.s[:4], pair.t[:1])
             # the pool still serves good jobs afterwards
-            got = p.wavefront(
-                pair.s, pair.t, MpWavefrontConfig(n_workers=2, rows_per_exchange=16)
-            )
-            assert got
+            assert p.run_plan(WAVEFRONT, pair.s, pair.t).alignments
 
 
 class TestWorkerDeathDetection:
@@ -184,9 +188,7 @@ class TestWorkerDeathDetection:
             os.kill(pool._procs[1].pid, signal.SIGKILL)
             start = time.monotonic()
             with pytest.raises(WorkerCrashed):
-                pool.wavefront(
-                    config=MpWavefrontConfig(n_workers=2, rows_per_exchange=16)
-                )
+                pool.run_plan(WAVEFRONT)
             assert time.monotonic() - start < 30.0
         finally:
             pool.close(join_timeout=0.5)

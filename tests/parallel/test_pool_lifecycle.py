@@ -2,7 +2,7 @@
 
 Two leak windows existed in ``AlignmentWorkerPool``:
 
-* ``wavefront``/``blocked`` allocated two segments back to back; a failure
+* ``run_plan`` allocated two segments back to back; a failure
   allocating the second left the first one linked forever.  Fixed by nesting
   both in one ``with``.
 * ``search`` created its :class:`SequenceArena` *before* entering the
@@ -18,6 +18,7 @@ import pytest
 
 import repro.parallel.pool as pool_mod
 from repro.parallel.pool import AlignmentWorkerPool
+from repro.plan import blocked_spec, wavefront_spec
 from repro.seq.db import pack_database, synthetic_database
 
 
@@ -54,7 +55,7 @@ def test_wavefront_unwinds_first_segment_when_second_fails(monkeypatch, pair):
     with AlignmentWorkerPool(n_workers=2) as pool:
         created = _failing_second_allocation(monkeypatch)
         with pytest.raises(Boom):
-            pool.wavefront(*pair)
+            pool.run_plan(wavefront_spec(n_procs=2), *pair)
     assert len(created) == 1
     assert created[0].shm is None  # closed (and unlinked) despite the failure
 
@@ -63,7 +64,7 @@ def test_blocked_unwinds_first_segment_when_second_fails(monkeypatch, pair):
     with AlignmentWorkerPool(n_workers=2) as pool:
         created = _failing_second_allocation(monkeypatch)
         with pytest.raises(Boom):
-            pool.blocked(*pair)
+            pool.run_plan(blocked_spec(n_procs=2, n_bands=8, n_blocks=8), *pair)
     assert len(created) == 1
     assert created[0].shm is None
 

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.parallel import AlignmentWorkerPool, MpBlockedConfig, MpWavefrontConfig
+from repro.parallel import AlignmentWorkerPool
 from repro.plan import (
     InlineExecutor,
     PoolExecutor,
@@ -99,29 +99,25 @@ class TestRegionParity:
         assert regions(PoolExecutor(pool).run(striped, s, t)) == want
 
     @pytest.mark.parametrize(
-        "config",
+        "make_spec",
         [
-            MpWavefrontConfig(n_workers=2, rows_per_exchange=16, kernel="striped"),
-            MpBlockedConfig(n_workers=2, n_bands=6, n_blocks=6, kernel="striped"),
+            lambda kernel: wavefront_spec(n_procs=2, group_rows=16, kernel=kernel),
+            lambda kernel: blocked_spec(n_procs=2, n_bands=6, n_blocks=6, kernel=kernel),
         ],
-        ids=["mp_wavefront", "mp_blocked"],
+        ids=["wavefront", "blocked"],
     )
-    def test_mp_configs_carry_the_kernel(self, pair, pool, config):
+    def test_pipeline_specs_carry_the_kernel(self, pair, pool, make_spec):
         gp = genome_pair(
             600, 600, n_regions=2, region_length=60, mutation_rate=0.02, rng=77
         )
-        backend = "wavefront" if isinstance(config, MpWavefrontConfig) else "blocked"
-        assert config.spec().kwargs["kernel"] == "striped"
+        spec = make_spec("striped")
+        assert spec.kwargs["kernel"] == "striped"
         striped = run_mp_pipeline(
-            gp.s, gp.t, backend=backend, pool=pool, phase1_config=config
+            gp.s, gp.t, backend=spec.kind, pool=pool, phase1_config=spec
         )
         # Same tiling, only the kernel differs: regions depend on the tiling.
         classic = run_mp_pipeline(
-            gp.s,
-            gp.t,
-            backend=backend,
-            pool=pool,
-            phase1_config=dataclasses.replace(config, kernel="classic"),
+            gp.s, gp.t, backend=spec.kind, pool=pool, phase1_config=make_spec("classic")
         )
 
         def keyed(result):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.topk import TopK
+from repro.plan import wavefront_spec
 from repro.seq import pack_database, random_dna, synthetic_database
 from repro.seq.db import PackedBucket, PackedDatabase
 from repro.strategies import (
     SearchConfig,
-    TopK,
     search_db,
     search_db_sequential,
 )
@@ -196,8 +197,9 @@ class TestPoolSearch:
         config = SearchConfig(top_k=3, max_lanes=8)
         expected = search_db_sequential(query, db, config).scores()
         s, t = random_dna(300, rng), random_dna(300, rng)
+        spec = wavefront_spec(n_procs=2)
         with AlignmentWorkerPool(n_workers=2) as pool:
-            regions_before = pool.wavefront(s, t)
+            regions_before = pool.run_plan(spec, s, t).alignments
             assert search_db(query, db, config, pool=pool).scores() == expected
-            regions_after = pool.wavefront(s, t)
+            regions_after = pool.run_plan(spec, s, t).alignments
         assert [r.region for r in regions_before] == [r.region for r in regions_after]

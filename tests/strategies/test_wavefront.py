@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.core import similarity_matrix, sw_best_endpoint
-from repro.core.kernels import SCORE_DTYPE, sw_row_slice
+from repro.core import KernelWorkspace, similarity_matrix, sw_best_endpoint
 from repro.seq import genome_pair
 from repro.strategies import (
     RegionSettings,
@@ -46,12 +45,13 @@ class TestSliceKernel:
         # recompute row by row with 3 column slices
         bounds = [(0, 20), (20, 40), (40, 60)]
         prev = [H[0][c0 : c1 + 1].copy() for c0, c1 in bounds]
+        workspaces = [KernelWorkspace(gp.t[c0:c1]) for c0, c1 in bounds]
         for i in range(1, len(gp.s) + 1):
             # stitch left borders from the already-computed full matrix row
             new = []
             for k, (c0, c1) in enumerate(bounds):
                 left_cur = int(H[i][c0]) if c0 > 0 else 0
-                row = sw_row_slice(prev[k], int(gp.s[i - 1]), gp.t[c0:c1], left_cur)
+                row = workspaces[k].sw_row_slice(prev[k], int(gp.s[i - 1]), left_cur)
                 new.append(row)
                 assert np.array_equal(row[1:], H[i][c0 + 1 : c1 + 1])
             prev = new

@@ -17,6 +17,33 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["align", "--demo", "--strategy", "nope"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["align", "--demo", "--procs", "0"], "--procs"),
+            (["align", "--demo", "--procs", "-3"], "--procs"),
+            (["align", "--demo", "--workers", "0"], "--workers"),
+            (["align", "--demo", "--top", "-1"], "--top"),
+            (["search", "q.fa", "db.fa", "--workers", "0"], "--workers"),
+            (["search", "q.fa", "db.fa", "--workers", "-2"], "--workers"),
+            (["search", "q.fa", "db.fa", "--shards", "0"], "--shards"),
+            (["search", "q.fa", "db.fa", "--top", "-1"], "--top"),
+            (["search", "q.fa", "db.fa", "--top", "ten"], "--top"),
+            (["tune", "--procs", "0"], "--procs"),
+            (["trace", "--demo", "--procs", "0"], "--procs"),
+        ],
+    )
+    def test_bad_counts_are_usage_errors_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_zero_top_is_allowed(self):
+        assert build_parser().parse_args(["align", "--demo", "--top", "0"]).top == 0
+        args = build_parser().parse_args(["search", "q.fa", "db.fa", "--top", "0"])
+        assert args.top == 0
+
 
 class TestAlign:
     def test_demo_align(self, capsys):
@@ -130,7 +157,7 @@ class TestTuneAndTrace:
 
 class TestObs:
     def test_align_trace_and_report(self, tmp_path, capsys):
-        """Acceptance: `align --backend mp --trace` yields a Chrome trace with
+        """Acceptance: `align --backend pool --trace` yields a Chrome trace with
         spans from >= 2 workers plus the coordinator; `obs report` reads it."""
         import json
 
@@ -138,7 +165,7 @@ class TestObs:
         rc = main(
             [
                 "align", "--demo", "--demo-length", "500",
-                "--backend", "mp", "--mp-workers", "2",
+                "--backend", "pool", "--workers", "2",
                 "--trace", str(out), "--metrics",
             ]
         )
