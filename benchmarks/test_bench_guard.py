@@ -1,13 +1,14 @@
 """Benchmark regression guard over the committed BENCH_kernels.json.
 
 Reruns the deterministic kernel suite (:mod:`repro.analysis.bench`) on this
-machine and fails if any committed ``*_gcups`` throughput entry regresses by
-more than 30%.  The committed baseline was produced by ``genomedsm bench
-kernels`` on the repository's reference machine; the ``_machine`` stamp in
-the JSON says which.  On a different machine absolute numbers shift, which
-is why the guard only fires on *regressions* against a locally regenerated
-run -- it lives in ``benchmarks/`` (not ``tests/``) so tier-1 CI, which runs
-on arbitrary shared runners, never judges wall-clock throughput.
+machine and fails if any committed ``*_gcups`` or ``*_mb_per_s`` throughput
+entry regresses by more than 30%.  The committed baseline was produced by
+``genomedsm bench kernels`` on the repository's reference machine; the
+``_machine`` stamp in the JSON says which.  On a different machine absolute
+numbers shift, which is why the guard only fires on *regressions* against a
+locally regenerated run -- it lives in ``benchmarks/`` (not ``tests/``) so
+tier-1 CI, which runs on arbitrary shared runners, never judges wall-clock
+throughput.
 
 Usage: ``PYTHONPATH=src python -m pytest benchmarks/test_bench_guard.py``.
 """
@@ -32,9 +33,10 @@ BASELINE_PATH = os.path.abspath(
 MAX_REGRESSION = REGRESSION_THRESHOLD
 
 #: Wall-time / speedup keys are not guarded: seconds scale with machine
-#: speed and speedups are ratios of two runs' noise.  Only the *_gcups
-#: throughput figures -- the numbers the README table quotes -- are.
-GUARDED_SUFFIX = "_gcups"
+#: speed and speedups are ratios of two runs' noise.  Only the throughput
+#: figures are: the *_gcups numbers the README table quotes, and the FASTA
+#: ingest rate (``fasta_ingest_1500seq.ingest_mb_per_s``).
+GUARDED_SUFFIX = ("_gcups", "_mb_per_s")
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +94,7 @@ def test_no_gcups_entry_regresses_30_percent(baseline, rerun):
                     f"{entry_key}.{key}: {fresh[key]:.4f} vs baseline "
                     f"{value:.4f} ({ratio:.0%} of baseline)"
                 )
-    assert compared > 0, "baseline has no *_gcups entries to guard"
+    assert compared > 0, "baseline has no throughput entries to guard"
     assert not failures, "throughput regressions:\n  " + "\n  ".join(failures)
 
 

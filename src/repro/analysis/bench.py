@@ -8,8 +8,9 @@ kernel (its compiled and numpy lanes timed apart) and the striped
 query-profile kernel of :mod:`repro.core.striped` (its compiled and numpy
 scans timed apart),
 the score-bound-pruned search over a planted-homolog database
-(:mod:`repro.strategies.prefilter`), and ten wave-front requests on the
-persistent worker pool.  The same workloads and timing
+(:mod:`repro.strategies.prefilter`), ten wave-front requests on the
+persistent worker pool, and FASTA ingest (parse + pack) of a database
+shaped like the ``search-fasta`` benchmark workload's.  The same workloads and timing
 discipline as the ``benchmarks/`` pytest suite (min-of-rounds after a
 warmup call, cell counts cross-checked against the ``repro.obs`` metrics
 registry), so numbers regenerated here are comparable to the committed
@@ -26,7 +27,9 @@ committed baseline.
 from __future__ import annotations
 
 import json
+import os
 import platform
+import tempfile
 import time
 
 import numpy as np
@@ -38,11 +41,14 @@ from ..obs import gcups, observed
 from ..seq import (
     FastaRecord,
     biased_dna,
+    content_digest,
     genome_pair,
     mutate,
     pack_database,
     random_dna,
+    stream_fasta,
     synthetic_database,
+    write_fasta,
 )
 from ..strategies import SearchConfig, search_db, search_db_sequential
 
@@ -505,6 +511,48 @@ def _bench_pool_wavefront(quick: bool, rounds: int) -> dict:
     }
 
 
+def _bench_fasta_ingest(quick: bool) -> dict:
+    """Parse and pack a 1,500-record FASTA database from a file.
+
+    The database is shaped like the ``search-fasta`` workload's (150-600 bp
+    records wrapped at 70 columns) and is packed with the striped kernel's
+    bucket shape, as ``repro search --kernel striped`` does on every run.
+    The packed digest is asserted equal to packing the written records in
+    memory before anything is timed.  Best of 25: one ingest takes a few
+    milliseconds, so fewer rounds leave the figure to scheduler noise.
+    """
+    n_db = 300 if quick else 1500
+    rounds = 1 if quick else 25
+    db = synthetic_database(n=n_db, min_length=150, max_length=600, rng=79)
+    config = SearchConfig(kernel="striped")
+
+    def ingest(records):
+        return pack_database(
+            records,
+            max_lanes=config.resolved_max_lanes,
+            max_waste=config.resolved_max_waste,
+        )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "db.fa")
+        write_fasta(path, db)
+        size = os.path.getsize(path)
+        if content_digest(ingest(stream_fasta(path))) != content_digest(ingest(db)):
+            raise AssertionError("parsed FASTA database diverged from the records written")
+        parse_s = _best_of(lambda: list(stream_fasta(path)), rounds)
+        ingest_s = _best_of(lambda: ingest(stream_fasta(path)), rounds)
+    return {
+        "kernel": "fasta_blocks",
+        "dtype": "uint8",
+        "lane_mode": "ingest",
+        "n_sequences": n_db,
+        "file_bytes": size,
+        "parse_seconds": parse_s,
+        "ingest_seconds": ingest_s,
+        "ingest_mb_per_s": size / ingest_s / 1e6,
+    }
+
+
 def run_kernel_bench(quick: bool = False, progress=None) -> dict:
     """Run the whole suite; returns the BENCH_kernels.json payload."""
     rounds = 1 if quick else 3
@@ -534,6 +582,8 @@ def run_kernel_bench(quick: bool = False, progress=None) -> dict:
     results["db_search_sharded_5000seq"] = _bench_db_search_sharded(quick, rounds)
     note("pool wavefront: 10 repeats ...")
     results["pool_wavefront_10_repeats_600x600"] = _bench_pool_wavefront(quick, rounds)
+    note("fasta ingest: parse + pack ...")
+    results["fasta_ingest_1500seq"] = _bench_fasta_ingest(quick)
     return results
 
 

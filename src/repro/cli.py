@@ -193,14 +193,13 @@ def cmd_search(args) -> int:
     from contextlib import nullcontext
 
     from . import obs
-    from .seq import pack_database, read_fasta, stream_fasta
+    from .seq import pack_database, stream_fasta
     from .strategies import SearchConfig, search_db
 
     _install_ledger(args)
-    queries = read_fasta(args.query)
-    if not queries:
+    query = next(stream_fasta(args.query), None)
+    if query is None:
         raise SystemExit("empty query FASTA")
-    query = queries[0]
     if args.workers > 1 and args.shards > args.workers:
         raise SystemExit(
             f"--shards {args.shards} exceeds --workers {args.workers}: "

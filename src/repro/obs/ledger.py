@@ -38,7 +38,7 @@ REGRESSION_THRESHOLD = 0.30
 
 #: Rate-key suffixes that are higher-is-better; ``*_seconds`` is
 #: lower-is-better; anything else is reported but never flagged.
-HIGHER_BETTER_SUFFIXES = ("_gcups", "_cells_per_s", "_speedup")
+HIGHER_BETTER_SUFFIXES = ("_gcups", "_cells_per_s", "_speedup", "_mb_per_s")
 LOWER_BETTER_SUFFIX = "_seconds"
 
 

@@ -17,11 +17,17 @@ from .db import (
     content_digest,
     pack_database,
     shard_database,
-    stream_fasta,
     synthetic_database,
 )
 from .dotplot import DotPlot, dotplot, zoom
-from .fasta import FastaError, FastaRecord, parse_fasta, read_fasta, write_fasta
+from .fasta import (
+    FastaError,
+    FastaRecord,
+    parse_fasta,
+    read_fasta,
+    stream_fasta,
+    write_fasta,
+)
 from .stats import CompositionStats, composition, kmer_spectrum, longest_shared_kmer
 from .random_dna import (
     GenomePair,

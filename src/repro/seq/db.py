@@ -6,9 +6,9 @@ batch one padded ``(k, n)`` code matrix of similar-length sequences, so the
 SIMD lanes waste as little work on padding as possible.  This module
 provides the ingestion side:
 
-* :func:`stream_fasta` -- record-at-a-time FASTA reading (gzip detected by
-  magic bytes), so a multi-gigabyte database never has to fit in memory at
-  once.
+* :func:`repro.seq.stream_fasta` (in :mod:`repro.seq.fasta`) --
+  record-at-a-time FASTA reading, so a multi-gigabyte database never has to
+  fit in memory at once.
 * :func:`pack_database` -- a greedy length-bucket packer.  Records are
   buffered in windows, sorted by length, and cut into buckets whose shortest
   lane is within ``max_waste`` of the bucket width; each bucket is capped at
@@ -21,26 +21,14 @@ provides the ingestion side:
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from ..core.multi_engine import pack_codes
-from .fasta import FastaRecord, _open_text, parse_fasta
+from .fasta import FastaRecord
 from .random_dna import random_dna
-
-
-def stream_fasta(path: str | os.PathLike[str]) -> Iterator[FastaRecord]:
-    """Yield FASTA records one at a time without materialising the file.
-
-    Unlike :func:`repro.seq.read_fasta` (which returns a list), this is a
-    generator: the file is opened lazily and closed when the generator is
-    exhausted or dropped.
-    """
-    with _open_text(path, "r") as fh:
-        yield from parse_fasta(fh)
 
 
 @dataclass(frozen=True)

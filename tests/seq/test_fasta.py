@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.seq import (
     read_fasta,
     write_fasta,
 )
+from repro.seq import fasta
 
 
 SAMPLE = """\
@@ -41,6 +43,35 @@ class TestParse:
     def test_data_before_header_raises(self):
         with pytest.raises(FastaError):
             list(parse_fasta(io.StringIO("ACGT\n>a\n")))
+
+    def test_data_before_header_names_its_line(self):
+        with pytest.raises(FastaError, match=r"before first '>' header \(line 3\)"):
+            list(parse_fasta(io.StringIO("\n  \nNNNN\n>a\nAC\n")))
+
+    @pytest.mark.parametrize("block", range(1, 9))
+    def test_data_before_header_line_across_blocks(self, tmp_path, block):
+        path = tmp_path / "bad.fa"
+        path.write_bytes(b"\r\n \r\r\n\tNNNN\r\n>a\r\nAC\r\n")
+        with mock.patch.object(fasta, "_BLOCK", block):
+            with pytest.raises(FastaError, match=r"\(line 4\)"):
+                read_fasta(path)
+
+    def test_non_ascii_byte_names_offset_and_record(self, tmp_path):
+        path = tmp_path / "utf8.fa"
+        path.write_bytes(b">x\nAC\xc3\xa9GT\n")
+        with pytest.raises(FastaError, match=r"byte 0xc3 at offset 5 in record 'x'"):
+            read_fasta(path)
+
+    def test_non_ascii_byte_in_a_later_block(self, tmp_path):
+        path = tmp_path / "utf8.fa"
+        path.write_bytes(b">x\nACGT\n>y z\nGG\nTT\xa0\n")
+        with mock.patch.object(fasta, "_BLOCK", 4):
+            with pytest.raises(FastaError, match=r"byte 0xa0 at offset 18 in record 'y z'"):
+                read_fasta(path)
+
+    def test_non_ascii_text_raises_fasta_error(self):
+        with pytest.raises(FastaError, match="non-ASCII byte"):
+            list(parse_fasta([">caf\u00e9", "ACGT"]))
 
     def test_empty_input(self):
         assert list(parse_fasta(io.StringIO(""))) == []

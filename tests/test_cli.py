@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.seq import fasta, synthetic_database, write_fasta
 
 
 class TestParser:
@@ -239,3 +242,26 @@ class TestCheck:
         rc = main(["check", "core", "--baseline", str(baseline)])
         assert rc == 1
         assert "1 new" in capsys.readouterr().out
+
+
+class TestSearch:
+    @pytest.fixture
+    def db_path(self, tmp_path):
+        path = tmp_path / "db.fa"
+        write_fasta(path, synthetic_database(n=20, min_length=40, max_length=80, rng=3))
+        return path
+
+    def test_reads_only_the_first_query_record(self, tmp_path, db_path, capsys):
+        query = tmp_path / "q.fa"
+        # The second record is malformed: parsing it would raise.
+        query.write_bytes(b">first\n" + b"ACGT" * 20 + b"\n>second\n" + b"G" * 200 + b"\xff\n")
+        with mock.patch.object(fasta, "_BLOCK", 32):
+            rc = main(["search", str(query), str(db_path), "--top", "3"])
+        assert rc == 0
+        assert "query first (80 bp) vs 20 sequences" in capsys.readouterr().out
+
+    def test_empty_query_file_exits(self, tmp_path, db_path):
+        query = tmp_path / "q.fa"
+        query.write_bytes(b"\n")
+        with pytest.raises(SystemExit, match="empty query FASTA"):
+            main(["search", str(query), str(db_path)])
