@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.blast import WordIndex
-from repro.core import KernelWorkspace, count_hits, initial_row, smith_waterman
+from repro.core import count_hits, initial_row, smith_waterman
+from repro.core.engine import NumpyWorkspace
 from repro.core.kernels import sw_row_naive
 from repro.core.regions import RegionConfig, StreamingRegionFinder
 from repro.seq import random_dna
@@ -21,22 +22,23 @@ ROW_WIDTH = 20_000
 
 @pytest.fixture(scope="module")
 def row_inputs():
+    """The numpy (vectorized) rows, advanced as one-row batches."""
     t = random_dna(ROW_WIDTH, rng=1)
     prev = initial_row(ROW_WIDTH, local=True)
-    return prev, KernelWorkspace(t)
+    return prev, NumpyWorkspace(t)
 
 
 def test_bench_sw_row_vectorized(benchmark, row_inputs):
     prev, ws = row_inputs
-    result = benchmark(ws.sw_row, prev, 0)
-    assert result.shape == prev.shape
+    result = benchmark(ws.sw_rows, prev, [0])
+    assert result.shape == (1, prev.size)
 
 
 def test_bench_nw_row_vectorized(benchmark, row_inputs):
     _, ws = row_inputs
     prev = initial_row(ROW_WIDTH, local=False)
-    result = benchmark(ws.nw_row, prev, 0, -2)
-    assert result.shape == prev.shape
+    result = benchmark(ws.nw_rows, prev, [0], [-2])
+    assert result.shape == (1, prev.size)
 
 
 def test_bench_sw_row_naive_ablation(benchmark):
@@ -53,12 +55,12 @@ def test_vectorized_kernel_speedup_vs_naive(benchmark):
 
     t = random_dna(4000, rng=3)
     prev = initial_row(4000, local=True)
-    ws = KernelWorkspace(t)
+    ws = NumpyWorkspace(t)
 
     def measure():
         start = time.perf_counter()
         for _ in range(50):
-            ws.sw_row(prev, 1)
+            ws.sw_rows(prev, [1])
         fast = time.perf_counter() - start
         start = time.perf_counter()
         sw_row_naive(prev, 1, t)
@@ -71,7 +73,7 @@ def test_vectorized_kernel_speedup_vs_naive(benchmark):
 
 def test_bench_count_hits(benchmark, row_inputs):
     prev, ws = row_inputs
-    row = ws.sw_row(prev, 0)
+    row = ws.sw_rows(prev, [0])[0]
     hits = benchmark(count_hits, row, 1)
     assert hits >= 0
 
@@ -84,12 +86,8 @@ def test_bench_full_smith_waterman_500(benchmark):
 
 
 def test_bench_region_finder_feed(benchmark):
-    finder_rows = []
-    ws = KernelWorkspace(random_dna(ROW_WIDTH, rng=6))
-    prev = initial_row(ROW_WIDTH, local=True)
-    for ch in random_dna(8, rng=7):
-        prev = ws.sw_row(prev, int(ch))
-        finder_rows.append(prev.copy())
+    ws = NumpyWorkspace(random_dna(ROW_WIDTH, rng=6))
+    finder_rows = ws.sw_rows(initial_row(ROW_WIDTH, local=True), random_dna(8, rng=7))
 
     def feed_all():
         finder = StreamingRegionFinder(RegionConfig(threshold=4))

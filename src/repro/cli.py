@@ -94,7 +94,7 @@ def cmd_align(args) -> int:
                 t,
                 backend=strategy,
                 n_workers=args.workers,
-                phase1_config=pool_phase1_spec(strategy, args.workers, args.kernel),
+                phase1_config=pool_phase1_spec(strategy, args.workers),
             )
             print(
                 f"phase 1 ({result.backend}, {result.n_workers} worker processes): "
@@ -115,33 +115,12 @@ def cmd_align(args) -> int:
                 from .plan import InlineExecutor
 
                 executor = InlineExecutor()
-            phase1_config = None
-            if args.kernel != "classic":
-                from .strategies import (
-                    BlockedConfig,
-                    PreprocessConfig,
-                    WavefrontConfig,
-                    canonical_strategy,
-                )
-
-                phase1_config = {
-                    "heuristic": WavefrontConfig(
-                        n_procs=args.procs, kernel=args.kernel
-                    ),
-                    "heuristic_block": BlockedConfig(
-                        n_procs=args.procs, kernel=args.kernel
-                    ),
-                    "pre_process": PreprocessConfig(
-                        n_procs=args.procs, kernel=args.kernel
-                    ),
-                }[canonical_strategy(args.strategy)]
             result = run_pipeline(
                 s,
                 t,
                 strategy=args.strategy,
                 n_procs=args.procs,
                 scale=args.scale,
-                phase1_config=phase1_config,
                 executor=executor,
             )
             p1 = result.phase1
@@ -315,8 +294,8 @@ def cmd_check(args) -> int:
         from .plan import sweep_plans
 
         # The sweep's finding paths name only the plan kind; stamp the full
-        # combination (planner[kernel]@backend) so a report line identifies
-        # which sweep leg broke.
+        # combination (planner@backend, search[kernel+prefilter]xshards@backend)
+        # so a report line identifies which sweep leg broke.
         findings.extend(
             replace(finding, path=f"<plan:{label}@{backend}>")
             for label, backend, finding in sweep_plans()
@@ -582,13 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the metrics registry (cells, GCUPS, queue waits) after the run",
     )
     p_align.add_argument(
-        "--kernel",
-        default="classic",
-        choices=("classic", "striped"),
-        help="row kernel: classic dense scans, or the striped query-profile "
-        "kernel with narrow lanes and overflow recovery",
-    )
-    p_align.add_argument(
         "--ledger",
         metavar="FILE",
         help="append this run's headline rates (and attribution summary when "
@@ -712,8 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--plans",
         action="store_true",
-        help="also statically verify every planner x backend x kernel x "
-        "prefilter combination (PLAN001-PLAN006)",
+        help="also statically verify every planner x backend combination, "
+        "search kernels and prefilters included (PLAN001-PLAN006)",
     )
     p_check.add_argument(
         "--baseline",

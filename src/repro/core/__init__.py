@@ -41,7 +41,6 @@ from .multi_engine import PAD_CODE, PAD_SCORE, MultiSequenceWorkspace, pack_code
 from .striped import (
     LANE_MODES,
     StripedMultiWorkspace,
-    StripedPairWorkspace,
     overflow_stats,
     reset_overflow_stats,
     score_bounds,
@@ -65,7 +64,6 @@ from .linear import (
     sw_best_endpoint,
     sw_endpoints_above,
     sw_row_hits,
-    sw_scan,
 )
 from .matrix import (
     MatrixTooLarge,
@@ -112,7 +110,6 @@ __all__ = [
     "Scoring",
     "StreamingRegionFinder",
     "StripedMultiWorkspace",
-    "StripedPairWorkspace",
     "SubsequenceAlignment",
     "TieredFilter",
     "TracebackResult",
@@ -157,5 +154,4 @@ __all__ = [
     "sw_best_endpoint",
     "sw_endpoints_above",
     "sw_row_hits",
-    "sw_scan",
 ]

@@ -1,14 +1,14 @@
 """Zero-copy kernel workspace: query profiles, scratch reuse, batched rows.
 
-:mod:`repro.core.kernels` computes each DP row correctly but wastefully: every
-call re-derives the substitution vector with ``np.where`` (or a matrix
-gather), allocates a candidate buffer, an ``arange`` ramp and two int64
-temporaries, and throws them all away.  At the paper's sequence sizes the row
-kernel is called tens of thousands of times per alignment, so the allocator
-and the redundant passes dominate.
+:class:`KernelWorkspace` is the one pairwise DP row path of the repository.
+Every caller -- the plan runtimes' tiles, the linear-space scans of
+:mod:`repro.core.linear`, the Section 6 reverse scan, the protein scan and
+the phase-2 global rows -- advances rows through the batch API
+(``sw_rows``/``nw_rows``/``sw_rows_slice``), which hands the whole batch to
+the compiled tile loop of :mod:`repro.core.ckernel`.
 
-:class:`KernelWorkspace` is the fix, borrowing two standard tricks from the
-SIMD Smith-Waterman literature (Rucci et al.'s KNL kernels, Farrar's striped
+The numpy rows behind that loop borrow two standard tricks from the SIMD
+Smith-Waterman literature (Rucci et al.'s KNL kernels, Farrar's striped
 layout -- see PAPERS.md):
 
 * **Query profile**: the substitution vector depends only on (scoring, target,
@@ -17,12 +17,14 @@ layout -- see PAPERS.md):
   vectors for the whole alignment instead of one ``np.where`` per row.
 * **Scratch reuse**: the candidate row, the int64 accumulate buffer and the
   ``gap * arange`` ramp used to resolve the horizontal-gap chain are allocated
-  once and reused, so a row advance performs zero heap allocations when the
-  caller supplies an output buffer (``out=`` may alias ``prev`` for a true
-  in-place two-row scan).
-* **Row batching**: ``sw_rows``/``nw_rows``/``sw_rows_slice`` advance many
-  rows per Python call, which hoists attribute lookups and bounds checks out
-  of the per-row path.
+  once and reused, so a row advance performs zero heap allocations.
+
+They run when the compiled loop cannot (no compiler, or a layout the C side
+does not take) and always in :class:`NumpyWorkspace`, the C-free reference.
+The one-row methods (``_sw_row``, ``_nw_row``, ``_sw_row_slice``) are
+private to that fallback.  A batch's ``out`` may alias ``prev`` when it
+holds one row (``out=row[None, :]``): both paths read the whole of ``prev``
+that a row needs before they overwrite it.
 
 A workspace is bound to one ``(scoring, target)`` pair -- exactly the shape of
 every loop in this repository: the target (or target slice) is fixed while the
@@ -65,8 +67,8 @@ class KernelWorkspace:
     )
 
     #: Whether the batched row APIs may run the compiled tile loop
-    #: (:mod:`repro.core.ckernel`).  Subclasses that override the per-row
-    #: kernels switch it off so their batches keep dispatching through them.
+    #: (:mod:`repro.core.ckernel`).  :class:`NumpyWorkspace` switches it off
+    #: so its batches always run the numpy rows.
     COMPILED_ROWS = True
 
     def __init__(
@@ -111,7 +113,7 @@ class KernelWorkspace:
             self._profile[s_char] = row
         return row
 
-    # -- single-row kernels ------------------------------------------------
+    # -- numpy rows (the batch fallback) ----------------------------------
 
     def _candidates(self, prev: np.ndarray, s_char: int) -> np.ndarray:
         """Best score per cell over the diagonal and vertical moves."""
@@ -126,10 +128,8 @@ class KernelWorkspace:
         np.maximum(cand[1:], self._tmp, out=cand[1:])
         return cand
 
-    def _resolve(self, out: np.ndarray | None, n_cells: int) -> np.ndarray:
+    def _resolve(self, out: np.ndarray) -> np.ndarray:
         """Apply the horizontal-gap closed form to ``_cand`` and emit the row."""
-        if out is None:
-            out = np.empty(n_cells, dtype=SCORE_DTYPE)
         if self._wide:
             acc = self._acc
             np.add(self._cand, self._ramp, out=acc)
@@ -142,33 +142,31 @@ class KernelWorkspace:
             np.subtract(out, self._ramp, out=out)
         return out
 
-    def sw_row(
-        self, prev: np.ndarray, s_char: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _sw_row(self, prev: np.ndarray, s_char: int, out: np.ndarray) -> np.ndarray:
         """One Smith-Waterman row; ``out`` may alias ``prev`` (in-place scan)."""
         cand = self._candidates(prev, int(s_char))
         cand[0] = 0
         np.maximum(cand, self._zero, out=cand)
-        return self._resolve(out, prev.size)
+        return self._resolve(out)
 
-    def nw_row(
+    def _nw_row(
         self,
         prev: np.ndarray,
         s_char: int,
         boundary: int,
-        out: np.ndarray | None = None,
+        out: np.ndarray,
     ) -> np.ndarray:
         """One Needleman-Wunsch row with ``boundary`` as the first column."""
         cand = self._candidates(prev, int(s_char))
         cand[0] = boundary
-        return self._resolve(out, prev.size)
+        return self._resolve(out)
 
-    def sw_row_slice(
+    def _sw_row_slice(
         self,
         prev: np.ndarray,
         s_char: int,
         left_current: int,
-        out: np.ndarray | None = None,
+        out: np.ndarray,
     ) -> np.ndarray:
         """One SW row over a column slice given the left neighbour's border.
 
@@ -183,7 +181,7 @@ class KernelWorkspace:
         cand = self._candidates(prev, int(s_char))
         cand[0] = left_current
         np.maximum(cand[1:], self._zero[1:], out=cand[1:])
-        return self._resolve(out, prev.size)
+        return self._resolve(out)
 
     # -- batched kernels ---------------------------------------------------
 
@@ -201,7 +199,7 @@ class KernelWorkspace:
         """Advance a batch through the compiled tile loop.
 
         Returns False, having written nothing, when the loop does not apply
-        (no compiled module, a subclass with its own row kernels, or a layout
+        (no compiled module, :class:`NumpyWorkspace`, or a layout
         or dtype the C side does not take); the caller then runs the numpy
         rows, which also raise any shape error.
         """
@@ -247,7 +245,7 @@ class KernelWorkspace:
         if not self._compiled_rows(prev, s_codes, None, True, out):
             row = prev
             for r in range(k):
-                row = self.sw_row(row, int(s_codes[r]), out=out[r])
+                row = self._sw_row(row, int(s_codes[r]), out=out[r])
         count_cells(k * self.width)  # one guarded hook per batch, never per row
         return out
 
@@ -265,7 +263,7 @@ class KernelWorkspace:
         if not self._compiled_rows(prev, s_codes, boundaries, False, out):
             row = prev
             for r in range(k):
-                row = self.nw_row(row, int(s_codes[r]), int(boundaries[r]), out=out[r])
+                row = self._nw_row(row, int(s_codes[r]), int(boundaries[r]), out=out[r])
         count_cells(k * self.width)
         return out
 
@@ -288,7 +286,7 @@ class KernelWorkspace:
         if not self._compiled_rows(prev, s_codes, lefts, True, out):
             row = prev
             for r in range(k):
-                row = self.sw_row_slice(row, int(s_codes[r]), int(lefts[r]), out=out[r])
+                row = self._sw_row_slice(row, int(s_codes[r]), int(lefts[r]), out=out[r])
         count_cells(k * self.width)
         return out
 
@@ -296,8 +294,9 @@ class KernelWorkspace:
 class NumpyWorkspace(KernelWorkspace):
     """:class:`KernelWorkspace` with the compiled rows switched off.
 
-    The numpy reference the compiled tile loop is fuzzed and benchmarked
-    against (``tests/core/test_ckernel.py``, ``bench kernels``).
+    The C-free reference: the compiled tile loop is fuzzed against it
+    (``tests/core/test_ckernel.py``), ``bench kernels`` times its rows, and
+    :func:`repro.strategies.search.sequential_best_score` scans with it.
     """
 
     __slots__ = ()

@@ -98,18 +98,19 @@ def reverse_scan(
 
     Rows are processed with the two-row kernel, but each row is restricted to
     the Theorem 6.2 band: cells outside it are forced to zero (they cannot
-    carry a useful positive score).  The scan stops at the first row
+    carry a useful positive score).  The next row depends on that zeroing,
+    so the scan advances one-row batches in place.  It stops at the first row
     containing the target score; the minimal-length start position is the
     leftmost such cell, matching the paper's "alignment of minimal length".
     """
-    s_rev = s_prefix[::-1]
+    s_rev = np.ascontiguousarray(s_prefix[::-1])
     t_rev = t_prefix[::-1]
     n_cols = len(t_rev)
     ws = KernelWorkspace(t_rev, scoring)
     row = initial_row(n_cols, local=True, scoring=scoring)
     cells = 0
     for i in range(1, len(s_rev) + 1):
-        row = ws.sw_row(row, s_rev[i - 1], out=row)
+        ws.sw_rows(row, s_rev[i - 1 : i], out=row[None, :])
         # Band: columns j with i <= border(j) and j <= border(i).
         hi = min(n_cols, band_limit(i, scoring))
         ratio = scoring.match / (-scoring.gap)

@@ -47,7 +47,7 @@ def sw_row_naive(
     t_codes: np.ndarray,
     scoring: Scoring = DEFAULT_SCORING,
 ) -> np.ndarray:
-    """Per-cell reference of :meth:`KernelWorkspace.sw_row` (tests/ablation)."""
+    """Per-cell reference of :meth:`KernelWorkspace.sw_rows` (tests/ablation)."""
     row = np.zeros_like(prev)
     for j in range(1, prev.size):
         sub = scoring.pair_score(int(s_char), int(t_codes[j - 1]))
@@ -67,7 +67,7 @@ def nw_row_naive(
     boundary: int,
     scoring: Scoring = DEFAULT_SCORING,
 ) -> np.ndarray:
-    """Per-cell reference of :meth:`KernelWorkspace.nw_row`."""
+    """Per-cell reference of :meth:`KernelWorkspace.nw_rows`."""
     row = np.zeros_like(prev)
     row[0] = boundary
     for j in range(1, prev.size):

@@ -12,14 +12,23 @@ global alignment (the primitive Hirschberg's divide-and-conquer needs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from ..seq.alphabet import encode
 from .engine import KernelWorkspace
-from .kernels import count_hits, initial_row
-from .scoring import DEFAULT_SCORING, Scoring
+from .kernels import initial_row
+from .scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
+
+#: Rows one batch call advances.  Every scan here holds one block of this
+#: many rows (plus the carried previous row), so memory stays linear in the
+#: target length while the per-call overhead is paid once per block.
+BLOCK_ROWS = 256
+#: Cell cap of that block (16 MiB of scores): targets wider than 16K
+#: columns get fewer rows per call, down to one, instead of a block that
+#: grows 256 times their width.
+BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -31,23 +40,44 @@ class ScoreEndpoint:
     j: int
 
 
+def _block_rows(width: int) -> int:
+    """Rows per batch call over a ``width``-column target."""
+    return max(1, min(BLOCK_ROWS, BLOCK_CELLS // (width + 1)))
+
+
+def sw_blocks(ws: KernelWorkspace, s: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(i0, rows)``: SW rows ``i0 .. i0 + len(rows) - 1`` of ``s`` x ``ws.t``.
+
+    ``rows`` is a view into one block reused by every iteration; it is valid
+    until the generator resumes.  The first row scanned is the local
+    boundary row of zeros.
+    """
+    m = len(s)
+    step = _block_rows(ws.width)
+    prev = np.zeros(ws.width + 1, dtype=SCORE_DTYPE)
+    block = np.empty((min(m, step), ws.width + 1), dtype=SCORE_DTYPE)
+    for i0 in range(0, m, step):
+        codes = s[i0 : i0 + step]
+        rows = ws.sw_rows(prev, codes, out=block[: len(codes)])
+        yield i0 + 1, rows
+        prev[:] = rows[-1]
+
+
 def iter_sw_rows(
     s: np.ndarray | str,
     t: np.ndarray | str,
     scoring: Scoring = DEFAULT_SCORING,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(i, row_i)`` for i = 1..m, using two rows of memory.
+    """Yield ``(i, row_i)`` for i = 1..m in linear space.
 
-    The yielded array is reused between iterations; callers that need to keep
-    a row must copy it.
+    Rows are computed up to :data:`BLOCK_ROWS` at a time; each yielded array is a
+    view into that reused block, valid until the iterator resumes.  Callers
+    that need to keep a row must copy it.
     """
-    s = encode(s)
-    t = encode(t)
-    ws = KernelWorkspace(t, scoring)
-    row = initial_row(len(t), local=True, scoring=scoring)
-    for i in range(1, len(s) + 1):
-        row = ws.sw_row(row, s[i - 1], out=row)
-        yield i, row
+    ws = KernelWorkspace(encode(t), scoring)
+    for i0, rows in sw_blocks(ws, encode(s)):
+        for r, row in enumerate(rows):
+            yield i0 + r, row
 
 
 def sw_best_endpoint(
@@ -61,11 +91,13 @@ def sw_best_endpoint(
     in a row-major scan), matching :func:`repro.core.matrix.best_cell`.
     """
     best = ScoreEndpoint(0, 0, 0)
-    for i, row in iter_sw_rows(s, t, scoring):
-        j = int(np.argmax(row))
-        score = int(row[j])
+    ws = KernelWorkspace(encode(t), scoring)
+    for i0, rows in sw_blocks(ws, encode(s)):
+        r = int(np.argmax(rows.max(axis=1)))
+        j = int(np.argmax(rows[r]))
+        score = int(rows[r, j])
         if score > best.score:
-            best = ScoreEndpoint(score, i, j)
+            best = ScoreEndpoint(score, i0 + r, j)
     return best
 
 
@@ -84,16 +116,13 @@ def sw_endpoints_above(
     cluster's peak, which is exactly the "detected alignment of desired score
     k at positions i, j" input of the paper's Algorithm 1.
     """
-    from .regions import RegionConfig, StreamingRegionFinder
+    from .regions import RegionConfig, find_regions
 
     if min_score <= 0:
         raise ValueError("min_score must be positive")
-    finder = StreamingRegionFinder(RegionConfig(threshold=min_score))
-    for i, row in iter_sw_rows(s, t, scoring):
-        finder.feed(i, row)
     return [
         ScoreEndpoint(r.score, r.peak_i, r.peak_j)
-        for r in finder.finish()
+        for r in find_regions(s, t, RegionConfig(threshold=min_score), scoring)
         if r.score >= min_score
     ]
 
@@ -108,11 +137,15 @@ def sw_row_hits(
 
     Sequential reference of the pre_process strategy's scoreboard
     (Section 5); the parallel version distributes exactly this computation.
+    The boundary column is excluded, as in :func:`repro.core.count_hits`.
     """
     s_arr = encode(s)
     hits = np.zeros(len(s_arr), dtype=np.int64)
-    for i, row in iter_sw_rows(s_arr, t, scoring):
-        hits[i - 1] = count_hits(row, threshold)
+    ws = KernelWorkspace(encode(t), scoring)
+    for i0, rows in sw_blocks(ws, s_arr):
+        hits[i0 - 1 : i0 - 1 + len(rows)] = np.count_nonzero(
+            rows[:, 1:] >= threshold, axis=1
+        )
     return hits
 
 
@@ -130,29 +163,12 @@ def nw_last_row(
     t = encode(t)
     ws = KernelWorkspace(t, scoring)
     row = initial_row(len(t), local=False, scoring=scoring)
-    for i in range(1, len(s) + 1):
-        row = ws.nw_row(row, s[i - 1], i * scoring.gap, out=row)
+    step = _block_rows(len(t))
+    block = np.empty((min(len(s), step), len(t) + 1), dtype=SCORE_DTYPE)
+    for i0 in range(0, len(s), step):
+        codes = s[i0 : i0 + step]
+        k = len(codes)
+        boundaries = scoring.gap * np.arange(i0 + 1, i0 + k + 1, dtype=np.int64)
+        ws.nw_rows(row, codes, boundaries, out=block[:k])
+        row[:] = block[k - 1]
     return row
-
-
-def sw_scan(
-    s: np.ndarray | str,
-    t: np.ndarray | str,
-    scoring: Scoring = DEFAULT_SCORING,
-    on_row: Callable[[int, np.ndarray], None] | None = None,
-) -> ScoreEndpoint:
-    """One linear-space pass that both tracks the best endpoint and streams rows.
-
-    ``on_row(i, row)`` (if given) observes every computed row; this is the
-    hook the simulated cluster kernels use to feed hit counters and region
-    finders without a second pass over the matrix.
-    """
-    best = ScoreEndpoint(0, 0, 0)
-    for i, row in iter_sw_rows(s, t, scoring):
-        if on_row is not None:
-            on_row(i, row)
-        j = int(np.argmax(row))
-        score = int(row[j])
-        if score > best.score:
-            best = ScoreEndpoint(score, i, j)
-    return best

@@ -25,6 +25,8 @@ import numpy as np
 from ..seq.alphabet import encode
 from . import ckernel
 from .alignment import LocalAlignment
+from .engine import KernelWorkspace
+from .linear import sw_blocks
 from .scoring import DEFAULT_SCORING, Scoring
 
 
@@ -252,10 +254,8 @@ def find_regions(
     config: RegionConfig,
     scoring: Scoring = DEFAULT_SCORING,
 ) -> list[Region]:
-    """Run the two-row scan over ``s`` x ``t`` and cluster its hits."""
-    from .linear import iter_sw_rows
-
+    """Run the linear-space scan over ``s`` x ``t`` and cluster its hits."""
     finder = StreamingRegionFinder(config)
-    for i, row in iter_sw_rows(encode(s), encode(t), scoring):
-        finder.feed(i, row)
+    for i0, rows in sw_blocks(KernelWorkspace(encode(t), scoring), encode(s)):
+        finder.feed_rows(i0, rows)
     return finder.finish()

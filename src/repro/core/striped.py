@@ -66,7 +66,6 @@ import numpy as np
 
 from ..obs import count_cells, get_metrics, is_enabled
 from . import ckernel
-from .engine import KernelWorkspace
 from .multi_engine import PAD_CODE, MultiSequenceWorkspace
 from .scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
 
@@ -75,7 +74,6 @@ __all__ = [
     "LaneLimits",
     "NumpyStripedMultiWorkspace",
     "StripedMultiWorkspace",
-    "StripedPairWorkspace",
     "overflow_stats",
     "reset_overflow_stats",
     "score_bounds",
@@ -474,166 +472,3 @@ class NumpyStripedMultiWorkspace(StripedMultiWorkspace):
 
     __slots__ = ()
     COMPILED_STRIPES = False
-
-
-class StripedPairWorkspace(KernelWorkspace):
-    """A :class:`KernelWorkspace` whose SW rows run the striped kernel.
-
-    Overrides only :meth:`sw_row` and :meth:`sw_row_slice`; the batched row
-    APIs and :meth:`nw_row` are inherited (the engine's batch loops dispatch
-    through ``self``), so this is a drop-in behind ``compute_tile`` and the
-    plan runtimes.  Rows are computed in :data:`SCORE_DTYPE` -- pairwise
-    scans have no lane axis to amortize narrow dtypes over -- and are bitwise
-    equal to the classic rows.  Targets wide enough for the classic int64
-    widening regime (and empty targets) fall back to the inherited kernels.
-    """
-
-    __slots__ = (
-        "_striped", "_seg", "_p", "_npad", "_span", "_spad", "_sgseg",
-        "_ppad", "_pviews", "_opad", "_oviews", "_o2d", "_sdiag0", "_su",
-        "_scarry", "_sc3", "_sdecay", "_szero", "_sprof",
-    )
-
-    COMPILED_ROWS = False  # batches dispatch through the striped rows below
-
-    def __init__(
-        self,
-        t_codes: np.ndarray,
-        scoring: Scoring = DEFAULT_SCORING,
-        eager_codes=range(4),
-    ) -> None:
-        super().__init__(t_codes, scoring, eager_codes)
-        n = self.width
-        self._striped = n > 0 and not self._wide
-        if not self._striped:
-            return
-        lo, hi = score_bounds(scoring)
-        seg = _pick_seg(n, SCORE_DTYPE, self._gap, lo, hi)
-        limits = LaneLimits(SCORE_DTYPE, seg, self._gap, lo, hi)
-        p = -(-n // seg)
-        npad = seg * p
-        self._seg = seg
-        self._p = p
-        self._npad = npad
-        self._span = limits.span
-        self._spad = SCORE_DTYPE(limits.pad)
-        self._sgseg = self._gap * seg
-        # Previous/current rows live in zero-padded (npad,) buffers; plane r
-        # is the strided view [r::seg] (position r of every segment).  The
-        # pad positions of _ppad are written once here and never touched
-        # again: real cells precede every pad within its segment, so pads
-        # never feed a real cell.
-        self._ppad = np.zeros(npad, dtype=SCORE_DTYPE)
-        self._pviews = tuple(self._ppad[r::seg] for r in range(seg))
-        self._opad = np.zeros(npad, dtype=SCORE_DTYPE)
-        self._oviews = tuple(self._opad[r::seg] for r in range(seg))
-        self._o2d = self._opad.reshape(p, seg).T
-        self._sdiag0 = np.empty(p, dtype=SCORE_DTYPE)
-        self._su = np.empty(p, dtype=SCORE_DTYPE)
-        self._scarry = np.empty(p, dtype=SCORE_DTYPE)
-        self._sc3 = np.empty((seg, p), dtype=SCORE_DTYPE)
-        self._sdecay = (SCORE_DTYPE(self._gap) * np.arange(1, seg + 1, dtype=SCORE_DTYPE))[:, None]
-        # Clamp operand: a scalar 0 falls off numpy's vectorized inner loop
-        # for integer maximum, an array operand does not.
-        self._szero = np.zeros(npad, dtype=SCORE_DTYPE)
-        self._sprof: dict[int, tuple] = {}
-
-    def _striped_profile(self, s_char: int) -> tuple:
-        planes = self._sprof.get(s_char)
-        if planes is None:
-            padded = np.full(self._npad, self._spad, dtype=SCORE_DTYPE)
-            padded[: self.width] = self.profile_row(s_char)
-            seg = self._seg
-            planes = tuple(padded[r::seg] for r in range(seg))
-            self._sprof[s_char] = planes
-        return planes
-
-    def sw_row(
-        self, prev: np.ndarray, s_char: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """One Smith-Waterman row; ``out`` may alias ``prev`` (in-place scan)."""
-        if not self._striped:
-            return super().sw_row(prev, s_char, out)
-        return self._striped_row(prev, int(s_char), 0, out)
-
-    def sw_row_slice(
-        self,
-        prev: np.ndarray,
-        s_char: int,
-        left_current: int,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """One SW row over a column slice given the left neighbour's border."""
-        if not self._striped:
-            return super().sw_row_slice(prev, s_char, left_current, out)
-        return self._striped_row(prev, int(s_char), int(left_current), out)
-
-    def _striped_row(
-        self, prev: np.ndarray, s_char: int, border: int, out: np.ndarray | None
-    ) -> np.ndarray:  # repro: kernel -- striped pairwise row advance
-        if prev.size != self.width + 1:
-            raise ValueError(
-                f"prev row has {prev.size} cells; workspace target needs "
-                f"{self.width + 1}"
-            )
-        pv = self._striped_profile(s_char)
-        n = self.width
-        seg = self._seg
-        prev0 = int(prev[0])
-        ppad = self._ppad
-        ppad[:n] = prev[1:]
-        pviews = self._pviews
-        oviews = self._oviews
-        diag0 = self._sdiag0
-        hlast = pviews[seg - 1]
-        diag0[1:] = hlast[:-1]
-        diag0[0] = prev0
-        u = self._su
-        g = SCORE_DTYPE(self._gap)
-        add_ = np.add
-        max_ = np.maximum
-        cur0 = oviews[0]
-        add_(diag0, pv[0], out=cur0)
-        add_(pviews[0], g, out=u)
-        max_(cur0, u, out=cur0)
-        prevp = cur0
-        for r in range(1, seg):
-            cur = oviews[r]
-            add_(pviews[r - 1], pv[r], out=cur)
-            max_(pviews[r], prevp, out=u)
-            add_(u, g, out=u)
-            max_(cur, u, out=cur)
-            prevp = cur
-        carry = self._scarry
-        tm = int(prevp.max())
-        if tm > self._span or border > self._span:
-            tm = self._chain_pair(prevp, border)
-        else:
-            carry[1:] = prevp[:-1]
-            carry[0] = border
-            tm = max(tm, border)
-        d = min(seg, max(0, (tm - 1) // (-self._gap)))
-        if d > 0:
-            c3 = self._sc3
-            add_(carry[None, :], self._sdecay[:d], out=c3[:d])
-            max_(self._o2d[:d], c3[:d], out=self._o2d[:d])
-        opad = self._opad
-        max_(opad, self._szero, out=opad)
-        if out is None:
-            out = np.empty(n + 1, dtype=SCORE_DTYPE)
-        out[1:] = opad[:n]
-        out[0] = border
-        return out
-
-    def _chain_pair(self, tend: np.ndarray, border: int) -> int:  # repro: kernel
-        """Serial cross-segment carry chain (rows whose scores exceed span)."""
-        carry = self._scarry
-        gseg = self._sgseg
-        e = border
-        tm = border
-        for c in range(self._p):
-            carry[c] = e
-            if e > tm:
-                tm = e
-            e = max(int(tend[c]), e + gseg)
-        return tm

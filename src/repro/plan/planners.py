@@ -60,8 +60,9 @@ def _spec(kind: str, **params: object) -> PlanSpec:
     return PlanSpec(kind, tuple(sorted(params.items())))
 
 
-#: Row-kernel implementations the runtimes can drive (see
-#: :mod:`repro.core.striped` for the striped one).
+#: Bucket-scan kernels a search graph can select: the dense batch of
+#: :mod:`repro.core.multi_engine` or the striped scan of
+#: :mod:`repro.core.striped`.  Pairwise plans have one row path.
 KERNELS = ("classic", "striped")
 
 
@@ -80,7 +81,6 @@ def wavefront_spec(
     min_score: int | None = None,
     overlap_slack: int = 8,
     home_migration: bool = False,
-    kernel: str = "classic",
 ) -> PlanSpec:
     return _spec(
         "wavefront",
@@ -92,7 +92,6 @@ def wavefront_spec(
         min_score=min_score,
         overlap_slack=overlap_slack,
         home_migration=home_migration,
-        kernel=_check_kernel(kernel),
     )
 
 
@@ -105,7 +104,6 @@ def blocked_spec(
     row_tolerance: int = 16,
     min_score: int | None = None,
     overlap_slack: int = 8,
-    kernel: str = "classic",
 ) -> PlanSpec:
     return _spec(
         "blocked",
@@ -117,7 +115,6 @@ def blocked_spec(
         row_tolerance=row_tolerance,
         min_score=min_score,
         overlap_slack=overlap_slack,
-        kernel=_check_kernel(kernel),
     )
 
 
@@ -133,7 +130,6 @@ def preprocess_spec(
     io_mode: str = "none",
     cache_friendly_rows: int = 32_000,
     cache_penalty: float = 0.20,
-    kernel: str = "classic",
 ) -> PlanSpec:
     return _spec(
         "preprocess",
@@ -148,7 +144,6 @@ def preprocess_spec(
         io_mode=io_mode,
         cache_friendly_rows=cache_friendly_rows,
         cache_penalty=cache_penalty,
-        kernel=_check_kernel(kernel),
     )
 
 
@@ -169,7 +164,6 @@ def plan_wavefront(
     min_score: int | None = None,
     overlap_slack: int = 8,
     home_migration: bool = False,
-    kernel: str = "classic",
 ) -> TaskGraph:
     """Section 4.2 schedule: columns split N/P, rows grouped by ``group_rows``."""
     if cols < n_procs:
@@ -206,7 +200,6 @@ def plan_wavefront(
             "min_score": min_score,
             "overlap_slack": overlap_slack,
             "home_migration": home_migration,
-            "kernel": _check_kernel(kernel),
         },
         spec=wavefront_spec(
             n_procs,
@@ -217,7 +210,6 @@ def plan_wavefront(
             min_score,
             overlap_slack,
             home_migration,
-            kernel,
         ),
     )
     return graph.validate()
@@ -262,7 +254,6 @@ def plan_blocked(
     row_tolerance: int = 16,
     min_score: int | None = None,
     overlap_slack: int = 8,
-    kernel: str = "classic",
 ) -> TaskGraph:
     """Section 4.3 schedule: bands x blocks, band ``b`` owned by ``b mod P``."""
     tiling = explicit_tiling(rows, cols, n_bands, n_blocks)
@@ -281,7 +272,6 @@ def plan_blocked(
             "row_tolerance": row_tolerance,
             "min_score": min_score,
             "overlap_slack": overlap_slack,
-            "kernel": _check_kernel(kernel),
         },
         spec=blocked_spec(
             n_procs,
@@ -292,7 +282,6 @@ def plan_blocked(
             row_tolerance,
             min_score,
             overlap_slack,
-            kernel,
         ),
     )
     return graph.validate()
@@ -313,7 +302,6 @@ def plan_preprocess(
     io_mode: str = "none",
     cache_friendly_rows: int = 32_000,
     cache_penalty: float = 0.20,
-    kernel: str = "classic",
 ) -> TaskGraph:
     """Section 5 schedule: bands x column chunks with the scoreboard payload.
 
@@ -341,7 +329,6 @@ def plan_preprocess(
             "io_mode": io_mode,
             "cache_friendly_rows": cache_friendly_rows,
             "cache_penalty": cache_penalty,
-            "kernel": _check_kernel(kernel),
         },
         spec=preprocess_spec(
             n_procs,
@@ -355,7 +342,6 @@ def plan_preprocess(
             io_mode,
             cache_friendly_rows,
             cache_penalty,
-            kernel,
         ),
     )
     return graph.validate()

@@ -30,7 +30,7 @@ from ..core.engine import KernelWorkspace, compute_tile
 from ..core.multi_engine import MultiSequenceWorkspace
 from ..core.regions import RegionConfig, StreamingRegionFinder
 from ..core.scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
-from ..core.striped import StripedMultiWorkspace, StripedPairWorkspace
+from ..core.striped import StripedMultiWorkspace
 from ..core.topk import TopK, tournament_merge
 from ..obs import get_metrics, is_enabled
 from .ir import TaskGraph, Tile
@@ -52,20 +52,6 @@ def state_shape(graph: TaskGraph) -> tuple[int, ...] | None:
     if graph.kind == "search":
         return None
     raise ValueError(f"unknown plan kind {graph.kind!r}")
-
-
-def _pair_workspace(
-    params: dict, t_codes: np.ndarray, scoring: Scoring
-) -> KernelWorkspace:
-    """The pairwise row workspace a graph's ``kernel`` param selects.
-
-    ``"classic"`` (and absent, for graphs planned before the knob existed)
-    is the dense :class:`KernelWorkspace`; ``"striped"`` swaps in the
-    bitwise-identical striped scan of :mod:`repro.core.striped`.
-    """
-    if params.get("kernel", "classic") == "striped":
-        return StripedPairWorkspace(t_codes, scoring)
-    return KernelWorkspace(t_codes, scoring)
 
 
 def _region_config(params: dict) -> RegionConfig:
@@ -158,7 +144,6 @@ class WavefrontRuntime(PlanRuntime):
         self.scoring = scoring
         self.borders = state
         self.kind_name = graph.kind
-        self.kernel_name = graph.params.get("kernel", "classic")
         self._owners: dict[int, dict] = {}
 
     def _owner(self, p: int) -> dict:
@@ -167,7 +152,7 @@ class WavefrontRuntime(PlanRuntime):
             c0, c1 = self.graph.params["slices"][p]
             st = {
                 "c0": c0,
-                "ws": _pair_workspace(self.graph.params, self.t[c0:c1], self.scoring),
+                "ws": KernelWorkspace(self.t[c0:c1], self.scoring),
                 "prev": np.zeros(c1 - c0 + 1, dtype=SCORE_DTYPE),
                 "finder": StreamingRegionFinder(_region_config(self.graph.params)),
             }
@@ -225,7 +210,6 @@ class _BandedRuntime(PlanRuntime):
         self.scoring = scoring
         self.boundaries = state
         self.kind_name = graph.kind
-        self.kernel_name = graph.params.get("kernel", "classic")
         self.row_bounds = graph.params["row_bounds"]
         self.col_bounds = graph.params["col_bounds"]
         self._bands: dict[int, dict] = {}  # owner -> current-band scratch
@@ -234,7 +218,7 @@ class _BandedRuntime(PlanRuntime):
     def _workspace(self, block: int, c0: int, c1: int) -> KernelWorkspace:
         ws = self._workspaces.get(block)
         if ws is None:
-            ws = _pair_workspace(self.graph.params, self.t[c0:c1], self.scoring)
+            ws = KernelWorkspace(self.t[c0:c1], self.scoring)
             self._workspaces[block] = ws
         return ws
 

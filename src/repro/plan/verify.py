@@ -49,8 +49,8 @@ graph-level breaches):
   choreography table.
 
 ``verify_graph``/``verify_plan`` are the library entry points;
-:func:`sweep_plans` enumerates planner x backend x kernel x prefilter
-combinations for ``repro check --plans``; :func:`maybe_verify` is the
+:func:`sweep_plans` enumerates planner x backend combinations (search:
+x kernel x prefilter x shards) for ``repro check --plans``; :func:`maybe_verify` is the
 strict-mode hook the executors call (enable with ``REPRO_VERIFY_PLANS=1``
 or :func:`set_strict`).
 """
@@ -624,21 +624,19 @@ def maybe_verify(graph: TaskGraph, backend: str) -> None:
 # -- the CI sweep ----------------------------------------------------------
 
 
-def _sweep_pair_specs(n_procs: int, kernels: Sequence[str]) -> Iterator[PlanSpec]:
-    for kernel in kernels:
-        yield wavefront_spec(n_procs, group_rows=3, kernel=kernel)
-        yield wavefront_spec(n_procs, group_rows=1, kernel=kernel)
-        yield blocked_spec(n_procs, n_bands=5, n_blocks=4, kernel=kernel)
-        yield blocked_spec(n_procs, n_bands=2, n_blocks=7, kernel=kernel)
-        yield preprocess_spec(n_procs, band_size=16, chunk_size=24, kernel=kernel)
-        yield preprocess_spec(
-            n_procs,
-            band_size=13,
-            chunk_size=9,
-            band_scheme="equal",
-            chunk_growth="geometric",
-            kernel=kernel,
-        )
+def _sweep_pair_specs(n_procs: int) -> Iterator[PlanSpec]:
+    yield wavefront_spec(n_procs, group_rows=3)
+    yield wavefront_spec(n_procs, group_rows=1)
+    yield blocked_spec(n_procs, n_bands=5, n_blocks=4)
+    yield blocked_spec(n_procs, n_bands=2, n_blocks=7)
+    yield preprocess_spec(n_procs, band_size=16, chunk_size=24)
+    yield preprocess_spec(
+        n_procs,
+        band_size=13,
+        chunk_size=9,
+        band_scheme="equal",
+        chunk_growth="geometric",
+    )
 
 
 def _sweep_packed(seed: int = 7):
@@ -659,7 +657,8 @@ def sweep_plans(
     kernels: Sequence[str] = ("classic", "striped"),
     prefilters: Sequence[tuple[str, ...]] = ((), ("length", "composition", "kmer")),
 ) -> list[tuple[str, str, Finding]]:
-    """Verify every planner x backend x kernel x prefilter combination.
+    """Verify every planner x backend combination, and every search kernel x
+    prefilter x shard count.
 
     Returns ``(plan description, backend, finding)`` triples -- empty when
     every combination proves out, which is what CI's ``check --plans`` job
@@ -670,9 +669,9 @@ def sweep_plans(
     """
     rows, cols = shape
     breaches: list[tuple[str, str, Finding]] = []
-    for spec in _sweep_pair_specs(n_procs, kernels):
+    for spec in _sweep_pair_specs(n_procs):
         graph = build_plan(spec, rows, cols)
-        label = f"{spec.kind}[{dict(spec.params).get('kernel', 'classic')}]"
+        label = spec.kind
         for backend in BACKENDS:
             for finding in verify_graph(graph, backend):
                 breaches.append((label, backend, finding))

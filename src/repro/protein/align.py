@@ -46,16 +46,13 @@ def protein_best_score(
     t: str | np.ndarray,
     scoring: ProteinScoring = BLOSUM62_SCORING,
 ) -> int:
-    """Best local score in linear space (two-row scan over protein codes)."""
+    """Best local score in linear space (block scan over protein codes)."""
     from ..core.engine import KernelWorkspace
-    from ..core.kernels import initial_row
+    from ..core.linear import sw_blocks
 
-    s = PROTEIN_ALPHABET.encode(s)
     t = PROTEIN_ALPHABET.encode(t)
     ws = KernelWorkspace(t, scoring)  # profile rows fill lazily per amino acid
-    row = initial_row(len(t), local=True, scoring=scoring)
     best = 0
-    for ch in s:
-        row = ws.sw_row(row, int(ch), out=row)
-        best = max(best, int(row.max()))
+    for _, rows in sw_blocks(ws, PROTEIN_ALPHABET.encode(s)):
+        best = max(best, int(rows.max()))
     return best

@@ -25,7 +25,18 @@ from ..core.regions import RegionConfig
 from ..core.scoring import DEFAULT_SCORING, Scoring
 from ..seq.alphabet import encode
 
-__all__ = ["RegionSettings", "ScaledWorkload"]
+__all__ = ["RegionSettings", "ScaledWorkload", "encode_pair"]
+
+
+def encode_pair(s, t) -> tuple[np.ndarray, np.ndarray]:
+    """Encode the two sequences of a comparison; both must be non-empty.
+
+    The one entry check of every pipeline, simulated or on the pool.
+    """
+    s, t = encode(s), encode(t)
+    if len(s) == 0 or len(t) == 0:
+        raise ValueError("sequences must be non-empty")
+    return s, t
 
 
 @dataclass
@@ -38,12 +49,9 @@ class ScaledWorkload:
     scoring: Scoring = DEFAULT_SCORING
 
     def __post_init__(self) -> None:
-        self.s = encode(self.s)
-        self.t = encode(self.t)
+        self.s, self.t = encode_pair(self.s, self.t)
         if self.scale < 1:
             raise ValueError("scale must be >= 1")
-        if len(self.s) == 0 or len(self.t) == 0:
-            raise ValueError("sequences must be non-empty")
 
     @property
     def rows(self) -> int:

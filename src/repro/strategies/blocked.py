@@ -48,7 +48,6 @@ class BlockedConfig:
     n_bands: int | None = None  # explicit override (Table 4's 40 x 25)
     n_blocks: int | None = None
     regions: RegionSettings = RegionSettings()
-    kernel: str = "classic"  # row kernel: "classic" or "striped"
 
     def __post_init__(self) -> None:
         if self.n_procs <= 0:
@@ -77,7 +76,6 @@ def blocked_plan(workload: ScaledWorkload, config: BlockedConfig) -> TaskGraph:
         row_tolerance=regions.row_tolerance,
         min_score=regions.min_score,
         overlap_slack=regions.overlap_slack,
-        kernel=config.kernel,
     )
 
 

@@ -62,9 +62,6 @@ class PreprocessConfig:
     cache_friendly_rows: int = 32_000
     cache_penalty: float = 0.20
 
-    # Row kernel: "classic" or "striped" (see repro.core.striped).
-    kernel: str = "classic"
-
     def __post_init__(self) -> None:
         if self.n_procs <= 0:
             raise ValueError("n_procs must be positive")
@@ -108,7 +105,6 @@ def preprocess_plan(workload: ScaledWorkload, config: PreprocessConfig) -> TaskG
         io_mode=config.io_mode,
         cache_friendly_rows=config.cache_friendly_rows,
         cache_penalty=config.cache_penalty,
-        kernel=config.kernel,
     )
 
 

@@ -20,7 +20,7 @@ from ..obs.trace import Stopwatch
 from ..plan import PlanSpec, blocked_spec, wavefront_spec
 from ..plan.result import StrategyResult
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
-from .base import ScaledWorkload
+from .base import ScaledWorkload, encode_pair
 from .blocked import BlockedConfig, blocked_plan, run_blocked
 from .phase2 import Phase2Config, run_phase2
 from .preprocess import PreprocessConfig, preprocess_plan, run_preprocess
@@ -210,13 +210,13 @@ def _mp_backend(name: str) -> str:
     return backend
 
 
-def pool_phase1_spec(backend: str, n_workers: int, kernel: str = "classic") -> PlanSpec:
+def pool_phase1_spec(backend: str, n_workers: int) -> PlanSpec:
     """The default phase-1 plan of :func:`run_mp_pipeline` for ``backend``:
     the Section 4.2 wave-front row by row, or the Section 4.3 blocked
     wave-front in 8 bands x 8 blocks; threshold 35 either way."""
     if _mp_backend(backend) == "wavefront":
-        return wavefront_spec(n_procs=n_workers, kernel=kernel)
-    return blocked_spec(n_procs=n_workers, n_bands=8, n_blocks=8, kernel=kernel)
+        return wavefront_spec(n_procs=n_workers)
+    return blocked_spec(n_procs=n_workers, n_bands=8, n_blocks=8)
 
 
 @dataclass
@@ -269,6 +269,7 @@ def run_mp_pipeline(
     :func:`pool_phase1_spec` over the pool's workers); its kind must match
     ``backend``.
     """
+    s, t = encode_pair(s, t)
     backend = _mp_backend(backend)
     if phase1_config is not None and phase1_config.kind != backend:
         raise ValueError(

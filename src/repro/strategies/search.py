@@ -19,9 +19,9 @@ published once through a shared-memory arena and buckets are dispatched
 through a *dynamic* work queue: workers pull the next chunk when free, so a
 skewed bucket cannot stall the rest of the pool (see ``pool.search``).
 
-:func:`search_db_sequential` is the one-at-a-time
-:class:`repro.core.KernelWorkspace` reference the batched path is verified
-(and benchmarked) against.
+:func:`search_db_sequential` is the one-at-a-time reference the batched
+path is verified (and benchmarked) against; it scans numpy rows of
+:class:`repro.core.engine.NumpyWorkspace`, never the compiled loops.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.engine import KernelWorkspace
-from ..core.scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
+from ..core.engine import NumpyWorkspace
+from ..core.linear import sw_blocks
+from ..core.scoring import DEFAULT_SCORING, Scoring
 from ..core.topk import TopK
 from ..obs import gcups, get_metrics, get_tracer, is_enabled
 from ..obs.ledger import record_run
@@ -294,15 +295,14 @@ def search_db(
 
 
 def sequential_best_score(query: np.ndarray, target: np.ndarray, scoring: Scoring) -> int:
-    """Best local score via one pairwise :class:`KernelWorkspace` scan."""
-    ws = KernelWorkspace(target, scoring)
-    prev = np.zeros(len(target) + 1, dtype=SCORE_DTYPE)
+    """Best local score via one pairwise scan of numpy rows.
+
+    Runs on :class:`NumpyWorkspace`, never the compiled loop, so the
+    reference stays independent of the C it checks.
+    """
     best = 0
-    for ch in query:
-        prev = ws.sw_row(prev, int(ch), out=prev)
-        row_best = int(prev.max()) if prev.size else 0
-        if row_best > best:
-            best = row_best
+    for _, rows in sw_blocks(NumpyWorkspace(target, scoring), query):
+        best = max(best, int(rows.max()))
     return best
 
 

@@ -39,9 +39,6 @@ class WavefrontConfig:
     #: pages migrate to their writers and the per-row diff traffic -- the
     #: chunk-proportional overhead term -- disappears after a few rows.
     home_migration: bool = False
-    #: Row kernel the runtimes drive: "classic" dense scans or the
-    #: "striped" query-profile kernel of :mod:`repro.core.striped`.
-    kernel: str = "classic"
 
     def __post_init__(self) -> None:
         if self.n_procs <= 0:
@@ -64,7 +61,6 @@ def wavefront_plan(workload: ScaledWorkload, config: WavefrontConfig) -> TaskGra
         min_score=regions.min_score,
         overlap_slack=regions.overlap_slack,
         home_migration=config.home_migration,
-        kernel=config.kernel,
     )
 
 

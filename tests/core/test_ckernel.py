@@ -504,6 +504,31 @@ def test_failed_loader_falls_back_with_one_warning(monkeypatch):
         assert np.array_equal(fallback[3], lanes)
 
 
+def test_references_run_no_compiled_rows(monkeypatch):
+    """``search_db_sequential`` and a :class:`NumpyWorkspace` scan keep their
+    scores with the compiled rows broken; a :class:`KernelWorkspace` batch
+    does reach them."""
+    from repro.seq import synthetic_database
+    from repro.strategies import SearchConfig, search_db, search_db_sequential
+
+    rng = np.random.default_rng(29)
+    db = synthetic_database(n=12, min_length=20, max_length=90, rng=rng)
+    query = np.concatenate([db[5].codes[:30], rng.integers(0, 4, 20).astype(np.uint8)])
+    t = db[5].codes
+    init = np.zeros(len(t) + 1, dtype=SCORE_DTYPE)
+    want_hits = search_db(query, db, SearchConfig(top_k=5)).hits
+    want_rows = KernelWorkspace(t).sw_rows(init, query)
+
+    def no_c(*args):
+        raise RuntimeError("compiled rows called")
+
+    monkeypatch.setattr(ckernel, "rows", no_c)
+    assert search_db_sequential(query, db, SearchConfig(top_k=5)).hits == want_hits
+    assert np.array_equal(NumpyWorkspace(t).sw_rows(init, query), want_rows)
+    with pytest.raises(RuntimeError, match="compiled rows called"):
+        KernelWorkspace(t).sw_rows(init, query)
+
+
 def test_module_name_keys_the_build_recipe(monkeypatch):
     """A flag-only or build-script-only change must not load a stale build."""
     name = ckernel._module_name()

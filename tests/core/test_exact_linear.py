@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -92,6 +93,27 @@ class TestReverseScan:
         predicted = predicted_necessary_fraction(480)
         # identical sequences traverse the whole diagonal: worst case
         assert scan.computed_fraction == pytest.approx(predicted, rel=0.1)
+
+    @pytest.mark.parametrize("m", [255, 256, 257, 513])
+    def test_compiled_rows_match_numpy_rows(self, m, monkeypatch):
+        """The in-place one-row batches (compiled, ``out`` aliasing ``prev``)
+        give the numpy rows' scan, hit for hit, at every row count."""
+        import repro.core.exact_linear as exact_linear
+        from repro.core.engine import NumpyWorkspace
+
+        rng = np.random.default_rng(m)
+        s = rng.integers(0, 4, size=m, dtype=np.uint8)
+        t = s.copy()
+        mutated = rng.random(m) < 0.03
+        t[mutated] = (t[mutated] + 1) % 4
+        ep = sw_best_endpoint(s, t)
+        compiled = reverse_scan(s[: ep.i], t[: ep.j], ep.score)
+        self_scan = reverse_scan(s, s, m)  # the diagonal runs through every row
+        monkeypatch.setattr(exact_linear, "KernelWorkspace", NumpyWorkspace)
+        assert compiled.found
+        assert reverse_scan(s[: ep.i], t[: ep.j], ep.score) == compiled
+        assert self_scan == reverse_scan(s, s, m)
+        assert (self_scan.rev_i, self_scan.rev_j, self_scan.score) == (m, m, m)
 
 
 class TestExactBestAlignment:

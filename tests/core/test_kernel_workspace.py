@@ -3,9 +3,10 @@
 The workspace reuses scratch buffers, caches query profiles and (when the
 scores allow) resolves the horizontal chain in int32 in-place -- every one of
 those optimisations must be invisible.  These properties pin the batched
-rows, lazy single-row workspaces and the slice-stitching contract
-cell-for-cell to ``sw_row_naive`` / ``nw_row_naive`` over random sequences
-and scorings.
+rows, one-row batches through lazy workspaces and the slice-stitching
+contract cell-for-cell to ``sw_row_naive`` / ``nw_row_naive`` over random
+sequences and scorings.  Row-at-a-time checks run both the compiled rows
+(:class:`KernelWorkspace`) and the numpy rows (:class:`NumpyWorkspace`).
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import KernelWorkspace, Scoring, initial_row
+from repro.core.engine import NumpyWorkspace
 from repro.core.kernels import SCORE_DTYPE, nw_row_naive, sw_row_naive
 
 from _strategies import dna_codes, scorings
@@ -28,41 +30,51 @@ def _naive_sw_scan(s, t, scoring):
     return rows
 
 
+#: The compiled rows and the numpy rows behind the same batch API.
+WORKSPACES = (KernelWorkspace, NumpyWorkspace)
+
+
 class TestWorkspaceSingleRows:
+    """Rows advanced one batch of one at a time, as the Section 6 reverse
+    scan advances them."""
+
     @given(dna_codes(1, 40), dna_codes(1, 12), scorings)
     @settings(max_examples=100, deadline=None)
     def test_sw_row_matches_naive_over_scan(self, t, s, scoring):
-        ws = KernelWorkspace(t, scoring)
-        prev = initial_row(len(t), local=True, scoring=scoring)
-        prev_naive = prev.copy()
-        for ch in s:
-            prev = ws.sw_row(prev, int(ch))
-            prev_naive = sw_row_naive(prev_naive, int(ch), t, scoring)
-            assert np.array_equal(prev, prev_naive)
-            assert prev.dtype == SCORE_DTYPE
+        for cls in WORKSPACES:
+            ws = cls(t, scoring)
+            prev = initial_row(len(t), local=True, scoring=scoring)
+            prev_naive = prev.copy()
+            for ch in s:
+                prev = ws.sw_rows(prev, [ch])[0]
+                prev_naive = sw_row_naive(prev_naive, int(ch), t, scoring)
+                assert np.array_equal(prev, prev_naive)
+                assert prev.dtype == SCORE_DTYPE
 
     @given(dna_codes(1, 40), dna_codes(1, 12), scorings)
     @settings(max_examples=100, deadline=None)
     def test_nw_row_matches_naive_over_scan(self, t, s, scoring):
-        ws = KernelWorkspace(t, scoring)
-        prev = initial_row(len(t), local=False, scoring=scoring)
-        prev_naive = prev.copy()
-        for i, ch in enumerate(s, start=1):
-            boundary = i * scoring.gap
-            prev = ws.nw_row(prev, int(ch), boundary)
-            prev_naive = nw_row_naive(prev_naive, int(ch), t, boundary, scoring)
-            assert np.array_equal(prev, prev_naive)
+        for cls in WORKSPACES:
+            ws = cls(t, scoring)
+            prev = initial_row(len(t), local=False, scoring=scoring)
+            prev_naive = prev.copy()
+            for i, ch in enumerate(s, start=1):
+                boundary = i * scoring.gap
+                prev = ws.nw_rows(prev, [ch], [boundary])[0]
+                prev_naive = nw_row_naive(prev_naive, int(ch), t, boundary, scoring)
+                assert np.array_equal(prev, prev_naive)
 
     @given(dna_codes(1, 40), dna_codes(1, 12), scorings)
     @settings(max_examples=60, deadline=None)
     def test_in_place_out_aliasing_prev_is_exact(self, t, s, scoring):
-        ws = KernelWorkspace(t, scoring)
-        row = initial_row(len(t), local=True, scoring=scoring)
         expected = _naive_sw_scan(s, t, scoring)
-        for ch, ref in zip(s, expected):
-            returned = ws.sw_row(row, int(ch), out=row)
-            assert returned is row  # true in-place advance
-            assert np.array_equal(row, ref)
+        for cls in WORKSPACES:
+            ws = cls(t, scoring)
+            row = initial_row(len(t), local=True, scoring=scoring)
+            for ch, ref in zip(s, expected):
+                returned = ws.sw_rows(row, [ch], out=row[None, :])
+                assert np.shares_memory(returned, row)  # true in-place advance
+                assert np.array_equal(row, ref)
 
 
 class TestWorkspaceBatchedRows:
@@ -133,7 +145,7 @@ class TestSliceStitching:
             left = 0
             stitched = [0]
             for p, ws in enumerate(workspaces):
-                prevs[p] = ws.sw_row_slice(prevs[p], int(ch), left, out=prevs[p])
+                ws.sw_rows_slice(prevs[p], [ch], [left], out=prevs[p][None, :])
                 stitched.extend(int(v) for v in prevs[p][1:])
                 left = int(prevs[p][-1])
             assert stitched == full.tolist()
@@ -178,21 +190,23 @@ class TestShims:
     @settings(max_examples=60, deadline=None)
     def test_sw_row_shim(self, t, s_char, scoring):
         prev = initial_row(len(t), local=True, scoring=scoring)
-        ws = KernelWorkspace(t, scoring, eager_codes=())
-        assert np.array_equal(
-            ws.sw_row(prev, s_char), sw_row_naive(prev, s_char, t, scoring)
-        )
+        for cls in WORKSPACES:
+            ws = cls(t, scoring, eager_codes=())
+            assert np.array_equal(
+                ws.sw_rows(prev, [s_char])[0], sw_row_naive(prev, s_char, t, scoring)
+            )
 
     @given(dna_codes(1, 40), st.integers(0, 3), st.integers(1, 6), scorings)
     @settings(max_examples=60, deadline=None)
     def test_nw_row_shim(self, t, s_char, i, scoring):
         prev = initial_row(len(t), local=False, scoring=scoring)
         boundary = i * scoring.gap
-        ws = KernelWorkspace(t, scoring, eager_codes=())
-        assert np.array_equal(
-            ws.nw_row(prev, s_char, boundary),
-            nw_row_naive(prev, s_char, t, boundary, scoring),
-        )
+        for cls in WORKSPACES:
+            ws = cls(t, scoring, eager_codes=())
+            assert np.array_equal(
+                ws.nw_rows(prev, [s_char], [boundary])[0],
+                nw_row_naive(prev, s_char, t, boundary, scoring),
+            )
 
     @given(dna_codes(2, 40), st.integers(0, 3), st.integers(0, 20), scorings)
     @settings(max_examples=60, deadline=None)
@@ -200,11 +214,12 @@ class TestShims:
         mid = len(t) // 2
         t_slice = t[mid:]
         prev = np.zeros(len(t_slice) + 1, dtype=SCORE_DTYPE)
-        ws = KernelWorkspace(t_slice, scoring, eager_codes=())
-        assert np.array_equal(
-            ws.sw_row_slice(prev, s_char, left),
-            _naive_slice_row(prev, s_char, t_slice, left, scoring),
-        )
+        for cls in WORKSPACES:
+            ws = cls(t_slice, scoring, eager_codes=())
+            assert np.array_equal(
+                ws.sw_rows_slice(prev, [s_char], [left])[0],
+                _naive_slice_row(prev, s_char, t_slice, left, scoring),
+            )
 
 
 class TestWidePath:
@@ -215,14 +230,15 @@ class TestWidePath:
         wide_scoring = Scoring(match=big, mismatch=-1, gap=-big)
         t = np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=np.uint8)
         s = np.array([0, 0, 3, 2], dtype=np.uint8)
-        ws = KernelWorkspace(t, wide_scoring)
-        assert ws._wide  # the guard actually selected the int64 path
-        prev = initial_row(len(t), local=True, scoring=wide_scoring)
-        prev_naive = prev.copy()
-        for ch in s:
-            prev = ws.sw_row(prev, int(ch), out=prev)
-            prev_naive = sw_row_naive(prev_naive, int(ch), t, wide_scoring)
-            assert np.array_equal(prev, prev_naive)
+        for cls in WORKSPACES:
+            ws = cls(t, wide_scoring)
+            assert ws._wide  # the guard actually selected the int64 path
+            prev = initial_row(len(t), local=True, scoring=wide_scoring)
+            prev_naive = prev.copy()
+            for ch in s:
+                ws.sw_rows(prev, [ch], out=prev[None, :])
+                prev_naive = sw_row_naive(prev_naive, int(ch), t, wide_scoring)
+                assert np.array_equal(prev, prev_naive)
 
     def test_default_scoring_stays_narrow(self):
         ws = KernelWorkspace(np.zeros(4096, dtype=np.uint8))
@@ -231,14 +247,15 @@ class TestWidePath:
 
 class TestValidation:
     def test_wrong_prev_size_raises(self):
-        ws = KernelWorkspace(np.zeros(8, dtype=np.uint8))
         bad = np.zeros(5, dtype=SCORE_DTYPE)
-        try:
-            ws.sw_row(bad, 0)
-        except ValueError as exc:
-            assert "9" in str(exc)
-        else:
-            raise AssertionError("size mismatch accepted")
+        for cls in WORKSPACES:
+            ws = cls(np.zeros(8, dtype=np.uint8))
+            try:
+                ws.sw_rows(bad, [0])
+            except ValueError as exc:
+                assert "9" in str(exc)
+            else:
+                raise AssertionError("size mismatch accepted")
 
     def test_profile_cached_per_code(self):
         t = np.array([0, 1, 2, 3], dtype=np.uint8)

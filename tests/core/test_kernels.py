@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import KernelWorkspace, Scoring, count_hits, initial_row
+from repro.core.engine import NumpyWorkspace
 from repro.core.kernels import (
     SCORE_DTYPE,
     nw_row_naive,
@@ -16,14 +17,23 @@ from repro.seq import encode
 from _strategies import dna_codes, scorings
 
 
+def _one_row(advance, t, scoring):
+    """One row as a one-row batch through fresh lazy workspaces (no eager
+    profile): the compiled rows and the numpy rows must agree on it."""
+    rows = [
+        advance(cls(t, scoring, eager_codes=()))[0]
+        for cls in (KernelWorkspace, NumpyWorkspace)
+    ]
+    assert np.array_equal(rows[0], rows[1])
+    return rows[0]
+
+
 def sw_row(prev, s_char, t, scoring=DEFAULT_SCORING):
-    """One local row through a fresh lazy workspace (no eager profile)."""
-    return KernelWorkspace(t, scoring, eager_codes=()).sw_row(prev, s_char)
+    return _one_row(lambda ws: ws.sw_rows(prev, [s_char]), t, scoring)
 
 
 def nw_row(prev, s_char, t, boundary, scoring=DEFAULT_SCORING):
-    """One global row through a fresh lazy workspace (no eager profile)."""
-    return KernelWorkspace(t, scoring, eager_codes=()).nw_row(prev, s_char, boundary)
+    return _one_row(lambda ws: ws.nw_rows(prev, [s_char], [boundary]), t, scoring)
 
 
 class TestInitialRow:

@@ -25,13 +25,10 @@ from repro.seq import random_dna
 
 def reference_best(query, target, scoring) -> int:
     """Best local score via the pairwise engine (one target)."""
-    ws = KernelWorkspace(target, scoring)
-    prev = initial_row(len(target), local=True)
-    best = 0
-    for ch in query:
-        prev = ws.sw_row(prev, int(ch), out=prev)
-        best = max(best, int(prev.max()) if prev.size else 0)
-    return best
+    rows = KernelWorkspace(target, scoring).sw_rows(
+        initial_row(len(target), local=True), query
+    )
+    return int(rows.max(initial=0))
 
 
 def reference_scores(query, targets, scoring) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Striped kernel: bitwise parity and overflow escalation.
 
 The striped workspaces promise the same contract as the classic ones --
-scores bitwise identical to independent :class:`KernelWorkspace` scans --
+scores bitwise identical to independent pairwise numpy scans
+(:class:`repro.core.engine.NumpyWorkspace`) --
 while running narrow int8/int16 lanes.  These tests pin that contract on
 adversarial inputs (high-scoring repeats, extreme match scores, padded
 tails) and check the recovery machinery itself: the escalation ladder must
@@ -16,13 +17,12 @@ import pytest
 from repro.core import (
     DEFAULT_SCORING,
     TRANSITION_TRANSVERSION,
-    KernelWorkspace,
     MultiSequenceWorkspace,
     Scoring,
     StripedMultiWorkspace,
-    StripedPairWorkspace,
     pack_codes,
 )
+from repro.core.engine import NumpyWorkspace
 from repro.core.kernels import SCORE_DTYPE, initial_row
 from repro.core.striped import (
     LANE_MODES,
@@ -44,13 +44,11 @@ def _fresh_striped_state():
 
 
 def reference_best(query, target, scoring) -> int:
-    ws = KernelWorkspace(target, scoring)
-    prev = initial_row(len(target), local=True)
-    best = 0
-    for ch in query:
-        prev = ws.sw_row(prev, int(ch), out=prev)
-        best = max(best, int(prev.max()) if prev.size else 0)
-    return best
+    """Best local score from the numpy pairwise rows (no compiled code)."""
+    rows = NumpyWorkspace(target, scoring).sw_rows(
+        initial_row(len(target), local=True), query
+    )
+    return int(rows.max(initial=0))
 
 
 def reference_scores(query, targets, scoring) -> np.ndarray:
@@ -221,76 +219,3 @@ class TestOverflowEscalation:
             )
         assert metrics.counter("striped_overflow_lanes").value >= 1
         assert metrics.counter("striped_recomputes").value >= 1
-
-
-class TestPairWorkspace:
-    def test_sw_row_parity(self, rng):
-        t = random_dna(97, rng)  # deliberately not a multiple of any seg
-        s = random_dna(40, rng)
-        classic = KernelWorkspace(t)
-        striped = StripedPairWorkspace(t)
-        pc = initial_row(len(t), local=True)
-        ps = initial_row(len(t), local=True)
-        for ch in s:
-            pc = classic.sw_row(pc, int(ch), out=pc)
-            ps = striped.sw_row(ps, int(ch), out=ps)
-            np.testing.assert_array_equal(ps, pc)
-
-    @pytest.mark.parametrize(
-        "scoring",
-        [DEFAULT_SCORING, TRANSITION_TRANSVERSION, Scoring(3, -2, -4)],
-        ids=["default", "matrix", "custom"],
-    )
-    def test_sw_rows_batched_parity(self, rng, scoring):
-        t = random_dna(83, rng)
-        s = random_dna(31, rng)
-        classic = KernelWorkspace(t, scoring)
-        striped = StripedPairWorkspace(t, scoring)
-        init = initial_row(len(t), local=True)
-        want = np.empty((len(s), len(t) + 1), dtype=SCORE_DTYPE)
-        got = np.empty_like(want)
-        classic.sw_rows(init, s, out=want)
-        striped.sw_rows(init, s, out=got)
-        np.testing.assert_array_equal(got, want)
-
-    def test_sw_row_slice_parity(self, rng):
-        """Column-sliced rows with a nonzero left border (blocked pipelines)."""
-        t = random_dna(64, rng)
-        s = random_dna(20, rng)
-        classic = KernelWorkspace(t)
-        striped = StripedPairWorkspace(t)
-        pc = initial_row(len(t), local=True)
-        ps = pc.copy()
-        for i, ch in enumerate(s):
-            border = 3 * i  # monotone synthetic border, exceeds span eventually
-            pc = classic.sw_row_slice(pc, int(ch), border, out=pc)
-            ps = striped.sw_row_slice(ps, int(ch), border, out=ps)
-            np.testing.assert_array_equal(ps, pc)
-
-    def test_wide_target_inherits_classic(self):
-        """The classic int64-widening regime is out of the striped layout's
-        range; construction must fall back instead of mis-scoring."""
-        ws = StripedPairWorkspace(np.zeros(8, np.uint8), Scoring(2**28, -1, -2))
-        assert not ws._striped
-        assert ws._wide
-
-    def test_empty_target_inherits_classic(self, rng):
-        ws = StripedPairWorkspace(np.array([], np.uint8))
-        assert not ws._striped
-        row = ws.sw_row(initial_row(0, local=True), 1)
-        assert row.tolist() == [0]
-
-    def test_rejects_wrong_prev_size(self, rng):
-        ws = StripedPairWorkspace(random_dna(20, rng))
-        with pytest.raises(ValueError):
-            ws.sw_row(np.zeros(5, dtype=SCORE_DTYPE), 0)
-
-    def test_nw_row_still_classic(self, rng):
-        """nw_row is inherited untouched: global rows have no zero clamp."""
-        t = random_dna(30, rng)
-        classic = KernelWorkspace(t)
-        striped = StripedPairWorkspace(t)
-        prev = initial_row(len(t), local=False)
-        np.testing.assert_array_equal(
-            striped.nw_row(prev, 2, 1), classic.nw_row(prev, 2, 1)
-        )

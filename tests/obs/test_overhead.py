@@ -69,7 +69,7 @@ def test_disabled_hook_overhead_under_2pct_on_512_alignment(pair_512):
         row = H[0]
         out = H[1:]
         for r in range(N):
-            row = ws.sw_row(row, int(s[r]), out=out[r])
+            row = ws._sw_row(row, int(s[r]), out=out[r])
 
     alignment_s = _best_of(instrumented)
 

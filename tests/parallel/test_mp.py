@@ -7,7 +7,7 @@ from repro.core.global_align import align_region
 from repro.parallel import AlignmentWorkerPool, attach_shared_array, create_shared_array
 from repro.plan import blocked_spec, wavefront_spec
 from repro.seq import genome_pair
-from repro.strategies import pool_phase1_spec, run_mp_pipeline
+from repro.strategies import pool_phase1_spec, run_mp_pipeline, run_pipeline
 
 
 def blocked(pool, gp, **params):
@@ -148,3 +148,16 @@ class TestMpPipeline:
         assert pool_phase1_spec("blocked", 2) == blocked_spec(
             n_procs=2, n_bands=8, n_blocks=8, threshold=35
         )
+
+    @pytest.mark.parametrize("empty", ["s", "t"])
+    @pytest.mark.parametrize("path", ["sim", "pool"])
+    def test_empty_sequence_rejected_on_both_paths(self, pool1, path, empty):
+        """One entry check: the simulated and the pool pipeline refuse an
+        empty sequence with the same error, before any phase runs."""
+        pair = {"s": "ACGTACGTAC", "t": "ACGTTCGTAC"}
+        pair[empty] = ""
+        with pytest.raises(ValueError, match="sequences must be non-empty"):
+            if path == "sim":
+                run_pipeline(pair["s"], pair["t"])
+            else:
+                run_mp_pipeline(pair["s"], pair["t"], backend="blocked", pool=pool1)

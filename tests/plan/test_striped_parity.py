@@ -1,26 +1,21 @@
-"""Kernel knob parity: striped == classic through every backend.
+"""Search kernel knob parity: striped == classic through every backend.
 
-The ``kernel`` knob travels two routes to a worker -- the graph's params
-dict (sim / inline) and the PlanSpec rebuilt inside pool workers -- and
-both must select the striped row kernel without changing a single result.
-These tests run each planner with ``kernel="striped"`` and ``"classic"``
-through the sim, inline and pool executors and require identical region
-sets and search rankings, plus validation of the knob itself.
+The search ``kernel`` knob travels two routes to a worker -- the graph's
+params dict (sim / inline) and the job descriptor of a pool search -- and
+both must select the striped bucket scan without changing a single ranking.
+Pairwise plans have no kernel knob: every tile runs the one
+:class:`repro.core.KernelWorkspace` row path, and its tiles are stamped
+``classic``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-import numpy as np
 import pytest
 
 from repro.parallel import AlignmentWorkerPool
 from repro.plan import (
     InlineExecutor,
-    PoolExecutor,
-    SimExecutor,
-    plan_blocked,
+    make_runtime,
     plan_preprocess,
     plan_search_buckets,
     plan_wavefront,
@@ -30,19 +25,6 @@ from repro.plan.planners import blocked_spec, preprocess_spec, wavefront_spec
 from repro.seq import encode, genome_pair
 from repro.seq.db import pack_database, synthetic_database
 from repro.strategies import SearchConfig, search_db, search_db_sequential
-from repro.strategies.runner import run_mp_pipeline
-
-PLANNERS = {
-    "wavefront": lambda m, n, kernel: plan_wavefront(
-        m, n, n_procs=2, group_rows=16, kernel=kernel
-    ),
-    "blocked": lambda m, n, kernel: plan_blocked(
-        m, n, n_procs=2, n_bands=8, n_blocks=8, kernel=kernel
-    ),
-    "preprocess": lambda m, n, kernel: plan_preprocess(
-        m, n, n_procs=2, band_size=100, chunk_size=100, kernel=kernel
-    ),
-}
 
 
 @pytest.fixture(scope="module")
@@ -57,77 +39,6 @@ def pair():
 def pool():
     with AlignmentWorkerPool(n_workers=2) as p:
         yield p
-
-
-def regions(result):
-    return sorted(
-        (a.score, a.s_start, a.s_end, a.t_start, a.t_end) for a in result.alignments
-    )
-
-
-class TestRegionParity:
-    @pytest.mark.parametrize("strategy", sorted(PLANNERS))
-    def test_striped_matches_classic_inline_and_sim(self, pair, strategy):
-        s, t = pair
-        classic = PLANNERS[strategy](len(s), len(t), "classic")
-        striped = PLANNERS[strategy](len(s), len(t), "striped")
-        assert striped.params["kernel"] == "striped"
-        assert striped.spec.kwargs["kernel"] == "striped"
-        if strategy == "preprocess":
-            # Preprocess graphs emit a scoreboard, not region alignments.
-            want = InlineExecutor().run(classic, s, t).extras["result_matrix"]
-            assert want.any()
-            np.testing.assert_array_equal(
-                InlineExecutor().run(striped, s, t).extras["result_matrix"], want
-            )
-            np.testing.assert_array_equal(
-                SimExecutor().run(striped, s, t).extras["result_matrix"], want
-            )
-            return
-        want = regions(InlineExecutor().run(classic, s, t))
-        assert want
-        assert regions(InlineExecutor().run(striped, s, t)) == want
-        assert regions(SimExecutor().run(striped, s, t)) == want
-
-    @pytest.mark.parametrize("strategy", ["wavefront", "blocked"])
-    def test_striped_matches_classic_through_pool(self, pair, pool, strategy):
-        s, t = pair
-        classic = PLANNERS[strategy](len(s), len(t), "classic")
-        striped = PLANNERS[strategy](len(s), len(t), "striped")
-        want = regions(PoolExecutor(pool).run(classic, s, t))
-        assert want
-        assert regions(PoolExecutor(pool).run(striped, s, t)) == want
-
-    @pytest.mark.parametrize(
-        "make_spec",
-        [
-            lambda kernel: wavefront_spec(n_procs=2, group_rows=16, kernel=kernel),
-            lambda kernel: blocked_spec(n_procs=2, n_bands=6, n_blocks=6, kernel=kernel),
-        ],
-        ids=["wavefront", "blocked"],
-    )
-    def test_pipeline_specs_carry_the_kernel(self, pair, pool, make_spec):
-        gp = genome_pair(
-            600, 600, n_regions=2, region_length=60, mutation_rate=0.02, rng=77
-        )
-        spec = make_spec("striped")
-        assert spec.kwargs["kernel"] == "striped"
-        striped = run_mp_pipeline(
-            gp.s, gp.t, backend=spec.kind, pool=pool, phase1_config=spec
-        )
-        # Same tiling, only the kernel differs: regions depend on the tiling.
-        classic = run_mp_pipeline(
-            gp.s, gp.t, backend=spec.kind, pool=pool, phase1_config=make_spec("classic")
-        )
-
-        def keyed(result):
-            return sorted(
-                (r.score, r.s_start, r.s_end, r.t_start, r.t_end)
-                for r in result.regions
-            )
-
-        assert keyed(classic)
-        assert keyed(striped) == keyed(classic)
 
 
 class TestSearchParity:
@@ -156,36 +67,32 @@ class TestSearchParity:
 
 class TestKernelValidation:
     def test_planners_reject_unknown_kernel(self):
-        with pytest.raises(ValueError, match="kernel"):
-            plan_wavefront(100, 100, n_procs=2, kernel="avx512")
-        with pytest.raises(ValueError, match="kernel"):
-            plan_blocked(100, 100, n_procs=2, n_bands=4, n_blocks=4, kernel="avx512")
-        with pytest.raises(ValueError, match="kernel"):
-            plan_preprocess(
-                100, 100, n_procs=2, band_size=50, chunk_size=50, kernel="avx512"
-            )
         packed = pack_database(
             synthetic_database(n=4, min_length=40, max_length=60, rng=3)
         )
         with pytest.raises(ValueError, match="kernel"):
             plan_search_buckets(packed, 8, kernel="avx512")
+        with pytest.raises(TypeError, match="kernel"):
+            plan_wavefront(100, 100, n_procs=2, kernel="striped")
 
     def test_specs_reject_unknown_kernel(self):
-        with pytest.raises(ValueError, match="kernel"):
-            wavefront_spec(2, kernel="avx512")
-        with pytest.raises(ValueError, match="kernel"):
-            blocked_spec(2, 8, 8, kernel="avx512")
-        with pytest.raises(ValueError, match="kernel"):
-            preprocess_spec(2, 50, 50, kernel="avx512")
+        """Pairwise specs take no kernel at all, not even a known one."""
+        with pytest.raises(TypeError, match="kernel"):
+            wavefront_spec(2, kernel="classic")
+        with pytest.raises(TypeError, match="kernel"):
+            blocked_spec(2, 8, 8, kernel="striped")
+        with pytest.raises(TypeError, match="kernel"):
+            preprocess_spec(2, 50, 50, kernel="striped")
 
     def test_old_graphs_default_to_classic(self, pair):
-        """Graphs planned before the knob existed carry no ``kernel`` param;
-        runtimes must treat that as classic, not crash."""
+        """Pairwise graphs carry no ``kernel`` param; their tiles run the
+        classic rows and are stamped so in every span."""
         s, t = pair
-        graph = plan_wavefront(len(s), len(t), n_procs=2, group_rows=16)
-        params = dict(graph.params)
-        params.pop("kernel", None)
-        stripped = dataclasses.replace(graph, params=params)
-        assert regions(InlineExecutor().run(stripped, s, t)) == regions(
-            InlineExecutor().run(graph, s, t)
-        )
+        for graph in (
+            plan_wavefront(len(s), len(t), n_procs=2, group_rows=16),
+            plan_preprocess(len(s), len(t), n_procs=2, band_size=100, chunk_size=100),
+        ):
+            assert "kernel" not in graph.params
+            assert "kernel" not in graph.spec.kwargs
+            runtime = make_runtime(graph, s, t)
+            assert runtime.tile_args(graph.tiles[0])["kernel"] == "classic"

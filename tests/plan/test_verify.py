@@ -1,10 +1,10 @@
 """The static plan verifier: the sweep proves out, illegal graphs do not.
 
-The acceptance bar mirrors the dataflow prover's: every planner x backend x
-kernel x prefilter combination the system can build must verify clean, and
-hand-built graphs that break each invariant class -- cycle, missing owner,
-cell-count mismatch, staged-graph-on-pool -- must be rejected with findings
-precise enough to name the tile and the breach.  The graphs below are built
+The acceptance bar mirrors the dataflow prover's: every planner x backend
+combination (search: x kernel x prefilter) the system can build must verify
+clean, and hand-built graphs that break each invariant class -- cycle,
+missing owner, cell-count mismatch, staged-graph-on-pool -- must be rejected
+with findings precise enough to name the tile and the breach.  The graphs below are built
 directly from ``Tile``/``TaskGraph`` (never through ``.validate()``), since
 the verifier's job is exactly the graphs the constructor checks would have
 refused plus the ones they cannot see.
@@ -46,7 +46,7 @@ def test_every_planner_backend_kernel_prefilter_combination_verifies():
 
 
 def test_verify_plan_builds_from_a_spec():
-    spec = wavefront_spec(3, group_rows=4, kernel="striped")
+    spec = wavefront_spec(3, group_rows=4)
     assert verify_plan(spec, 48, 60, backend="pool") == []
 
 

@@ -123,6 +123,21 @@ class TestProteinAlignment:
         )
         assert protein_best_score(s, t) == int(H.max())
 
+    @pytest.mark.parametrize("m", [255, 256, 257, 513])
+    def test_linear_space_matches_full_matrix_across_blocks(self, m):
+        """Row counts around the scan's 256-row block, narrow target."""
+        from repro.core import similarity_matrix
+
+        rng = np.random.default_rng(m)
+        s = rng.integers(0, 20, size=m, dtype=np.uint8)
+        t = rng.integers(0, 20, size=9, dtype=np.uint8)
+        s[-9:] = t  # the best cell sits in the last block
+        H = similarity_matrix(
+            s, t, local=True, scoring=BLOSUM62_SCORING, alphabet=PROTEIN_ALPHABET
+        )
+        assert int(H[-1].max()) == int(H.max())
+        assert protein_best_score(s, t) == int(H.max())
+
     @given(protein_text.filter(bool))
     @settings(max_examples=30, deadline=None)
     def test_self_score_is_diagonal_sum(self, s):

@@ -51,7 +51,7 @@ class TestSliceKernel:
             new = []
             for k, (c0, c1) in enumerate(bounds):
                 left_cur = int(H[i][c0]) if c0 > 0 else 0
-                row = workspaces[k].sw_row_slice(prev[k], int(gp.s[i - 1]), left_cur)
+                row = workspaces[k].sw_rows_slice(prev[k], gp.s[i - 1 : i], [left_cur])[0]
                 new.append(row)
                 assert np.array_equal(row[1:], H[i][c0 + 1 : c1 + 1])
             prev = new

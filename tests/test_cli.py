@@ -20,6 +20,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["align", "--demo", "--strategy", "nope"])
 
+    def test_kernel_is_a_search_option_only(self, capsys):
+        """Pairwise alignment has one row path; only search picks a kernel."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["align", "--demo", "--kernel", "striped"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+        args = build_parser().parse_args(["search", "q.fa", "db.fa", "--kernel", "striped"])
+        assert args.kernel == "striped"
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
