@@ -26,7 +26,8 @@ _REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
 
 #: Raw performance numbers registered via the ``perf_record`` fixture,
 #: written to BENCH_kernels.json at session end (merged with any prior run,
-#: so kernel and pool benches can be run separately).
+#: so kernel and pool benches can be run separately) unless benchmarking is
+#: disabled.
 _PERF: dict = {}
 _PERF_PATH = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "BENCH_kernels.json")
@@ -61,7 +62,9 @@ def perf_record():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if not _PERF:
+    # Under --benchmark-disable (the report rebuild) nothing was timed, so
+    # the committed baseline must not move.
+    if not _PERF or session.config.getoption("benchmark_disable", False):
         return
     merged: dict = {}
     if os.path.exists(_PERF_PATH):

@@ -27,20 +27,18 @@ from ..core.exact_linear import (
     reverse_scan,
 )
 from ..blast import blastn
+from ..plan import SimExecutor, plan_phase2, serial_phase2_time
 from ..seq import dotplot, genome_pair, random_dna
 from ..strategies import (
     BlockedConfig,
-    Phase2Config,
     PreprocessConfig,
     RegionSettings,
     ScaledWorkload,
     WavefrontConfig,
     run_blocked,
-    run_phase2,
     run_preprocess,
     run_wavefront,
     serial_blocked_time,
-    serial_phase2_time,
     serial_preprocess_time,
     serial_wavefront_time,
 )
@@ -468,7 +466,10 @@ def exp_fig15(profile: BenchProfile | None = None) -> ExperimentReport:
         row = [n_pairs]
         series = []
         for procs in PROC_COUNTS:
-            res = run_phase2(s, t, regions, Phase2Config(n_procs=procs, render=False))
+            graph = plan_phase2(
+                len(s), len(t), n_procs=procs, regions=regions, render=False
+            )
+            res = SimExecutor().run(graph, s, t)
             su = serial / res.total_time
             row.append(su)
             series.append((procs, su))

@@ -58,6 +58,9 @@ TIER_ORDER = ("length", "composition", "kmer")
 #: rebuild per query, long enough that random sequences share few windows.
 DEFAULT_KMER_K = 6
 
+#: Windows per block of :func:`kmer_hits` (1 MiB of int64 ids).
+KMER_SCRATCH_WINDOWS = 1 << 17
+
 _ALPHABET = 4
 
 
@@ -170,16 +173,20 @@ def kmer_hits(ctx: QueryBoundContext, codes: np.ndarray) -> np.ndarray:
     k = ctx.kmer_k
     lanes, width = codes.shape
     n_windows = width - k + 1
-    if n_windows <= 0:
-        return np.zeros(lanes, dtype=np.int64)
-    ids = np.zeros((lanes, n_windows), dtype=np.int64)
-    valid = np.ones((lanes, n_windows), dtype=bool)
-    for i in range(k):
-        sl = codes[:, i : i + n_windows]
-        in_alphabet = sl < _ALPHABET
-        valid &= in_alphabet
-        ids = ids * _ALPHABET + np.where(in_alphabet, sl, 0)
-    return (ctx.kmer_table[ids] & valid).sum(axis=1).astype(np.int64)
+    hits = np.zeros(lanes, dtype=np.int64)
+    step = max(1, KMER_SCRATCH_WINDOWS // max(n_windows, 1))  # lanes per block
+    for lo in range(0, lanes if n_windows > 0 else 0, step):
+        block = codes[lo : lo + step]
+        ids = np.zeros((len(block), n_windows), dtype=np.int64)
+        valid = np.ones(ids.shape, dtype=bool)
+        for i in range(k):
+            sl = block[:, i : i + n_windows]
+            in_alphabet = sl < _ALPHABET
+            valid &= in_alphabet
+            ids *= _ALPHABET
+            ids += np.where(in_alphabet, sl, 0)
+        hits[lo : lo + len(block)] = (ctx.kmer_table[ids] & valid).sum(axis=1)
+    return hits
 
 
 def kmer_bound(

@@ -157,6 +157,11 @@ def span_digest(span: Event) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _tuples(value: Any) -> Any:
+    """Undo JSON's tuple -> list (a phase-2 spec's ``regions`` queue)."""
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
 def rebuild_graph(span: Event) -> Any:
     """Rebuild the exact :class:`~repro.plan.ir.TaskGraph` from span args.
 
@@ -169,7 +174,9 @@ def rebuild_graph(span: Event) -> Any:
         return None
     from ..plan.planners import PlanSpec, build_plan  # lazy: plan imports obs
 
-    params = tuple(sorted((str(k), v) for k, v in dict(args["spec_params"]).items()))
+    params = tuple(
+        sorted((str(k), _tuples(v)) for k, v in dict(args["spec_params"]).items())
+    )
     spec = PlanSpec(str(args["spec_kind"]), params)
     return build_plan(spec, int(args["rows"]), int(args["cols"]))
 

@@ -9,8 +9,8 @@ keeps ``n_workers`` processes alive across requests:
 * Sequences are published once per pair through a
   :class:`repro.parallel.shm.SequenceArena`; workers attach by name and slice
   zero-copy views, so a request carries only a small job descriptor.
-* Every statically-partitioned phase-1 job speaks one *generic task
-  protocol* (:func:`_job_plan`): the job ships a
+* Every statically-partitioned job speaks one *generic task protocol*
+  (:func:`_job_plan`): the job ships a
   :class:`repro.plan.PlanSpec`, each worker rebuilds the identical
   :class:`repro.plan.TaskGraph` via :func:`repro.plan.cached_plan`, runs its
   own tiles in id order and gates every cross-worker dependency on a shared
@@ -23,16 +23,15 @@ keeps ``n_workers`` processes alive across requests:
   :meth:`AlignmentWorkerPool._collect`), so a crashed worker fails the
   request in well under a second instead of hanging for the full timeout.
 
-The pool therefore serves every plan kind the planner can spell -- the
-non-blocked wave-front (Section 4.2), the blocked wave-front (Section 4.3),
-the pre_process scoreboard (Section 5) -- plus the phase-2 scattered mapping
-(Section 4.4) and the database-search job
-(:meth:`AlignmentWorkerPool.search`), which replaces the static per-role
-partition with a *dynamic* work queue: the packed database is published once
-through the arena, each length-bucket tile of the search graph goes on a
-shared queue, and workers pull the next tile whenever they finish one
-(greedy self-scheduling), so a skewed bucket cannot stall the rest of the
-pool.
+The pool speaks two job protocols.  The static ``plan`` job serves every
+plan kind with a spec -- the non-blocked wave-front (Section 4.2), the
+blocked wave-front (Section 4.3), the pre_process scoreboard (Section 5)
+and the phase-2 scattered mapping (Section 4.4).  The ``search`` job
+(:meth:`AlignmentWorkerPool.search`) replaces the static per-role partition
+with a *dynamic* work queue: the packed database is published once through
+the arena, each length-bucket tile of the search graph goes on a shared
+queue, and workers pull the next tile whenever they finish one (greedy
+self-scheduling), so a skewed bucket cannot stall the rest of the pool.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ import multiprocessing as mp
 import shutil
 import tempfile
 import time
+from contextlib import nullcontext
 from time import perf_counter
 from typing import Sequence
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from ..check.sanitizer import get_sanitizer
 from ..core.alignment import LocalAlignment
-from ..core.global_align import SubsequenceAlignment, align_region
+from ..core.global_align import SubsequenceAlignment
 from ..core.kernels import SCORE_DTYPE
 from ..core.scoring import DEFAULT_SCORING, Scoring
 from ..obs import gcups, get_metrics, get_tracer, is_enabled
@@ -62,6 +62,7 @@ from ..plan import (
     finalize_plan,
     make_runtime,
     maybe_verify,
+    phase2_spec,
     plan_search_buckets,
     search_blob,
     state_shape,
@@ -115,25 +116,39 @@ def _get_pair(arenas: dict, handle: ArenaHandle) -> tuple[np.ndarray, np.ndarray
     return cached[1], cached[2]
 
 
+def _state_array(graph: TaskGraph, name: str | None = None):
+    """The plan's shared state array: created (no ``name``) or attached, or
+    a null context for kinds without cross-owner state."""
+    shape = state_shape(graph)
+    if shape is None:
+        return nullcontext()
+    if name is None:
+        return create_shared_array(shape, SCORE_DTYPE)
+    return attach_shared_array(name, shape, SCORE_DTYPE)
+
+
 def _job_plan(role: int, job: dict, arenas: dict) -> list:
     """Generic ready-set execution of one planned job (any static kind).
 
     The worker rebuilds the task graph from the job's spec (cached across
     requests on the same pair), attaches the shared cross-owner state array
-    plus the shared per-tile done-flag array, and walks its own tiles in id
-    order.  A tile may run once every dependency's flag is up: same-owner
-    dependencies are satisfied by program order, cross-owner ones are polled
-    under the job timeout so a stuck neighbour surfaces as a descriptive
-    error instead of a hang.
+    (if the kind has one) plus the shared per-tile done-flag array, and
+    walks its own tiles in id order.  A tile may run once every dependency's
+    flag is up: same-owner dependencies are satisfied by program order,
+    cross-owner ones are polled under the job timeout so a stuck neighbour
+    surfaces as a descriptive error instead of a hang.  The kernels count
+    their own cells.
     """
     s, t = _get_pair(arenas, job["arena"])
     graph = cached_plan(job["spec"], len(s), len(t))
     timeout: float = job["timeout"]
     scoring: Scoring = job["scoring"]
-    with attach_shared_array(
-        job["state"], state_shape(graph), SCORE_DTYPE
-    ) as state, attach_shared_array(job["done"], (len(graph.tiles),), np.int64) as done:
-        runtime = make_runtime(graph, s, t, scoring, state=state.array)
+    with _state_array(graph, job["state"]) as state, attach_shared_array(
+        job["done"], (len(graph.tiles),), np.int64
+    ) as done:
+        runtime = make_runtime(
+            graph, s, t, scoring, state=None if state is None else state.array
+        )
         done_flags = done.array
         tiles = graph.tiles
         # Telemetry is tile-grained: with the tracer disabled each tile pays
@@ -141,7 +156,6 @@ def _job_plan(role: int, job: dict, arenas: dict) -> list:
         tracer = get_tracer()
         tracing = tracer.enabled
         wait_s = busy_s = 0.0
-        cells = 0
         for tile in graph.tiles_of(role):
             for dep in tile.deps:
                 if tiles[dep].owner == role:
@@ -174,39 +188,11 @@ def _job_plan(role: int, job: dict, arenas: dict) -> list:
                     spent,
                     **runtime.tile_args(tile),
                 )
-            if not runtime.ENGINE_COUNTS_CELLS:
-                cells += tile.cells
         if tracing:
             metrics = get_metrics()
-            if cells:
-                metrics.counter("cells_computed").inc(cells)
             metrics.counter("worker_busy_seconds").inc(busy_s)
             metrics.counter("worker_wait_seconds").inc(wait_s)
         return runtime.emit(role)
-
-
-def _job_phase2(role: int, job: dict, arenas: dict) -> list:
-    s, t = _get_pair(arenas, job["arena"])
-    n_workers: int = job["n_workers"]
-    scoring: Scoring = job["scoring"]
-    out = []
-    tracer = get_tracer()
-    tracing = tracer.enabled
-    # The paper's scattered mapping: worker i takes vector slots i, i+P, ...
-    for idx in range(role, len(job["regions"]), n_workers):
-        score, s0, s1, t0, t1 = job["regions"][idx]
-        begin = perf_counter() if tracing else 0.0
-        # DP cells are counted by the engine's batched-kernel hook inside
-        # needleman_wunsch; counting the region area here would double-count.
-        record = align_region(s, t, LocalAlignment(score, s0, s1, t0, t1), scoring)
-        out.append((idx, record))
-        if tracing:
-            tracer.record(
-                "align_region", "computation", begin, perf_counter() - begin, idx=idx
-            )
-    if tracing:
-        get_metrics().counter("regions_aligned").inc(len(out))
-    return out
 
 
 def _job_search(role: int, job: dict, arenas: dict, works) -> dict:
@@ -225,14 +211,10 @@ def _job_search(role: int, job: dict, arenas: dict, works) -> dict:
     the emission is tagged with the shard for the coordinator's tournament
     reduce.
     """
-    shard = job.get("shard_of", {}).get(role, 0)
-    handles = job.get("arenas")
-    handle = handles[shard] if handles else job["arena"]
+    shard = job["shard_of"][role]
     work = works[shard]
-    q, blob = _get_pair(arenas, handle)
-    runtime = SearchRuntime(
-        q, blob, job["scoring"], job["top_k"], kernel=job.get("kernel", "classic")
-    )
+    q, blob = _get_pair(arenas, job["arenas"][shard])
+    runtime = SearchRuntime(q, blob, job["scoring"], job["top_k"], kernel=job["kernel"])
     tracer = get_tracer()
     tracing = tracer.enabled
     busy_s = 0.0
@@ -274,12 +256,6 @@ def _job_search(role: int, job: dict, arenas: dict, works) -> dict:
     return out
 
 
-_JOB_KINDS = {
-    "plan": _job_plan,
-    "phase2": _job_phase2,
-}
-
-
 def _pool_worker(role: int, tasks, results, works) -> None:
     arenas: dict = {}
     try:
@@ -295,7 +271,7 @@ def _pool_worker(role: int, tasks, results, works) -> None:
                     if job["kind"] == "search":
                         payload = _job_search(role, job, arenas, works)
                     else:
-                        payload = _JOB_KINDS[job["kind"]](role, job, arenas)
+                        payload = _job_plan(role, job, arenas)
                 results.put((job["id"], role, "ok", payload))
             except Exception as exc:  # propagate, keep the worker alive
                 results.put((job["id"], role, "error", f"{type(exc).__name__}: {exc}"))
@@ -500,7 +476,16 @@ class AlignmentWorkerPool:
         done-flag protocol.  Returns the merged
         :class:`repro.plan.ExecutionResult`.
         """
-        handle = self._ensure_pair(s, t)
+        return self._run_static(spec, self._ensure_pair(s, t), scoring, timeout)
+
+    def _run_static(
+        self,
+        spec: PlanSpec,
+        handle: ArenaHandle,
+        scoring: Scoring,
+        timeout: float | None,
+    ) -> ExecutionResult:
+        """The ``plan`` job behind :meth:`run_plan` and :meth:`phase2`."""
         graph = cached_plan(spec, handle.s_len, handle.t_len)
         if graph.n_procs != self.n_workers:
             raise ValueError(
@@ -517,15 +502,15 @@ class AlignmentWorkerPool:
         # allocation raises, the first segment is still unwound.
         with tracer.span(
             f"plan:{graph.kind}", "coordination", **span_args
-        ), create_shared_array(
-            state_shape(graph), SCORE_DTYPE
-        ) as state, create_shared_array((len(graph.tiles),), np.int64) as done:
+        ), _state_array(graph) as state, create_shared_array(
+            (len(graph.tiles),), np.int64
+        ) as done:
             collected = self._submit(
                 {
                     "kind": "plan",
                     "arena": handle,
                     "spec": spec,
-                    "state": state.name,
+                    "state": None if state is None else state.name,
                     "done": done.name,
                     "timeout": self.timeout if timeout is None else timeout,
                     "scoring": scoring,
@@ -545,27 +530,13 @@ class AlignmentWorkerPool:
         t=None,
         scoring: Scoring = DEFAULT_SCORING,
     ) -> list[SubsequenceAlignment]:
-        """Section 4.4's scattered mapping on the persistent workers."""
+        """Section 4.4's scattered mapping on the persistent workers: the
+        rendered records of :func:`repro.plan.plan_phase2`, in queue order."""
         handle = self._ensure_pair(s, t)
-        ordered = sorted(regions, key=lambda r: (-r.size, r.region))
-        if not ordered:
+        if not regions:
             return []
-        collected = self._submit(
-            {
-                "kind": "phase2",
-                "arena": handle,
-                "n_workers": self.n_workers,
-                "regions": [
-                    (r.score, r.s_start, r.s_end, r.t_start, r.t_end) for r in ordered
-                ],
-                "scoring": scoring,
-            }
-        )
-        out: list[SubsequenceAlignment | None] = [None] * len(ordered)
-        for part in collected.values():
-            for idx, record in part:
-                out[idx] = record
-        return out  # type: ignore[return-value]
+        spec = phase2_spec(self.n_workers, regions)
+        return self._run_static(spec, handle, scoring, None).extras["records"]
 
     # -- database search -----------------------------------------------------
 
@@ -648,7 +619,7 @@ class AlignmentWorkerPool:
         # needs (tiles/cells/critical-path) rides this span's args directly.
         span_args = graph.span_args(backend="pool") if tracer.enabled else {}
         shard_of = {role: role % n_shards for role in range(self.n_workers)}
-        bases = list(graph.params.get("shard_bases") or (0,) * n_shards)
+        bases = list(graph.params["shard_bases"])
         bases.append(int(blob.size))
         arenas: list[SequenceArena] = []
         with tracer.span(f"plan:{graph.kind}", "coordination", **span_args):
@@ -680,9 +651,8 @@ class AlignmentWorkerPool:
                             "kind": "search",
                             "arenas": [a.handle for a in arenas],
                             "shard_of": shard_of,
-                            "n_shards": n_shards,
                             "top_k": graph.params["top_k"],
-                            "kernel": graph.params.get("kernel", "classic"),
+                            "kernel": graph.params["kernel"],
                             "scoring": scoring,
                         },
                         fail_fast=False,

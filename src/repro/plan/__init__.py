@@ -8,7 +8,8 @@ schedule out of the backends:
 * :mod:`repro.plan.partition` -- the decomposition geometry;
 * :mod:`repro.plan.planners` -- strategy parameters -> graph
   (:func:`plan_wavefront`, :func:`plan_blocked`, :func:`plan_preprocess`,
-  :func:`plan_search_buckets`) and the picklable :class:`PlanSpec`;
+  :func:`plan_phase2`, :func:`plan_search_buckets`) and the picklable
+  :class:`PlanSpec`;
 * :mod:`repro.plan.runtime` -- the single copy of kernel-driving code every
   backend executes tiles with (parity by construction);
 * :mod:`repro.plan.executors` / :mod:`repro.plan.sim_exec` -- the inline,
@@ -39,7 +40,9 @@ from .planners import (
     blocked_spec,
     build_plan,
     cached_plan,
+    phase2_spec,
     plan_blocked,
+    plan_phase2,
     plan_preprocess,
     plan_search_buckets,
     plan_wavefront,
@@ -50,6 +53,7 @@ from .planners import (
 from .result import ExecutionResult, StrategyResult
 from .runtime import (
     BlockedRuntime,
+    Phase2Runtime,
     PlanRuntime,
     PreprocessRuntime,
     SearchRuntime,
@@ -58,7 +62,7 @@ from .runtime import (
     make_runtime,
     state_shape,
 )
-from .sim_exec import PAPER_NAMES, SimExecutor
+from .sim_exec import PAPER_NAMES, SimExecutor, serial_phase2_time
 from .verify import (
     PlanVerificationError,
     is_strict,
@@ -76,6 +80,7 @@ __all__ = [
     "Executor",
     "InlineExecutor",
     "PAPER_NAMES",
+    "Phase2Runtime",
     "PlanRuntime",
     "PlanSpec",
     "PlanVerificationError",
@@ -101,12 +106,15 @@ __all__ = [
     "is_strict",
     "make_runtime",
     "maybe_verify",
+    "phase2_spec",
     "plan_blocked",
+    "plan_phase2",
     "plan_preprocess",
     "plan_search_buckets",
     "plan_wavefront",
     "preprocess_spec",
     "search_blob",
+    "serial_phase2_time",
     "set_strict",
     "split_even",
     "state_shape",

@@ -24,12 +24,30 @@ from time import perf_counter
 import numpy as np
 
 from ..core.scoring import DEFAULT_SCORING, Scoring
-from ..obs import count_cells, get_metrics, get_tracer, is_enabled
+from ..obs import get_metrics, get_tracer, is_enabled
 from ..obs.trace import Stopwatch
 from .ir import TaskGraph
 from .result import ExecutionResult
 from .runtime import finalize_plan, make_runtime
 from .verify import maybe_verify
+
+
+def run_tile_traced(runtime, tile) -> None:
+    """Run one tile's kernel, stamping a wall-clock span when traced.
+
+    Every backend records the same per-tile args (:meth:`PlanRuntime.tile_args`),
+    so attribution and the cross-backend tile-id parity suite see one schema.
+    The kernels count their own cells through the batch API.
+    """
+    tracer = get_tracer()
+    if not tracer.enabled:
+        runtime.run_tile(tile)
+        return
+    t0 = perf_counter()
+    runtime.run_tile(tile)
+    tracer.record(
+        runtime.SPAN_NAME, "computation", t0, perf_counter() - t0, **runtime.tile_args(tile)
+    )
 
 
 class Executor:
@@ -83,25 +101,9 @@ class InlineExecutor(Executor):
         if scale != 1:
             raise ValueError("real backends execute actual cells only (scale=1)")
         runtime = make_runtime(graph, s, t, scoring)
-        tracing = is_enabled()
-        tracer = get_tracer()
         for tile in graph.tiles:
-            if tracing:
-                t0 = perf_counter()
-                runtime.run_tile(tile)
-                tracer.record(
-                    runtime.SPAN_NAME,
-                    "computation",
-                    t0,
-                    perf_counter() - t0,
-                    **runtime.tile_args(tile),
-                )
-            else:
-                runtime.run_tile(tile)
-            if not runtime.ENGINE_COUNTS_CELLS:
-                count_cells(tile.cells)
-        parts = [runtime.emit(owner) for owner in graph.owners()]
-        return finalize_plan(graph, parts)
+            run_tile_traced(runtime, tile)
+        return finalize_plan(graph, [runtime.emit(owner) for owner in graph.owners()])
 
 
 class PoolExecutor(Executor):

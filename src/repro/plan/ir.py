@@ -122,8 +122,10 @@ class TaskGraph:
         span directly, and -- when the graph has a rebuildable spec -- the
         spec's kind/params/shape ride along too, so an analysis tool can
         reconstruct the exact dependency structure from the trace file
-        alone.  All values are JSON-scalar (spec params are scalars by
-        construction), so they survive the Chrome-trace round trip.
+        alone.  Spec params are scalars or nested tuples of ints (the
+        phase-2 queue), so they survive the Chrome-trace round trip as
+        JSON; :func:`repro.obs.attrib.rebuild_graph` turns lists back into
+        tuples.
         """
         args = {
             "kind": self.kind,

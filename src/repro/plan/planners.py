@@ -12,6 +12,8 @@ One planner per schedule the paper describes:
   structure as the blocked plan but with the scoreboard payload.
 * :func:`plan_search_buckets` -- the database search: one independent tile
   per length bucket, owned by :data:`DYNAMIC` (work-queue dispatch).
+* :func:`plan_phase2` -- Section 4.4's scattered mapping: one independent
+  tile per queue slot, slot ``i`` owned by rank ``i mod P``.
 
 :class:`PlanSpec` is the picklable seed of a graph: pool jobs ship a spec
 and every worker rebuilds the identical graph from ``(spec, rows, cols)``
@@ -21,7 +23,7 @@ skip the rebuild entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, is_dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,9 +42,10 @@ from .partition import (
 class PlanSpec:
     """A picklable, hashable recipe for one task graph.
 
-    ``params`` is a sorted tuple of ``(name, value)`` pairs (scalars only),
-    so a spec can ride a job descriptor through a queue and serve as an
-    ``lru_cache`` key on both sides.
+    ``params`` is a sorted tuple of ``(name, value)`` pairs (scalars, or
+    the phase-2 queue as a tuple of int tuples), so a spec can ride a job
+    descriptor through a queue and serve as an ``lru_cache`` key on both
+    sides.
     """
 
     kind: str
@@ -145,6 +148,17 @@ def preprocess_spec(
         cache_friendly_rows=cache_friendly_rows,
         cache_penalty=cache_penalty,
     )
+
+
+def _queue_order(regions) -> tuple[tuple[int, ...], ...]:
+    """Phase-2 queue entries ``(score, s0, s1, t0, t1)`` "sorted by subsequence
+    size" (Section 4.4): largest first, ties by coordinates."""
+    entries = (tuple(map(int, astuple(r) if is_dataclass(r) else r)) for r in regions)
+    return tuple(sorted(entries, key=lambda e: (-max(e[2] - e[1], e[4] - e[3]), e[1:])))
+
+
+def phase2_spec(n_procs: int, regions, render: bool = True) -> PlanSpec:
+    return _spec("phase2", n_procs=n_procs, regions=_queue_order(regions), render=render)
 
 
 # --------------------------------------------------------------------------
@@ -343,6 +357,31 @@ def plan_preprocess(
             cache_friendly_rows,
             cache_penalty,
         ),
+    )
+    return graph.validate()
+
+
+def plan_phase2(
+    rows: int, cols: int, *, n_procs: int, regions, render: bool = True
+) -> TaskGraph:
+    """Section 4.4 schedule: one edge-free tile per queue slot, slot ``i`` on
+    rank ``i mod P`` ("processor Pi is responsible for accessing positions
+    i, i+P, i+2P, ...").  A tile's cells are its region's area and its
+    payload the queue entry; ``render=False`` computes scores only."""
+    ordered = _queue_order(regions)
+    for entry in ordered:
+        if entry[2] > rows or entry[4] > cols:
+            raise ValueError(f"region {entry} exceeds the {rows}x{cols} pair")
+    graph = TaskGraph(
+        kind="phase2",
+        n_procs=n_procs,
+        shape=(rows, cols),
+        tiles=tuple(
+            Tile(slot, slot % n_procs, (e[2] - e[1]) * (e[4] - e[3]), e)
+            for slot, e in enumerate(ordered)
+        ),
+        params={"regions": ordered, "render": render},
+        spec=phase2_spec(n_procs, ordered, render),
     )
     return graph.validate()
 
@@ -561,6 +600,7 @@ _PLANNERS = {
     "wavefront": plan_wavefront,
     "blocked": plan_blocked,
     "preprocess": plan_preprocess,
+    "phase2": plan_phase2,
 }
 
 

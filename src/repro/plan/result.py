@@ -54,9 +54,10 @@ class ExecutionResult:
 
     ``wall_seconds`` is host wall-clock time -- never virtual cluster
     seconds.  ``alignments`` is filled for region-finding kinds
-    (wavefront/blocked), ``hits`` for search (the ``(score, index)``
-    ranking), ``extras`` for kind-specific artifacts such as the
-    pre_process result matrix.
+    (wavefront/blocked) and for phase 2 (the queue in slot order),
+    ``hits`` for search (the ``(score, index)`` ranking), ``extras`` for
+    kind-specific artifacts such as the pre_process result matrix or the
+    phase-2 records.
     """
 
     kind: str

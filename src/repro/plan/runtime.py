@@ -3,21 +3,23 @@
 A runtime binds a :class:`~repro.plan.ir.TaskGraph` to concrete sequences
 and knows how to execute one tile: which kernel to call, which shared state
 to read and write, and what partial results to emit per owner.  The
-simulated backend, the inline executor, the one-shot multiprocessing
-backends and the persistent pool all drive the *same* runtime object model,
-which is why their region sets and search rankings are bitwise identical --
-parity holds by construction, not by careful duplication.
+simulated backend, the inline executor and the persistent pool all drive
+the *same* runtime object model, which is why their region sets, phase-2
+records and search rankings are bitwise identical -- parity holds by
+construction, not by careful duplication.
 
 Cross-owner dataflow goes through one ndarray per graph
 (:func:`state_shape`): the wave-front's border columns, the banded plans'
 boundary rows.  Backends that run owners in separate processes back that
 array with a shared-memory arena; in-process backends use a plain array.
+Search and phase-2 plans have no cross-tile dataflow and no state array.
 Synchronisation is the *backend's* job -- a runtime assumes every
 dependency of a tile has already run.
 
 :func:`finalize_plan` is the single merge step: it turns the per-owner
 emissions into an :class:`~repro.plan.result.ExecutionResult` (alignment
-queue finalisation, result-matrix assembly, or top-k merge).
+queue finalisation, result-matrix assembly, phase-2 record order, or top-k
+merge).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import numpy as np
 from ..core.alignment import AlignmentQueue, LocalAlignment
 from ..core.bounds import DEFAULT_KMER_K, TieredFilter
 from ..core.engine import KernelWorkspace, compute_tile
+from ..core.global_align import align_region
+from ..core.linear import nw_last_row
 from ..core.multi_engine import MultiSequenceWorkspace
 from ..core.regions import RegionConfig, StreamingRegionFinder
 from ..core.scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
@@ -41,15 +45,15 @@ def state_shape(graph: TaskGraph) -> tuple[int, ...] | None:
     """Shape of the shared cross-owner state array for this graph.
 
     Wave-front plans share one border-column slot per (edge, row); banded
-    plans share the boundary row below every band.  Search plans have no
-    cross-tile dataflow at all.
+    plans share the boundary row below every band.  Search and phase-2
+    plans have no cross-tile dataflow at all.
     """
     rows, cols = graph.shape
     if graph.kind == "wavefront":
         return (max(1, graph.n_procs - 1), rows)
     if graph.kind in ("blocked", "preprocess"):
         return (graph.params["n_bands"] + 1, cols + 1)
-    if graph.kind == "search":
+    if graph.kind in ("search", "phase2"):
         return None
     raise ValueError(f"unknown plan kind {graph.kind!r}")
 
@@ -75,15 +79,12 @@ class PlanRuntime:
     * ``SPAN_NAME`` -- tracer span name one tile execution is recorded
       under (kept identical to the names the pre-planner backends used, so
       existing trace tooling keeps working);
-    * ``ENGINE_COUNTS_CELLS`` -- True when the kernels this runtime calls
-      already fire the :func:`repro.obs.count_cells` hook (batched
-      kernels); False when the caller must count ``tile.cells`` itself;
-    * :meth:`run_tile` assumes all dependencies of the tile have run;
+    * :meth:`run_tile` assumes all dependencies of the tile have run, and
+      its kernels count their own cells (:func:`repro.obs.count_cells`);
     * :meth:`emit` returns a *picklable* partial result for one owner.
     """
 
     SPAN_NAME = "tile"
-    ENGINE_COUNTS_CELLS = True
 
     #: Attribution labels (see :meth:`tile_args`).  Graph-bound runtimes
     #: overwrite these in ``__init__`` from the graph's params; the search
@@ -128,7 +129,6 @@ class WavefrontRuntime(PlanRuntime):
     """
 
     SPAN_NAME = "rows"
-    ENGINE_COUNTS_CELLS = True  # sw_rows_slice counts each batch
 
     def __init__(
         self,
@@ -258,7 +258,6 @@ class BlockedRuntime(_BandedRuntime):
     """
 
     SPAN_NAME = "tile"
-    ENGINE_COUNTS_CELLS = True  # sw_rows_slice counts each tile
 
     def __init__(self, graph, s, t, scoring, state) -> None:
         super().__init__(graph, s, t, scoring, state)
@@ -302,7 +301,6 @@ class PreprocessRuntime(_BandedRuntime):
     """Section 5 execution: banded chunks feeding the scoreboard."""
 
     SPAN_NAME = "tile"
-    ENGINE_COUNTS_CELLS = True
 
     def __init__(self, graph, s, t, scoring, state) -> None:
         super().__init__(graph, s, t, scoring, state)
@@ -328,6 +326,31 @@ class PreprocessRuntime(_BandedRuntime):
         """``(band, counts)`` rows of the scoreboard this owner filled."""
         bands = sorted({t.payload[0] for t in self.graph.tiles_of(owner)})
         return [(band, self.result_matrix[band].copy()) for band in bands]
+
+
+class Phase2Runtime(PlanRuntime):
+    """Section 4.4 execution: globally align one queue slot per tile, the
+    rendered Fig. 16 record or (``render`` off) the NW score only.  Emits
+    ``(slot, record)`` pairs."""
+
+    SPAN_NAME = "align_region"
+
+    def __init__(self, graph, s, t, scoring, state=None) -> None:
+        self.s, self.t, self.scoring = s, t, scoring
+        self.render = graph.params["render"]
+        self.kind_name = graph.kind
+        self._records: dict[int, list] = {}
+
+    def run_tile(self, tile: Tile) -> None:
+        _score, s0, s1, t0, t1 = region = tile.payload
+        if self.render:
+            record = align_region(self.s, self.t, LocalAlignment(*region), self.scoring)
+        else:
+            record = int(nw_last_row(self.s[s0:s1], self.t[t0:t1], self.scoring)[-1])
+        self._records.setdefault(tile.owner, []).append((tile.id, record))
+
+    def emit(self, owner: int) -> list:
+        return self._records.get(owner, [])
 
 
 def empty_search_stats() -> dict:
@@ -376,7 +399,6 @@ class SearchRuntime(PlanRuntime):
     """
 
     SPAN_NAME = "search_chunk"
-    ENGINE_COUNTS_CELLS = True  # MultiSequenceWorkspace counts per bucket
 
     def __init__(
         self,
@@ -526,6 +548,7 @@ _RUNTIMES = {
     "wavefront": WavefrontRuntime,
     "blocked": BlockedRuntime,
     "preprocess": PreprocessRuntime,
+    "phase2": Phase2Runtime,
 }
 
 
@@ -558,8 +581,9 @@ def make_runtime(
         cls = _RUNTIMES[graph.kind]
     except KeyError:
         raise ValueError(f"no runtime for plan kind {graph.kind!r}") from None
-    if state is None:
-        state = np.zeros(state_shape(graph), dtype=SCORE_DTYPE)
+    shape = state_shape(graph)
+    if state is None and shape is not None:
+        state = np.zeros(shape, dtype=SCORE_DTYPE)
     return cls(graph, s, t, scoring, state)
 
 
@@ -622,18 +646,22 @@ def finalize_plan(
         shard_tops = {s: TopK(k) for s in range(n_shards)}
         stats = empty_search_stats()
         for part in parts:
-            if isinstance(part, dict):
-                if "shards" in part:  # sharded runtime emission
-                    for s, items in part["shards"].items():
-                        shard_tops[int(s)].merge(items)
-                else:  # one worker's emission, tagged with its shard (or 0)
-                    shard_tops[int(part.get("shard", 0))].merge(part["items"])
-                merge_search_stats(stats, part.get("stats", {}))
-            else:  # legacy plain-items emission
-                shard_tops[0].merge(part)
+            if "shards" in part:  # sharded runtime emission
+                for s, items in part["shards"].items():
+                    shard_tops[int(s)].merge(items)
+            else:  # one worker's emission, tagged with its shard (or 0)
+                shard_tops[int(part.get("shard", 0))].merge(part["items"])
+            merge_search_stats(stats, part.get("stats", {}))
         top = tournament_merge([shard_tops[s] for s in range(n_shards)], k)
         result.hits = top.ranked()
         result.extras = {"prefilter": stats, "n_shards": n_shards}
+    elif graph.kind == "phase2":
+        records: list = [None] * len(graph.tiles)
+        for part in parts:
+            for slot, record in part:
+                records[slot] = record
+        result.alignments = [LocalAlignment(*t.payload) for t in graph.tiles]
+        result.extras = {"records": records}
     else:
         raise ValueError(f"unknown plan kind {graph.kind!r}")
     return result

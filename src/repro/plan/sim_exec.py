@@ -6,7 +6,7 @@ cluster.  The *kernel* work of every tile is delegated to the same
 simulated run reports are bitwise identical to the inline and pool backends
 -- while the DSM protocol costs (locks, condition variables, page faults,
 release diffs, gather messages, disk I/O) are charged to the virtual clock
-exactly as the paper's three strategies describe:
+exactly as the paper's three strategies and its phase 2 describe:
 
 * ``wavefront`` -- Section 4.2's per-row border exchange with the
   read-acknowledge handshake ("processor 0 waits on a condition variable in
@@ -14,7 +14,9 @@ exactly as the paper's three strategies describe:
 * ``blocked`` -- Section 4.3's buffered passage rows, one communication per
   block, no acknowledge;
 * ``preprocess`` -- Section 5's chunk pipeline with the result-matrix
-  scoreboard, column saving and the none/immediate/deferred I/O modes.
+  scoreboard, column saving and the none/immediate/deferred I/O modes;
+* ``phase2`` -- Section 4.4's scattered mapping: each node reads its queue
+  slots and writes its records, with no lock or condition variable.
 
 Dependency order inside the simulation needs no extra machinery: every
 cross-owner edge in the graph corresponds to a ``waitcv`` the node performs
@@ -29,17 +31,15 @@ clock is charged ``scale**2`` cells per actual cell, the
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
+from ..core.alignment import LocalAlignment
 from ..dsm.jiajia import JiaJia
-from ..obs import get_tracer
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..sim.disk import NfsDisk
 from ..sim.engine import Delay, Simulator
 from ..sim.stats import PhaseTimes
-from .executors import Executor
+from .executors import Executor, run_tile_traced
 from .ir import TaskGraph
 from .result import StrategyResult
 from .runtime import PlanRuntime, finalize_plan, make_runtime
@@ -49,7 +49,18 @@ PAPER_NAMES = {
     "wavefront": "heuristic",
     "blocked": "heuristic_block",
     "preprocess": "pre_process",
+    "phase2": "phase2",
 }
+
+#: Bytes of one phase-2 queue entry (begin/end coordinates + score, §4.4).
+QUEUE_ENTRY_BYTES = 32
+
+
+def serial_phase2_time(
+    regions: list[LocalAlignment], cost: CostModel = DEFAULT_COST_MODEL
+) -> float:
+    """Virtual time of aligning every pair on one node (no DSM costs)."""
+    return sum(r.s_length * r.t_length for r in regions) * cost.nw_cell_time
 
 
 # Lock / condition-variable id spaces (disjoint per strategy, as before).
@@ -82,36 +93,17 @@ def _cv_chunk(band: int, chunk: int, n_chunks: int) -> int:
 
 
 class SimExecutor(Executor):
-    """Execute a plan on the simulated cluster, charging the virtual clock."""
+    """Execute a plan on the simulated cluster, charging the virtual clock.
+
+    Tiles run their real kernels through :func:`run_tile_traced`, whose span
+    is the *host* time; the virtual clock is charged by ``dsm.compute``.
+    """
 
     BACKEND = "sim"
 
     def __init__(self, cost: CostModel = DEFAULT_COST_MODEL, timeline=None) -> None:
         self.cost = cost
         self.timeline = timeline
-
-    @staticmethod
-    def _run_tile(runtime: PlanRuntime, tile) -> None:
-        """Run one tile's real kernel, stamping a wall-clock span when traced.
-
-        The virtual clock is charged separately (``dsm.compute``); this span
-        is the *host* time the kernel took, carrying the same per-tile args
-        as the inline and pool backends so attribution and the cross-backend
-        tile-id parity suite see one schema everywhere.
-        """
-        tracer = get_tracer()
-        if not tracer.enabled:
-            runtime.run_tile(tile)
-            return
-        t0 = perf_counter()
-        runtime.run_tile(tile)
-        tracer.record(
-            runtime.SPAN_NAME,
-            "computation",
-            t0,
-            perf_counter() - t0,
-            **runtime.tile_args(tile),
-        )
 
     def _execute(self, graph, s, t, scoring, scale) -> StrategyResult:
         runtime = make_runtime(graph, s, t, scoring)
@@ -124,6 +116,7 @@ class SimExecutor(Executor):
             "wavefront": self._wavefront_nodes,
             "blocked": self._blocked_nodes,
             "preprocess": self._preprocess_nodes,
+            "phase2": self._phase2_nodes,
         }[graph.kind]
         node, sim_extras = choreography(graph, runtime, sim, dsm, scale, marks)
         procs = [sim.spawn(node(p), name=f"node{p}") for p in range(graph.n_procs)]
@@ -184,7 +177,7 @@ class SimExecutor(Executor):
                 dsm.stats[p].record_message(64)
                 dsm.stats[p].breakdown.add("communication", dispatch)
                 yield Delay(dispatch)
-                self._run_tile(runtime, tile)
+                run_tile_traced(runtime, tile)
                 payload = tile.payload
                 stage = (
                     payload[0]
@@ -269,7 +262,7 @@ class SimExecutor(Executor):
                     yield from dsm.fault(p, pages=1, repeat=g_nominal)
                     yield from dsm.setcv(p, _cv_ack(p - 1), repeat=g_nominal)
                 # real kernel over my slice of rows [lo, hi)
-                self._run_tile(runtime, tile)
+                run_tile_traced(runtime, tile)
                 seconds = tile.cells * scale * scale * cost.heuristic_cell_time
                 yield from dsm.compute(p, seconds, cells=tile.cells * scale * scale)
                 # The writing row chunk is re-dirtied every nominal row.  A
@@ -363,7 +356,7 @@ class SimExecutor(Executor):
                     yield from dsm.waitcv(p, _cv_block(band - 1, block, n_blocks))
                     # passage pages are home-local to this consumer: the
                     # producer's diffs already delivered the data.
-                self._run_tile(runtime, tile)
+                run_tile_traced(runtime, tile)
                 if w == 0 or h == 0:
                     continue
                 yield from dsm.compute(
@@ -451,7 +444,7 @@ class SimExecutor(Executor):
                 h, w = r1 - r0, c1 - c0
                 if band > 0:
                     yield from dsm.waitcv(p, _cv_chunk(band - 1, chunk, n_chunks))
-                self._run_tile(runtime, tile)
+                run_tile_traced(runtime, tile)
                 yield from dsm.compute(
                     p,
                     tile.cells * scale * scale * cell_time(h * scale),
@@ -505,3 +498,36 @@ class SimExecutor(Executor):
             return {"disk_bytes": [d.total_written for d in disks]}
 
         return node, sim_extras
+
+    # -- Section 4.4: phase 2, the scattered mapping ------------------------
+
+    def _phase2_nodes(self, graph, runtime, sim, dsm, scale, marks):
+        """Node ``p`` reads queue slots ``p, p+P, ...``, aligns each pair and
+        writes its record at the same scattered position of the shared result
+        vector.  No startup or teardown delay: phase 2 runs on the nodes
+        phase 1 left up."""
+        if scale != 1:
+            raise ValueError("phase 2 aligns actual regions only (scale=1)")
+        cost = self.cost
+        mine = [graph.tiles_of(p) for p in range(graph.n_procs)]
+        queue = dsm.alloc(max(1, len(graph.tiles)) * QUEUE_ENTRY_BYTES, "queue")
+        # one record: coordinates, score and the two aligned subsequences
+        sizes = [24 + (e[2] - e[1]) + (e[4] - e[3]) for e in (t.payload for t in graph.tiles)]
+        results = dsm.alloc(max(1, sum(sizes)), "results")
+        offsets = np.cumsum([0] + sizes)
+
+        def node(p: int):
+            yield from dsm.barrier(p)
+            if p == 0:
+                marks["core_start"] = sim.now
+            for tile in mine[p]:
+                slot = tile.id
+                yield from dsm.read(p, queue, slot * QUEUE_ENTRY_BYTES, QUEUE_ENTRY_BYTES)
+                yield from dsm.compute(p, tile.cells * cost.nw_cell_time, cells=tile.cells)
+                run_tile_traced(runtime, tile)
+                dsm.write(p, results, int(offsets[slot]), sizes[slot])
+            yield from dsm.barrier(p)  # flushes every node's result diffs
+            if p == 0:
+                marks["core_end"] = sim.now
+
+        return node, dict

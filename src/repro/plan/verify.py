@@ -33,6 +33,10 @@ graph-level breaches):
   are conserved *per shard* (each shard's buckets score every lane exactly
   once) plus *exactly-once across shards*: no database sequence may appear
   in two shards, or its duplicate scores would double up in the merge.
+  Phase-2 graphs are conserved against their queue: each tile's cells are
+  its region's area, every queue slot is aligned exactly once, and slot
+  ``i`` is owned by rank ``i mod P`` (the scattered mapping; unlike the
+  wave-front, a rank with no slot is legal).
 * **PLAN005 -- deadlock.**  The pool's worker/coordinator handshake is
   simulated as a state machine: each worker walks its own tiles in id
   order, blocking on cross-owner ``done`` flags (static plans) or pulling
@@ -70,6 +74,7 @@ from .planners import (
     PlanSpec,
     blocked_spec,
     build_plan,
+    phase2_spec,
     plan_search_buckets,
     preprocess_spec,
     wavefront_spec,
@@ -90,7 +95,7 @@ __all__ = [
 BACKENDS = ("inline", "pool", "sim")
 
 #: Plan kinds with a static owner partition (everything but search).
-STATIC_KINDS = ("wavefront", "blocked", "preprocess")
+STATIC_KINDS = ("wavefront", "blocked", "preprocess", "phase2")
 
 _ENV_FLAG = "REPRO_VERIFY_PLANS"
 
@@ -318,6 +323,43 @@ def _check_cells(graph: TaskGraph) -> Iterator[Finding]:
             )
     elif graph.kind == "search":
         yield from _check_search_cells(graph)
+    elif graph.kind == "phase2":
+        yield from _check_phase2_cells(graph)
+
+
+def _check_phase2_cells(graph: TaskGraph) -> Iterator[Finding]:
+    queue = graph.params.get("regions", ())
+    for tile in graph.tiles:
+        slot, (_score, s0, s1, t0, t1) = tile.id, tile.payload
+        area = (s1 - s0) * (t1 - t0)
+        if tile.cells != area:
+            yield _finding(
+                graph,
+                "PLAN004",
+                f"tile {slot} claims {tile.cells} cells but its region spans {area}",
+                slot,
+            )
+        if slot >= len(queue) or tile.payload != queue[slot]:
+            yield _finding(
+                graph,
+                "PLAN004",
+                f"tile {slot} aligns {tile.payload}, not queue slot {slot}: "
+                f"each slot must be aligned exactly once, in queue order",
+                slot,
+            )
+        if tile.owner != slot % graph.n_procs:
+            yield _finding(
+                graph,
+                "PLAN004",
+                f"tile {slot} is owned by rank {tile.owner}, but the scattered "
+                f"mapping gives slot {slot} to rank {slot % graph.n_procs}",
+                slot,
+            )
+    if len(graph.tiles) < len(queue):
+        missing = list(range(len(graph.tiles), len(queue)))
+        yield _finding(
+            graph, "PLAN004", f"queue slots {missing} are never aligned: no record"
+        )
 
 
 def _search_stage(tile) -> tuple[str, tuple, tuple[int, ...]]:
@@ -636,6 +678,10 @@ def _sweep_pair_specs(n_procs: int) -> Iterator[PlanSpec]:
         chunk_size=9,
         band_scheme="equal",
         chunk_growth="geometric",
+    )
+    # more queue slots than ranks, and not a multiple of them
+    yield phase2_spec(
+        n_procs, [(10 + i, 3 * i, 3 * i + 20 + i, 4 * i, 4 * i + 30) for i in range(7)]
     )
 
 

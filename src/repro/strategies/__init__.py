@@ -15,7 +15,6 @@ from .base import RegionSettings, ScaledWorkload
 from .blocked import BlockedConfig, compute_tile, run_blocked, serial_blocked_time
 from .column_store import ColumnStore, restart_band_from_store, save_preprocess_columns
 from .hetero import HeteroConfig, SubCluster, hetero_serial_time, run_hetero
-from .phase2 import Phase2Config, run_phase2, serial_phase2_time
 from .preprocess import (
     BAND_SCHEMES,
     IO_MODES,
@@ -68,7 +67,6 @@ __all__ = [
     "MpPipelineResult",
     "InterestingRegion",
     "PREFILTER_MODES",
-    "Phase2Config",
     "PipelineResult",
     "PreprocessConfig",
     "RegionSettings",
@@ -101,7 +99,6 @@ __all__ = [
     "run_hetero",
     "run_mp_pipeline",
     "run_phase1",
-    "run_phase2",
     "run_pipeline",
     "run_preprocess",
     "retrieve_alignments",
@@ -111,7 +108,6 @@ __all__ = [
     "search_db",
     "search_db_sequential",
     "serial_blocked_time",
-    "serial_phase2_time",
     "serial_preprocess_time",
     "serial_wavefront_time",
     "split_even",

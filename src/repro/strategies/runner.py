@@ -17,12 +17,11 @@ from ..core.scoring import DEFAULT_SCORING, Scoring
 from ..obs import gcups, get_metrics, get_tracer, is_enabled
 from ..obs.ledger import record_run
 from ..obs.trace import Stopwatch
-from ..plan import PlanSpec, blocked_spec, wavefront_spec
+from ..plan import PlanSpec, SimExecutor, blocked_spec, plan_phase2, wavefront_spec
 from ..plan.result import StrategyResult
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from .base import ScaledWorkload, encode_pair
 from .blocked import BlockedConfig, blocked_plan, run_blocked
-from .phase2 import Phase2Config, run_phase2
 from .preprocess import PreprocessConfig, preprocess_plan, run_preprocess
 from .wavefront import WavefrontConfig, run_wavefront, wavefront_plan
 
@@ -122,7 +121,6 @@ def run_pipeline(
     n_procs: int = 8,
     scale: int = 1,
     phase1_config=None,
-    phase2_config: Phase2Config | None = None,
     cost: CostModel = DEFAULT_COST_MODEL,
     executor=None,
 ) -> PipelineResult:
@@ -133,7 +131,8 @@ def run_pipeline(
     runs on an empty region list and the result records why in
     ``phase2_skipped_reason``.  Pass an ``executor`` (e.g.
     :class:`repro.plan.InlineExecutor`) to run phase 1 for real instead of
-    on the virtual cluster.
+    on the virtual cluster; phase 2 (:func:`repro.plan.plan_phase2` over
+    ``n_procs`` nodes, rendered records) is always simulated.
     """
     strategy = canonical_strategy(strategy)
     workload = ScaledWorkload(s, t, scale=scale)
@@ -158,13 +157,10 @@ def run_pipeline(
             )
             regions = []
         with tracer.span("phase2", "phase", regions=len(regions), backend=backend):
-            phase2 = run_phase2(
-                workload.s,
-                workload.t,
-                regions,
-                phase2_config or Phase2Config(n_procs=n_procs),
-                cost,
+            graph = plan_phase2(
+                len(workload.s), len(workload.t), n_procs=n_procs, regions=regions
             )
+            phase2 = SimExecutor(cost).run(graph, workload.s, workload.t)
     record_run(
         f"align-{backend}",
         {

@@ -22,6 +22,7 @@ from repro.plan import (
     PlanVerificationError,
     TaskGraph,
     Tile,
+    plan_phase2,
     plan_wavefront,
     set_strict,
     sweep_plans,
@@ -169,6 +170,49 @@ def test_dropped_search_lane_is_a_plan004():
         f.rule == "PLAN004" and f.line == victim.id
         for f in verify_graph(graph)
     )
+
+
+def _phase2_graph():
+    regions = [(30, 0, 40, 0, 50), (20, 10, 30, 5, 35), (10, 50, 60, 60, 64)]
+    return plan_phase2(96, 128, n_procs=2, regions=regions)
+
+
+def test_phase2_plan_verifies_on_every_backend():
+    graph = _phase2_graph()
+    for backend in ("inline", "pool", "sim"):
+        assert verify_graph(graph, backend) == []
+
+
+def test_phase2_cells_other_than_the_region_area_are_a_plan004():
+    graph = _phase2_graph()
+    victim = graph.tiles[1]
+    graph.tiles = (graph.tiles[0], victim._replace(cells=7), graph.tiles[2])
+    [finding] = verify_graph(graph)
+    assert finding.rule == "PLAN004" and finding.line == 1
+    assert "7 cells" in finding.message and "600" in finding.message
+
+
+def test_phase2_dropped_or_repeated_slot_is_a_plan004():
+    graph = _phase2_graph()
+    graph.tiles = graph.tiles[:2]
+    [finding] = verify_graph(graph)
+    assert finding.rule == "PLAN004" and "slots [2] are never aligned" in finding.message
+    graph = _phase2_graph()
+    first = graph.tiles[0]
+    graph.tiles = (first, first._replace(id=1, owner=1), graph.tiles[2])
+    findings = verify_graph(graph)
+    assert any(
+        f.rule == "PLAN004" and f.line == 1 and "not queue slot 1" in f.message
+        for f in findings
+    )
+
+
+def test_phase2_owner_off_the_scattered_mapping_is_a_plan004():
+    graph = _phase2_graph()
+    graph.tiles = (graph.tiles[0]._replace(owner=1),) + graph.tiles[1:]
+    [finding] = verify_graph(graph)
+    assert finding.rule == "PLAN004" and finding.line == 0
+    assert "rank 1" in finding.message and "rank 0" in finding.message
 
 
 def test_more_shards_than_processors_is_a_plan003():

@@ -2,13 +2,9 @@ import pytest
 
 from repro.core import LocalAlignment
 from repro.core.global_align import SubsequenceAlignment
+from repro.plan import SimExecutor, plan_phase2, serial_phase2_time
 from repro.seq import genome_pair, mutate, random_dna
-from repro.strategies import (
-    Phase2Config,
-    run_phase2,
-    run_pipeline,
-    serial_phase2_time,
-)
+from repro.strategies import run_pipeline
 
 
 def make_regions(n, size=120, seq_len=4000, rng_seed=0):
@@ -24,56 +20,52 @@ def make_regions(n, size=120, seq_len=4000, rng_seed=0):
     return out
 
 
+def simulate_phase2(s, t, regions, n_procs, render=True):
+    graph = plan_phase2(len(s), len(t), n_procs=n_procs, regions=regions, render=render)
+    return SimExecutor().run(graph, s, t)
+
+
 class TestRunPhase2:
+    """The phase2 plan on the simulated cluster; the cross-backend cases
+    (empty queue, score-only mode, no locks) are in
+    ``tests/plan/test_phase2_parity.py``."""
+
     def setup_method(self):
         self.s = random_dna(4000, rng=40)
         self.t = mutate(self.s, 0.05, rng=41)[:4000]
 
     def test_all_pairs_aligned(self):
         regions = make_regions(20)
-        res = run_phase2(self.s, self.t, regions, Phase2Config(n_procs=4))
+        res = simulate_phase2(self.s, self.t, regions, n_procs=4)
         records = res.extras["records"]
         assert len(records) == 20
         assert all(isinstance(r, SubsequenceAlignment) for r in records)
+        assert res.name == "phase2"
 
     def test_records_sorted_by_size(self):
         regions = make_regions(10)
-        res = run_phase2(self.s, self.t, regions, Phase2Config(n_procs=2))
+        res = simulate_phase2(self.s, self.t, regions, n_procs=2)
         sizes = [r.source.size for r in res.extras["records"]]
         assert sizes == sorted(sizes, reverse=True)
-
-    def test_score_only_mode_matches_render_mode(self):
-        regions = make_regions(8)
-        fast = run_phase2(self.s, self.t, regions, Phase2Config(n_procs=2, render=False))
-        full = run_phase2(self.s, self.t, regions, Phase2Config(n_procs=2, render=True))
-        fast_scores = [score for _, score in fast.extras["records"]]
-        full_scores = [r.similarity for r in full.extras["records"]]
-        assert fast_scores == full_scores
-
-    def test_no_locks_used(self):
-        """Section 4.4: 'no locks or condition variables are used'."""
-        regions = make_regions(12)
-        res = run_phase2(self.s, self.t, regions, Phase2Config(n_procs=4))
-        for node in res.stats.nodes:
-            assert node.lock_acquires == 0
-            assert node.cv_waits == 0 and node.cv_signals == 0
+        assert [r.source for r in res.extras["records"]] == res.alignments
 
     def test_speedup_scales(self):
         regions = make_regions(200, size=200)
         serial = serial_phase2_time(regions)
-        res = run_phase2(self.s, self.t, regions, Phase2Config(n_procs=8, render=False))
+        res = simulate_phase2(self.s, self.t, regions, n_procs=8, render=False)
         assert serial / res.total_time > 5.0
-
-    def test_empty_queue(self):
-        res = run_phase2(self.s, self.t, [], Phase2Config(n_procs=2))
-        assert res.extras["records"] == []
 
     def test_identical_subsequences_score_maximal(self):
         region = LocalAlignment(10, 100, 200, 100, 200)
-        res = run_phase2(self.s, self.s, [region], Phase2Config(n_procs=1))
+        res = simulate_phase2(self.s, self.s, [region], n_procs=1)
         rec = res.extras["records"][0]
         assert rec.similarity == 100
         assert rec.alignment.identity == 1.0
+
+    def test_scaled_graph_is_rejected(self):
+        graph = plan_phase2(4000, 4000, n_procs=2, regions=make_regions(2))
+        with pytest.raises(ValueError, match="scale=1"):
+            SimExecutor().run(graph, self.s, self.t, scale=2)
 
 
 class TestRunPipeline:

@@ -121,6 +121,45 @@ class TestAdmissibility:
                 assert combined[lane] >= true
 
 
+class TestKmerHits:
+    """``kmer_hits`` counts the same windows whatever its lane blocking."""
+
+    @staticmethod
+    def naive_hits(query, codes, k):
+        kmers = {tuple(query[i : i + k]) for i in range(len(query) - k + 1)}
+        return [
+            sum(
+                1
+                for i in range(codes.shape[1] - k + 1)
+                if all(c < 4 for c in lane[i : i + k]) and tuple(lane[i : i + k]) in kmers
+            )
+            for lane in codes
+        ]
+
+    @pytest.mark.parametrize("scratch", [1, 7, 40, 1 << 17])
+    def test_blocks_match_per_lane_count(self, monkeypatch, scratch):
+        import repro.core.bounds as bounds
+
+        monkeypatch.setattr(bounds, "KMER_SCRATCH_WINDOWS", scratch)
+        rng = np.random.default_rng(scratch)
+        query = random_dna(40, rng)
+        ctx = QueryBoundContext(query, Scoring(match=1, mismatch=-3, gap=-4), 3)
+        codes = rng.integers(0, 4, size=(11, 14), dtype=np.uint8)
+        codes[:3] = np.resize(query[:14], 14)  # lanes full of shared windows
+        codes[4, 9:] = 4  # padding and an out-of-alphabet code never count
+        codes[6, 2] = 7
+        hits = bounds.kmer_hits(ctx, codes)
+        assert hits.dtype == np.int64
+        assert hits.tolist() == self.naive_hits(query, codes, 3)
+
+    def test_short_and_empty_buckets(self):
+        from repro.core.bounds import kmer_hits
+
+        ctx = QueryBoundContext(random_dna(20, np.random.default_rng(0)), Scoring(), 6)
+        assert kmer_hits(ctx, np.zeros((3, 5), np.uint8)).tolist() == [0, 0, 0]
+        assert kmer_hits(ctx, np.zeros((0, 9), np.uint8)).tolist() == []
+
+
 class TestResolvePrefilter:
     def test_modes(self):
         assert resolve_prefilter("off", 10**6) == ()
