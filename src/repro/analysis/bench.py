@@ -9,8 +9,9 @@ query-profile kernel of :mod:`repro.core.striped` (its compiled and numpy
 scans timed apart),
 the score-bound-pruned search over a planted-homolog database
 (:mod:`repro.strategies.prefilter`), ten wave-front requests on the
-persistent worker pool, and FASTA ingest (parse + pack) of a database
-shaped like the ``search-fasta`` benchmark workload's.  The same workloads and timing
+persistent worker pool, FASTA ingest (parse + pack) of a database
+shaped like the ``search-fasta`` benchmark workload's, and the prefilter
+bound sweep over a warm bound index.  The same workloads and timing
 discipline as the ``benchmarks/`` pytest suite (min-of-rounds after a
 warmup call, cell counts cross-checked against the ``repro.obs`` metrics
 registry), so numbers regenerated here are comparable to the committed
@@ -84,6 +85,27 @@ def _best_of(fn, rounds: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _long_samples(fn, samples: int, min_sample_s: float) -> tuple[int, list[float]]:
+    """``(repeats, per-call seconds of each sample)``.
+
+    Each timed sample repeats ``fn`` until it lasts at least
+    ``min_sample_s``, so one sample spans the host's speed-regime flips
+    instead of landing inside one; the repeat count is fixed from an
+    untimed calibration call.
+    """
+    start = time.perf_counter()
+    fn()
+    once = max(time.perf_counter() - start, 1e-9)
+    repeats = max(1, int(np.ceil(min_sample_s / once)))
+    per_call = []
+    for _ in range(samples):
+        start = time.perf_counter()
+        for _ in range(repeats):
+            fn()
+        per_call.append((time.perf_counter() - start) / repeats)
+    return repeats, per_call
 
 
 def _machine(quick: bool) -> dict:
@@ -555,6 +577,55 @@ def _bench_fasta_ingest(quick: bool) -> dict:
     }
 
 
+def _bench_bound_sweep(quick: bool) -> dict:
+    """The pool coordinator's prefilter bound sweep, bound index warm.
+
+    ``TieredFilter.ceilings`` (length, composition and k-mer tiers) over
+    every bucket of an 800-sequence database shaped like the
+    ``search-pool`` workload's (150-600 bp, classic packing) for one 400 bp
+    query, reading the per-database :class:`repro.core.bounds.BoundIndex`
+    built once up front.  Ceilings from the index are asserted equal to
+    the raw-code ones before timing.  Each of the five samples repeats
+    the sweep for at least 0.2 s; ``sample_spread`` is
+    ``(slowest - fastest) / fastest`` over the samples.
+    """
+    from ..core.bounds import TieredFilter
+
+    n_db = 200 if quick else 800
+    rng = np.random.default_rng(83)
+    db = synthetic_database(n=n_db, min_length=150, max_length=600, rng=rng)
+    query = random_dna(400, rng)
+    packed = pack_database(db)
+    tiered = TieredFilter(query, DEFAULT_SCORING)
+    indexes = packed.bound_index(tiered.index_k)
+    for bucket, index in zip(packed.buckets, indexes):
+        warm = tiered.ceilings(index, bucket.lengths)[0]
+        if warm.tobytes() != tiered.ceilings(bucket.codes, bucket.lengths)[0].tobytes():
+            raise AssertionError("index ceilings diverged from the raw-code ones")
+
+    def sweep():
+        for bucket, index in zip(packed.buckets, indexes):
+            tiered.ceilings(index, bucket.lengths)
+
+    repeats, per_call = _long_samples(sweep, 1 if quick else 5, 0.0 if quick else 0.2)
+    best = min(per_call)
+    cells = len(query) * packed.total_residues
+    return {
+        "kernel": "bound_index",
+        "dtype": "uint16",
+        "lane_mode": "gather",
+        "n_sequences": n_db,
+        "query_bp": len(query),
+        "total_cells": cells,
+        "index_bytes": sum(index.nbytes for index in indexes),
+        "repeats_per_sample": repeats,
+        "samples": len(per_call),
+        "sweep_seconds": best,
+        "sweep_gcups": gcups(cells, best),
+        "sample_spread": (max(per_call) - best) / best,
+    }
+
+
 def run_kernel_bench(quick: bool = False, progress=None) -> dict:
     """Run the whole suite; returns the BENCH_kernels.json payload."""
     rounds = 1 if quick else 3
@@ -586,6 +657,8 @@ def run_kernel_bench(quick: bool = False, progress=None) -> dict:
     results["pool_wavefront_10_repeats_600x600"] = _bench_pool_wavefront(quick, rounds)
     note("fasta ingest: parse + pack ...")
     results["fasta_ingest_1500seq"] = _bench_fasta_ingest(quick)
+    note("bound sweep: index warm ...")
+    results["bound_sweep_800seq"] = _bench_bound_sweep(quick)
     return results
 
 

@@ -26,12 +26,17 @@ Three tiers, in ascending cost order (:data:`TIER_ORDER`):
 
 All bounds are vectorized over one packed bucket: ``codes`` is the padded
 ``(lanes, width)`` uint8 matrix (PAD rows out-of-alphabet codes never count)
-and ``lengths`` the per-lane real lengths.
+or that bucket's :class:`BoundIndex`, and ``lengths`` the per-lane real
+lengths.  The index is the query-independent part of the composition and
+k-mer tiers (letter counts and k-mer window ids), built once per bucket by
+:func:`build_bound_index`; given raw codes, a bound builds the part it needs
+on the spot, a lane block at a time.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,12 +45,16 @@ from .scoring import Scoring
 __all__ = [
     "ADMISSIBLE_BOUNDS",
     "DEFAULT_KMER_K",
+    "MAX_KMER_K",
+    "BoundIndex",
     "TIER_ORDER",
     "QueryBoundContext",
     "TieredFilter",
+    "build_bound_index",
     "composition_bound",
     "kmer_bound",
     "kmer_hits",
+    "kmer_id_dtype",
     "length_bound",
     "seed_order",
 ]
@@ -58,10 +67,107 @@ TIER_ORDER = ("length", "composition", "kmer")
 #: rebuild per query, long enough that random sequences share few windows.
 DEFAULT_KMER_K = 6
 
-#: Windows per block of :func:`kmer_hits` (1 MiB of int64 ids).
+#: Largest window size: ids up to the sentinel ``4**15 = 2**30`` fit
+#: ``uint32``, and the query table of a larger k would pass 1 GiB.
+MAX_KMER_K = 15
+
+#: Slots per lane block when counts or window ids are built, so the
+#: transients stay well under 1 MiB however wide the bucket is.
 KMER_SCRATCH_WINDOWS = 1 << 17
 
 _ALPHABET = 4
+
+
+def _check_kmer_k(k: int) -> int:
+    if not 2 <= k <= MAX_KMER_K:
+        raise ValueError(f"kmer_k must be between 2 and {MAX_KMER_K}, got {k}")
+    return int(k)
+
+
+def kmer_id_dtype(k: int) -> np.dtype:
+    """Smallest unsigned dtype holding every window id and the sentinel ``4**k``."""
+    if _ALPHABET ** _check_kmer_k(k) <= np.iinfo(np.uint16).max:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32)
+
+
+@dataclass(frozen=True)
+class BoundIndex:
+    """Query-independent bound state of one packed bucket.
+
+    ``counts`` is the ``(lanes, 4)`` int64 letter count of every lane.
+    ``kmer_ids`` is the ``(lanes, max(0, width - k + 1))`` base-4 id of
+    every length-``k`` window (first code most significant) in
+    :func:`kmer_id_dtype` -- 2 bytes per slot up to ``k = 7``.  Windows
+    touching padding or any non-ACGT code hold the sentinel id ``4**k``,
+    which the query's presence table maps to False.  ``k`` is None (and
+    ``kmer_ids`` None) when the index was built for the count tiers only.
+    """
+
+    k: int | None
+    kmer_ids: np.ndarray | None
+    counts: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        ids = 0 if self.kmer_ids is None else self.kmer_ids.nbytes
+        return int(ids + self.counts.nbytes)
+
+
+def _lane_blocks(codes: np.ndarray) -> Iterator[slice]:
+    """Lane slices of about :data:`KMER_SCRATCH_WINDOWS` slots each."""
+    lanes, width = codes.shape
+    step = max(1, KMER_SCRATCH_WINDOWS // max(width, 1))
+    for lo in range(0, lanes, step):
+        yield slice(lo, min(lo + step, lanes))
+
+
+def _window_ids(
+    codes: np.ndarray, k: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Window ids of one lane block (see :class:`BoundIndex`).
+
+    ``(lanes, max(0, width - k + 1))`` in :func:`kmer_id_dtype`, written to
+    ``out`` when given; windows touching a code outside ``0..3`` get the
+    sentinel ``4**k``.  Callers pass blocks from :func:`_lane_blocks`: the
+    transients cost about three bytes per window.
+    """
+    codes = np.asarray(codes)
+    n_windows = max(codes.shape[1] - k + 1, 0)
+    if out is None:
+        out = np.empty((codes.shape[0], n_windows), dtype=kmer_id_dtype(k))
+    window = codes[:, :n_windows]
+    np.bitwise_and(window, _ALPHABET - 1, out=out)
+    touched = window >= _ALPHABET
+    for i in range(1, k):
+        window = codes[:, i : i + n_windows]
+        out <<= 2
+        out |= window & (_ALPHABET - 1)
+        touched |= window >= _ALPHABET
+    np.copyto(out, _ALPHABET**k, where=touched)
+    return out
+
+
+def build_bound_index(codes: np.ndarray, k: int | None = DEFAULT_KMER_K) -> BoundIndex:
+    """Letter counts and k-mer window ids of a ``(lanes, width)`` code matrix.
+
+    The one builder of :class:`BoundIndex`, memoised per database by
+    :meth:`repro.seq.PackedDatabase.bound_index`.  Works a lane block at a
+    time.  ``k=None`` builds the counts only.
+    """
+    codes = np.asarray(codes)
+    lanes, width = codes.shape
+    counts = np.empty((lanes, _ALPHABET), dtype=np.int64)
+    ids: np.ndarray | None = None
+    if k is not None:
+        ids = np.empty((lanes, max(width - k + 1, 0)), dtype=kmer_id_dtype(k))
+    for rows in _lane_blocks(codes):
+        block = codes[rows]
+        for c in range(_ALPHABET):
+            counts[rows, c] = np.count_nonzero(block == c, axis=1)
+        if k is not None and ids is not None:
+            _window_ids(block, k, out=ids[rows])
+    return BoundIndex(k, ids, counts)
 
 
 class QueryBoundContext:
@@ -75,12 +181,10 @@ class QueryBoundContext:
     def __init__(
         self, query: np.ndarray, scoring: Scoring, kmer_k: int = DEFAULT_KMER_K
     ) -> None:
-        if kmer_k < 2:
-            raise ValueError("kmer_k must be at least 2")
         self.query = np.asarray(query, dtype=np.uint8)
         self.query_len = int(self.query.size)
         self.scoring = scoring
-        self.kmer_k = int(kmer_k)
+        self.kmer_k = _check_kmer_k(kmer_k)
         matrix = np.array(
             [
                 [scoring.pair_score(a, b) for b in range(_ALPHABET)]
@@ -113,21 +217,23 @@ class QueryBoundContext:
 
     @property
     def kmer_table(self) -> np.ndarray:
-        """``bool[4**k]`` presence table of the query's k-mers (lazy)."""
+        """``bool[4**k + 1]`` presence table of the query's k-mers (lazy).
+
+        Indexed by :class:`BoundIndex` window ids; the last slot is the
+        sentinel id and stays False, so windows touching padding or a
+        non-ACGT code (on either side) never count.
+        """
         if self._kmer_table is None:
             k = self.kmer_k
-            table = np.zeros(_ALPHABET**k, dtype=bool)
-            if self.query_len >= k:
-                ids = np.zeros(self.query_len - k + 1, dtype=np.int64)
-                for i in range(k):
-                    ids = ids * _ALPHABET + self.query[i : self.query_len - k + 1 + i]
-                table[ids] = True
+            table = np.zeros(_ALPHABET**k + 1, dtype=bool)
+            table[_window_ids(self.query[np.newaxis, :], k)[0]] = True
+            table[-1] = False
             self._kmer_table = table
         return self._kmer_table
 
 
 def length_bound(
-    ctx: QueryBoundContext, codes: np.ndarray, lengths: np.ndarray
+    ctx: QueryBoundContext, codes: np.ndarray | BoundIndex, lengths: np.ndarray
 ) -> np.ndarray:  # repro: admissible
     """``min(m, n) * s_max``: the trivial per-pair ceiling.
 
@@ -141,7 +247,7 @@ def length_bound(
 
 
 def composition_bound(
-    ctx: QueryBoundContext, codes: np.ndarray, lengths: np.ndarray
+    ctx: QueryBoundContext, codes: np.ndarray | BoundIndex, lengths: np.ndarray
 ) -> np.ndarray:  # repro: admissible
     """Letter-count ceiling: pairing capacity caps the column scores.
 
@@ -152,10 +258,8 @@ def composition_bound(
     each letter its best row (query side) or column (target side) score --
     both one-sided overcounts -- and takes the smaller.
     """
-    codes = np.asarray(codes)
-    t_counts = np.empty((codes.shape[0], _ALPHABET), dtype=np.int64)
-    for c in range(_ALPHABET):
-        t_counts[:, c] = (codes == c).sum(axis=1)
+    index = codes if isinstance(codes, BoundIndex) else build_bound_index(codes, None)
+    t_counts = index.counts
     if ctx.off_max <= 0:
         per_letter = np.minimum(ctx.q_counts[np.newaxis, :], t_counts)
         return per_letter @ np.maximum(ctx.diag, 0)
@@ -164,33 +268,30 @@ def composition_bound(
     return np.minimum(target_side, query_side)
 
 
-def kmer_hits(ctx: QueryBoundContext, codes: np.ndarray) -> np.ndarray:
+def kmer_hits(ctx: QueryBoundContext, codes: np.ndarray | BoundIndex) -> np.ndarray:
     """Per-lane count of target k-mer windows that also occur in the query.
 
-    Windows touching padding (or any out-of-alphabet code) never count.
+    One gather of the query table over the window ids: the index's, or for
+    raw codes ids built a lane block at a time.  Windows touching padding
+    (or any out-of-alphabet code) hold the sentinel id and never count.
     """
+    table = ctx.kmer_table
+    if isinstance(codes, BoundIndex):
+        if codes.k != ctx.kmer_k:
+            raise ValueError(
+                f"bound index holds k={codes.k} windows, the k-mer tier needs k={ctx.kmer_k}"
+            )
+        return table[codes.kmer_ids].sum(axis=1, dtype=np.int64)
     codes = np.asarray(codes)
-    k = ctx.kmer_k
-    lanes, width = codes.shape
-    n_windows = width - k + 1
-    hits = np.zeros(lanes, dtype=np.int64)
-    step = max(1, KMER_SCRATCH_WINDOWS // max(n_windows, 1))  # lanes per block
-    for lo in range(0, lanes if n_windows > 0 else 0, step):
-        block = codes[lo : lo + step]
-        ids = np.zeros((len(block), n_windows), dtype=np.int64)
-        valid = np.ones(ids.shape, dtype=bool)
-        for i in range(k):
-            sl = block[:, i : i + n_windows]
-            in_alphabet = sl < _ALPHABET
-            valid &= in_alphabet
-            ids *= _ALPHABET
-            ids += np.where(in_alphabet, sl, 0)
-        hits[lo : lo + len(block)] = (ctx.kmer_table[ids] & valid).sum(axis=1)
+    hits = np.empty(codes.shape[0], dtype=np.int64)
+    for rows in _lane_blocks(codes):
+        ids = _window_ids(codes[rows], ctx.kmer_k)
+        hits[rows] = table[ids].sum(axis=1, dtype=np.int64)
     return hits
 
 
 def kmer_bound(
-    ctx: QueryBoundContext, codes: np.ndarray, lengths: np.ndarray
+    ctx: QueryBoundContext, codes: np.ndarray | BoundIndex, lengths: np.ndarray
 ) -> np.ndarray | None:  # repro: admissible
     """Diagonal-run ceiling from shared k-mer counts (DESIGN.md section 5i).
 
@@ -235,7 +336,8 @@ def kmer_bound(
 #: admissibility fuzz test iterates this dict, so adding a bound here (and
 #: only here) is what puts it on the hook for verification.
 ADMISSIBLE_BOUNDS: dict[
-    str, Callable[[QueryBoundContext, np.ndarray, np.ndarray], Optional[np.ndarray]]
+    str,
+    Callable[[QueryBoundContext, np.ndarray | BoundIndex, np.ndarray], Optional[np.ndarray]],
 ] = {
     "length": length_bound,
     "composition": composition_bound,
@@ -279,12 +381,18 @@ class TieredFilter:
             raise ValueError(f"unknown bound tiers {unknown!r}")
         self.ctx = QueryBoundContext(query, scoring, kmer_k)
         self.tiers = tuple(t for t in TIER_ORDER if t in tiers)
+        #: Window size the bound index needs: None when the k-mer tier is
+        #: off or inapplicable under this scoring (counts only, then).
+        self.index_k = (
+            self.ctx.kmer_k if "kmer" in self.tiers and self.ctx.off_max < 0 else None
+        )
 
     def ceilings(
-        self, codes: np.ndarray, lengths: np.ndarray
+        self, lanes: np.ndarray | BoundIndex, lengths: np.ndarray
     ) -> tuple[np.ndarray, dict[str, np.ndarray], int]:
         """``(combined, per_tier, bound_cells)`` ceilings for every lane.
 
+        ``lanes`` is a bucket's code matrix or its :class:`BoundIndex`.
         The thresholdless form used by the pool coordinator: it needs every
         lane's ceiling up front -- both to scan the highest-ceiling prefix
         first (strongest threshold earliest) and to prune the rest in one
@@ -292,7 +400,6 @@ class TieredFilter:
         the min over applicable tiers (each admissible, so their min is);
         ``per_tier`` keeps the individual ceilings for prune attribution.
         """
-        codes = np.asarray(codes)
         lengths = np.asarray(lengths, dtype=np.int64)
         # Float on purpose: +inf is the identity of the running min, and the
         # threshold these ceilings meet is itself a float (TopK.threshold).
@@ -302,7 +409,7 @@ class TieredFilter:
         for tier in self.tiers:
             if tier != "length":
                 bound_cells += int(lengths.sum())
-            values = ADMISSIBLE_BOUNDS[tier](self.ctx, codes, lengths)
+            values = ADMISSIBLE_BOUNDS[tier](self.ctx, lanes, lengths)
             if values is None:
                 continue
             per_tier[tier] = values

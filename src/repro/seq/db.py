@@ -26,7 +26,9 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core.multi_engine import pack_codes
+from ..core.bounds import BoundIndex, build_bound_index
+from ..core.multi_engine import PAD_CODE, pack_codes
+from ..obs import get_tracer
 from .fasta import FastaRecord
 from .random_dna import random_dna
 
@@ -71,6 +73,9 @@ class PackedDatabase:
     names: list[str]
     lengths: np.ndarray
     _digest: str | None = field(default=None, repr=False, compare=False)
+    _bound_index: dict[int | None, list[BoundIndex]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def n_sequences(self) -> int:
@@ -84,6 +89,27 @@ class PackedDatabase:
     def padded_slots(self) -> int:
         """Total matrix slots including padding (packing-quality metric)."""
         return sum(b.lanes * b.width for b in self.buckets)
+
+    def bound_index(self, k: int | None) -> list[BoundIndex]:
+        """Per-bucket :class:`~repro.core.bounds.BoundIndex` (memoised per ``k``).
+
+        Built on first use -- only a search whose prefilter tiers resolve on
+        asks -- and reused by every later query against this instance.
+        ``k=None`` holds letter counts only.  Re-packed databases
+        (:func:`pack_subset`, :func:`shard_database`) start without one.
+        """
+        cached = self._bound_index.get(k)
+        if cached is None:
+            tracer = get_tracer()
+            with tracer.span(
+                "prefilter_index", "computation", k=k, buckets=len(self.buckets)
+            ) as span:
+                cached = [build_bound_index(b.codes, k) for b in self.buckets]
+                if tracer.enabled:  # the disabled tracer's span takes no args
+                    nbytes = sum(index.nbytes for index in cached)
+                    span.args["bytes"] = nbytes  # type: ignore[union-attr]
+            self._bound_index[k] = cached
+        return cached
 
 
 def _pack_buffer(
@@ -126,6 +152,13 @@ def _pack_buffer(
     buffer.clear()
 
 
+def _check_packing(max_lanes: int, max_waste: float) -> None:
+    if max_lanes <= 0:
+        raise ValueError("max_lanes must be positive")
+    if not 0.0 <= max_waste < 1.0:
+        raise ValueError("max_waste must be in [0, 1)")
+
+
 def pack_database(
     records: Iterable[FastaRecord | tuple[str, np.ndarray]],
     max_lanes: int = 512,
@@ -138,10 +171,7 @@ def pack_database(
     :func:`_pack_buffer`; buckets double as the dispatch chunks of the
     search work queue.
     """
-    if max_lanes <= 0:
-        raise ValueError("max_lanes must be positive")
-    if not 0.0 <= max_waste < 1.0:
-        raise ValueError("max_waste must be in [0, 1)")
+    _check_packing(max_lanes, max_waste)
     names: list[str] = []
     lengths: list[int] = []
     buckets: list[PackedBucket] = []
@@ -164,6 +194,59 @@ def pack_database(
     )
 
 
+def _lane_table(packed: PackedDatabase) -> tuple[np.ndarray, ...]:
+    """Every lane of ``packed`` as parallel ``(bucket, row, index, length)`` arrays."""
+    buckets = packed.buckets
+    if not buckets:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    lanes = [b.lanes for b in buckets]
+    first = np.repeat(np.cumsum(lanes) - lanes, lanes)  # each lane's bucket start
+    return (
+        np.repeat(np.arange(len(buckets)), lanes),
+        np.arange(first.size) - first,
+        np.concatenate([b.indices for b in buckets]).astype(np.int64, copy=False),
+        np.concatenate([b.lengths for b in buckets]).astype(np.int64, copy=False),
+    )
+
+
+def _repack(
+    packed: PackedDatabase,
+    table: tuple[np.ndarray, ...],
+    picked: np.ndarray,
+    max_lanes: int,
+    max_waste: float,
+) -> PackedDatabase:
+    """Cut the ``picked`` lanes of ``table`` into fresh buckets.
+
+    The same buckets :func:`_pack_buffer` cuts from the lanes' index-sorted
+    ``(index, codes)`` buffer, bit for bit, but gathered from the source
+    matrices a (new bucket, source bucket) block at a time.
+    """
+    source, row, index, length = (column[picked] for column in table)
+    order = np.lexsort((index, -length))  # length descending, then index
+    buckets: list[PackedBucket] = []
+    start = 0
+    while start < order.size:
+        width = int(length[order[start]])
+        floor = (1.0 - max_waste) * width
+        # Lengths descend along ``order``, so the lanes >= floor are a prefix.
+        window = length[order[start : start + max_lanes]]
+        run = order[start : start + int(np.count_nonzero(window >= floor))]
+        run = run[np.argsort(index[run])]
+        codes = np.full((run.size, width), PAD_CODE, dtype=np.uint8)
+        run_source = source[run]
+        for b in set(run_source.tolist()):
+            at = np.flatnonzero(run_source == b)
+            src = packed.buckets[b].codes
+            # Source rows are PAD_CODE past their length, as packing leaves them.
+            span = min(width, src.shape[1])
+            codes[at, :span] = src[row[run[at]], :span]
+        buckets.append(PackedBucket(codes=codes, lengths=length[run], indices=index[run]))
+        start += run.size
+    return PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths)
+
+
 def pack_subset(
     packed: PackedDatabase,
     indices,
@@ -180,25 +263,18 @@ def pack_subset(
     ``total_residues`` of the returned database therefore describe the
     *original* database, not the subset.
     """
-    if max_lanes <= 0:
-        raise ValueError("max_lanes must be positive")
-    if not 0.0 <= max_waste < 1.0:
-        raise ValueError("max_waste must be in [0, 1)")
-    wanted = {int(i) for i in indices}
-    buffer: list[tuple[int, np.ndarray]] = []
-    for bucket in packed.buckets:
-        for lane in range(bucket.lanes):
-            index = int(bucket.indices[lane])
-            if index in wanted:
-                width = int(bucket.lengths[lane])
-                buffer.append((index, bucket.codes[lane, :width]))
-    missing = len(wanted) - len(buffer)
+    _check_packing(max_lanes, max_waste)
+    wanted = np.asarray(indices, dtype=np.int64).reshape(-1)
+    table = _lane_table(packed)
+    is_wanted = np.zeros(packed.n_sequences, dtype=bool)
+    known = (wanted >= 0) & (wanted < is_wanted.size)
+    is_wanted[wanted[known]] = True
+    _, _, lane_index, _ = table
+    picked = np.flatnonzero(is_wanted[lane_index])
+    missing = int(is_wanted.sum()) - picked.size + len(set(wanted[~known].tolist()))
     if missing:
         raise ValueError(f"{missing} requested indices are not in the database")
-    buffer.sort(key=lambda item: item[0])
-    buckets: list[PackedBucket] = []
-    _pack_buffer(buffer, buckets, max_lanes, max_waste)
-    return PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths)
+    return _repack(packed, table, picked, max_lanes, max_waste)
 
 
 def shard_database(
@@ -223,25 +299,14 @@ def shard_database(
     """
     if n_shards <= 0:
         raise ValueError("n_shards must be positive")
-    if max_lanes <= 0:
-        raise ValueError("max_lanes must be positive")
-    if not 0.0 <= max_waste < 1.0:
-        raise ValueError("max_waste must be in [0, 1)")
-    buffers: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(n_shards)]
-    for bucket in packed.buckets:
-        for lane in range(bucket.lanes):
-            index = int(bucket.indices[lane])
-            width = int(bucket.lengths[lane])
-            buffers[index % n_shards].append((index, bucket.codes[lane, :width]))
-    shards: list[PackedDatabase] = []
-    for buffer in buffers:
-        buffer.sort(key=lambda item: item[0])
-        buckets: list[PackedBucket] = []
-        _pack_buffer(buffer, buckets, max_lanes, max_waste)
-        shards.append(
-            PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths)
-        )
-    return shards
+    _check_packing(max_lanes, max_waste)
+    table = _lane_table(packed)
+    _, _, lane_index, _ = table
+    shard_of = lane_index % n_shards
+    return [
+        _repack(packed, table, np.flatnonzero(shard_of == s), max_lanes, max_waste)
+        for s in range(n_shards)
+    ]
 
 
 def content_digest(packed: PackedDatabase) -> str:

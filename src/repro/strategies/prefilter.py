@@ -126,11 +126,12 @@ def pooled_pruned_search(
     tiered = TieredFilter(query, config.scoring, tiers, kmer_k)
     tracer = get_tracer()
     per_bucket = []
+    # The query-independent half of the sweep (letter counts, k-mer window
+    # ids) is built on the first pruned search and memoised on `packed`.
+    indexes = packed.bound_index(tiered.index_k)
     with tracer.span("prefilter_bounds", "computation", sequences=packed.n_sequences):
-        for bucket in packed.buckets:
-            combined, per_tier, bound_cells = tiered.ceilings(
-                bucket.codes, bucket.lengths
-            )
+        for bucket, index in zip(packed.buckets, indexes):
+            combined, per_tier, bound_cells = tiered.ceilings(index, bucket.lengths)
             stats["bound_cells"] += bound_cells
             per_bucket.append((bucket, combined, per_tier))
     all_indices = np.concatenate(
@@ -139,7 +140,8 @@ def pooled_pruned_search(
     all_ceilings = np.concatenate([c for _, c, _ in per_bucket])
     order = np.lexsort((all_indices, -all_ceilings))
     seeds = all_indices[order[: default_seed_count(config.top_k)]]
-    seed_set = {int(i) for i in seeds}
+    is_seed = np.zeros(packed.n_sequences, dtype=bool)
+    is_seed[seeds] = True
     seed_db = pack_subset(packed, seeds, max_lanes, max_waste)
     if seed_db.buckets:
         ship(seed_db)
@@ -148,23 +150,16 @@ def pooled_pruned_search(
     # threshold.  The threshold is stale relative to the inline path's
     # running one, but staleness only keeps more lanes, never fewer.
     threshold = top.threshold()
-    survivors: list[int] = []
+    survivors: list[np.ndarray] = []
     with tracer.span(
-        "prefilter", "computation", sequences=packed.n_sequences - len(seed_set)
+        "prefilter", "computation", sequences=packed.n_sequences - len(seeds)
     ):
         for bucket, combined, per_tier in per_bucket:
-            rest = np.array(
-                [
-                    lane
-                    for lane in range(bucket.lanes)
-                    if int(bucket.indices[lane]) not in seed_set
-                ],
-                dtype=np.int64,
-            )
+            rest = np.flatnonzero(~is_seed[bucket.indices])
             if rest.size == 0:
                 continue
             drop = combined[rest] < threshold
-            survivors.extend(int(i) for i in bucket.indices[rest[~drop]])
+            survivors.append(bucket.indices[rest[~drop]])
             dropped = rest[drop]
             stats["sequences_pruned"] += int(dropped.size)
             stats["cells_skipped"] += query_len * int(bucket.lengths[dropped].sum())
@@ -190,6 +185,7 @@ def pooled_pruned_search(
         if threshold != float("-inf"):
             metrics.gauge("prefilter_threshold").set(float(threshold))
 
-    if survivors:
-        ship(pack_subset(packed, survivors, max_lanes, max_waste))
+    kept = np.concatenate(survivors) if survivors else np.zeros(0, dtype=np.int64)
+    if kept.size:
+        ship(pack_subset(packed, kept, max_lanes, max_waste))
     return top.ranked(), stats

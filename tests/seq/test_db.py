@@ -12,6 +12,7 @@ from repro.seq import (
     synthetic_database,
     write_fasta,
 )
+from repro.seq.db import pack_subset, shard_database
 
 
 @pytest.fixture
@@ -122,3 +123,96 @@ class TestSyntheticDatabase:
             synthetic_database(n=-1)
         with pytest.raises(ValueError):
             synthetic_database(min_length=10, max_length=5)
+
+
+def _per_lane_repack(packed, buffers, max_lanes, max_waste):
+    """The per-lane reference: one ``(index, codes)`` buffer per output
+    database, cut by the same packer ``pack_database`` uses."""
+    from repro.seq.db import PackedDatabase, _pack_buffer
+
+    out = []
+    for buffer in buffers:
+        buffer.sort(key=lambda item: item[0])
+        buckets = []
+        _pack_buffer(buffer, buckets, max_lanes, max_waste)
+        out.append(PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths))
+    return out
+
+
+def naive_pack_subset(packed, indices, max_lanes, max_waste):
+    wanted = {int(i) for i in indices}
+    buffer = []
+    for bucket in packed.buckets:
+        for lane in range(bucket.lanes):
+            index = int(bucket.indices[lane])
+            if index in wanted:
+                buffer.append((index, bucket.codes[lane, : int(bucket.lengths[lane])]))
+    if len(buffer) != len(wanted):
+        raise ValueError("not in the database")
+    return _per_lane_repack(packed, [buffer], max_lanes, max_waste)[0]
+
+
+def naive_shard_database(packed, n_shards, max_lanes, max_waste):
+    buffers = [[] for _ in range(n_shards)]
+    for bucket in packed.buckets:
+        for lane in range(bucket.lanes):
+            index = int(bucket.indices[lane])
+            width = int(bucket.lengths[lane])
+            buffers[index % n_shards].append((index, bucket.codes[lane, :width]))
+    return _per_lane_repack(packed, buffers, max_lanes, max_waste)
+
+
+def assert_same_packing(got, want):
+    assert len(got.buckets) == len(want.buckets)
+    for g, w in zip(got.buckets, want.buckets):
+        for field in ("codes", "lengths", "indices"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+    assert got.names is want.names or got.names == want.names
+    assert got.lengths is want.lengths
+
+
+class TestRepackMatchesPerLaneReference:
+    """``pack_subset``/``shard_database`` gather whole blocks at a time; the
+    buckets they cut must equal the per-lane reference bit for bit."""
+
+    @pytest.fixture
+    def packed(self, rng):
+        records = synthetic_database(n=90, min_length=0, max_length=70, rng=rng)
+        return pack_database(records, max_lanes=16, max_waste=0.3, window=40)
+
+    @pytest.mark.parametrize("max_lanes,max_waste", [(512, 0.15), (4, 0.5), (1, 0.0), (7, 0.9)])
+    def test_pack_subset_random_subsets(self, packed, max_lanes, max_waste):
+        rng = np.random.default_rng(max_lanes)
+        n = packed.n_sequences
+        subsets = [np.zeros(0, np.int64), np.arange(n), np.arange(n)[::-1]]
+        subsets += [rng.choice(n, size=int(rng.integers(1, n)), replace=False) for _ in range(8)]
+        for wanted in subsets:
+            got = pack_subset(packed, wanted, max_lanes, max_waste)
+            assert_same_packing(got, naive_pack_subset(packed, wanted, max_lanes, max_waste))
+            assert got._bound_index == {}
+
+    def test_duplicates_and_plain_lists(self, packed):
+        wanted = [5, 3, 5, 40, 3]
+        got = pack_subset(packed, wanted, 8, 0.2)
+        assert_same_packing(got, naive_pack_subset(packed, wanted, 8, 0.2))
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 7, 200])
+    def test_shard_database(self, packed, n_shards):
+        got = shard_database(packed, n_shards, 6, 0.25)
+        want = naive_shard_database(packed, n_shards, 6, 0.25)
+        assert len(got) == len(want) == n_shards
+        for g, w in zip(got, want):
+            assert_same_packing(g, w)
+            assert g._bound_index == {}
+
+    def test_empty_database(self):
+        empty = pack_database([])
+        assert pack_subset(empty, [], 4, 0.5).buckets == []
+        assert [s.buckets for s in shard_database(empty, 3)] == [[], [], []]
+
+    @pytest.mark.parametrize("bad", [[90], [-1], [0, 1, 1000]])
+    def test_missing_index_raises(self, packed, bad):
+        with pytest.raises(ValueError, match="not in the database"):
+            pack_subset(packed, bad, 4, 0.5)

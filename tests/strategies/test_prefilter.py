@@ -159,6 +159,212 @@ class TestKmerHits:
         assert kmer_hits(ctx, np.zeros((3, 5), np.uint8)).tolist() == [0, 0, 0]
         assert kmer_hits(ctx, np.zeros((0, 9), np.uint8)).tolist() == []
 
+    @staticmethod
+    def awkward_bucket(rng, query, k, width):
+        """Padded, out-of-alphabet and shorter-than-k lanes, plus shared runs."""
+        lanes = 9
+        codes = rng.integers(0, 4, size=(lanes, width), dtype=np.uint8)
+        codes[:2] = np.resize(query[: max(width, 1)], width)
+        lengths = rng.integers(0, width + 1, size=lanes)
+        lengths[2] = min(k - 1, width)  # shorter than one window
+        lengths[3] = 0
+        for lane, length in enumerate(lengths):
+            codes[lane, length:] = 255  # PAD_CODE
+        if width:
+            codes[4, width // 2] = 4  # an ambiguity code mid-lane
+        codes[5, ::3] = 7
+        return codes
+
+    @pytest.mark.parametrize("k", [2, 6, 7, 8])
+    @pytest.mark.parametrize("width", [0, 1, 5, 8, 30])
+    def test_matches_naive_count_at_every_k(self, k, width):
+        from repro.core.bounds import build_bound_index, kmer_hits, kmer_id_dtype
+
+        rng = np.random.default_rng(100 * k + width)
+        query = random_dna(50, rng)
+        ctx = QueryBoundContext(query, Scoring(match=1, mismatch=-3, gap=-4), k)
+        codes = self.awkward_bucket(rng, query, k, width)
+        want = self.naive_hits(query, codes, k)
+        assert kmer_hits(ctx, codes).tolist() == want
+        index = build_bound_index(codes, k)
+        assert index.kmer_ids.dtype == kmer_id_dtype(k)
+        assert index.kmer_ids.shape == (codes.shape[0], max(width - k + 1, 0))
+        assert kmer_hits(ctx, index).tolist() == want
+        for empty in (codes[:0], np.zeros((0, 3), np.uint8)):
+            assert kmer_hits(ctx, empty).tolist() == []
+            assert kmer_hits(ctx, build_bound_index(empty, k)).tolist() == []
+
+    def test_id_dtype_fits_the_sentinel(self):
+        from repro.core.bounds import MAX_KMER_K, build_bound_index, kmer_id_dtype
+
+        assert kmer_id_dtype(6) == np.uint16 and kmer_id_dtype(7) == np.uint16
+        assert kmer_id_dtype(8) == np.uint32 and kmer_id_dtype(MAX_KMER_K) == np.uint32
+        for k in (7, 8):
+            codes = np.array([[3] * (k + 1) + [255]], dtype=np.uint8)
+            ids = build_bound_index(codes, k).kmer_ids[0]
+            # The all-T window is the largest id; the padded one the sentinel.
+            assert ids.tolist() == [4**k - 1, 4**k - 1, 4**k]
+
+    @pytest.mark.parametrize("k", [0, 1, 16])
+    def test_out_of_range_k_is_rejected(self, k):
+        from repro.core.bounds import MAX_KMER_K
+
+        with pytest.raises(ValueError, match=f"between 2 and {MAX_KMER_K}"):
+            TieredFilter(random_dna(20, np.random.default_rng(0)), Scoring(), kmer_k=k)
+
+    def test_index_built_for_another_k_is_refused(self):
+        from repro.core.bounds import build_bound_index, kmer_hits
+
+        ctx = QueryBoundContext(random_dna(20, np.random.default_rng(0)), Scoring(), 6)
+        codes = np.zeros((2, 9), np.uint8)
+        for k in (5, None):
+            with pytest.raises(ValueError, match="k-mer tier needs k=6"):
+                kmer_hits(ctx, build_bound_index(codes, k))
+
+
+def old_composition_counts(codes):
+    """Letter counts as the raw-code composition tier computed them."""
+    counts = np.empty((codes.shape[0], 4), dtype=np.int64)
+    for c in range(4):
+        counts[:, c] = (codes == c).sum(axis=1)
+    return counts
+
+
+def old_kmer_hits(query, codes, k):
+    """The int64 ``np.where`` window loop the raw-code k-mer tier ran."""
+    table = np.zeros(4**k, dtype=bool)
+    if len(query) >= k:
+        qids = np.zeros(len(query) - k + 1, dtype=np.int64)
+        for i in range(k):
+            qids = qids * 4 + query[i : len(query) - k + 1 + i]
+        table[qids] = True
+    lanes, width = codes.shape
+    n_windows = width - k + 1
+    if n_windows <= 0:
+        return np.zeros(lanes, dtype=np.int64)
+    ids = np.zeros((lanes, n_windows), dtype=np.int64)
+    valid = np.ones(ids.shape, dtype=bool)
+    for i in range(k):
+        sl = codes[:, i : i + n_windows]
+        valid &= sl < 4
+        ids = ids * 4 + np.where(sl < 4, sl, 0)
+    return (table[ids] & valid).sum(axis=1)
+
+
+class TestBoundIndexParity:
+    """Ceilings read from the per-database index equal the raw-code ones."""
+
+    @pytest.mark.parametrize("scoring", SCORINGS, ids=lambda s: repr(s)[:30])
+    def test_per_tier_and_combined_ceilings_bitwise(self, scoring):
+        from repro.core.bounds import kmer_hits
+
+        rng = np.random.default_rng(31)
+        query = random_dna(60, rng)
+        packed = pack_database(adversarial_db(rng, query), max_lanes=8)
+        tiered = TieredFilter(query, scoring)
+        indexes = packed.bound_index(tiered.index_k)
+        assert len(indexes) == len(packed.buckets)
+        for bucket, index in zip(packed.buckets, indexes):
+            np.testing.assert_array_equal(index.counts, old_composition_counts(bucket.codes))
+            if tiered.index_k is not None:
+                want = old_kmer_hits(query, bucket.codes, DEFAULT_KMER_K)
+                np.testing.assert_array_equal(kmer_hits(tiered.ctx, index), want)
+                np.testing.assert_array_equal(kmer_hits(tiered.ctx, bucket.codes), want)
+            for tier, bound in ADMISSIBLE_BOUNDS.items():
+                raw = bound(tiered.ctx, bucket.codes, bucket.lengths)
+                got = bound(tiered.ctx, index, bucket.lengths)
+                if raw is None:
+                    assert got is None and tier == "kmer"
+                    continue
+                assert got.dtype == raw.dtype == np.int64
+                np.testing.assert_array_equal(got, raw)
+            raw_combined, raw_tiers, raw_cells = tiered.ceilings(bucket.codes, bucket.lengths)
+            combined, per_tier, cells = tiered.ceilings(index, bucket.lengths)
+            assert combined.tobytes() == raw_combined.tobytes()
+            assert per_tier.keys() == raw_tiers.keys() and cells == raw_cells
+            for tier in per_tier:
+                assert per_tier[tier].tobytes() == raw_tiers[tier].tobytes()
+
+    def test_positive_mismatch_builds_counts_only(self):
+        tiered = TieredFilter(random_dna(30, np.random.default_rng(2)), SCORINGS[2])
+        assert tiered.index_k is None  # no k-mer tier: no window ids
+        packed = pack_database([("a", random_dna(40, np.random.default_rng(3)))])
+        (index,) = packed.bound_index(None)
+        assert index.kmer_ids is None and index.counts.shape == (1, 4)
+
+
+class TestBoundIndexLifecycle:
+    def records(self, n=40):
+        rng = np.random.default_rng(41)
+        query = random_dna(120, rng)
+        records = [(f"h{i}", mutate(query[10:100], 0.05, rng)) for i in range(3)]
+        records += [(f"bg{i}", random_dna(int(rng.integers(20, 150)), rng)) for i in range(n)]
+        return query, records
+
+    def test_built_once_per_database_and_k_and_never_published(self, monkeypatch):
+        import repro.parallel.pool as pool_mod
+        import repro.seq.db as db_mod
+        import repro.strategies.prefilter as prefilter_mod
+        from repro.parallel.pool import AlignmentWorkerPool
+
+        builds = []
+        real_build = db_mod.build_bound_index
+        monkeypatch.setattr(
+            db_mod, "build_bound_index", lambda codes, k: builds.append(k) or real_build(codes, k)
+        )
+        published, blobs = [], []
+        real_arena = pool_mod.SequenceArena
+
+        def arena(query, blob):
+            published.append(blob)
+            return real_arena(query, blob)
+
+        def blob_of(db):
+            blob = search_blob(db)
+            blobs.append((blob.size, db.padded_slots))
+            return blob
+
+        monkeypatch.setattr(pool_mod, "SequenceArena", arena)
+        monkeypatch.setattr(prefilter_mod, "search_blob", blob_of)
+
+        query, records = self.records()
+        packed = pack_database(records, max_lanes=8)
+        config = SearchConfig(top_k=3, prefilter="kmer")
+        reference = search_db_sequential(query, packed, config)
+        with AlignmentWorkerPool(n_workers=2) as pool:
+            for _ in range(3):
+                result = search_db(query, packed, config, pool=pool)
+                assert result.scores() == reference.scores()
+        assert builds == [DEFAULT_KMER_K] * len(packed.buckets)
+        assert list(packed._bound_index) == [DEFAULT_KMER_K]
+        # The arena carries the uint8 code blob of each shipped subset and
+        # nothing else: no window ids, no counts.
+        assert published and all(b.dtype == np.uint8 for b in published)
+        assert sum(b.size for b in published) == sum(size for size, _ in blobs)
+        assert all(size == slots for size, slots in blobs)
+
+    def test_inline_search_leaves_no_index_behind(self):
+        query, records = self.records()
+        packed = pack_database(records, max_lanes=8)
+        search_db(query, packed, SearchConfig(top_k=3, prefilter="kmer"))
+        assert packed._bound_index == {}
+
+    def test_traced_build_span(self):
+        from repro.obs import observed
+
+        query, records = self.records()
+        packed = pack_database(records, max_lanes=8)
+        with observed() as (tracer, _):
+            indexes = packed.bound_index(DEFAULT_KMER_K)
+            packed.bound_index(DEFAULT_KMER_K)
+        spans = [s for s in tracer.spans if s.name == "prefilter_index"]
+        assert len(spans) == 1
+        assert spans[0].args == {
+            "k": DEFAULT_KMER_K,
+            "buckets": len(packed.buckets),
+            "bytes": sum(index.nbytes for index in indexes),
+        }
+
 
 class TestResolvePrefilter:
     def test_modes(self):
