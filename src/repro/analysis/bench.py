@@ -10,12 +10,14 @@ scans timed apart),
 the score-bound-pruned search over a planted-homolog database
 (:mod:`repro.strategies.prefilter`), ten wave-front requests on the
 persistent worker pool, FASTA ingest (parse + pack) of a database
-shaped like the ``search-fasta`` benchmark workload's, and the prefilter
-bound sweep over a warm bound index.  The same workloads and timing
-discipline as the ``benchmarks/`` pytest suite (min-of-rounds after a
-warmup call, cell counts cross-checked against the ``repro.obs`` metrics
-registry), so numbers regenerated here are comparable to the committed
-baseline on the same machine.
+shaped like the ``search-fasta`` benchmark workload's, the prefilter
+bound sweep over a warm bound index, and the compiled classic lanes on the
+``search-pool`` workload's block shapes.  :data:`ENTRIES` lists the suite;
+``run_kernel_bench(only=...)`` reruns some entries into a loaded payload.
+The same workloads and timing discipline as the ``benchmarks/`` pytest
+suite (min-of-rounds after a warmup call, cell counts cross-checked
+against the ``repro.obs`` metrics registry), so numbers regenerated here
+are comparable to the committed baseline on the same machine.
 
 Every entry carries ``kernel``/``dtype``/``lane_mode`` fields naming the
 code path it measured, and the file is stamped with a ``_machine`` record
@@ -626,39 +628,108 @@ def _bench_bound_sweep(quick: bool) -> dict:
     }
 
 
-def run_kernel_bench(quick: bool = False, progress=None) -> dict:
-    """Run the whole suite; returns the BENCH_kernels.json payload."""
+def _bench_search_lanes(quick: bool) -> dict:
+    """The compiled classic lanes on the ``search-pool`` database's shape.
+
+    One 400 bp query against the largest bucket of an 800-sequence
+    database (150-600 bp, classic packing) and against a 10-lane block of
+    it, the narrow shape the search pool's seed prefix packs.  Each scan
+    builds its :class:`MultiSequenceWorkspace` (profile included), as a
+    search does.  Scores are asserted equal to the numpy lanes' first.
+    Each of the five samples repeats the scan for at least 0.2 s;
+    ``*_sample_spread`` is ``(slowest - fastest) / fastest`` over the samples.
+    """
+    from ..core.multi_engine import MultiSequenceWorkspace, NumpyMultiWorkspace
+
+    rng = np.random.default_rng(83)
+    db = synthetic_database(n=200 if quick else 800, min_length=150, max_length=600, rng=rng)
+    query = random_dna(400, rng)
+    bucket = max(pack_database(db).buckets, key=lambda b: b.codes.shape[0])
+    blocks = {
+        "narrow": (bucket.codes[:10], bucket.lengths[:10]),
+        "bucket": (bucket.codes, bucket.lengths),
+    }
+    entry: dict = {
+        "kernel": "classic",
+        "dtype": "int16",
+        "lane_mode": "chunked",
+        "query_bp": len(query),
+    }
+    for name, (codes, lengths) in blocks.items():
+        want = NumpyMultiWorkspace(codes, lengths).sw_best_scores(query)
+        if not np.array_equal(MultiSequenceWorkspace(codes, lengths).sw_best_scores(query), want):
+            raise AssertionError(f"compiled {name} lanes diverged from the numpy lanes")
+        repeats, per_call = _long_samples(
+            lambda: MultiSequenceWorkspace(codes, lengths).sw_best_scores(query),
+            1 if quick else 5,
+            0.0 if quick else 0.2,
+        )
+        best = min(per_call)
+        cells = len(query) * int(lengths.sum())
+        entry[f"{name}_lanes"] = len(lengths)
+        entry[f"{name}_cells"] = cells
+        entry[f"{name}_repeats_per_sample"] = repeats
+        entry[f"{name}_seconds"] = best
+        entry[f"{name}_gcups"] = gcups(cells, best)
+        entry[f"{name}_sample_spread"] = (max(per_call) - best) / best
+    entry["samples"] = len(per_call)
+    return entry
+
+
+#: The suite in run order: ``(entry name, progress note, bench)``.  Each
+#: bench takes ``(quick, rounds, results so far)``.
+ENTRIES = (
+    ("sw_scan_4096x4096", "sw_scan: naive / vectorized / workspace",
+     lambda quick, rounds, _: _bench_pair_scan(quick, rounds)),
+    ("sw_rows_batched_512x4096", "sw_rows: batched block",
+     lambda quick, rounds, _: _bench_batched_rows(quick, rounds)),
+    ("tile_500x500", "tile: compiled vs numpy rows",
+     lambda quick, rounds, _: _bench_tile(quick, rounds)),
+    ("db_search_1000seq_2kbp_query", "db_search: classic batched",
+     lambda quick, rounds, _: _bench_db_search(quick, rounds)),
+    ("db_search_striped_1000seq_2kbp_query", "db_search: striped",
+     lambda quick, rounds, results: _bench_db_search_striped(
+         quick, rounds,
+         results.get("db_search_1000seq_2kbp_query", {}).get("batched_gcups", 0.0),
+     )),
+    ("db_search_pruned_5000seq_1500bp_query", "db_search: score-bound pruning",
+     lambda quick, rounds, _: _bench_db_search_pruned(quick, rounds)),
+    ("db_search_sharded_5000seq", "db_search: sharded + result cache",
+     lambda quick, rounds, _: _bench_db_search_sharded(quick, rounds)),
+    ("pool_wavefront_10_repeats_600x600", "pool wavefront: 10 repeats",
+     lambda quick, rounds, _: _bench_pool_wavefront(quick, rounds)),
+    ("fasta_ingest_1500seq", "fasta ingest: parse + pack",
+     lambda quick, _, __: _bench_fasta_ingest(quick)),
+    ("bound_sweep_800seq", "bound sweep: index warm",
+     lambda quick, _, __: _bench_bound_sweep(quick)),
+    ("search_lanes_800seq_400bp_query", "search lanes: narrow block + bucket",
+     lambda quick, _, __: _bench_search_lanes(quick)),
+)
+
+
+def run_kernel_bench(
+    quick: bool = False, progress=None, only=None, base: dict | None = None
+) -> dict:
+    """Run the suite; returns the BENCH_kernels.json payload.
+
+    ``only`` (entry names) runs just those entries and merges them into a
+    copy of ``base`` (a payload loaded from the file), leaving every other
+    entry, ``_machine`` included, as it was.
+    """
     rounds = 1 if quick else 3
-
-    def note(msg: str) -> None:
+    if only is not None:
+        unknown = sorted(set(only) - {name for name, _, _ in ENTRIES})
+        if unknown:
+            raise ValueError(f"unknown bench entries: {', '.join(unknown)}")
+        results = dict(base or {})
+    else:
+        results = {"_machine": _machine(quick)}
+    for name, label, bench in ENTRIES:
+        if only is not None and name not in only:
+            continue
         if progress is not None:
-            progress(msg)
-
-    results: dict = {"_machine": _machine(quick)}
-    note("sw_scan: naive / vectorized / workspace ...")
-    results["sw_scan_4096x4096"] = _bench_pair_scan(quick, rounds)
-    note("sw_rows: batched block ...")
-    results["sw_rows_batched_512x4096"] = _bench_batched_rows(quick, rounds)
-    note("tile: compiled vs numpy rows ...")
-    results["tile_500x500"] = _bench_tile(quick, rounds)
-    note("db_search: classic batched ...")
-    results["db_search_1000seq_2kbp_query"] = _bench_db_search(quick, rounds)
-    note("db_search: striped ...")
-    results["db_search_striped_1000seq_2kbp_query"] = _bench_db_search_striped(
-        quick, rounds, results["db_search_1000seq_2kbp_query"]["batched_gcups"]
-    )
-    note("db_search: score-bound pruning ...")
-    results["db_search_pruned_5000seq_1500bp_query"] = _bench_db_search_pruned(
-        quick, rounds
-    )
-    note("db_search: sharded + result cache ...")
-    results["db_search_sharded_5000seq"] = _bench_db_search_sharded(quick, rounds)
-    note("pool wavefront: 10 repeats ...")
-    results["pool_wavefront_10_repeats_600x600"] = _bench_pool_wavefront(quick, rounds)
-    note("fasta ingest: parse + pack ...")
-    results["fasta_ingest_1500seq"] = _bench_fasta_ingest(quick)
-    note("bound sweep: index warm ...")
-    results["bound_sweep_800seq"] = _bench_bound_sweep(quick)
+            progress(f"{label} ...")
+        results[name] = bench(quick, rounds, results)
     return results
 
 

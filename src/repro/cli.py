@@ -268,11 +268,31 @@ def cmd_search(args) -> int:
 
 
 def cmd_bench_kernels(args) -> int:
+    import json
+
     from .analysis.bench import record_bench, run_kernel_bench, write_bench
 
     _install_ledger(args)
-    results = run_kernel_bench(quick=args.quick, progress=print)
+    only = base = None
+    if args.only:
+        only = [name for name in args.only.split(",") if name]
+        try:
+            with open(args.out, encoding="utf-8") as fh:
+                base = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"bench kernels --only: cannot read {args.out} to merge into ({exc})")
+            return 2
+        if bool(base.get("_machine", {}).get("quick")) != args.quick:
+            print(f"bench kernels --only: {args.out} was not recorded with the same --quick")
+            return 2
+    try:
+        results = run_kernel_bench(quick=args.quick, progress=print, only=only, base=base)
+    except ValueError as exc:
+        print(f"bench kernels: {exc}")
+        return 2
     write_bench(results, args.out)
+    if only is not None:  # the ledger gets this run's entries alone
+        results = {key: results[key] for key in ("_machine", *only) if key in results}
     print(f"wrote {args.out}: {len(results)} benchmark entries")
     entry = record_bench(results)
     if entry is not None:
@@ -666,6 +686,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also append the suite's rates to a jsonl run ledger, so 'obs "
         "diff' can compare runs (or a run against BENCH_kernels.json)",
+    )
+    p_bench_kernels.add_argument(
+        "--only",
+        metavar="NAME[,NAME]",
+        help="rerun just these entries and merge them into the existing --out "
+        "file, leaving every other entry as it is",
     )
     p_bench_kernels.set_defaults(func=cmd_bench_kernels)
 

@@ -95,66 +95,115 @@ int64_t band_segments(const int32_t *band, int64_t h, int64_t w,
     return n;
 }
 
-/* One query row over a packed lanes-contiguous block, in the lane dtype T.
+/* Signed byte and 32-bit max are SSE4.1 (pmaxsb, pmaxsd): on the baseline
+ * x86-64 target the striped int8 rung and the int32 lanes emulate them with
+ * compare and blend.  Where the loader supports it, gcc builds an AVX2
+ * clone of the striped row and of the lane chunk loop as well and picks one
+ * per CPU at load time, so the cached build stays safe on any x86-64
+ * machine.  Both clones compile the same integer C, so their results are
+ * identical. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__linux__)
+#define SIMD_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define SIMD_CLONES
+#endif
+
+/* Inlined side by side into their dispatcher, the two lane loops lose
+ * gcc's vectorization (the int16 diagonal goes to sixteen stack slots). */
+#if defined(__GNUC__)
+#define NOINLINE __attribute__((noinline))
+#else
+#define NOINLINE
+#endif
+
+/* The search lanes: a whole query down a packed Smith-Waterman block,
+ * H = max(up_diag + profile, up + gap, left + gap, 0) per cell, in the lane
+ * dtype T.
  *
- * Column j of every lane is k contiguous cells, so the innermost loop runs
- * over lanes with no cross-lane dependency: the compiler vectorizes it as
- * written (at -O3; -O2's cheap cost model leaves it scalar).  Sums are
- * truncated to T before every max, as numpy's same-dtype adds are; the
- * caller picks T so that nothing wraps (MultiSequenceWorkspace's regimes).
+ * Layout: the k lanes are cut into chunks of W (32 bytes of lanes), and
+ * each chunk's cells are contiguous: position j of lane l of chunk c sits at
+ * (c, j, l).  Loop order: chunks outermost, then query rows, then target
+ * columns.  Each chunk walks the whole target with its diagonal, left cell
+ * and running best in W-wide local arrays; the fixed-trip lane loop lets
+ * gcc keep them in vector registers (at -O3), so per cell only the row cell
+ * above (overwritten in place) and the profile go through memory, both
+ * read at unit stride from a chunk-sized block.  Lanes never depend on each
+ * other, so neither changes a value.  k must be a multiple of W:
+ * MultiSequenceWorkspace pads its batch with PAD_CODE lanes of length 0,
+ * which score 0 and are never returned.
+ *
+ * Sums are truncated to T before every max, as numpy's same-dtype adds are;
+ * the caller picks T so that nothing wraps (MultiSequenceWorkspace's
+ * regimes).
  */
-#define LANES_ROW(NAME, T)                                                    \
-static void NAME(const T *restrict sub, int64_t n, int64_t k, T gap,         \
-                 T *restrict row, T *restrict diag, T *restrict best)        \
+#define LANES_CHUNK(NAME, T, W)                                               \
+SIMD_CLONES NOINLINE static void NAME(const T *restrict profile,              \
+                 const uint8_t *restrict query, int64_t m, int64_t n,         \
+                 int64_t k, T gap, T *restrict row, T *restrict best,         \
+                 int64_t step)                                                \
 {                                                                             \
-    for (int64_t l = 0; l < k; l++)                                           \
-        diag[l] = row[l];                                                     \
-    for (int64_t j = 1; j <= n; j++) {                                        \
-        T *restrict cur = row + j * k;                                        \
-        const T *restrict left = cur - k;                                     \
-        const T *restrict p = sub + (j - 1) * k;                              \
-        for (int64_t l = 0; l < k; l++) {                                     \
-            T up = cur[l];                                                    \
-            T v = (T)(diag[l] + p[l]);                                        \
-            T g = (T)(up + gap);                                              \
-            v = v > g ? v : g;                                                \
-            g = (T)(left[l] + gap);                                           \
-            v = v > g ? v : g;                                                \
-            v = v > 0 ? v : 0;                                                \
-            diag[l] = up;                                                     \
-            cur[l] = v;                                                       \
-            best[l] = best[l] > v ? best[l] : v;                              \
+    const int64_t block = n * k;                                              \
+    for (int64_t c = 0; c < k / W; c++) {                                     \
+        T top[W];                                                             \
+        for (int l = 0; l < W; l++)                                           \
+            top[l] = best[c * W + l];                                         \
+        for (int64_t i = 0; i < m; i++) {                                     \
+            const T *restrict p = profile + query[i] * block + c * n * step;  \
+            T *restrict cur = row + c * (n + 1) * step;                       \
+            T diag[W], left[W];                                               \
+            for (int l = 0; l < W; l++)                                       \
+                diag[l] = left[l] = cur[l]; /* column 0, never written */     \
+            for (int64_t j = 1; j <= n; j++) {                                \
+                cur += step;                                                  \
+                for (int l = 0; l < W; l++) {                                 \
+                    T up = cur[l];                                            \
+                    T v = (T)(diag[l] + p[l]);                                \
+                    T g = (T)(up + gap);                                      \
+                    v = v > g ? v : g;                                        \
+                    g = (T)(left[l] + gap);                                   \
+                    v = v > g ? v : g;                                        \
+                    v = v > 0 ? v : 0;                                        \
+                    diag[l] = up;                                             \
+                    left[l] = v;                                              \
+                    cur[l] = v;                                               \
+                    top[l] = top[l] > v ? top[l] : v;                         \
+                }                                                             \
+                p += step;                                                    \
+            }                                                                 \
         }                                                                     \
+        for (int l = 0; l < W; l++)                                           \
+            best[c * W + l] = top[l];                                         \
     }                                                                         \
 }
 
-LANES_ROW(lanes_row16, int16_t)
-LANES_ROW(lanes_row32, int32_t)
+LANES_CHUNK(lanes16, int16_t, 16)
+LANES_CHUNK(lanes32, int32_t, 8)
 
-/* Advance every lane of a packed (n + 1, k) Smith-Waterman block through a
- * whole query: H = max(up_diag + profile, up + gap, left + gap, 0), with a
- * running per-lane best.
+/* Advance every lane of a packed Smith-Waterman block through a whole
+ * query, with a running per-lane best.
  *
- * profile  (n_codes, n, k) substitution blocks; block c scores query code c
- *          against every target position of every lane (PAD cells included)
- * row      the (n + 1, k) block, advanced in place; column 0 stays as given
- * diag     k cells of scratch
+ * profile  (n_codes, k / W, n, W) substitution blocks; block c scores query
+ *          code c against every target position of every lane (PAD cells
+ *          included)
+ * row      the (k / W, n + 1, W) block, advanced in place; column 0 stays
+ *          as given
  * best     k running maxima, updated in place
+ * w        W: 16 for int16 lanes, 8 for int32; k is a multiple of it
  * itemsize 2 for int16 lanes, 4 for int32 (every buffer has that dtype)
+ *
+ * w is the chunk's step from one target position to the next.  It comes
+ * from the caller at run time on purpose: given the step as a compile-time
+ * constant, gcc's vectorizer puts the int16 diagonal in sixteen stack slots
+ * instead of registers, and the loop runs 5-10x slower.
  */
 void lanes(const void *profile, const uint8_t *query, int64_t m, int64_t n,
-           int64_t k, int32_t gap, int itemsize, void *row, void *diag,
+           int64_t k, int64_t w, int32_t gap, int itemsize, void *row,
            void *best)
 {
-    const int64_t block = n * k;
-    for (int64_t i = 0; i < m; i++) {
-        if (itemsize == 2)
-            lanes_row16((const int16_t *)profile + query[i] * block, n, k,
-                        (int16_t)gap, row, diag, best);
-        else
-            lanes_row32((const int32_t *)profile + query[i] * block, n, k,
-                        gap, row, diag, best);
-    }
+    if (itemsize == 2)
+        lanes16(profile, query, m, n, k, (int16_t)gap, row, best, w);
+    else
+        lanes32(profile, query, m, n, k, gap, row, best, w);
 }
 
 /* Wrapping lane add: the sum truncated to T, as numpy's same-dtype adds are
@@ -169,22 +218,11 @@ void lanes(const void *profile, const uint8_t *query, int64_t m, int64_t n,
  *
  * One change of schedule, not of values: numpy clamps the finished row at
  * 0 in a read-write pass of its own.  Here the row is stored unclamped,
- * every read of it clamps (MAX0), and the row maximum is a read-only pass
- * (a maximum from 0 up is the maximum of the clamped cells).
+ * every read of it clamps (MAX0), and the row maximum only reads it (a
+ * maximum from 0 up is the maximum of the clamped cells).
  */
 #define MAX(a, b) ((a) > (b) ? (a) : (b))
 #define MAX0(a) ((a) > 0 ? (a) : 0)
-
-/* Signed byte max is SSE4.1 (pmaxsb): on the baseline x86-64 target the
- * int8 rung emulates it with compare and blend.  Where the loader supports
- * it, gcc builds an AVX2 clone of the row as well and picks one per CPU at
- * load time, so the cached build stays safe on any x86-64 machine.  Both
- * clones compile the same integer C, so their results are identical. */
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__linux__)
-#define SIMD_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define SIMD_CLONES
-#endif
 
 #define STRIPES_ROW(NAME, T, U)                                               \
 SIMD_CLONES static void NAME(const T *restrict prof, int64_t seg, int64_t p, int64_t k,  \
@@ -241,7 +279,7 @@ SIMD_CLONES static void NAME(const T *restrict prof, int64_t seg, int64_t p, int
             carry[i] = tend[i - k];                                           \
     }                                                                         \
     /* Phase 3: inject the carries down to the depth d the row maximum can  \
-     * still reach, then the per-lane row maximum. */                         \
+     * still reach. */                                                        \
     int64_t d = tm >= 1 ? ((int64_t)tm - 1) / gi : 0;                         \
     d = d < seg ? d : seg;                                                    \
     for (int64_t r = 0; r < d; r++) {                                         \
@@ -250,12 +288,21 @@ SIMD_CLONES static void NAME(const T *restrict prof, int64_t seg, int64_t p, int
         for (int64_t i = 0; i < plane; i++)                                   \
             or_[i] = MAX(or_[i], WRAP(T, U, carry[i], decay));                \
     }                                                                         \
+    /* The per-lane row maximum: fold the seg planes into carry (free now)  \
+     * with plane-wide maxima, then the p segments of each lane. */           \
+    for (int64_t i = 0; i < plane; i++)                                       \
+        carry[i] = o[i];                                                      \
+    for (int64_t r = 1; r < seg; r++) {                                       \
+        const T *or_ = o + r * plane;                                         \
+        for (int64_t i = 0; i < plane; i++)                                   \
+            carry[i] = MAX(carry[i], or_[i]);                                 \
+    }                                                                         \
     for (int64_t l = 0; l < k; l++)                                           \
         rowmax[l] = 0;                                                        \
-    for (int64_t i = 0; i < seg * p; i++) {                                   \
-        const T *oc = o + i * k;                                              \
+    for (int64_t c = 0; c < p; c++) {                                         \
+        const T *cc = carry + c * k;                                          \
         for (int64_t l = 0; l < k; l++)                                       \
-            rowmax[l] = MAX(rowmax[l], oc[l]);                                \
+            rowmax[l] = MAX(rowmax[l], cc[l]);                                \
     }                                                                         \
 }                                                                             \
                                                                               \

@@ -11,7 +11,8 @@ loops that replace them:
   :meth:`KernelWorkspace.sw_rows`, ``nw_rows`` and ``sw_rows_slice``;
 * ``band_segments`` -- the above-threshold segment scan behind
   :meth:`StreamingRegionFinder.feed_rows`;
-* ``lanes`` -- a whole query down a packed lanes-contiguous batch, behind
+* ``lanes`` -- a whole query down a packed batch, one 32-byte chunk of
+  lanes at a time (each chunk's cells contiguous), behind
   :meth:`MultiSequenceWorkspace.sw_best_scores`, in int16 or int32 lanes;
 * ``stripes`` -- a whole query through a packed ``(seg, p, k)`` striped
   block, behind :meth:`StripedMultiWorkspace.sw_best_scores`, in int8,
@@ -26,12 +27,12 @@ with its compiler flags and the interpreter's ABI tag, and published with
 an atomic ``os.replace`` so concurrent pool workers can race to build
 safely.
 
-The flags are ``-O3`` and nothing CPU-specific: the lane loop vectorizes
-only under -O3's vectorizer cost model (at -O2 it runs scalar), and the
-cache is not keyed by CPU, so ``-march=native`` would make a cached
-build unsafe to load on another machine.  The striped row instead asks gcc
-(x86-64 Linux) for an AVX2 clone beside the baseline one, picked per CPU
-at load time.
+The flags are ``-O3`` and nothing CPU-specific: the loops vectorize only
+under -O3's vectorizer cost model (at -O2 they run scalar), and the cache
+is not keyed by CPU, so ``-march=native`` would make a cached build unsafe
+to load on another machine.  The lane chunk loop and the striped row
+instead ask gcc (x86-64 Linux) for an AVX2 clone beside the baseline one,
+picked per CPU at load time.
 
 The numpy kernels stay the reference.  When cffi or a compiler is missing
 the build fails once, :func:`load` warns once, and every caller keeps
@@ -57,6 +58,11 @@ __all__ = ["available", "band_segments", "lanes", "load", "rows", "stripes"]
 
 _SOURCE = Path(__file__).with_name("ckernel.c")
 
+#: Bytes of lanes in one chunk of the compiled ``lanes`` loop (16 int16 or
+#: 8 int32 lanes, W in ``ckernel.c``): callers pad their batch to whole
+#: chunks.
+LANE_CHUNK_BYTES = 32
+
 _CDEF = """
 void rows(const int32_t *profile, int64_t w, const int32_t *prev,
           const int32_t *lefts, const uint8_t *s_codes, int64_t h,
@@ -65,7 +71,7 @@ int64_t band_segments(const int32_t *band, int64_t h, int64_t w,
                       int64_t stride, int64_t threshold, int64_t col_tol,
                       int64_t *seg, int64_t cap, int64_t *rows_done);
 void lanes(const void *profile, const uint8_t *query, int64_t m, int64_t n,
-           int64_t k, int32_t gap, int itemsize, void *row, void *diag,
+           int64_t k, int64_t w, int32_t gap, int itemsize, void *row,
            void *best);
 void stripes(const void *profile, const uint8_t *query, int64_t m,
              int64_t seg, int64_t p, int64_t k, int32_t gap, int32_t cap,
@@ -276,29 +282,37 @@ def lanes(
     query: np.ndarray,
     gap: int,
     row: np.ndarray,
-    diag: np.ndarray,
     best: np.ndarray,
 ) -> None:
     """Run the compiled ``lanes`` over the whole query; :func:`load` must
     have succeeded.
 
     The caller guarantees the layout: ``table`` is a C-contiguous
-    ``(n_codes, n, k)`` profile covering every code of ``query`` (contiguous
-    uint8), ``row`` a C-contiguous ``(n + 1, k)`` block advanced in place,
-    ``diag`` and ``best`` contiguous ``(k,)`` vectors; ``table``, ``row``,
-    ``diag`` and ``best`` are all int16 or all int32.
+    ``(n_codes, chunks, n, w)`` profile covering every code of ``query``
+    (contiguous uint8), ``row`` a C-contiguous ``(chunks, n + 1, w)`` block
+    advanced in place, ``best`` a contiguous ``(chunks * w,)`` vector;
+    ``table``, ``row`` and ``best`` are all int16 or all int32.  A chunk is
+    ``w`` lanes of 32 bytes, whose cells are contiguous; anything else is
+    refused, as the loop walks whole chunks.
     """
+    chunks, n1, w = row.shape
+    if (
+        w * row.itemsize != LANE_CHUNK_BYTES
+        or table.shape[1:] != (chunks, n1 - 1, w)
+        or best.size != chunks * w
+    ):
+        raise ValueError(f"lanes needs 32-byte lane chunks, got {row.shape} {row.dtype}")
     ffi, lib = _handle
     lib.lanes(
         ffi.from_buffer(table),
         ffi.from_buffer("uint8_t[]", query),
         query.size,
-        row.shape[0] - 1,
-        row.shape[1],
+        n1 - 1,
+        chunks * w,
+        w,
         gap,
         row.itemsize,
         ffi.from_buffer(row),
-        ffi.from_buffer(diag),
         ffi.from_buffer(best),
     )
 

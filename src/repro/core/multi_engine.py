@@ -49,12 +49,21 @@ when ``j`` is.
 
 :meth:`MultiSequenceWorkspace.sw_best_scores` hands the whole query to the
 compiled ``lanes`` loop of :mod:`repro.core.ckernel` in the int16 and int32
-regimes: the same layout, one query row at a time, with the plain
-recurrence ``max(diag + profile, up + gap, left + gap, 0)`` per cell and no
-chain.  Its innermost loop runs over the contiguous lanes, which have no
-dependency on each other, so the compiler vectorizes it as written.  The
-int64 ``_wide`` regime and :class:`NumpyMultiWorkspace` (the reference the
-C is fuzzed and benchmarked against) run the numpy rows above.
+regimes, with the plain recurrence
+``max(diag + profile, up + gap, left + gap, 0)`` per cell and no chain.
+Its layout cuts the lanes into chunks of
+:data:`repro.core.ckernel.LANE_CHUNK_BYTES` (16 int16 or 8 int32 lanes),
+each chunk's cells contiguous: the profile table is
+``(n_codes, chunks, n, w)`` and the row block ``(chunks, n + 1, w)``.  Each
+chunk runs the whole query down the whole target with its diagonal, left
+cell and running best held in registers, so only the row cell and the
+profile go through memory, both from one chunk-sized block.  The lane
+count is rounded up to whole chunks; the extra lanes are :data:`PAD_CODE`
+with length 0, score 0, and are sliced off before anything is returned or
+counted.  The int64 ``_wide`` regime and :class:`NumpyMultiWorkspace` (the
+reference the C is fuzzed and benchmarked against) keep one chunk of all
+``k`` lanes, ``(1, n, k)`` -- the lanes-contiguous layout above -- and run
+the numpy rows.
 """
 
 from __future__ import annotations
@@ -83,7 +92,6 @@ PAD_SCORE_16 = np.int16(-(2**13))
 #: Batch width at which the per-column vectorized chain loop overtakes
 #: ``np.maximum.accumulate`` (whose inner loop is serial per element).
 CHAIN_LOOP_MIN_LANES = 128
-
 
 def pack_codes(targets, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pack encoded target sequences into a padded ``(k, width)`` matrix.
@@ -118,6 +126,7 @@ class MultiSequenceWorkspace:
         "lengths",
         "lanes",
         "width",
+        "_padded",
         "dtype",
         "_codes_t",
         "_present",
@@ -161,7 +170,6 @@ class MultiSequenceWorkspace:
         self.lanes = k
         self.width = n
         self._gap = int(scoring.gap)
-        self._codes_t = np.ascontiguousarray(codes.T)
         # The residue codes the targets use: a profile block is gathered
         # from a 256-entry table scored over these codes alone (scorings may
         # index 4x4 matrices with them, so PAD_CODE is never scored).
@@ -183,24 +191,52 @@ class MultiSequenceWorkspace:
             self.dtype = SCORE_DTYPE
             self._pad_score = PAD_SCORE
             self._wide = (match - self._gap) * (n + 1) >= 2**30
-        self._row = np.zeros((n + 1, k), dtype=self.dtype)
-        self._rowmax = np.empty(k, dtype=self.dtype)
-        # The numpy rows' scratch (_ramp, _cand, _tmp, _acc, _zero,
-        # _row_views) is built on their first use: the compiled lanes need
-        # none of it.
+        # The profile's lane layout is (chunks, n, w), each chunk's cells
+        # contiguous.  The compiled lanes walk w = 32 bytes of lanes at a
+        # time, so k is rounded up to whole chunks with PAD_CODE lanes
+        # (length 0, so they score 0); the numpy rows keep one chunk of all
+        # k lanes, (1, n, k), lanes contiguous.
+        if self.COMPILED_LANES and not self._wide:
+            w = ckernel.LANE_CHUNK_BYTES // np.dtype(self.dtype).itemsize
+            chunks = -(-k // w)
+        else:
+            w, chunks = k, 1
+        self._padded = chunks * w
+        if self._padded != k:
+            codes = np.concatenate(
+                [codes, np.full((self._padded - k, n), PAD_CODE, dtype=np.uint8)]
+            )
+        self._codes_t = np.ascontiguousarray(codes.reshape(chunks, w, n).transpose(0, 2, 1))
+        # The numpy rows' scratch (_row, _rowmax, _ramp, _cand, _tmp, _acc,
+        # _zero, _row_views) is built on their first use: the compiled lanes
+        # need none of it.
         self._cand = None
-        # Profile blocks live in one (n_codes, n, k) table, the layout the
-        # compiled lanes index by query code; _profile maps code -> block.
+        # Profile blocks live in one (n_codes, chunks, n, w) table, the
+        # layout the compiled lanes index by query code; _profile maps
+        # code -> block.
         eager = [int(code) for code in eager_codes]
-        self._table = np.empty((max(eager, default=-1) + 1, n, k), dtype=self.dtype)
+        self._table = np.empty(
+            (max(eager, default=-1) + 1, *self._codes_t.shape), dtype=self.dtype
+        )
         self._profile: dict[int, np.ndarray] = {}
         for code in eager:
-            self.profile_block(code)
+            self._chunk_block(code)
 
     # -- profile -----------------------------------------------------------
 
     def profile_block(self, s_char: int) -> np.ndarray:
-        """The ``(n, k)`` substitution block of ``s_char`` vs every lane."""
+        """The ``(n, k)`` substitution block of ``s_char`` vs every lane.
+
+        A view in the numpy rows' one-chunk layout; a lane-contiguous copy
+        of the compiled lanes' chunks otherwise (the numpy rows then run
+        only as the fallback for a missing compiler).
+        """
+        block = self._chunk_block(s_char)
+        chunks, n, w = block.shape
+        return block.transpose(1, 0, 2).reshape(n, chunks * w)[:, : self.lanes]
+
+    def _chunk_block(self, s_char: int) -> np.ndarray:
+        """The ``(chunks, n, w)`` profile block of ``s_char``, built once."""
         block = self._profile.get(s_char)
         if block is None:
             self._reserve(s_char + 1)
@@ -228,7 +264,7 @@ class MultiSequenceWorkspace:
         present = np.flatnonzero(np.bincount(codes))
         self._reserve(int(present[-1]) + 1)
         for code in present.tolist():
-            self.profile_block(code)
+            self._chunk_block(code)
         return self._table
 
     # -- row kernel --------------------------------------------------------
@@ -240,6 +276,8 @@ class MultiSequenceWorkspace:
     def _numpy_scratch(self) -> None:
         """Allocate the numpy rows' scratch buffers (once, on first use)."""
         n, k = self.width, self.lanes
+        self._row = np.zeros((n + 1, k), dtype=self.dtype)
+        self._rowmax = np.empty(k, dtype=self.dtype)
         ramp_dtype = np.int64 if self._wide else self.dtype
         self._ramp = ((-self._gap) * np.arange(n + 1, dtype=ramp_dtype))[:, None]
         self._cand = np.empty((n + 1, k), dtype=self.dtype)
@@ -317,11 +355,10 @@ class MultiSequenceWorkspace:
     def _compiled_scan(self, s_codes, best: np.ndarray) -> bool:
         """Run the whole query through the compiled lane loop into ``best``.
 
+        ``best`` holds one maximum per lane of the padded compiled layout.
         Returns False, having written nothing, when the loop does not apply
         (see :attr:`compiled`, or codes that are not bytes); the caller then
-        runs the numpy rows.  Everything the loop touches is the workspace's
-        own: the profile table, the row block and ``_rowmax`` as its
-        diagonal scratch.
+        runs the numpy rows.
         """
         if not self.compiled:
             return False
@@ -335,8 +372,9 @@ class MultiSequenceWorkspace:
         if codes.size and self.lanes and self.width:
             codes = np.ascontiguousarray(codes)
             table = self._query_table(codes)
-            self._row.fill(0)
-            ckernel.lanes(table, codes, self._gap, self._row, self._rowmax, best)
+            _, chunks, n, w = table.shape
+            row = np.zeros((chunks, n + 1, w), dtype=self.dtype)
+            ckernel.lanes(table, codes, self._gap, row, best)
         return True
 
     def sw_best_scores(self, s_codes) -> np.ndarray:
@@ -346,8 +384,11 @@ class MultiSequenceWorkspace:
         running maximum; returns a ``(k,)`` :data:`SCORE_DTYPE` vector
         bitwise equal to ``k`` independent :class:`KernelWorkspace` scans.
         """
-        best = np.zeros(self.lanes, dtype=self.dtype)
-        if not self._compiled_scan(s_codes, best):
+        padded_best = np.zeros(self._padded, dtype=self.dtype)
+        best = padded_best[: self.lanes]  # the pad lanes are never returned
+        if not self._compiled_scan(s_codes, padded_best):
+            if self._cand is None:
+                self._numpy_scratch()
             row = self._row
             row[:] = 0
             rowmax = self._rowmax

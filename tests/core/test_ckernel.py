@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import KernelWorkspace, Scoring, ckernel, striped
 from repro.core.engine import NumpyWorkspace, compute_tile
 from repro.core.multi_engine import (
@@ -236,11 +237,22 @@ LANE_REGIMES = st.one_of(
 )
 
 
+#: Lane counts of the lane fuzz: the compiled lanes walk chunks of 16 int16
+#: or 8 int32 lanes, so these sit on, just below and just above both chunk
+#: widths, plus the numpy rows' chain-loop threshold.
+CHUNK_EDGES = (7, 8, 15, 16, 17, 31, 33)
+LANE_COUNTS = (0, 1, 2, 5, 9, *CHUNK_EDGES, CHAIN_LOOP_MIN_LANES + 3)
+
+#: One scoring per compiled lane dtype: the default (int16) and a match too
+#: large for int16 (int32).
+CHUNK_SCORINGS = ((Scoring(), np.int16), (Scoring(2**13 + 7, -3, -4), np.int32))
+
+
 @st.composite
 def lane_batches(draw):
     """A packed batch with mixed-length PAD lanes and a query for it."""
     scoring, alphabet, dtype, max_m = draw(LANE_REGIMES)
-    k = draw(st.sampled_from([0, 1, 2, 5, 9, CHAIN_LOOP_MIN_LANES + 3]))
+    k = draw(st.sampled_from(LANE_COUNTS))
     n = draw(st.integers(1, 40))
     m = draw(st.sampled_from([0, 1, max_m, draw(st.integers(0, max_m))]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -276,6 +288,29 @@ class TestLanesParity:
         fast = MultiSequenceWorkspace(codes, lengths, scoring)
         assert np.array_equal(fast.sw_best_scores(query.astype(np.int64)), want)
         assert np.array_equal(fast.sw_best_scores(query.tolist()), want)
+
+    @pytest.mark.parametrize("scoring, dtype", CHUNK_SCORINGS)
+    @pytest.mark.parametrize("k", CHUNK_EDGES)
+    def test_chunk_edges(self, k, scoring, dtype):
+        """Every lane count around a chunk edge, in both lane dtypes, and
+        the pad lanes never show: not in ``lanes``, the result's shape, the
+        counted cells, nor a second scan of the same workspace."""
+        rng = np.random.default_rng(1000 * k + np.dtype(dtype).itemsize)
+        targets = [rng.integers(0, 4, rng.integers(0, 50)).astype(np.uint8) for _ in range(k)]
+        # The last lane is a copy of the query, so it scores well above 0.
+        query = rng.integers(0, 4, 40).astype(np.uint8)
+        targets[-1] = query
+        codes, lengths = pack_codes(targets)
+        want = NumpyMultiWorkspace(codes, lengths, scoring).sw_best_scores(query)
+        fast = MultiSequenceWorkspace(codes, lengths, scoring)
+        assert fast.dtype == dtype and fast.compiled
+        assert fast.lanes == k
+        with obs.observed() as (_, metrics):
+            got = fast.sw_best_scores(query)
+        assert got.shape == (k,)
+        assert np.array_equal(got, want)
+        assert metrics.counter("cells_computed").value == query.size * int(lengths.sum())
+        assert np.array_equal(fast.sw_best_scores(query), want)
 
     def test_zero_lanes_and_empty_query(self):
         rng = np.random.default_rng(5)

@@ -219,3 +219,36 @@ class TestOverflowEscalation:
             )
         assert metrics.counter("striped_overflow_lanes").value >= 1
         assert metrics.counter("striped_recomputes").value >= 1
+
+
+def test_striped_search_never_imports_numpy_ma():
+    """``np.unique`` pulls in ``numpy.ma`` (about 0.9 MB per process); the
+    striped scan finds its query codes without it.  A fresh interpreter
+    runs a striped search from FASTA files and checks ``sys.modules``."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import repro
+
+    script = textwrap.dedent(
+        """
+        import os, sys, tempfile
+        from repro.cli import main
+        from repro.seq import synthetic_database, write_fasta
+        with tempfile.TemporaryDirectory() as tmp:
+            db, q = os.path.join(tmp, "db.fa"), os.path.join(tmp, "q.fa")
+            write_fasta(db, synthetic_database(n=60, min_length=50, max_length=200, rng=3))
+            write_fasta(q, synthetic_database(n=1, min_length=120, max_length=120, rng=4))
+            assert main(["search", q, db, "--kernel", "striped", "--top", "3"]) == 0
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

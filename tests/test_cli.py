@@ -274,3 +274,47 @@ class TestSearch:
         query.write_bytes(b"\n")
         with pytest.raises(SystemExit, match="empty query FASTA"):
             main(["search", str(query), str(db_path)])
+
+
+class TestBenchKernelsOnly:
+    """``bench kernels --only`` reruns the named entries and merges them in."""
+
+    ENTRIES = (
+        ("alpha", "alpha", lambda quick, rounds, results: {"alpha_gcups": 2.0}),
+        ("beta", "beta", lambda quick, rounds, results: {"beta_gcups": 3.0}),
+    )
+
+    @pytest.fixture
+    def bench_file(self, tmp_path, monkeypatch):
+        from repro.analysis import bench
+
+        monkeypatch.setattr(bench, "ENTRIES", self.ENTRIES)
+        path = tmp_path / "BENCH_kernels.json"
+        bench.write_bench(
+            {
+                "_machine": {"quick": False, "python": "x"},
+                "alpha": {"alpha_gcups": 1.0, "note": "old"},
+                "beta": {"beta_gcups": 0.1234567890123, "samples": 5},
+                "retired": {"retired_gcups": 9.87654321e-05},
+            },
+            path,
+        )
+        return path
+
+    def test_merges_named_entries_and_keeps_the_rest_byte_identical(self, bench_file):
+        before = bench_file.read_text().splitlines()
+        assert main(["bench", "kernels", "--only", "alpha", "--out", str(bench_file)]) == 0
+        after = bench_file.read_text().splitlines()
+        changed = [line for line in after if line not in before]
+        assert changed == ['    "alpha_gcups": 2.0'], changed
+        assert '    "note": "old",' not in after  # the entry is replaced whole
+        kept = [line for line in before if '"alpha' not in line and '"note"' not in line]
+        assert [line for line in after if '"alpha' not in line] == kept
+
+    def test_unknown_entry_or_quick_mismatch_leaves_the_file(self, bench_file, capsys):
+        before = bench_file.read_bytes()
+        out = str(bench_file)
+        assert main(["bench", "kernels", "--only", "alpha,gamma", "--out", out]) == 2
+        assert "gamma" in capsys.readouterr().out
+        assert main(["bench", "kernels", "--only", "alpha", "--quick", "--out", out]) == 2
+        assert bench_file.read_bytes() == before
