@@ -314,7 +314,7 @@ def cmd_check(args) -> int:
         from .plan import sweep_plans
 
         # The sweep's finding paths name only the plan kind; stamp the full
-        # combination (planner@backend, search[kernel+prefilter]xshards@backend)
+        # combination (planner@backend, search[kernel]xshards@backend)
         # so a report line identifies which sweep leg broke.
         findings.extend(
             replace(finding, path=f"<plan:{label}@{backend}>")
@@ -711,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plans",
         action="store_true",
         help="also statically verify every planner x backend combination, "
-        "search kernels and prefilters included (PLAN001-PLAN006)",
+        "search kernels and shard counts included (PLAN001-PLAN006)",
     )
     p_check.add_argument(
         "--baseline",

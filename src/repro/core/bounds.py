@@ -56,7 +56,6 @@ __all__ = [
     "kmer_hits",
     "kmer_id_dtype",
     "length_bound",
-    "seed_order",
 ]
 
 #: Tiers in ascending evaluation cost; a tiered filter runs them in this
@@ -345,28 +344,16 @@ ADMISSIBLE_BOUNDS: dict[
 }
 
 
-def seed_order(lengths: np.ndarray, query_len: int, count: int) -> np.ndarray:
-    """Database indices of the ``count`` highest-ceiling sequences.
-
-    The length tier makes ``min(length, query_len)`` a monotone proxy for
-    every sequence's best possible ceiling, so scanning the longest targets
-    first establishes a strong top-k threshold before any bound is checked.
-    Ties break toward the smaller index (deterministic).
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    proxy = np.minimum(lengths, query_len)
-    order = np.lexsort((np.arange(len(lengths), dtype=np.int64), -proxy))
-    return order[: max(0, count)]
-
-
 class TieredFilter:
     """Evaluate bound tiers in cost order, pruning lanes below a threshold.
 
-    One instance per (query, scoring, tiers) triple; :meth:`survivors` is
-    called once per packed bucket by both the planned filter tiles and the
-    pool coordinator, so every backend prunes through this single code path.
-    Pruning is strict (``ceiling < threshold``): a tie must survive because
-    an equal score at a smaller index still displaces the current k-th hit.
+    One instance per (query, scoring, tiers) triple, the two passes of
+    :func:`repro.strategies.prefilter.pruned_search`: :meth:`ceilings`
+    sweeps each bucket once, before any threshold exists, and
+    :meth:`survivors` prunes the swept ceilings once the seed prefix has
+    set one.  Pruning is strict (``ceiling < threshold``): a tie must
+    survive because an equal score at a smaller index still displaces the
+    current k-th hit.
     """
 
     def __init__(
@@ -389,63 +376,51 @@ class TieredFilter:
 
     def ceilings(
         self, lanes: np.ndarray | BoundIndex, lengths: np.ndarray
-    ) -> tuple[np.ndarray, dict[str, np.ndarray], int]:
-        """``(combined, per_tier, bound_cells)`` ceilings for every lane.
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Pass 1: ``(combined, per_tier)`` ceilings for every lane.
 
         ``lanes`` is a bucket's code matrix or its :class:`BoundIndex`.
-        The thresholdless form used by the pool coordinator: it needs every
-        lane's ceiling up front -- both to scan the highest-ceiling prefix
-        first (strongest threshold earliest) and to prune the rest in one
-        vectorized comparison once that threshold exists.  ``combined`` is
-        the min over applicable tiers (each admissible, so their min is);
-        ``per_tier`` keeps the individual ceilings for prune attribution.
+        Thresholdless: the search needs every lane's ceiling up front --
+        both to scan the highest-ceiling prefix first (strongest threshold
+        earliest) and to prune the rest in one vectorized comparison once
+        that threshold exists.  ``combined`` is the min over applicable
+        tiers (each admissible, so their min is); ``per_tier`` keeps the
+        individual ceilings for prune attribution.
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         # Float on purpose: +inf is the identity of the running min, and the
         # threshold these ceilings meet is itself a float (TopK.threshold).
         combined = np.full(len(lengths), np.inf, dtype=np.float64)  # repro: noqa[DTYPE002]
         per_tier: dict[str, np.ndarray] = {}
-        bound_cells = 0
         for tier in self.tiers:
-            if tier != "length":
-                bound_cells += int(lengths.sum())
             values = ADMISSIBLE_BOUNDS[tier](self.ctx, lanes, lengths)
             if values is None:
                 continue
             per_tier[tier] = values
             combined = np.minimum(combined, values)
-        return combined, per_tier, bound_cells
+        return combined, per_tier
 
     def survivors(
-        self, codes: np.ndarray, lengths: np.ndarray, threshold: float
-    ) -> tuple[np.ndarray, dict[str, int], int]:
-        """``(keep_mask, pruned_per_tier, bound_cells)`` for one bucket.
+        self,
+        combined: np.ndarray,
+        per_tier: dict[str, np.ndarray],
+        threshold: float,
+    ) -> tuple[np.ndarray, dict[str, int]]:
+        """Pass 2: ``(keep_mask, pruned_per_tier)`` from :meth:`ceilings`' output.
 
-        ``bound_cells`` is the number of residues the bound evaluations
-        actually touched (the filter's own work, for attribution and the
-        simulator's virtual clock).
+        A lane is pruned when its combined ceiling is strictly below
+        ``threshold``, and each prune is attributed to the cheapest tier
+        whose own ceiling proves it.  No bound is evaluated again.
         """
-        codes = np.asarray(codes)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        keep = np.ones(len(lengths), dtype=bool)
+        keep = ~(combined < threshold)
         pruned: dict[str, int] = {}
-        bound_cells = 0
-        if threshold == float("-inf") or not self.tiers:
-            return keep, pruned, bound_cells
-        for tier in self.tiers:
-            live = np.flatnonzero(keep)
-            if live.size == 0:
+        unattributed = np.flatnonzero(~keep)
+        for tier, values in per_tier.items():
+            if unattributed.size == 0:
                 break
-            # The length tier reads only lane lengths; the others scan the
-            # surviving lanes' residues once.
-            if tier != "length":
-                bound_cells += int(lengths[live].sum())
-            ceilings = ADMISSIBLE_BOUNDS[tier](self.ctx, codes[live], lengths[live])
-            if ceilings is None:  # tier inapplicable for this scoring
-                continue
-            drop = ceilings < threshold
-            n_drop = int(drop.sum())
-            if n_drop:
-                pruned[tier] = pruned.get(tier, 0) + n_drop
-                keep[live[drop]] = False
-        return keep, pruned, bound_cells
+            hit = values[unattributed] < threshold
+            n = int(hit.sum())
+            if n:
+                pruned[tier] = n
+                unattributed = unattributed[~hit]
+        return keep, pruned

@@ -27,11 +27,12 @@ The pool speaks two job protocols.  The static ``plan`` job serves every
 plan kind with a spec -- the non-blocked wave-front (Section 4.2), the
 blocked wave-front (Section 4.3), the pre_process scoreboard (Section 5)
 and the phase-2 scattered mapping (Section 4.4).  The ``search`` job
-(:meth:`AlignmentWorkerPool.search`) replaces the static per-role partition
-with a *dynamic* work queue: the packed database is published once through
-the arena, each length-bucket tile of the search graph goes on a shared
-queue, and workers pull the next tile whenever they finish one (greedy
-self-scheduling), so a skewed bucket cannot stall the rest of the pool.
+(:meth:`AlignmentWorkerPool.run_search_plan`) replaces the static per-role
+partition with a *dynamic* work queue: the packed database is published
+once through the arena, each length-bucket tile of the search graph goes
+on a shared queue, and workers pull the next tile whenever they finish one
+(greedy self-scheduling), so a skewed bucket cannot stall the rest of the
+pool.
 """
 
 from __future__ import annotations
@@ -63,10 +64,9 @@ from ..plan import (
     make_runtime,
     maybe_verify,
     phase2_spec,
-    plan_search_buckets,
-    search_blob,
     state_shape,
 )
+from ..plan.runtime import check_search_inputs
 from ..seq.alphabet import encode
 from .guard import WorkerCrashed, poll_until
 from .shm import ArenaHandle, SequenceArena, attach_arena, attach_shared_array, create_shared_array
@@ -540,45 +540,6 @@ class AlignmentWorkerPool:
 
     # -- database search -----------------------------------------------------
 
-    def search(
-        self,
-        query,
-        packed,
-        top_k: int = 10,
-        scoring: Scoring = DEFAULT_SCORING,
-        kernel: str = "classic",
-        n_shards: int = 1,
-    ) -> list[tuple[int, int]]:
-        """One query against a :class:`repro.seq.PackedDatabase`.
-
-        Plans one independent tile per length bucket
-        (:func:`repro.plan.plan_search_buckets`) and runs the graph through
-        :meth:`run_search_plan`; returns the merged ``(score, index)``
-        ranking, identical to a sequential scan.  With ``n_shards > 1`` the
-        database is dealt into shards, each owned by its own worker group
-        and arena (see :meth:`run_search_plan`).
-        """
-        query = encode(query)
-        if not packed.buckets:
-            return []
-        if n_shards > 1:
-            from ..seq.db import shard_database
-
-            shards = shard_database(packed, n_shards)
-            graph = plan_search_buckets(
-                packed,
-                len(query),
-                top_k=top_k,
-                kernel=kernel,
-                n_shards=n_shards,
-                shards=shards,
-            )
-            blob = search_blob(shards)
-        else:
-            graph = plan_search_buckets(packed, len(query), top_k=top_k, kernel=kernel)
-            blob = search_blob(packed)
-        return self.run_search_plan(graph, query, blob, scoring=scoring).hits
-
     def run_search_plan(
         self,
         graph: TaskGraph,
@@ -601,12 +562,7 @@ class AlignmentWorkerPool:
         runs the tournament reduce; the deterministic total order makes the
         merged ranking interleaving- *and* shard-independent.
         """
-        if graph.params.get("prefilter"):
-            raise ValueError(
-                "staged (prefilter) search graphs need a shared top-k threshold "
-                "and cannot ride the dynamic work queue; use "
-                "repro.strategies.prefilter.pooled_pruned_search"
-            )
+        check_search_inputs(graph, query, blob)
         n_shards = graph.n_shards
         if n_shards > self.n_workers:
             raise ValueError(

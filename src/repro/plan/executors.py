@@ -126,7 +126,7 @@ class PoolExecutor(Executor):
         if graph.kind == "search":
             raise ValueError(
                 "search graphs carry no rebuildable spec; "
-                "use pool.run_search_plan directly (or pool.search)"
+                "use pool.run_search_plan directly (or repro.strategies.search_db)"
             )
         if graph.spec is None:
             raise ValueError("pool execution needs a graph with a PlanSpec")

@@ -404,123 +404,32 @@ def _bucket_locators(packed) -> tuple[list[tuple], int]:
     return locators, offset
 
 
-def _shard_search_tiles(
-    locators: list[tuple],
-    query_len: int,
-    shard: int,
-    tid0: int,
-    prefilter: tuple[str, ...],
-    seed_count: int | None,
-) -> tuple[list[Tile], int]:
-    """Build one shard's search tiles starting at id ``tid0``.
-
-    Locator offsets are *shard-local* (relative to that shard's own blob);
-    the runtime adds ``params["shard_bases"][shard]`` when the shards are
-    concatenated into one blob, and pool workers use their shard's private
-    arena with base 0.  With a prefilter the seed threshold is established
-    shard-locally -- weaker than a global seed pass but still admissible,
-    so pruning stays exact.
-    """
-    tiles: list[Tile] = []
-    tid = tid0
-    if not prefilter:
-        for loc in locators:
-            residues = sum(loc[3])
-            tiles.append(Tile(tid, DYNAMIC, query_len * residues, loc, (), shard))
-            tid += 1
-        return tiles, tid
-    from ..core.bounds import seed_order
-
-    all_lengths = np.concatenate(
-        [np.asarray(loc[3], dtype=np.int64) for loc in locators]
-    ) if locators else np.zeros(0, dtype=np.int64)
-    all_indices = np.concatenate(
-        [np.asarray(loc[4], dtype=np.int64) for loc in locators]
-    ) if locators else np.zeros(0, dtype=np.int64)
-    picked = seed_order(all_lengths, query_len, seed_count)
-    seeds = {int(all_indices[i]) for i in picked}
-    selections = []
-    for loc in locators:
-        indices = loc[4]
-        seed_sel = tuple(l for l, i in enumerate(indices) if i in seeds)
-        rest_sel = tuple(l for l, i in enumerate(indices) if i not in seeds)
-        selections.append((seed_sel, rest_sel))
-    for loc, (seed_sel, _) in zip(locators, selections):
-        if not seed_sel:
-            continue
-        residues = sum(loc[3][l] for l in seed_sel)
-        tiles.append(
-            Tile(tid, DYNAMIC, query_len * residues, ("seed", *loc, seed_sel), (), shard)
-        )
-        tid += 1
-    seed_ids = tuple(range(tid0, tid))
-    for loc, (_, rest_sel) in zip(locators, selections):
-        if not rest_sel:
-            continue
-        residues = sum(loc[3][l] for l in rest_sel)
-        # filter tile gates its dp tile (the next id); its cells are the
-        # residues the bound evaluations touch, not DP cells.
-        tiles.append(
-            Tile(
-                tid,
-                DYNAMIC,
-                residues,
-                ("filter", tid + 1, *loc, rest_sel),
-                seed_ids,
-                shard,
-            )
-        )
-        tiles.append(
-            Tile(
-                tid + 1,
-                DYNAMIC,
-                query_len * residues,
-                ("dp", *loc, rest_sel),
-                (tid,),
-                shard,
-            )
-        )
-        tid += 2
-    return tiles, tid
-
-
 def plan_search_buckets(
     packed,
     query_len: int,
     *,
     top_k: int = 10,
     kernel: str = "classic",
-    prefilter: tuple[str, ...] = (),
-    kmer_k: int = 6,
-    seed_count: int | None = None,
     n_shards: int = 1,
     shards=None,
 ) -> TaskGraph:
     """Database search: one independent tile per length bucket.
 
-    With ``prefilter=()`` (the default) tiles carry
-    ``(offset, width, lanes, lengths, indices)`` locating one bucket inside
-    the flat blob built by :func:`search_blob`; there are no edges, so any
-    dispatch order (greedy work queue included) is valid.
-
-    With bound tiers named in ``prefilter`` the graph grows a *filter
-    stage*: the ``seed_count`` highest-ceiling lanes become ``seed`` DP
-    tiles that run first and establish a strong top-k threshold, then every
-    bucket's remaining lanes pass through a ``filter`` tile (cheap
-    admissible bounds, see :mod:`repro.core.bounds`) that feeds only the
-    surviving lanes into the paired ``dp`` tile.  Tagged payloads are
-    ``(stage, *locator, lane_selection)``; ``filter`` payloads also name the
-    dp tile they gate.  Stage order is encoded in the dependency edges, so
-    every backend executes -- and the simulator models -- the same pruned
-    topology.
+    Tiles carry ``(offset, width, lanes, lengths, indices)`` locating one
+    bucket inside the flat blob built by :func:`search_blob`; there are no
+    edges, so any dispatch order (greedy work queue included) is valid.
+    Score-bound pruning happens before planning
+    (:func:`repro.strategies.prefilter.pruned_search` plans the seed prefix
+    and the survivors as two such graphs).
 
     With ``n_shards > 1`` the database is dealt round-robin into shards
     (:func:`repro.seq.db.shard_database`, or pass pre-split ``shards``) and
-    each shard gets its own independent tile set -- its own seed→filter→dp
-    stages when a prefilter is on -- tagged ``Tile.shard = s``.  Locator
-    offsets are shard-local; ``params["shard_bases"]`` holds each shard's
-    base offset in the concatenated blob (:func:`search_blob` over the shard
-    list).  Per-shard top-k results merge by tournament
+    each shard gets its own independent tile set, tagged
+    ``Tile.shard = s``.  Locator offsets are shard-local (relative to that
+    shard's own blob); ``params["shard_bases"]`` holds each shard's base
+    offset in the concatenated blob (:func:`search_blob` over the shard
+    list), and pool workers use their shard's private arena with base 0.
+    Per-shard top-k results merge by tournament
     (:func:`repro.core.topk.tournament_merge`) into the same global ranking
     as an unsharded scan.
 
@@ -539,8 +448,6 @@ def plan_search_buckets(
         from ..seq.db import shard_database
 
         shard_dbs = shard_database(packed, n_shards)
-    if prefilter and seed_count is None:
-        seed_count = max(32, 2 * top_k)
     tiles: list[Tile] = []
     shard_bases: list[int] = []
     base = 0
@@ -549,10 +456,9 @@ def plan_search_buckets(
         locators, size = _bucket_locators(db)
         shard_bases.append(base)
         base += size
-        shard_tiles, tid = _shard_search_tiles(
-            locators, query_len, s, tid, tuple(prefilter), seed_count
-        )
-        tiles.extend(shard_tiles)
+        for loc in locators:
+            tiles.append(Tile(tid, DYNAMIC, query_len * sum(loc[3]), loc, (), s))
+            tid += 1
     params = {
         "top_k": top_k,
         "query_len": query_len,
@@ -560,10 +466,6 @@ def plan_search_buckets(
         "n_shards": n_shards,
         "shard_bases": tuple(shard_bases),
     }
-    if prefilter:
-        params["prefilter"] = tuple(prefilter)
-        params["kmer_k"] = int(kmer_k)
-        params["seed_count"] = int(seed_count)
     graph = TaskGraph(
         kind="search",
         n_procs=max(1, n_shards),

@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.alignment import AlignmentQueue, LocalAlignment
-from ..core.bounds import DEFAULT_KMER_K, TieredFilter
 from ..core.engine import KernelWorkspace, compute_tile
 from ..core.global_align import align_region
 from ..core.linear import nw_last_row
@@ -36,7 +35,6 @@ from ..core.regions import RegionConfig, StreamingRegionFinder
 from ..core.scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
 from ..core.striped import StripedMultiWorkspace
 from ..core.topk import TopK, tournament_merge
-from ..obs import get_metrics, is_enabled
 from .ir import TaskGraph, Tile
 from .result import ExecutionResult
 
@@ -353,27 +351,6 @@ class Phase2Runtime(PlanRuntime):
         return self._records.get(owner, [])
 
 
-def empty_search_stats() -> dict:
-    """Zeroed prune accounting, the shape every search emission carries."""
-    return {
-        "sequences_pruned": 0,
-        "cells_skipped": 0,
-        "bound_cells": 0,
-        "tier_pruned": {},
-        "thresholds": [],
-    }
-
-
-def merge_search_stats(acc: dict, part: dict) -> None:
-    """Fold one emission's prune accounting into an accumulator in place."""
-    acc["sequences_pruned"] += part.get("sequences_pruned", 0)
-    acc["cells_skipped"] += part.get("cells_skipped", 0)
-    acc["bound_cells"] += part.get("bound_cells", 0)
-    for tier, n in part.get("tier_pruned", {}).items():
-        acc["tier_pruned"][tier] = acc["tier_pruned"].get(tier, 0) + n
-    acc["thresholds"].extend(part.get("thresholds", ()))
-
-
 class SearchRuntime(PlanRuntime):
     """Database-search execution: one batched bucket scan per tile.
 
@@ -381,17 +358,11 @@ class SearchRuntime(PlanRuntime):
     ``scoring``, ``top_k``): pool workers receive the blob through a shared
     arena and the tiles through the work queue, never the graph object.
 
-    Untagged payloads (``(offset, width, lanes, lengths, indices)``) scan a
-    whole bucket.  Staged payloads carry a leading stage tag (see
-    :func:`~repro.plan.planners.plan_search_buckets`): ``seed`` and ``dp``
-    tiles scan a lane selection, ``filter`` tiles evaluate the admissible
-    bound tiers against the running top-k threshold and store the surviving
-    lanes for the dp tile they gate.  ``charged_cells`` after each tile is
-    the work *actually done* (DP cells scanned, or residues the bounds
-    touched) -- the quantity the simulator bills to its virtual clock.
+    Each tile's payload ``(offset, width, lanes, lengths, indices)`` locates
+    one bucket in the blob, and the tile scans every lane of it.
 
     With ``n_shards > 1`` (the inline/sim path over a concatenated blob)
-    each shard keeps its *own* :class:`TopK` and filter threshold --
+    each shard keeps its *own* :class:`TopK` --
     matching what physically-separate shard workers would see -- and
     ``shard_bases`` translates the tiles' shard-local offsets into blob
     positions.  Pool workers instead run one unsharded runtime per worker
@@ -407,8 +378,6 @@ class SearchRuntime(PlanRuntime):
         scoring: Scoring = DEFAULT_SCORING,
         top_k: int = 10,
         kernel: str = "classic",
-        prefilter: tuple[str, ...] = (),
-        kmer_k: int = DEFAULT_KMER_K,
         n_shards: int = 1,
         shard_bases: tuple[int, ...] | None = None,
     ) -> None:
@@ -426,18 +395,10 @@ class SearchRuntime(PlanRuntime):
         self.tops = {s: TopK(top_k) for s in range(n_shards)}
         self.top = self.tops[0]  # unsharded alias (pool workers, tests)
         self.cells = 0  # residues scanned x query length (local accounting)
-        self.prefilter = tuple(prefilter)
-        self.kmer_k = kmer_k
-        self.charged_cells = 0  # actual work of the last tile (sim billing)
-        self.stats = empty_search_stats()
-        self._filter: TieredFilter | None = None
-        self._masks: dict[int, tuple[int, ...]] = {}  # dp tile id -> lanes
 
     def tile_args(self, tile: Tile) -> dict:
         args = super().tile_args(tile)
         args["shard"] = tile.shard
-        if tile.payload and isinstance(tile.payload[0], str):
-            args["stage"] = tile.payload[0]
         return args
 
     def _slot(self, tile: Tile) -> int:
@@ -451,97 +412,42 @@ class SearchRuntime(PlanRuntime):
     def _base(self, shard: int) -> int:
         return self.shard_bases[shard] if self.shard_bases else 0
 
-    def _scan(self, codes, lengths, indices, shard: int = 0) -> None:
-        if self.kernel == "striped":
-            ws = StripedMultiWorkspace(codes, lengths, self.scoring)
-        else:
-            ws = MultiSequenceWorkspace(codes, lengths, self.scoring)
-        self.tops[shard].push_lanes(ws.sw_best_scores(self.query), indices)
-
-    def _tiered_filter(self) -> TieredFilter:
-        if self._filter is None:
-            self._filter = TieredFilter(
-                self.query, self.scoring, self.prefilter, self.kmer_k
-            )
-        return self._filter
-
     def run_tile(self, tile: Tile) -> None:
-        payload = tile.payload
-        if payload and isinstance(payload[0], str):
-            self._run_staged(tile)
-            return
-        offset, width, lanes, lengths, indices = payload
+        offset, width, lanes, lengths, indices = tile.payload
         slot = self._slot(tile)
         offset += self._base(slot)
         codes = self.blob[offset : offset + lanes * width].reshape(lanes, width)
         lengths = np.asarray(lengths, dtype=np.int64)
-        self._scan(codes, lengths, indices, slot)
-        self.cells += tile.cells
-        self.charged_cells = tile.cells
-
-    def _run_staged(self, tile: Tile) -> None:
-        stage = tile.payload[0]
-        if stage == "filter":
-            _, dp_id, offset, width, lanes, lengths, indices, sel = tile.payload
+        if self.kernel == "striped":
+            ws = StripedMultiWorkspace(codes, lengths, self.scoring)
         else:
-            _, offset, width, lanes, lengths, indices, sel = tile.payload
-            dp_id = None
-        slot = self._slot(tile)
-        offset += self._base(slot)
-        bucket = self.blob[offset : offset + lanes * width].reshape(lanes, width)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if stage == "filter":
-            sel_arr = np.asarray(sel, dtype=np.int64)
-            threshold = self.tops[slot].threshold()
-            keep, tier_pruned, bound_cells = self._tiered_filter().survivors(
-                bucket[sel_arr], lengths[sel_arr], threshold
-            )
-            survivors = tuple(int(lane) for lane in sel_arr[keep])
-            self._masks[dp_id] = survivors
-            dropped = sel_arr[~keep]
-            skipped = int(len(self.query)) * int(lengths[dropped].sum())
-            stats = self.stats
-            stats["sequences_pruned"] += len(dropped)
-            stats["cells_skipped"] += skipped
-            stats["bound_cells"] += bound_cells
-            for tier, n in tier_pruned.items():
-                stats["tier_pruned"][tier] = stats["tier_pruned"].get(tier, 0) + n
-            stats["thresholds"].append(float(threshold))
-            self.charged_cells = bound_cells
-            if is_enabled():
-                metrics = get_metrics()
-                metrics.counter("sequences_pruned").inc(len(dropped))
-                metrics.counter("cells_skipped").inc(skipped)
-                for tier, n in tier_pruned.items():
-                    metrics.counter(f"prefilter_{tier}_pruned").inc(n)
-                if threshold != float("-inf"):
-                    metrics.gauge("prefilter_threshold").set(float(threshold))
-            return
-        lanes_to_run = self._masks.pop(tile.id, sel) if stage == "dp" else sel
-        if not lanes_to_run:
-            self.charged_cells = 0
-            return
-        sel_arr = np.asarray(lanes_to_run, dtype=np.int64)
-        run_lengths = lengths[sel_arr]
-        run_indices = np.asarray(indices, dtype=np.int64)[sel_arr]
-        self._scan(bucket[sel_arr], run_lengths, run_indices, slot)
-        scanned = int(len(self.query)) * int(run_lengths.sum())
-        self.cells += scanned
-        self.charged_cells = scanned
+            ws = MultiSequenceWorkspace(codes, lengths, self.scoring)
+        self.tops[slot].push_lanes(ws.sw_best_scores(self.query), indices)
+        self.cells += tile.cells
 
     def emit(self, owner: int) -> dict:
-        """Picklable partial result: per-shard survivor lists when sharded.
-
-        The unsharded shape (``{"items", "stats"}``) is kept byte-identical
-        to what pre-shard pool workers emitted, so worker-side runtimes (one
-        per shard, base 0) and old traces keep working.
-        """
+        """Picklable partial result: per-shard survivor lists when sharded,
+        ``{"items"}`` for an unsharded runtime (pool workers, one per shard
+        at base 0)."""
         if self.n_shards > 1:
-            return {
-                "shards": {s: top.items() for s, top in self.tops.items()},
-                "stats": self.stats,
-            }
-        return {"items": self.top.items(), "stats": self.stats}
+            return {"shards": {s: top.items() for s, top in self.tops.items()}}
+        return {"items": self.top.items()}
+
+
+def check_search_inputs(graph: TaskGraph, query: np.ndarray, blob: np.ndarray) -> None:
+    """Refuse a query or blob of another size than the search graph's.
+
+    Tile locators are offsets into the blob the graph was planned for; a
+    blob of another packing (say the unsharded database under a graph
+    whose shards were dealt inside the planner) slices the wrong lanes and
+    returns a wrong ranking without any error.
+    """
+    if (len(query), len(blob)) != graph.shape:
+        raise ValueError(
+            f"search graph wants a {graph.shape[0]}-residue query and a "
+            f"{graph.shape[1]}-byte blob, got {len(query)} and {len(blob)}: "
+            f"plan and blob must come from the same packing"
+        )
 
 
 _RUNTIMES = {
@@ -566,14 +472,13 @@ def make_runtime(
     tiles' bucket locators index into.
     """
     if graph.kind == "search":
+        check_search_inputs(graph, s, t)
         return SearchRuntime(
             s,
             t,
             scoring,
             graph.params["top_k"],
             kernel=graph.params.get("kernel", "classic"),
-            prefilter=graph.params.get("prefilter", ()),
-            kmer_k=graph.params.get("kmer_k", DEFAULT_KMER_K),
             n_shards=graph.n_shards,
             shard_bases=graph.params.get("shard_bases"),
         )
@@ -644,17 +549,15 @@ def finalize_plan(
         k = params["top_k"]
         n_shards = graph.n_shards
         shard_tops = {s: TopK(k) for s in range(n_shards)}
-        stats = empty_search_stats()
         for part in parts:
             if "shards" in part:  # sharded runtime emission
                 for s, items in part["shards"].items():
                     shard_tops[int(s)].merge(items)
             else:  # one worker's emission, tagged with its shard (or 0)
                 shard_tops[int(part.get("shard", 0))].merge(part["items"])
-            merge_search_stats(stats, part.get("stats", {}))
         top = tournament_merge([shard_tops[s] for s in range(n_shards)], k)
         result.hits = top.ranked()
-        result.extras = {"prefilter": stats, "n_shards": n_shards}
+        result.extras = {"n_shards": n_shards}
     elif graph.kind == "phase2":
         records: list = [None] * len(graph.tiles)
         for part in parts:

@@ -139,19 +139,14 @@ class SimExecutor(Executor):
             extras={**merged.extras, **sim_extras()},
         )
 
-    # -- Database search: work-queue pull with the optional filter stage ----
+    # -- Database search: work-queue pull, then the tournament reduce -------
 
     def _search_execute(self, graph, runtime, sim, dsm, scale, marks):
-        """Simulate a search graph, modelling the filter stage in virtual time.
+        """Simulate a search graph in virtual time.
 
-        Node ``p`` runs shard ``p``'s tiles in id order (ids are
-        topological, so the seed -> filter -> dp staging of a pruned plan is
-        honoured exactly as the inline backend runs it); an unsharded graph
-        puts everything on node 0 as before.  Each tile costs one work-queue
-        dispatch message plus its *actual* work -- the DP cells the kernel
-        scanned at ``search_cell_time``, or for filter tiles the residues
-        the bound evaluations touched at ``bound_cell_time``.  Pruning
-        therefore shrinks virtual time the same way it shrinks real time.
+        Node ``p`` runs shard ``p``'s tiles in id order; an unsharded graph
+        puts everything on node 0.  Each tile costs one work-queue dispatch
+        message plus its DP cells at ``search_cell_time``.
 
         A sharded run ends with the tournament reduce: ``ceil(log2(S))``
         rounds in which every losing node ships its bounded top-k (one
@@ -178,20 +173,9 @@ class SimExecutor(Executor):
                 dsm.stats[p].breakdown.add("communication", dispatch)
                 yield Delay(dispatch)
                 run_tile_traced(runtime, tile)
-                payload = tile.payload
-                stage = (
-                    payload[0]
-                    if payload and isinstance(payload[0], str)
-                    else "dp"
-                )
-                per_cell = (
-                    cost.bound_cell_time
-                    if stage == "filter"
-                    else cost.search_cell_time
-                )
-                charged = runtime.charged_cells * scale * scale
-                seconds = charged * per_cell
-                stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
+                charged = tile.cells * scale * scale
+                seconds = charged * cost.search_cell_time
+                stage_seconds["dp"] = stage_seconds.get("dp", 0.0) + seconds
                 yield from dsm.compute(p, seconds, cells=charged)
             yield from dsm.barrier(p)
             if p == 0:

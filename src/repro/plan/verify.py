@@ -47,14 +47,13 @@ graph-level breaches):
   re-checks instead of assuming.
 * **PLAN006 -- backend illegality.**  A graph handed to an executor that
   cannot run it: search graphs on :class:`~repro.plan.executors.PoolExecutor`
-  (no rebuildable spec), staged prefilter graphs on the dynamic work queue
-  (workers have no shared top-k threshold, so ``filter`` tiles cannot gate),
+  (no rebuildable spec), search tiles depending across shard queues,
   spec-less pair graphs on the pool, unknown plan kinds on the simulator's
   choreography table.
 
 ``verify_graph``/``verify_plan`` are the library entry points;
 :func:`sweep_plans` enumerates planner x backend combinations (search:
-x kernel x prefilter x shards) for ``repro check --plans``; :func:`maybe_verify` is the
+x kernel x shards) for ``repro check --plans``; :func:`maybe_verify` is the
 strict-mode hook the executors call (enable with ``REPRO_VERIFY_PLANS=1``
 or :func:`set_strict`).
 """
@@ -362,43 +361,27 @@ def _check_phase2_cells(graph: TaskGraph) -> Iterator[Finding]:
         )
 
 
-def _search_stage(tile) -> tuple[str, tuple, tuple[int, ...]]:
-    """``(stage, locator, lane_selection)`` of one search tile's payload."""
-    payload = tile.payload
-    if payload and isinstance(payload[0], str):
-        stage = payload[0]
-        body = payload[2:] if stage == "filter" else payload[1:]
-        return stage, tuple(body[:5]), tuple(body[5])
-    locator = tuple(payload[:5])
-    return "dp", locator, tuple(range(len(locator[3])))
-
-
 def _check_search_cells(graph: TaskGraph) -> Iterator[Finding]:
     query_len = graph.params.get("query_len")
     if query_len is None:
         yield _finding(graph, "PLAN004", "search params carry no 'query_len'")
         return
-    covered: dict[tuple, set[int]] = {}  # (shard, locator) -> lanes scored
+    scanned: dict[tuple, int] = {}  # (shard, locator) -> first tile scanning it
     index_shard: dict[int, int] = {}  # db index -> the shard that owns it
     for tile in graph.tiles:
-        stage, loc, sel = _search_stage(tile)
-        lengths = loc[3]
-        residues = sum(lengths[l] for l in sel)
-        expected = residues if stage == "filter" else query_len * residues
+        loc = tuple(tile.payload[:5])
+        expected = query_len * sum(loc[3])
         if tile.cells != expected:
             yield _finding(
                 graph,
                 "PLAN004",
-                f"tile {tile.id} ({stage}) claims {tile.cells} cells but its "
-                f"{len(sel)} selected lanes cover {expected}",
+                f"tile {tile.id} claims {tile.cells} cells but its "
+                f"{len(loc[3])} lanes cover {expected}",
                 tile.id,
             )
-        if stage == "filter":
-            continue  # bound evaluations do not consume DP coverage
         # exactly-once across shards: a db sequence in two shards would be
         # scored twice and its duplicate could double up in the merge
-        for lane in sel:
-            index = loc[4][lane]
+        for index in loc[4]:
             owner_shard = index_shard.setdefault(index, tile.shard)
             if owner_shard != tile.shard:
                 yield _finding(
@@ -409,29 +392,16 @@ def _check_search_cells(graph: TaskGraph) -> Iterator[Finding]:
                     f"each sequence must live in exactly one shard",
                     tile.id,
                 )
-        # per-shard conservation: within its shard, each bucket lane once
-        bucket = covered.setdefault((tile.shard, loc), set())
-        doubled = bucket.intersection(sel)
-        if doubled:
+        # per-shard conservation: within its shard, each bucket once
+        first = scanned.setdefault((tile.shard, loc), tile.id)
+        if first != tile.id:
             yield _finding(
                 graph,
                 "PLAN004",
-                f"tile {tile.id} re-aligns lanes {sorted(doubled)} of the "
-                f"bucket at offset {loc[0]} (shard {tile.shard}): each lane "
+                f"tile {tile.id} re-aligns the bucket at offset {loc[0]} "
+                f"(shard {tile.shard}) that tile {first} aligns: each lane "
                 f"must be scored once",
                 tile.id,
-            )
-        bucket.update(sel)
-    for (shard, loc), lanes_seen in covered.items():
-        expected_lanes = set(range(len(loc[3])))
-        missing = sorted(expected_lanes - lanes_seen)
-        if missing:
-            yield _finding(
-                graph,
-                "PLAN004",
-                f"lanes {missing} of the bucket at offset {loc[0]} (shard "
-                f"{shard}) are never aligned: their sequences would vanish "
-                f"from the ranking",
             )
 
 
@@ -517,29 +487,6 @@ def _check_backend(graph: TaskGraph, backend: str) -> Iterator[Finding]:
         return
     if backend == "pool":
         if graph.kind == "search":
-            if graph.params.get("prefilter"):
-                yield _finding(
-                    graph,
-                    "PLAN006",
-                    "staged (prefilter) search graphs cannot ride the dynamic "
-                    "work queue: workers share no top-k threshold, so filter "
-                    "tiles cannot gate their dp tiles; the pool prunes "
-                    "coordinator-side instead (strategies.prefilter)",
-                )
-            staged = [
-                t.id
-                for t in graph.tiles
-                if t.payload and isinstance(t.payload[0], str)
-            ]
-            if staged and not graph.params.get("prefilter"):
-                yield _finding(
-                    graph,
-                    "PLAN006",
-                    f"tiles {staged[:4]} carry staged payloads but the graph "
-                    f"does not declare a prefilter: workers would misread the "
-                    f"locator",
-                    staged[0],
-                )
             tiles = graph.tiles
             for tile in tiles:
                 crossing = [
@@ -701,17 +648,13 @@ def sweep_plans(
     n_procs: int = 4,
     shape: tuple[int, int] = (96, 128),
     kernels: Sequence[str] = ("classic", "striped"),
-    prefilters: Sequence[tuple[str, ...]] = ((), ("length", "composition", "kmer")),
 ) -> list[tuple[str, str, Finding]]:
     """Verify every planner x backend combination, and every search kernel x
-    prefilter x shard count.
+    shard count.
 
     Returns ``(plan description, backend, finding)`` triples -- empty when
     every combination proves out, which is what CI's ``check --plans`` job
-    gates on.  Staged search graphs are verified on the backends that can
-    run them (inline and sim); their pool-side legality *rejection* is a
-    separate assertion in ``tests/plan/test_verify.py``, not a sweep
-    failure.
+    gates on.
     """
     rows, cols = shape
     breaches: list[tuple[str, str, Finding]] = []
@@ -723,20 +666,12 @@ def sweep_plans(
                 breaches.append((label, backend, finding))
     packed = _sweep_packed()
     for kernel in kernels:
-        for prefilter in prefilters:
-            for n_shards in (1, 2, 4):
-                graph = plan_search_buckets(
-                    packed,
-                    query_len=120,
-                    top_k=5,
-                    kernel=kernel,
-                    prefilter=prefilter,
-                    n_shards=n_shards,
-                )
-                tag = f"{'+' + ','.join(prefilter) if prefilter else ''}"
-                label = f"search[{kernel}{tag}]x{n_shards}"
-                backends = ("inline", "sim") if prefilter else BACKENDS
-                for backend in backends:
-                    for finding in verify_graph(graph, backend):
-                        breaches.append((label, backend, finding))
+        for n_shards in (1, 2, 4):
+            graph = plan_search_buckets(
+                packed, query_len=120, top_k=5, kernel=kernel, n_shards=n_shards
+            )
+            label = f"search[{kernel}]x{n_shards}"
+            for backend in BACKENDS:
+                for finding in verify_graph(graph, backend):
+                    breaches.append((label, backend, finding))
     return breaches

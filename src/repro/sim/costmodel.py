@@ -52,10 +52,8 @@ class CostModel:
     preprocess_cell_time: float = 1.6e-7
     nw_cell_time: float = 1.0e-6
     # Database search: the bucket scan keeps the blocked kernel's lean inner
-    # loop; one *bound* evaluation is a handful of vector ops per residue,
-    # ~100x leaner than a DP cell (what makes tiered pruning worth modelling).
+    # loop.
     search_cell_time: float = 1.05e-6
-    bound_cell_time: float = 1.0e-8
 
     # --- DSM protocol service costs (seconds, on top of wire time) -----
     # Tuned so the full wave-front handshake (waitcv + fault + ack on the

@@ -12,7 +12,7 @@ from ..plan.partition import (
     tiling_from_multiplier,
 )
 from .base import RegionSettings, ScaledWorkload
-from .blocked import BlockedConfig, compute_tile, run_blocked, serial_blocked_time
+from .blocked import BlockedConfig, run_blocked, serial_blocked_time
 from .column_store import ColumnStore, restart_band_from_store, save_preprocess_columns
 from .hetero import HeteroConfig, SubCluster, hetero_serial_time, run_hetero
 from .preprocess import (
@@ -26,7 +26,7 @@ from .cache import DEFAULT_CACHE, SearchCache, cache_key
 from .prefilter import (
     AUTO_MIN_SEQUENCES,
     PREFILTER_MODES,
-    pooled_pruned_search,
+    pruned_search,
     resolve_prefilter,
 )
 from .retrieval import InterestingRegion, interesting_regions, retrieve_alignments
@@ -87,13 +87,12 @@ __all__ = [
     "canonical_strategy",
     "chunk_widths",
     "column_partition",
-    "compute_tile",
     "exact_wavefront_alignments",
     "explicit_tiling",
     "hetero_serial_time",
     "interesting_regions",
     "pool_phase1_spec",
-    "pooled_pruned_search",
+    "pruned_search",
     "resolve_prefilter",
     "run_blocked",
     "run_hetero",

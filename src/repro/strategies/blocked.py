@@ -15,15 +15,13 @@ most of the run (Table 3's 732 s vs 363 s at 5x5).
 
 :func:`blocked_plan` builds the band x block task graph;
 :func:`run_blocked` executes it on the simulated cluster.  The tile kernel
-itself (``compute_tile``) lives in :mod:`repro.core.engine` and is
-re-exported here for compatibility.
+itself (``compute_tile``) lives in :mod:`repro.core.engine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.engine import compute_tile
 from ..plan import SimExecutor, TaskGraph, Tiling, plan_blocked
 from ..plan.partition import explicit_tiling, tiling_from_multiplier
 from ..plan.result import StrategyResult
@@ -33,7 +31,6 @@ from .base import RegionSettings, ScaledWorkload
 __all__ = [
     "BlockedConfig",
     "blocked_plan",
-    "compute_tile",
     "run_blocked",
     "serial_blocked_time",
 ]

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.engine import compute_tile
 from ..core.kernels import SCORE_DTYPE
 
 MANIFEST_NAME = "manifest.json"
@@ -150,7 +151,6 @@ def save_preprocess_columns(
     simulated run accounts the I/O *time*, this produces the I/O *bytes*.
     """
     from ..core.scoring import DEFAULT_SCORING
-    from .blocked import compute_tile
     from ..plan.partition import bounds_from_heights
 
     scoring = scoring or DEFAULT_SCORING
@@ -196,7 +196,6 @@ def restart_band_from_store(
     recomputed tile (h x (width + 1)).
     """
     from ..core.scoring import DEFAULT_SCORING
-    from .blocked import compute_tile
     from ..plan.partition import bounds_from_heights
 
     scoring = scoring or DEFAULT_SCORING

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.alignment import AlignmentQueue
+from ..core.engine import compute_tile
 from ..core.kernels import SCORE_DTYPE
 from ..core.regions import StreamingRegionFinder
 from ..dsm.jiajia import JiaJia
@@ -34,7 +35,6 @@ from ..sim.network import NetworkParams
 from ..sim.resources import SimCondition
 from ..sim.stats import ClusterStats, NodeStats, PhaseTimes
 from .base import RegionSettings, ScaledWorkload
-from .blocked import compute_tile
 
 
 @dataclass(frozen=True)

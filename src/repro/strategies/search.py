@@ -14,10 +14,14 @@ whole database of targets.  :func:`search_db` is that pipeline:
    sequential scan -- no matter how buckets are ordered or which worker
    scans them.
 
-With a :class:`repro.parallel.AlignmentWorkerPool` the packed database is
-published once through a shared-memory arena and buckets are dispatched
-through a *dynamic* work queue: workers pull the next chunk when free, so a
-skewed bucket cannot stall the rest of the pool (see ``pool.search``).
+:func:`search_db` has two routes, and neither depends on the backend: an
+unpruned scan plans one graph over the whole database, and the pruned
+search (:func:`repro.strategies.prefilter.pruned_search`) plans a seed
+graph and a survivor graph.  Every graph runs inline, or -- given a
+:class:`repro.parallel.AlignmentWorkerPool` -- on the pool, which publishes
+the blob once through a shared-memory arena and dispatches buckets through
+a *dynamic* work queue: workers pull the next chunk when free, so a skewed
+bucket cannot stall the rest of the pool (see ``pool.run_search_plan``).
 
 :func:`search_db_sequential` is the one-at-a-time reference the batched
 path is verified (and benchmarked) against; it scans numpy rows of
@@ -37,12 +41,11 @@ from ..core.topk import TopK
 from ..obs import gcups, get_metrics, get_tracer, is_enabled
 from ..obs.ledger import record_run
 from ..obs.trace import Stopwatch
-from ..plan import InlineExecutor, plan_search_buckets, search_blob
-from ..plan.runtime import empty_search_stats
+from ..plan import plan_search_buckets, search_blob
 from ..seq.alphabet import encode
 from ..seq.db import PackedDatabase, content_digest, pack_database, shard_database
 from .cache import DEFAULT_CACHE, cache_key
-from .prefilter import pooled_pruned_search, resolve_prefilter
+from .prefilter import pruned_search, resolve_prefilter, run_search_graph
 
 __all__ = [
     "SearchConfig",
@@ -210,7 +213,9 @@ def search_db(
         prefilter=",".join(tiers) or "off",
         shards=config.n_shards,
     ):
-        if pool is None:
+        if tiers:
+            ranked, pruned, skipped = pruned_search(query, packed, config, tiers, pool)
+        else:
             shards = (
                 shard_database(
                     packed,
@@ -226,32 +231,13 @@ def search_db(
                 len(query),
                 top_k=config.top_k,
                 kernel=config.kernel,
-                prefilter=tiers,
                 n_shards=config.n_shards,
                 shards=shards,
             )
-            executed = InlineExecutor().run(
-                graph, query, search_blob(shards or packed), config.scoring
-            )
-            ranked = executed.hits
-            stats = executed.extras.get("prefilter", empty_search_stats())
-            n_workers = 1
-        else:
-            if tiers:
-                ranked, stats = pooled_pruned_search(
-                    query, packed, config, pool, tiers
-                )
-            else:
-                ranked = pool.search(
-                    query,
-                    packed,
-                    top_k=config.top_k,
-                    scoring=config.scoring,
-                    kernel=config.kernel,
-                    n_shards=config.n_shards,
-                )
-                stats = empty_search_stats()
-            n_workers = pool.n_workers
+            blob = search_blob(shards or packed)
+            ranked = run_search_graph(graph, query, blob, config.scoring, pool).hits
+            pruned = skipped = 0
+    n_workers = 1 if pool is None else pool.n_workers
     if is_enabled():
         metrics = get_metrics()
         metrics.gauge("search_seconds").set(sw.elapsed)
@@ -270,7 +256,7 @@ def search_db(
             "buckets": len(packed.buckets),
             "query_bp": int(len(query)),
             "prefilter": ",".join(tiers) or "off",
-            "sequences_pruned": stats["sequences_pruned"],
+            "sequences_pruned": pruned,
             "n_shards": config.n_shards,
             "cache": config.cache,
         },
@@ -285,8 +271,8 @@ def search_db(
         if pool is None
         else "pool",
         prefilter=",".join(tiers) or "off",
-        sequences_pruned=stats["sequences_pruned"],
-        cells_skipped=stats["cells_skipped"],
+        sequences_pruned=pruned,
+        cells_skipped=skipped,
         n_shards=config.n_shards,
     )
     if key is not None:

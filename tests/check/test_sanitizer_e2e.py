@@ -72,12 +72,13 @@ def test_pool_backends_run_clean(sanitize, pair):
 def test_search_db_runs_clean(sanitize):
     from repro.parallel.pool import AlignmentWorkerPool
     from repro.seq.db import pack_database, synthetic_database
+    from repro.strategies import SearchConfig, search_db
 
     packed = pack_database(synthetic_database(n=12, min_length=60, max_length=120, rng=1))
     rng = np.random.default_rng(2)
     query = "".join(rng.choice(list("ACGT"), 80))
     with AlignmentWorkerPool(n_workers=2) as pool:
-        hits = pool.search(query, packed, top_k=5)
+        hits = search_db(query, packed, SearchConfig(top_k=5), pool=pool).hits
     assert len(hits) == 5
     assert_clean()
 
@@ -99,6 +100,7 @@ def test_search_failure_path_closes_the_arena(sanitize):
     """A dispatch failure after the arena exists must still close it."""
     from repro.parallel.pool import AlignmentWorkerPool
     from repro.seq.db import pack_database, synthetic_database
+    from repro.strategies import SearchConfig, search_db
 
     packed = pack_database(synthetic_database(n=4, min_length=50, max_length=80, rng=3))
 
@@ -117,5 +119,5 @@ def test_search_failure_path_closes_the_arena(sanitize):
 
         pool._works = [BrokenQueue() for _ in range(pool.n_workers)]
         with pytest.raises(Boom):
-            pool.search("ACGTACGT", packed, top_k=3)
+            search_db("ACGTACGT", packed, SearchConfig(top_k=3), pool=pool)
     assert_clean()

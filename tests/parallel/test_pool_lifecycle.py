@@ -20,6 +20,7 @@ import repro.parallel.pool as pool_mod
 from repro.parallel.pool import AlignmentWorkerPool
 from repro.plan import blocked_spec, wavefront_spec
 from repro.seq.db import pack_database, synthetic_database
+from repro.strategies import SearchConfig, search_db
 
 
 class Boom(RuntimeError):
@@ -93,7 +94,7 @@ def test_search_closes_arena_when_dispatch_fails(monkeypatch):
     with AlignmentWorkerPool(n_workers=2) as pool:
         pool._works = [BrokenQueue() for _ in range(pool.n_workers)]
         with pytest.raises(Boom):
-            pool.search("ACGTACGTACGT", packed, top_k=3)
+            search_db("ACGTACGTACGT", packed, SearchConfig(top_k=3), pool=pool)
     assert len(arenas) == 1
     assert arenas[0]._shm is None  # the fix: finally closes the arena
 
@@ -110,7 +111,7 @@ def test_search_happy_path_closes_arena_too(monkeypatch):
 
     monkeypatch.setattr(pool_mod, "SequenceArena", TrackedArena)
     with AlignmentWorkerPool(n_workers=2) as pool:
-        hits = pool.search("ACGTACGTACGT", packed, top_k=3)
+        hits = search_db("ACGTACGTACGT", packed, SearchConfig(top_k=3), pool=pool).hits
     assert hits
     assert arenas and all(a._shm is None for a in arenas)
 

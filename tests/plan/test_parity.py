@@ -27,7 +27,7 @@ from repro.plan import (
 )
 from repro.seq import encode, genome_pair
 from repro.seq.db import pack_database, synthetic_database
-from repro.strategies import SearchConfig, search_db_sequential
+from repro.strategies import SearchConfig, search_db, search_db_sequential
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ class TestSearchParity:
         q = encode(query)
         graph = plan_search_buckets(packed, len(q), top_k=5)
         inline = InlineExecutor().run(graph, q, search_blob(packed)).hits
-        pooled = pool.search(query, packed, top_k=5)
+        pooled = search_db(query, packed, SearchConfig(top_k=5), pool=pool).scores()
         sequential = search_db_sequential(query, packed, SearchConfig(top_k=5))
         reference = [(h.score, h.index) for h in sequential.hits]
         assert reference
@@ -156,6 +156,25 @@ class TestExecutorGuards:
         graph = plan_search_buckets(packed, 8)
         with pytest.raises(ValueError, match="run_search_plan"):
             PoolExecutor(pool=None).run(graph, encode("ACGTACGT"), search_blob(packed))
+
+    def test_search_blob_of_another_layout_is_refused(self, pool):
+        packed = pack_database(
+            synthetic_database(n=40, min_length=40, max_length=300, rng=5)
+        )
+        # Shards dealt inside the planner are packed with other buckets than
+        # the unsharded database, so its blob does not match the locators.
+        graph = plan_search_buckets(packed, 120, top_k=5, n_shards=2)
+        blob = search_blob(packed)
+        assert blob.size != graph.shape[1]
+        query = encode("ACGT" * 30)
+        wrong = f"{graph.shape[1]}-byte blob, got 120 and {blob.size}"
+        with pytest.raises(ValueError, match=wrong):
+            InlineExecutor().run(graph, query, blob)
+        with pytest.raises(ValueError, match=wrong):
+            pool.run_search_plan(graph, query, blob)
+        good = plan_search_buckets(packed, 120, top_k=5)
+        with pytest.raises(ValueError, match="120-residue query"):
+            InlineExecutor().run(good, query[:100], blob)
 
     def test_pool_executor_needs_a_spec(self, pair):
         s, t = pair

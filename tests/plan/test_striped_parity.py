@@ -59,8 +59,10 @@ class TestSearchParity:
         graph = plan_search_buckets(packed, len(q), top_k=5, kernel="striped")
         assert graph.params["kernel"] == "striped"
         inline = InlineExecutor().run(graph, q, search_blob(packed)).hits
-        pooled = pool.search(query, packed, top_k=5, kernel="striped")
-        classic = pool.search(query, packed, top_k=5)
+        pooled = search_db(
+            query, packed, SearchConfig(top_k=5, kernel="striped"), pool=pool
+        ).scores()
+        classic = search_db(query, packed, SearchConfig(top_k=5), pool=pool).scores()
         assert inline
         assert inline == pooled == classic
 

@@ -1,9 +1,9 @@
 """The static plan verifier: the sweep proves out, illegal graphs do not.
 
 The acceptance bar mirrors the dataflow prover's: every planner x backend
-combination (search: x kernel x prefilter) the system can build must verify
+combination (search: x kernel x shards) the system can build must verify
 clean, and hand-built graphs that break each invariant class -- cycle,
-missing owner, cell-count mismatch, staged-graph-on-pool -- must be rejected
+missing owner, cell-count mismatch, spec-less graph on the pool -- must be rejected
 with findings precise enough to name the tile and the breach.  The graphs below are built
 directly from ``Tile``/``TaskGraph`` (never through ``.validate()``), since
 the verifier's job is exactly the graphs the constructor checks would have
@@ -172,6 +172,17 @@ def test_dropped_search_lane_is_a_plan004():
     )
 
 
+def test_bucket_scanned_twice_is_a_plan004():
+    packed = _sweep_packed()
+    graph = plan_search_buckets(packed, query_len=80, top_k=5)
+    dup = graph.tiles[0]._replace(id=len(graph.tiles))
+    graph.tiles = graph.tiles + (dup,)
+    assert any(
+        f.rule == "PLAN004" and f.line == dup.id and "that tile 0 aligns" in f.message
+        for f in verify_graph(graph)
+    )
+
+
 def _phase2_graph():
     regions = [(30, 0, 40, 0, 50), (20, 10, 30, 5, 35), (10, 50, 60, 60, 64)]
     return plan_phase2(96, 128, n_procs=2, regions=regions)
@@ -288,21 +299,6 @@ def test_cross_shard_dependency_on_the_pool_is_a_plan006():
     )
     # The same edge is harmless where one process sees every shard.
     assert verify_graph(graph, "inline") == []
-
-
-def test_staged_search_graph_on_the_pool_is_a_plan006():
-    packed = _sweep_packed()
-    staged = plan_search_buckets(
-        packed, query_len=80, top_k=5, prefilter=("length", "composition")
-    )
-    pool_findings = verify_graph(staged, "pool")
-    assert any(
-        f.rule == "PLAN006" and "top-k threshold" in f.message
-        for f in pool_findings
-    )
-    # The same graph is legal where a shared threshold exists.
-    assert verify_graph(staged, "inline") == []
-    assert verify_graph(staged, "sim") == []
 
 
 def test_specless_pair_graph_on_the_pool_is_a_plan006():

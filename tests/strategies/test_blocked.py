@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from repro.core import similarity_matrix
+from repro.core.engine import compute_tile
 from repro.core.kernels import SCORE_DTYPE
 from repro.core.scoring import DEFAULT_SCORING
 from repro.seq import genome_pair
 from repro.strategies import (
     BlockedConfig,
     ScaledWorkload,
-    compute_tile,
     explicit_tiling,
     run_blocked,
     serial_blocked_time,

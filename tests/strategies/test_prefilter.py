@@ -21,12 +21,7 @@ from repro.core.bounds import (
     TieredFilter,
 )
 from repro.core.scoring import TRANSITION_TRANSVERSION, MatrixScoring, Scoring
-from repro.plan import (
-    InlineExecutor,
-    SimExecutor,
-    plan_search_buckets,
-    search_blob,
-)
+from repro.plan import search_blob
 from repro.seq import biased_dna, mutate, pack_database, random_dna
 from repro.seq.db import pack_subset
 from repro.strategies import (
@@ -114,7 +109,7 @@ class TestAdmissibility:
         packed = pack_database(adversarial_db(rng, query), max_lanes=8)
         tiered = TieredFilter(query, scoring)
         for bucket in packed.buckets:
-            combined, _, _ = tiered.ceilings(bucket.codes, bucket.lengths)
+            combined, _ = tiered.ceilings(bucket.codes, bucket.lengths)
             for lane in range(bucket.lanes):
                 width = int(bucket.lengths[lane])
                 true = sequential_best_score(query, bucket.codes[lane, :width], scoring)
@@ -278,10 +273,10 @@ class TestBoundIndexParity:
                     continue
                 assert got.dtype == raw.dtype == np.int64
                 np.testing.assert_array_equal(got, raw)
-            raw_combined, raw_tiers, raw_cells = tiered.ceilings(bucket.codes, bucket.lengths)
-            combined, per_tier, cells = tiered.ceilings(index, bucket.lengths)
+            raw_combined, raw_tiers = tiered.ceilings(bucket.codes, bucket.lengths)
+            combined, per_tier = tiered.ceilings(index, bucket.lengths)
             assert combined.tobytes() == raw_combined.tobytes()
-            assert per_tier.keys() == raw_tiers.keys() and cells == raw_cells
+            assert per_tier.keys() == raw_tiers.keys()
             for tier in per_tier:
                 assert per_tier[tier].tobytes() == raw_tiers[tier].tobytes()
 
@@ -342,12 +337,6 @@ class TestBoundIndexLifecycle:
         assert published and all(b.dtype == np.uint8 for b in published)
         assert sum(b.size for b in published) == sum(size for size, _ in blobs)
         assert all(size == slots for size, slots in blobs)
-
-    def test_inline_search_leaves_no_index_behind(self):
-        query, records = self.records()
-        packed = pack_database(records, max_lanes=8)
-        search_db(query, packed, SearchConfig(top_k=3, prefilter="kmer"))
-        assert packed._bound_index == {}
 
     def test_traced_build_span(self):
         from repro.obs import observed
@@ -442,25 +431,6 @@ class TestExactness:
         assert result.scores() == expected
         assert result.backend == "pool"
 
-    @pytest.mark.parametrize("kernel", ["classic", "striped"])
-    def test_sim_matches_sequential(self, kernel):
-        rng = np.random.default_rng(53)
-        query = random_dna(90, rng)
-        db = adversarial_db(rng, query)
-        scoring = Scoring(match=1, mismatch=-3, gap=-4)
-        config = SearchConfig(top_k=5, scoring=scoring, kernel=kernel)
-        packed = pack_database(db, max_lanes=8)
-        graph = plan_search_buckets(
-            packed, len(query), top_k=5, kernel=kernel,
-            prefilter=("length", "composition", "kmer"),
-            seed_count=6,  # smaller than the database so filter tiles exist
-        )
-        executed = SimExecutor().run(graph, query, search_blob(packed), scoring)
-        expected = search_db_sequential(query, packed, config).scores()
-        assert [(s, i) for s, i in executed.hits] == expected
-        assert executed.extras["sim"]["total_time"] > 0
-        assert "filter" in executed.extras["sim"]["stage_seconds"]
-
     def test_inline_prunes_and_accounts(self):
         """On a prunable workload the filter actually fires and the result
         carries the accounting (not just a no-op that trivially matches)."""
@@ -488,22 +458,86 @@ class TestExactness:
         assert result.cells_skipped == 0
 
 
-class TestPoolRejectsStagedGraphs:
-    def test_run_search_plan_refuses_prefilter_graphs(self):
-        from repro.parallel.pool import AlignmentWorkerPool
+class TestSurvivors:
+    """Pass 2 of the pruned search, on ceilings the sweep computed."""
 
-        rng = np.random.default_rng(5)
-        packed = pack_database(
-            [("a", random_dna(30, rng)), ("b", random_dna(40, rng))], max_lanes=4
+    def test_strict_prune_and_cheapest_tier_attribution(self):
+        tiered = TieredFilter(random_dna(30, np.random.default_rng(4)), Scoring())
+        per_tier = {
+            "length": np.array([9, 3, 9, 9, 2]),
+            "composition": np.array([9, 9, 4, 5, 1]),
+        }
+        combined = np.minimum(per_tier["length"], per_tier["composition"]).astype(float)
+        keep, pruned = tiered.survivors(combined, per_tier, 5.0)
+        # Lane 3 ties the threshold and survives; lane 4 is counted once, at
+        # the cheaper tier, although both of its ceilings prove it.
+        assert keep.tolist() == [True, False, False, True, False]
+        assert pruned == {"length": 2, "composition": 1}
+
+    def test_no_threshold_prunes_nothing(self):
+        tiered = TieredFilter(random_dna(30, np.random.default_rng(4)), Scoring())
+        keep, pruned = tiered.survivors(
+            np.zeros(3), {"length": np.zeros(3, np.int64)}, float("-inf")
         )
-        graph = plan_search_buckets(
-            packed, 20, top_k=2, prefilter=("length", "composition")
+        assert keep.all() and pruned == {}
+
+
+class TestBackendsPruneAlike:
+    """Inline and pooled searches run one pruned algorithm: the same
+    rankings and the same prune statistics, sharded or not."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        from repro.parallel import AlignmentWorkerPool
+
+        with AlignmentWorkerPool(n_workers=2) as pool:
+            yield pool
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        rng = np.random.default_rng(61)
+        query = random_dna(200, rng)
+        records = [(f"hom{i}", mutate(query[20:180], 0.08, rng)) for i in range(6)]
+        records += [
+            (f"bg{i}", random_dna(int(rng.integers(30, 160)), rng))
+            for i in range(AUTO_MIN_SEQUENCES)
+        ]
+        packed = pack_database(records, max_lanes=64)
+        expected = search_db_sequential(query, packed, SearchConfig(top_k=5)).scores()
+        return query, packed, expected
+
+    @staticmethod
+    def observed_search(query, packed, config, pool=None):
+        """The result and its prune counters (the per-tier split included)."""
+        from repro.obs import observed
+
+        with observed() as (_, metrics):
+            result = search_db(query, packed, config, pool=pool)
+        counters = metrics.snapshot()["counters"]
+        prune = {
+            name: n
+            for name, n in counters.items()
+            if name.startswith("prefilter_") or name in ("sequences_pruned", "cells_skipped")
+        }
+        return result, prune
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize("mode", ["composition", "kmer", "auto"])
+    def test_inline_and_pool_prune_identically(self, pool, workload, mode, n_shards):
+        query, packed, expected = workload
+        config = SearchConfig(top_k=5, max_lanes=64, prefilter=mode, n_shards=n_shards)
+        inline, inline_prune = self.observed_search(query, packed, config)
+        pooled, pooled_prune = self.observed_search(query, packed, config, pool)
+        assert inline.scores() == pooled.scores() == expected
+        assert inline.sequences_pruned > 0
+        assert inline_prune["sequences_pruned"] == inline.sequences_pruned
+        tiers = {n: v for n, v in inline_prune.items() if n.startswith("prefilter_")}
+        assert sum(tiers.values()) == inline.sequences_pruned
+        assert (inline.sequences_pruned, inline.cells_skipped) == (
+            pooled.sequences_pruned,
+            pooled.cells_skipped,
         )
-        with AlignmentWorkerPool(n_workers=1) as pool:
-            with pytest.raises(ValueError, match="pooled_pruned_search"):
-                pool.run_search_plan(
-                    graph, random_dna(20, rng), search_blob(packed)
-                )
+        assert inline_prune == pooled_prune
 
 
 class TestPackSubset:
