@@ -45,6 +45,7 @@ from ..core.scoring import DEFAULT_SCORING, Scoring
 from ..obs import gcups, observed
 from ..seq import (
     FastaRecord,
+    PackedDatabase,
     biased_dna,
     content_digest,
     genome_pair,
@@ -538,17 +539,25 @@ def _bench_pool_wavefront(quick: bool, rounds: int) -> dict:
 
 
 def _bench_fasta_ingest(quick: bool) -> dict:
-    """Parse and pack a 1,500-record FASTA database from a file.
+    """Parse, pack and index a 1,500-record FASTA database from a file.
 
     The database is shaped like the ``search-fasta`` workload's (150-600 bp
     records wrapped at 70 columns) and is packed with the striped kernel's
     bucket shape, as ``repro search --kernel striped`` does on every run.
-    The packed digest is asserted equal to packing the written records in
-    memory before anything is timed.  Best of 25: one ingest takes a few
-    milliseconds, so fewer rounds leave the figure to scheduler noise.
+    Three stages are timed: ``parse`` (the records alone), ``ingest``
+    (parse and pack, the parser's blocks packed straight into buckets) and
+    ``index`` (the bound index a pruned search builds on a fresh packing,
+    at the default k).  The packed digest is asserted equal to packing the
+    written records in memory, and the index equal to
+    :func:`repro.core.bounds.build_bound_index`, before anything is timed.
+    Each stage takes five samples, each repeated for at least 0.2 s;
+    ``*_sample_spread`` is ``(slowest - fastest) / fastest`` over them.
+    Both rates are MB of FASTA file per second.
     """
+    from ..core.bounds import DEFAULT_KMER_K, build_bound_index
+
     n_db = 300 if quick else 1500
-    rounds = 1 if quick else 25
+    samples, min_sample_s = (1, 0.0) if quick else (5, 0.2)
     db = synthetic_database(n=n_db, min_length=150, max_length=600, rng=79)
     config = SearchConfig(kernel="striped")
 
@@ -563,20 +572,45 @@ def _bench_fasta_ingest(quick: bool) -> dict:
         path = os.path.join(tmp, "db.fa")
         write_fasta(path, db)
         size = os.path.getsize(path)
-        if content_digest(ingest(stream_fasta(path))) != content_digest(ingest(db)):
+        packed = ingest(stream_fasta(path))
+        if content_digest(packed) != content_digest(ingest(db)):
             raise AssertionError("parsed FASTA database diverged from the records written")
-        parse_s = _best_of(lambda: list(stream_fasta(path)), rounds)
-        ingest_s = _best_of(lambda: ingest(stream_fasta(path)), rounds)
-    return {
+
+        def index():
+            fresh = PackedDatabase(packed.buckets, packed.names, packed.lengths)
+            return fresh.bound_index(DEFAULT_KMER_K)
+
+        for got, bucket in zip(index(), packed.buckets):
+            want = build_bound_index(bucket.codes, DEFAULT_KMER_K)
+            if (
+                got.kmer_ids.tobytes() != want.kmer_ids.tobytes()
+                or got.counts.tobytes() != want.counts.tobytes()
+            ):
+                raise AssertionError("bound index diverged from build_bound_index")
+        stages = {
+            "parse": lambda: list(stream_fasta(path)),
+            "ingest": lambda: ingest(stream_fasta(path)),
+            "index": index,
+        }
+        timed = {
+            name: _long_samples(fn, samples, min_sample_s) for name, fn in stages.items()
+        }
+    entry: dict = {
         "kernel": "fasta_blocks",
         "dtype": "uint8",
         "lane_mode": "ingest",
         "n_sequences": n_db,
         "file_bytes": size,
-        "parse_seconds": parse_s,
-        "ingest_seconds": ingest_s,
-        "ingest_mb_per_s": size / ingest_s / 1e6,
+        "samples": samples,
     }
+    for name, (repeats, per_call) in timed.items():
+        best = min(per_call)
+        entry[f"{name}_seconds"] = best
+        entry[f"{name}_repeats_per_sample"] = repeats
+        entry[f"{name}_sample_spread"] = (max(per_call) - best) / best
+    entry["ingest_mb_per_s"] = size / entry["ingest_seconds"] / 1e6
+    entry["index_mb_per_s"] = size / entry["index_seconds"] / 1e6
+    return entry
 
 
 def _bench_bound_sweep(quick: bool) -> dict:
@@ -698,7 +732,7 @@ ENTRIES = (
      lambda quick, rounds, _: _bench_db_search_sharded(quick, rounds)),
     ("pool_wavefront_10_repeats_600x600", "pool wavefront: 10 repeats",
      lambda quick, rounds, _: _bench_pool_wavefront(quick, rounds)),
-    ("fasta_ingest_1500seq", "fasta ingest: parse + pack",
+    ("fasta_ingest_1500seq", "fasta ingest: parse, pack, index",
      lambda quick, _, __: _bench_fasta_ingest(quick)),
     ("bound_sweep_800seq", "bound sweep: index warm",
      lambda quick, _, __: _bench_bound_sweep(quick)),

@@ -1,9 +1,9 @@
 /* Compiled phase-1 paths: linear-gap DP rows, a hit-segment scan, the
- * inter-sequence search lanes and the striped search scan.
+ * inter-sequence search lanes, the striped search scan and the search
+ * prefilter's bound index.
  *
  * The numpy kernels in engine.py / regions.py / multi_engine.py / striped.py
- * are the
- * reference; these loops must stay bitwise equal to them
+ * / bounds.py are the reference; these loops must stay bitwise equal to them
  * (tests/core/test_ckernel.py is the guard).  Keep this file small: no check
  * rule reads C.
  */
@@ -356,4 +356,90 @@ void stripes(const void *profile, const uint8_t *query, int64_t m,
     else
         stripes_row32_scan(profile, query, m, seg, p, k, gap, cap, state,
                            carry, rowmax, best, ovf);
+}
+
+/* The prefilter's bound index of a packed (lanes x width) code matrix, as
+ * bounds.build_bound_index builds it: per lane the counts of codes 0..3,
+ * and the base-4 id (first code most significant) of every window of k
+ * codes, or the sentinel 4**k when the window holds a code >= 4 (PAD or a
+ * non-ACGT code).  A window holds one iff the OR of its codes has a bit
+ * above the low two set.
+ *
+ * Both loops are shaped for gcc's vectorizer.  The counts are summed in
+ * byte accumulators over runs of at most 255 codes.  The ids are built
+ * BOUND_TILE windows at a time: k passes each shift one code into every
+ * window's id (and OR it into the window's flag) in fixed-size local
+ * arrays, then the tile is stored; the last windows of a lane, fewer than
+ * a tile, go one at a time.
+ *
+ * counts   (lanes, 4) int64
+ * ids      (lanes, width - k + 1) ids; NULL, with k 0, for counts only
+ */
+#define BOUND_TILE 64
+
+#define BOUND_INDEX(NAME, T)                                                  \
+SIMD_CLONES static void NAME(const uint8_t *restrict codes, int64_t lanes,    \
+                             int64_t width, int64_t k,                        \
+                             int64_t *restrict counts, T *restrict ids)       \
+{                                                                             \
+    const int64_t n_win = width >= k ? width - k + 1 : 0;                     \
+    const T mask = (T)((1ull << (2 * k)) - 1);                                \
+    for (int64_t lane = 0; lane < lanes; lane++) {                            \
+        const uint8_t *row = codes + lane * width;                            \
+        int64_t *n = counts + 4 * lane;                                       \
+        n[0] = n[1] = n[2] = n[3] = 0;                                        \
+        for (int64_t j0 = 0; j0 < width; j0 += 255) {                         \
+            const int64_t j1 = width - j0 < 255 ? width : j0 + 255;           \
+            uint8_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;                           \
+            for (int64_t j = j0; j < j1; j++) {                               \
+                a0 += row[j] == 0;                                            \
+                a1 += row[j] == 1;                                            \
+                a2 += row[j] == 2;                                            \
+                a3 += row[j] == 3;                                            \
+            }                                                                 \
+            n[0] += a0;                                                       \
+            n[1] += a1;                                                       \
+            n[2] += a2;                                                       \
+            n[3] += a3;                                                       \
+        }                                                                     \
+        if (!ids)                                                             \
+            continue;                                                         \
+        T *out = ids + lane * n_win;                                          \
+        int64_t w = 0;                                                        \
+        for (; w + BOUND_TILE <= n_win; w += BOUND_TILE) {                    \
+            T id[BOUND_TILE] = {0};                                           \
+            uint8_t flag[BOUND_TILE] = {0};                                   \
+            for (int64_t i = 0; i < k; i++) {                                 \
+                const uint8_t *col = row + w + i;                             \
+                for (int t = 0; t < BOUND_TILE; t++) {                        \
+                    id[t] = (T)(id[t] * 4 + (col[t] & 3));                    \
+                    flag[t] |= col[t];                                        \
+                }                                                             \
+            }                                                                 \
+            for (int t = 0; t < BOUND_TILE; t++)                              \
+                out[w + t] = flag[t] > 3 ? (T)(mask + 1) : (T)(id[t] & mask); \
+        }                                                                     \
+        for (; w < n_win; w++) {                                              \
+            T id = 0;                                                         \
+            uint8_t flag = 0;                                                 \
+            for (int64_t i = 0; i < k; i++) {                                 \
+                id = (T)(id * 4 + (row[w + i] & 3));                          \
+                flag |= row[w + i];                                           \
+            }                                                                 \
+            out[w] = flag > 3 ? (T)(mask + 1) : (T)(id & mask);               \
+        }                                                                     \
+    }                                                                         \
+}
+
+BOUND_INDEX(bound_index16, uint16_t)
+BOUND_INDEX(bound_index32, uint32_t)
+
+/* itemsize 2 or 4 for uint16 or uint32 ids; k is 0 for counts only. */
+void bound_index(const uint8_t *codes, int64_t lanes, int64_t width, int64_t k,
+                 int64_t *counts, void *ids, int itemsize)
+{
+    if (itemsize == 2)
+        bound_index16(codes, lanes, width, k, counts, ids);
+    else
+        bound_index32(codes, lanes, width, k, counts, ids);
 }

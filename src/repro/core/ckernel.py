@@ -4,7 +4,7 @@ The paper's unit of work (the band x block tile of §4.3, the NW rows of
 §4.4 phase 2) runs one DP row at a time through numpy, about eight ufunc
 calls per row; on 100 x 100 tiles that dispatch is the whole cost.  The
 database search (one query against many packed targets) pays the same
-per-row dispatch, once per query residue.  ``ckernel.c`` holds the four
+per-row dispatch, once per query residue.  ``ckernel.c`` holds the five
 loops that replace them:
 
 * ``rows`` -- the linear-gap recurrence over a whole tile, behind
@@ -16,7 +16,12 @@ loops that replace them:
   :meth:`MultiSequenceWorkspace.sw_best_scores`, in int16 or int32 lanes;
 * ``stripes`` -- a whole query through a packed ``(seg, p, k)`` striped
   block, behind :meth:`StripedMultiWorkspace.sw_best_scores`, in int8,
-  int16 or int32 lanes that wrap exactly as the numpy scan's do.
+  int16 or int32 lanes that wrap exactly as the numpy scan's do;
+* ``bound_index`` -- a packed bucket's letter counts and k-mer window ids
+  (uint16 or uint32), behind :meth:`repro.seq.PackedDatabase.bound_index`,
+  bit for bit what :func:`repro.core.bounds.build_bound_index` builds:
+  the numpy builder took several passes over every window's codes and
+  cost as much as the FASTA parse on every ``repro search`` run.
 
 The module is built with cffi in API mode on the *first kernel call*
 (never on ``import repro``), in a child interpreter so the compiler
@@ -30,9 +35,9 @@ safely.
 The flags are ``-O3`` and nothing CPU-specific: the loops vectorize only
 under -O3's vectorizer cost model (at -O2 they run scalar), and the cache
 is not keyed by CPU, so ``-march=native`` would make a cached build unsafe
-to load on another machine.  The lane chunk loop and the striped row
-instead ask gcc (x86-64 Linux) for an AVX2 clone beside the baseline one,
-picked per CPU at load time.
+to load on another machine.  The lane chunk loop, the striped row and the
+bound index instead ask gcc (x86-64 Linux) for an AVX2 clone beside the
+baseline one, picked per CPU at load time.
 
 The numpy kernels stay the reference.  When cffi or a compiler is missing
 the build fails once, :func:`load` warns once, and every caller keeps
@@ -54,7 +59,7 @@ import numpy as np
 
 from .scoring import SCORE_DTYPE
 
-__all__ = ["available", "band_segments", "lanes", "load", "rows", "stripes"]
+__all__ = ["available", "band_segments", "bound_index", "lanes", "load", "rows", "stripes"]
 
 _SOURCE = Path(__file__).with_name("ckernel.c")
 
@@ -77,6 +82,8 @@ void stripes(const void *profile, const uint8_t *query, int64_t m,
              int64_t seg, int64_t p, int64_t k, int32_t gap, int32_t cap,
              int itemsize, void *state, void *carry, void *rowmax,
              void *best, uint8_t *ovf);
+void bound_index(const uint8_t *codes, int64_t lanes, int64_t width, int64_t k,
+                 int64_t *counts, void *ids, int itemsize);
 """
 
 #: Compiler flags, appended after the interpreter's own CFLAGS.
@@ -332,3 +339,33 @@ def stripes(table, query, gap: int, cap: int, best, overflowed) -> None:
         buf(table), buf("uint8_t[]", query), query.size, seg, p, k, gap, cap, dt.itemsize,
         buf(state), buf(carry), buf(rowmax), buf(best), buf("uint8_t[]", overflowed.view(np.uint8)),
     )
+
+
+def bound_index(codes: np.ndarray, k: int | None):
+    """The :class:`~repro.core.bounds.BoundIndex` of one ``(lanes, width)``
+    uint8 code matrix from the compiled loop, bit for bit what
+    :func:`~repro.core.bounds.build_bound_index` builds; None when the
+    compiled path is off or ``codes`` is not such a matrix, and the caller
+    then runs that numpy builder."""
+    handle = load()
+    if handle is None or codes.ndim != 2 or codes.dtype != np.uint8:
+        return None
+    from .bounds import BoundIndex, kmer_id_dtype
+
+    ffi, lib = handle
+    codes = np.ascontiguousarray(codes)
+    lanes, width = codes.shape
+    counts = np.empty((lanes, 4), dtype=np.int64)
+    ids = None
+    if k is not None:
+        ids = np.empty((lanes, max(width - k + 1, 0)), dtype=kmer_id_dtype(k))
+    lib.bound_index(
+        ffi.from_buffer("uint8_t[]", codes),
+        lanes,
+        width,
+        k or 0,
+        ffi.from_buffer("int64_t[]", counts),
+        ffi.NULL if ids is None else ffi.from_buffer(ids),
+        2 if ids is None else ids.itemsize,
+    )
+    return BoundIndex(k, ids, counts)

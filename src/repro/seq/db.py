@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from ..core import ckernel
 from ..core.bounds import BoundIndex, build_bound_index
-from ..core.multi_engine import PAD_CODE, pack_codes
+from ..core.multi_engine import PAD_CODE
 from ..obs import get_tracer
-from .fasta import FastaRecord
+from .alphabet import encode
+from .fasta import FastaBlock, FastaRecord, FastaStream
 from .random_dna import random_dna
 
 
@@ -104,7 +106,7 @@ class PackedDatabase:
             with tracer.span(
                 "prefilter_index", "computation", k=k, buckets=len(self.buckets)
             ) as span:
-                cached = [build_bound_index(b.codes, k) for b in self.buckets]
+                cached = [_bucket_index(b.codes, k) for b in self.buckets]
                 if tracer.enabled:  # the disabled tracer's span takes no args
                     nbytes = sum(index.nbytes for index in cached)
                     span.args["bytes"] = nbytes  # type: ignore[union-attr]
@@ -112,44 +114,117 @@ class PackedDatabase:
         return cached
 
 
-def _pack_buffer(
-    buffer: list[tuple[int, np.ndarray]],
-    buckets: list[PackedBucket],
-    max_lanes: int,
-    max_waste: float,
-) -> None:
-    """Cut one ``(db index, codes)`` buffer into buckets (appended, cleared).
+def _bucket_index(codes: np.ndarray, k: int | None) -> BoundIndex:
+    """One bucket's index: the compiled loop, or the numpy builder without it."""
+    index = ckernel.bound_index(codes, k)
+    return build_bound_index(codes, k) if index is None else index
 
-    Sorts by length descending, cuts whenever a bucket reaches ``max_lanes``
-    lanes or the next sequence would pad more than ``max_waste`` of the
-    bucket width, then restores database order within each bucket so equal
+
+def _runs(
+    length: np.ndarray, index: np.ndarray, max_lanes: int, max_waste: float
+) -> Iterator[np.ndarray]:
+    """The greedy length-bucket cut: each bucket's positions, in ``index`` order.
+
+    Lanes are taken in length-descending order (ties by ``index``); a
+    bucket closes when it reaches ``max_lanes`` lanes or the next lane
+    would pad more than ``max_waste`` of the bucket width (its first,
+    longest lane).  Each bucket is then put back in ``index`` order so equal
     scores rank identically to a sequential scan.
     """
-    if not buffer:
-        return
-    buffer.sort(key=lambda item: -len(item[1]))
+    order = np.lexsort((index, -length))
     start = 0
-    while start < len(buffer):
-        width = len(buffer[start][1])
-        floor = (1.0 - max_waste) * width
-        stop = start + 1
-        while (
-            stop < len(buffer)
-            and stop - start < max_lanes
-            and len(buffer[stop][1]) >= floor
-        ):
-            stop += 1
-        run = sorted(buffer[start:stop], key=lambda item: item[0])
-        codes, lane_lengths = pack_codes([c for _, c in run], width=width)
-        buckets.append(
-            PackedBucket(
-                codes=codes,
-                lengths=lane_lengths,
-                indices=np.array([i for i, _ in run], dtype=np.int64),
-            )
-        )
-        start = stop
-    buffer.clear()
+    while start < order.size:
+        floor = (1.0 - max_waste) * int(length[order[start]])
+        # Lengths descend along ``order``, so the lanes >= floor are a prefix.
+        head = length[order[start : start + max_lanes]]
+        run = order[start : start + int(np.count_nonzero(head >= floor))]
+        yield run[np.argsort(index[run])]
+        start += run.size
+
+
+def _record_blocks(records: Iterable, size: int) -> Iterator[FastaBlock]:
+    """Any ``FastaRecord`` or ``(name, codes)`` iterable as flat blocks of
+    up to ``size`` records; ``str`` codes go through :func:`encode`."""
+    names: list[str] = []
+    parts: list[np.ndarray] = []
+    for record in records:
+        name, codes = (record.name, record.codes) if isinstance(record, FastaRecord) else record
+        names.append(name)
+        parts.append(encode(codes) if isinstance(codes, str) else np.asarray(codes, np.uint8))
+        if len(names) == size:
+            yield _flatten(names, parts)
+            names, parts = [], []
+    if names:
+        yield _flatten(names, parts)
+
+
+def _flatten(names: list[str], parts: list[np.ndarray]) -> FastaBlock:
+    """One block holding ``parts`` back to back."""
+    sizes = [part.size for part in parts]
+    ends = np.cumsum(sizes, dtype=np.intp)
+    return FastaBlock(np.concatenate(parts), ends - sizes, ends, names)
+
+
+def _join(pieces: list[FastaBlock]) -> FastaBlock:
+    """``pieces`` copied into one block in which every record start can be
+    read as far as the longest record (the row view :func:`_gather` takes):
+    the records' codes, then a PAD tail."""
+    widest = max(int((p.ends - p.starts).max()) for p in pieces)
+    spans = [(int(p.starts[0]), int(p.ends[-1])) for p in pieces]
+    total = sum(hi - lo for lo, hi in spans)
+    codes = np.empty(total + widest, dtype=np.uint8)
+    codes[total:] = PAD_CODE
+    starts, ends, names = [], [], []
+    at = 0
+    for piece, (lo, hi) in zip(pieces, spans):
+        codes[at : at + hi - lo] = piece.codes[lo:hi]
+        starts.append(piece.starts + (at - lo))
+        ends.append(piece.ends + (at - lo))
+        names += piece.names
+        at += hi - lo
+    return FastaBlock(codes, np.concatenate(starts), np.concatenate(ends), names)
+
+
+def _windows(blocks: Iterable[FastaBlock], window: int) -> Iterator[FastaBlock]:
+    """Regroup flat blocks into joined windows of ``window`` records."""
+    pending: list[FastaBlock] = []
+    count = 0
+    for block in blocks:
+        at = 0
+        while at < block.n_records:
+            take = min(window - count, block.n_records - at)
+            pending.append(block.part(at, at + take))
+            at += take
+            count += take
+            if count == window:
+                yield _join(pending)
+                pending, count = [], 0
+    if pending:
+        yield _join(pending)
+
+
+def _gather(flat: FastaBlock, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Records ``rows`` of a joined window (lengths ``lengths``) as one
+    PAD-padded code matrix as wide as the longest."""
+    width = int(lengths.max()) if lengths.size else 0
+    if not width:
+        return np.full((rows.size, 0), PAD_CODE, dtype=np.uint8)
+    # Row r of a window view is buffer[r:r + width]: one fancy index copies
+    # every lane, then OR-ing row ``width - length`` of a 0...0 PAD...PAD
+    # staircase pads each lane past its length (PAD_CODE is all ones).
+    codes = _rows_view(flat.codes, width)[flat.starts[rows]]
+    stair = np.zeros(2 * width, dtype=np.uint8)
+    stair[width:] = PAD_CODE
+    codes |= _rows_view(stair, width)[width - lengths]
+    return codes
+
+
+def _rows_view(buffer: np.ndarray, width: int) -> np.ndarray:
+    """The read-only ``(size - width + 1, width)`` view whose row r is
+    ``buffer[r:r + width]``."""
+    return np.lib.stride_tricks.as_strided(
+        buffer, (buffer.size - width + 1, width), (1, 1), writeable=False
+    )
 
 
 def _check_packing(max_lanes: int, max_waste: float) -> None:
@@ -160,37 +235,50 @@ def _check_packing(max_lanes: int, max_waste: float) -> None:
 
 
 def pack_database(
-    records: Iterable[FastaRecord | tuple[str, np.ndarray]],
+    records: Iterable[FastaRecord | tuple[str, np.ndarray | str]],
     max_lanes: int = 512,
     max_waste: float = 0.15,
     window: int = 8192,
 ) -> PackedDatabase:
     """Greedily pack a record stream into length buckets.
 
-    Records are buffered ``window`` at a time and cut into buckets by
-    :func:`_pack_buffer`; buckets double as the dispatch chunks of the
-    search work queue.
+    Records are taken ``window`` at a time as one flat block (straight
+    from the parser's blocks when ``records`` is a
+    :func:`repro.seq.stream_fasta` stream), cut into buckets by
+    :func:`_runs`, and each bucket is filled by one gather; buckets double
+    as the dispatch chunks of the search work queue.
     """
     _check_packing(max_lanes, max_waste)
+    if window <= 0:
+        raise ValueError(f"window must be positive, got {window}")
+    if isinstance(records, FastaStream):
+        blocks = records.blocks()
+    else:
+        blocks = _record_blocks(records, window)
+    tracer = get_tracer()
     names: list[str] = []
-    lengths: list[int] = []
+    lengths: list[np.ndarray] = []
     buckets: list[PackedBucket] = []
-    buffer: list[tuple[int, np.ndarray]] = []  # (db index, codes)
-
-    def flush() -> None:
-        _pack_buffer(buffer, buckets, max_lanes, max_waste)
-
-    for record in records:
-        name, codes = (record.name, record.codes) if isinstance(record, FastaRecord) else record
-        index = len(names)
-        names.append(name)
-        lengths.append(int(len(codes)))
-        buffer.append((index, np.asarray(codes, dtype=np.uint8)))
-        if len(buffer) >= window:
-            flush()
-    flush()
+    for flat in _windows(blocks, window):
+        with tracer.span("pack", "computation", records=flat.n_records):
+            base = len(names)
+            names += flat.names
+            window_lengths = (flat.ends - flat.starts).astype(np.int64)
+            lengths.append(window_lengths)
+            order = np.arange(window_lengths.size)
+            for run in _runs(window_lengths, order, max_lanes, max_waste):
+                lane_lengths = window_lengths[run]
+                buckets.append(
+                    PackedBucket(
+                        codes=_gather(flat, run, lane_lengths),
+                        lengths=lane_lengths,
+                        indices=run + base,
+                    )
+                )
     return PackedDatabase(
-        buckets=buckets, names=names, lengths=np.array(lengths, dtype=np.int64)
+        buckets=buckets,
+        names=names,
+        lengths=np.concatenate(lengths) if lengths else np.zeros(0, dtype=np.int64),
     )
 
 
@@ -219,21 +307,14 @@ def _repack(
 ) -> PackedDatabase:
     """Cut the ``picked`` lanes of ``table`` into fresh buckets.
 
-    The same buckets :func:`_pack_buffer` cuts from the lanes' index-sorted
-    ``(index, codes)`` buffer, bit for bit, but gathered from the source
-    matrices a (new bucket, source bucket) block at a time.
+    The same buckets :func:`pack_database` cuts from the lanes' records in
+    index order, bit for bit, but gathered from the source matrices a
+    (new bucket, source bucket) block at a time.
     """
     source, row, index, length = (column[picked] for column in table)
-    order = np.lexsort((index, -length))  # length descending, then index
     buckets: list[PackedBucket] = []
-    start = 0
-    while start < order.size:
-        width = int(length[order[start]])
-        floor = (1.0 - max_waste) * width
-        # Lengths descend along ``order``, so the lanes >= floor are a prefix.
-        window = length[order[start : start + max_lanes]]
-        run = order[start : start + int(np.count_nonzero(window >= floor))]
-        run = run[np.argsort(index[run])]
+    for run in _runs(length, index, max_lanes, max_waste):
+        width = int(length[run].max())
         codes = np.full((run.size, width), PAD_CODE, dtype=np.uint8)
         run_source = source[run]
         for b in set(run_source.tolist()):
@@ -243,7 +324,6 @@ def _repack(
             span = min(width, src.shape[1])
             codes[at, :span] = src[row[run[at]], :span]
         buckets.append(PackedBucket(codes=codes, lengths=length[run], indices=index[run]))
-        start += run.size
     return PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths)
 
 

@@ -9,7 +9,11 @@ Reading is one byte-block parser behind three entry points
 is read in blocks of :data:`_BLOCK` bytes and each block is parsed as a
 whole: numpy locates line ends and headers, every byte is mapped through
 the alphabet's 256-entry encode table, and the bytes outside ``ACGTacgt``
-are dropped in one compaction, so Python only touches each record once.
+are dropped in one compaction.  The parser emits flat
+blocks (:class:`FastaBlock`: a block's kept codes, its record offsets
+and names), and :class:`FastaStream` is a view over them: it yields one
+:class:`FastaRecord` at a time, or hands the blocks themselves to
+:func:`repro.seq.pack_database`, which packs without a per-record step.
 A record cut by a block edge is carried into the next block, so memory
 stays bounded by one block (and a few block-sized work arrays) plus the
 longest record.
@@ -18,6 +22,7 @@ longest record.
 from __future__ import annotations
 
 import io
+import operator
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -25,6 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ..obs import get_tracer
 from .alphabet import _ENCODE, decode, encode
 
 #: Bytes read per parser block.
@@ -58,6 +64,81 @@ class FastaError(ValueError):
     """Raised for malformed FASTA input."""
 
 
+@dataclass(frozen=True)
+class FastaBlock:
+    """Records parsed from one byte block, flat.
+
+    Record ``i`` is named ``names[i]`` and holds
+    ``codes[starts[i]:ends[i]]``; ``starts``/``ends`` are intp arrays in
+    record order.  Between records ``codes`` may hold other bytes (the
+    kept letters of header lines), so only the offsets delimit records.
+    """
+
+    codes: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    names: list[str]
+
+    @property
+    def n_records(self) -> int:
+        return len(self.names)
+
+    def part(self, lo: int, hi: int) -> "FastaBlock":
+        """Records ``lo:hi`` of this block, sharing its codes."""
+        return FastaBlock(self.codes, self.starts[lo:hi], self.ends[lo:hi], self.names[lo:hi])
+
+
+def _single(name: str, codes: np.ndarray) -> FastaBlock:
+    """A one-record block holding all of ``codes``."""
+    return FastaBlock(codes, np.zeros(1, np.intp), np.full(1, codes.size, np.intp), [name])
+
+
+class FastaStream:
+    """An iterator of :class:`FastaRecord` over the parser's flat blocks.
+
+    Each record is a view into its block's codes.  :meth:`blocks` hands
+    the records not yet yielded to :func:`repro.seq.pack_database` as the
+    blocks themselves, so packing needs no per-record step.
+    """
+
+    __slots__ = ("_blocks", "_block", "_records")
+
+    def __init__(self, blocks: Iterator[FastaBlock]) -> None:
+        self._blocks = blocks
+        self._block: FastaBlock | None = None
+        self._records: Iterator[FastaRecord] = iter(())  # the open block's
+
+    def __iter__(self) -> "FastaStream":
+        return self
+
+    def __next__(self) -> FastaRecord:
+        for record in self._records:
+            return record
+        while True:
+            block = self._block = next(self._blocks)
+            codes = block.codes
+            self._records = iter(
+                [
+                    FastaRecord(name, codes[lo:hi])
+                    for name, lo, hi in zip(block.names, block.starts.tolist(), block.ends.tolist())
+                ]
+            )
+            for record in self._records:
+                return record
+
+    def close(self) -> None:
+        """Stop parsing and close the input (as a generator's ``close``)."""
+        self._blocks.close()  # type: ignore[attr-defined]
+
+    def blocks(self) -> Iterator[FastaBlock]:
+        """The records not yet yielded, as flat blocks (consumes the stream)."""
+        block, left = self._block, operator.length_hint(self._records)
+        self._block, self._records = None, iter(())
+        if block is not None and left:
+            yield block.part(block.n_records - left, block.n_records)
+        yield from self._blocks
+
+
 def _line_breaks(data: bytes, after_cr: bool) -> int:
     """Line breaks in ``data`` as text mode counts them (``\\r\\n`` is one);
     ``after_cr`` says the byte before ``data`` was a ``\\r``."""
@@ -84,13 +165,30 @@ def _headers(buf: bytes, arr: np.ndarray, eol: np.ndarray, midline: bool):
     return starts, np.append(eol, arr.size)[np.searchsorted(eol, starts)]
 
 
-def _parse_blocks(blocks: Iterable[bytes]) -> Iterator[FastaRecord]:
+def _names(arr: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The stripped names of the header lines ``arr[starts[i] + 1:ends[i]]``.
+
+    One gather of every header line, its ``>`` turned into a ``\n``
+    separator (no header line holds one), and one decode and split.
+    """
+    sizes = ends - starts
+    first = np.cumsum(sizes) - sizes
+    lines = arr[np.arange(int(sizes.sum())) + np.repeat(starts - first, sizes)]
+    lines[first] = ord("\n")
+    return list(map(str.strip, lines[1:].tobytes().decode("ascii").split("\n")))
+
+
+def _parse_blocks(blocks: Iterable[bytes]) -> Iterator[FastaBlock]:
     """Parse FASTA records from consecutive byte blocks cut anywhere.
 
     A header is a line whose first non-whitespace byte is ``>``; its name is
     the rest of the line, stripped.  Sequence bytes outside ``ACGTacgt``
-    (ambiguity codes such as ``N``, whitespace) are dropped.
+    (ambiguity codes such as ``N``, whitespace) are dropped.  Yields flat
+    blocks in record order: the records a byte block completes share one
+    :class:`FastaBlock` over its kept codes; a record that crossed a block
+    edge gets a block of its own.
     """
+    tracer = get_tracer()
     name: str | None = None  # header of the open record
     # Its codes so far: a view into this block's codes, or a bytearray once
     # the record crosses a block edge (grown in place, no final join).
@@ -103,78 +201,84 @@ def _parse_blocks(blocks: Iterable[bytes]) -> Iterator[FastaRecord]:
     for block in chain(blocks, [None]):
         final = block is None
         buf = carry + block if block is not None else carry
-        arr = np.frombuffer(buf, dtype=np.uint8)
-        # Line ends as text mode reads them: \n, \r\n and a lone \r.
-        eol_mask = arr == ord("\n")
-        if b"\r" in buf:
-            eol_mask |= arr == ord("\r")
-        eol = np.flatnonzero(eol_mask)
+        done: list[FastaBlock] = []
+        with tracer.span("fasta_parse", "computation", bytes=len(buf)):
+            arr = np.frombuffer(buf, dtype=np.uint8)
+            # Line ends as text mode reads them: \n, \r\n and a lone \r.
+            eol_mask = arr == ord("\n")
+            if b"\r" in buf:
+                eol_mask |= arr == ord("\r")
+            eol = np.flatnonzero(eol_mask)
 
-        starts, ends = _headers(buf, arr, eol, midline)
-        if arr.size and arr.max() >= 0x80:
-            bad = int(np.argmax(arr >= 0x80))
-            j = int(np.searchsorted(starts, bad, side="right")) - 1
-            owner = (
-                buf[starts[j] + 1 : ends[j]].decode("ascii", "backslashreplace").strip()
-                if j >= 0
-                else name
-            )
-            where = "before the first record" if owner is None else f"in record {owner!r}"
-            raise FastaError(f"non-ASCII byte 0x{arr[bad]:02x} at offset {base + bad} {where}")
-
-        cut = arr.size
-        if not final and starts.size and ends[-1] == cut:
-            cut = int(starts[-1])
-            starts, ends = starts[:-1], ends[:-1]
-        carry = buf[cut:]
-
-        if name is None:
-            lead = int(starts[0]) if starts.size else cut
-            stray = np.flatnonzero(~_SPACE[arr[:lead]])
-            if stray.size:
-                at = int(stray[0])
-                raise FastaError(
-                    "sequence data before first '>' header "
-                    f"(line {line + _line_breaks(buf[:at], after_cr)})"
+            starts, ends = _headers(buf, arr, eol, midline)
+            if not buf.isascii():
+                bad = int(np.argmax(arr >= 0x80))
+                j = int(np.searchsorted(starts, bad, side="right")) - 1
+                owner = (
+                    buf[starts[j] + 1 : ends[j]].decode("ascii", "backslashreplace").strip()
+                    if j >= 0
+                    else name
                 )
-            if not starts.size:
-                line += _line_breaks(buf[:cut], after_cr)
-                after_cr = buf[cut - 1 : cut] == b"\r"
+                where = "before the first record" if owner is None else f"in record {owner!r}"
+                raise FastaError(
+                    f"non-ASCII byte 0x{arr[bad]:02x} at offset {base + bad} {where}"
+                )
 
-        # One encode and one compaction for the whole block; off[i] counts
-        # the kept codes before bounds[i] = 0, start_0, end_0, ..., cut.
-        codes = np.frombuffer(buf[:cut].translate(_CODES), dtype=np.uint8)
-        keep = np.zeros(cut + 1, dtype=bool)
-        np.not_equal(codes, 255, out=keep[:cut])
-        bounds = np.concatenate(([0], np.column_stack((starts, ends)).ravel(), [cut]))
-        counts = np.add.reduceat(keep.view(np.uint8), bounds[:-1], dtype=np.uint32)
-        counts[bounds[:-1] == bounds[1:]] = 0
-        off = np.concatenate(([0], np.cumsum(counts, dtype=np.intp))).tolist()
-        kept = codes[keep[:cut]]
+            cut = arr.size
+            if not final and starts.size and ends[-1] == cut:
+                cut = int(starts[-1])
+                starts, ends = starts[:-1], ends[:-1]
+            carry = buf[cut:]
 
-        if name is not None and off[1]:
-            body += kept[: off[1]].data
-        if starts.size:
-            if name is not None:
-                yield FastaRecord(name, np.frombuffer(body, dtype=np.uint8))
-            names = [
-                buf[s + 1 : e].decode("ascii").strip()
-                for s, e in zip(starts.tolist(), ends.tolist())
-            ]
-            for done, lo, hi in zip(names[:-1], off[2::2], off[3::2]):
-                yield FastaRecord(done, kept[lo:hi])
-            name, body = names[-1], kept[off[-2] : off[-1]]
+            if name is None:
+                lead = int(starts[0]) if starts.size else cut
+                stray = np.flatnonzero(~_SPACE[arr[:lead]])
+                if stray.size:
+                    at = int(stray[0])
+                    raise FastaError(
+                        "sequence data before first '>' header "
+                        f"(line {line + _line_breaks(buf[:at], after_cr)})"
+                    )
+                if not starts.size:
+                    line += _line_breaks(buf[:cut], after_cr)
+                    after_cr = buf[cut - 1 : cut] == b"\r"
 
-        if carry:
-            midline = False
-        else:
-            tail = buf[int(eol[-1]) + 1 :] if eol.size else buf
-            midline = bool(tail.translate(None, _SPACE_BYTES)) or (midline and not eol.size)
-        if name is not None and not final and not isinstance(body, bytearray):
-            body = bytearray(body)  # carried: release this block's arrays
-        base += cut
+            # One encode and one compaction for the whole block; off[i] counts
+            # the kept codes before bounds[i] = 0, start_0, end_0, ..., cut.
+            codes = np.frombuffer(buf[:cut].translate(_CODES), dtype=np.uint8)
+            keep = np.zeros(cut + 1, dtype=bool)
+            np.not_equal(codes, 255, out=keep[:cut])
+            bounds = np.concatenate(([0], np.column_stack((starts, ends)).ravel(), [cut]))
+            counts = np.add.reduceat(keep.view(np.uint8), bounds[:-1], dtype=np.uint32)
+            counts[bounds[:-1] == bounds[1:]] = 0
+            off = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+            kept = codes[keep[:cut]]
+
+            if name is not None and off[1]:
+                body += kept[: off[1]].data
+            if starts.size:
+                if name is not None:
+                    done.append(_single(name, np.frombuffer(body, dtype=np.uint8)))
+                names = _names(arr, starts, ends)
+                if len(names) > 1:
+                    # Record j holds kept[off[2j + 2]:off[2j + 3]].
+                    last = 2 * len(names)
+                    done.append(FastaBlock(kept, off[2:last:2], off[3:last:2], names[:-1]))
+                name, body = names[-1], kept[off[-2] : off[-1]]
+
+            if carry:
+                midline = False
+            else:
+                tail = buf[int(eol[-1]) + 1 :] if eol.size else buf
+                midline = bool(tail.translate(None, _SPACE_BYTES)) or (
+                    midline and not eol.size
+                )
+            if name is not None and not final and not isinstance(body, bytearray):
+                body = bytearray(body)  # carried: release this block's arrays
+            base += cut
+        yield from done
     if name is not None:
-        yield FastaRecord(name, np.frombuffer(body, dtype=np.uint8))
+        yield _single(name, np.frombuffer(body, dtype=np.uint8))
 
 
 def _line_blocks(lines: Iterable[str]) -> Iterator[bytes]:
@@ -193,7 +297,7 @@ def _line_blocks(lines: Iterable[str]) -> Iterator[bytes]:
         yield "".join(batch).encode("utf-8")
 
 
-def parse_fasta(stream: Iterable[str]) -> Iterator[FastaRecord]:
+def parse_fasta(stream: Iterable[str]) -> FastaStream:
     """Parse FASTA records from an iterable of lines.
 
     Characters outside ``ACGTacgt`` (ambiguity codes such as ``N``) are
@@ -202,7 +306,7 @@ def parse_fasta(stream: Iterable[str]) -> Iterator[FastaRecord]:
     :func:`stream_fasta`, so a ``\\r`` inside a line ends it, as text-mode
     reading of a file would, and non-ASCII text raises :class:`FastaError`.
     """
-    return _parse_blocks(_line_blocks(stream))
+    return FastaStream(_parse_blocks(_line_blocks(stream)))
 
 
 def _open_bytes(path: str | os.PathLike[str]):
@@ -214,15 +318,21 @@ def _open_bytes(path: str | os.PathLike[str]):
     return gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
 
 
-def stream_fasta(path: str | os.PathLike[str]) -> Iterator[FastaRecord]:
+def _file_blocks(path: str | os.PathLike[str]) -> Iterator[bytes]:
+    with _open_bytes(path) as fh:
+        yield from iter(lambda: fh.read(_BLOCK), b"")
+
+
+def stream_fasta(path: str | os.PathLike[str]) -> FastaStream:
     """Yield FASTA records one at a time without materialising the file.
 
-    Unlike :func:`read_fasta` (which returns a list), this is a generator:
-    the file (plain or gzip, detected by magic bytes) is opened lazily and
-    closed when the generator is exhausted or dropped.
+    Unlike :func:`read_fasta` (which returns a list), this is a lazy
+    iterator: the file (plain or gzip, detected by magic bytes) is opened
+    on the first record and closed when the stream is exhausted or
+    dropped.  :func:`repro.seq.pack_database` reads the stream's flat
+    blocks directly instead of its records.
     """
-    with _open_bytes(path) as fh:
-        yield from _parse_blocks(iter(lambda: fh.read(_BLOCK), b""))
+    return FastaStream(_parse_blocks(_file_blocks(path)))
 
 
 def read_fasta(path: str | os.PathLike[str]) -> list[FastaRecord]:

@@ -5,8 +5,9 @@ the region finder's segment scan, the database-search lanes and the
 striped search scan.  No static check reads C, so these properties are its
 only guard: every compiled result must be bitwise equal to the numpy rows,
 to row-by-row :meth:`StreamingRegionFinder.feed`, to the numpy lanes of
-:class:`NumpyMultiWorkspace` and to the numpy striped scan of
-:class:`NumpyStripedMultiWorkspace` (overflow flags included), over every
+:class:`NumpyMultiWorkspace`, to the numpy striped scan of
+:class:`NumpyStripedMultiWorkspace` (overflow flags included) and to the
+numpy bound index of :func:`build_bound_index`, over every
 scoring regime the kernels serve -- plain and matrix DNA scoring, int8,
 int16 and int32 lanes, the int64 ``_wide`` regime, lazily profiled protein
 codes -- and over degenerate shapes.  A
@@ -22,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core import KernelWorkspace, Scoring, ckernel, striped
+from repro.core import PAD_CODE, KernelWorkspace, Scoring, ckernel, striped
+from repro.core.bounds import DEFAULT_KMER_K, build_bound_index
 from repro.core.engine import NumpyWorkspace, compute_tile
 from repro.core.multi_engine import (
     CHAIN_LOOP_MIN_LANES,
@@ -499,6 +501,120 @@ class TestStripesParity:
         assert len(runtime) == 1
         assert np.array_equal(first, want)
         assert np.array_equal(second, want)
+
+#: Window sizes of the index fuzz: both id dtypes on either side of their
+#: edge (uint16 to k = 7, uint32 from k = 8), the extremes, and counts only.
+INDEX_KS = (2, 6, 7, 8, 15, None)
+
+
+@st.composite
+def index_matrices(draw):
+    """A packed code matrix: lanes of any length (widths below k too, zero
+    lanes, past the compiled loop's 64-window tiles) padded with PAD_CODE,
+    with PAD or codes >= 4 inside lanes, and lanes of code 0 only (where a
+    4 is the sole flag bit)."""
+    lanes = draw(st.sampled_from([0, 1, 2, 5, 17]))
+    width = draw(st.one_of(st.integers(0, 40), st.integers(60, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, draw(st.sampled_from([1, 4])), (lanes, width)).astype(np.uint8)
+    codes[np.arange(width) >= rng.integers(0, width + 1, (lanes, 1))] = PAD_CODE
+    holes = rng.random((lanes, width)) < draw(st.sampled_from([0.0, 0.03, 0.3]))
+    codes[holes] = rng.choice(np.array([4, 5, 17, 254, PAD_CODE], np.uint8), int(holes.sum()))
+    return codes
+
+
+def assert_same_index(got, want):
+    assert got.k == want.k
+    assert got.counts.dtype == want.counts.dtype == np.int64
+    assert got.counts.shape == want.counts.shape
+    assert got.counts.tobytes() == want.counts.tobytes()
+    if want.kmer_ids is None:
+        assert got.kmer_ids is None
+        return
+    assert got.kmer_ids.dtype == want.kmer_ids.dtype
+    assert got.kmer_ids.shape == want.kmer_ids.shape
+    assert got.kmer_ids.tobytes() == want.kmer_ids.tobytes()
+
+
+class TestBoundIndexParity:
+    @given(index_matrices(), st.sampled_from(INDEX_KS))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_build_bound_index(self, codes, k):
+        assert_same_index(ckernel.bound_index(codes, k), build_bound_index(codes, k))
+
+    @pytest.mark.parametrize("k", INDEX_KS)
+    def test_degenerate_shapes_and_views(self, k):
+        rng = np.random.default_rng(3)
+        wide = rng.integers(0, 4, (6, 150)).astype(np.uint8)
+        wide[2, 20] = PAD_CODE  # a hole mid-lane
+        wide[4, 30] = 9
+        wide[5] = 0
+        wide[5, 100] = 4  # a window's codes OR to exactly 4
+        shapes = [
+            np.zeros((0, 12), np.uint8),  # zero lanes
+            np.zeros((4, 0), np.uint8),  # zero width
+            wide[:, : (k or 2) - 1],  # narrower than one window
+            wide[:, : k or 2],  # exactly one window
+            wide[:, ::2],  # a strided view
+            wide,
+        ]
+        for codes in shapes:
+            assert_same_index(ckernel.bound_index(codes, k), build_bound_index(codes, k))
+
+    def test_bad_k_is_refused_like_the_reference(self):
+        codes = np.zeros((2, 9), np.uint8)
+        for k in (0, 1, 16):
+            with pytest.raises(ValueError, match="kmer_k"):
+                build_bound_index(codes, k)
+            with pytest.raises(ValueError, match="kmer_k"):
+                ckernel.bound_index(codes, k)
+
+    def test_other_matrices_are_left_to_the_reference(self):
+        codes = np.zeros((2, 9), np.uint8)
+        assert ckernel.bound_index(codes.astype(np.int64), 6) is None
+        assert ckernel.bound_index(codes[0], 6) is None
+
+    def test_packed_database_index_is_the_compiled_one(self, monkeypatch):
+        """A database's memoised index comes from the compiled loop."""
+        from repro.seq import pack_database, synthetic_database
+
+        calls = []
+        real = ckernel.bound_index
+        monkeypatch.setattr(ckernel, "bound_index", lambda c, k: calls.append(k) or real(c, k))
+        packed = pack_database(synthetic_database(n=40, min_length=0, max_length=60, rng=7), 8)
+        for got, bucket in zip(packed.bound_index(DEFAULT_KMER_K), packed.buckets):
+            assert_same_index(got, build_bound_index(bucket.codes, DEFAULT_KMER_K))
+        assert calls == [DEFAULT_KMER_K] * len(packed.buckets)
+
+
+def test_fasta_ingest_without_the_compiled_loop(tmp_path, monkeypatch):
+    """With the compiled path off, ingest packs the same digest and the
+    database builds the same indexes (with the numpy builder)."""
+    from repro.seq import content_digest, pack_database, stream_fasta, synthetic_database
+    from repro.seq import write_fasta
+
+    path = tmp_path / "db.fa"
+    write_fasta(path, synthetic_database(n=60, min_length=0, max_length=90, rng=11))
+    packed = pack_database(stream_fasta(path), max_lanes=16)
+    want = {k: packed.bound_index(k) for k in INDEX_KS}
+
+    def broken():
+        raise RuntimeError("no compiler")
+
+    monkeypatch.setattr(ckernel, "_load", broken)
+    monkeypatch.setattr(ckernel, "_tried", False)
+    monkeypatch.setattr(ckernel, "_handle", None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        again = pack_database(stream_fasta(path), max_lanes=16)
+        got = {k: again.bound_index(k) for k in INDEX_KS}
+    assert not ckernel.available()
+    assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
+    assert content_digest(again) == content_digest(packed)
+    for k in INDEX_KS:
+        for g, w in zip(got[k], want[k], strict=True):
+            assert_same_index(g, w)
+
 
 def _workload():
     rng = np.random.default_rng(17)

@@ -5,6 +5,9 @@ import pytest
 
 from repro.core import PAD_CODE
 from repro.seq import (
+    AlphabetError,
+    content_digest,
+    encode,
     pack_database,
     random_dna,
     read_fasta,
@@ -96,6 +99,34 @@ class TestPackDatabase:
         with pytest.raises(ValueError):
             pack_database([], max_waste=1.0)
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_nonpositive_window_is_refused(self, db, window):
+        """Refused, not packed one record per bucket as if window were 1."""
+        with pytest.raises(ValueError, match="window"):
+            pack_database(db, window=window)
+
+    def test_str_codes_are_encoded(self):
+        """Text sequences go through ``encode``, as ``search_db`` queries do."""
+        packed = pack_database([("x", "ACGT"), ("y", "ggc"), ("z", "")])
+        want = pack_database([("x", encode("ACGT")), ("y", encode("ggc")), ("z", encode(""))])
+        assert content_digest(packed) == content_digest(want)
+        assert packed.buckets[0].codes[0].tolist() == [0, 1, 2, 3]
+        with pytest.raises(AlphabetError):
+            pack_database([("n", "ACNT")])
+
+    def test_ingest_spans(self, tmp_path, db):
+        """A traced ingest names its stages: parse per block, pack per window."""
+        from repro.obs import observed
+
+        path = tmp_path / "db.fa"
+        write_fasta(path, db)
+        with observed() as (tracer, _):
+            pack_database(stream_fasta(path), window=25)
+        names = [span.name for span in tracer.spans]
+        assert names.count("pack") == 3  # 60 records in windows of 25
+        parse = [span for span in tracer.spans if span.name == "fasta_parse"]
+        assert parse and sum(span.args["bytes"] for span in parse) == path.stat().st_size
+
     def test_padded_slots_accounting(self, db):
         packed = pack_database(db, max_lanes=16)
         assert packed.padded_slots >= packed.total_residues
@@ -127,14 +158,15 @@ class TestSyntheticDatabase:
 
 def _per_lane_repack(packed, buffers, max_lanes, max_waste):
     """The per-lane reference: one ``(index, codes)`` buffer per output
-    database, cut by the same packer ``pack_database`` uses."""
-    from repro.seq.db import PackedDatabase, _pack_buffer
+    database, cut by the per-record oracle packer (``tests/_packing.py``)."""
+    from _packing import reference_buckets
+
+    from repro.seq.db import PackedDatabase
 
     out = []
     for buffer in buffers:
         buffer.sort(key=lambda item: item[0])
-        buckets = []
-        _pack_buffer(buffer, buckets, max_lanes, max_waste)
+        buckets = reference_buckets(buffer, max_lanes, max_waste)
         out.append(PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths))
     return out
 

@@ -6,6 +6,11 @@ here only as the oracle: it reads lines as text mode does (``\\n``,
 sequence characters one at a time.  The block size is patched down to a
 few bytes so that records, header lines and ``\\r\\n`` pairs straddle block
 edges.
+
+The packing half checks that :func:`repro.seq.pack_database`, reading the
+parser's flat blocks straight from :func:`stream_fasta`, packs exactly what
+the per-record oracle packer (``tests/_packing.py``) packs from the oracle's
+records.
 """
 
 from __future__ import annotations
@@ -20,7 +25,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.seq import FastaError, encode, parse_fasta, read_fasta, stream_fasta
+from _packing import reference_pack
+
+from repro.seq import (
+    FastaError,
+    content_digest,
+    encode,
+    pack_database,
+    parse_fasta,
+    read_fasta,
+    stream_fasta,
+)
 from repro.seq import fasta
 
 
@@ -136,3 +151,67 @@ def test_record_longer_than_ten_blocks(tmp_path, width, block):
         got = read_fasta(path)
     assert_same(parsed(got), reference(text))
     assert len(got[1]) == sum(c in "ACGTacgt" for c in seq) > 10 * block
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    text=fasta_texts(),
+    block=st.integers(1, 16),
+    window=st.sampled_from([1, 3, 8192]),
+    shape=st.sampled_from([(512, 0.15), (4096, 0.5), (2, 0.0)]),
+)
+@example(text="", block=1, window=1, shape=(512, 0.15))
+@example(text=">a\n>b\r\nAC\r\n>c\n>d", block=3, window=3, shape=(2, 0.0))
+def test_packed_stream_matches_packed_oracle(tmp_path, text, block, window, shape):
+    """Packing the parser's blocks equals packing the oracle's records, with
+    records, empty records and \\r\\n pairs cut by block edges."""
+    max_lanes, max_waste = shape
+    want = reference(text)
+    path = tmp_path / "db.fa"
+    path.write_bytes(text.encode("ascii"))
+    with mock.patch.object(fasta, "_BLOCK", block):
+        if want is FastaError:
+            with pytest.raises(FastaError):
+                pack_database(stream_fasta(path), window=window)
+            return
+        got = pack_database(stream_fasta(path), max_lanes, max_waste, window)
+    oracle = reference_pack(want, max_lanes, max_waste, window)
+    assert content_digest(got) == content_digest(oracle)
+    assert content_digest(pack_database(want, max_lanes, max_waste, window)) == content_digest(
+        oracle
+    )
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+@pytest.mark.parametrize("taken", [0, 1, 2, 5])
+def test_pack_the_rest_of_a_started_stream(tmp_path, taken, block):
+    """Records already taken from a stream are not packed again."""
+    rng = np.random.default_rng(taken)
+    text = "".join(
+        f">r{i}\n" + "".join(rng.choice(list("ACGTN"), int(rng.integers(0, 30)))) + "\n"
+        for i in range(5)
+    )
+    path = tmp_path / "db.fa"
+    path.write_bytes(text.encode("ascii"))
+    with mock.patch.object(fasta, "_BLOCK", block):
+        stream = stream_fasta(path)
+        first = [next(stream) for _ in range(taken)]
+        got = pack_database(stream, max_lanes=2, window=3)
+    records = reference(text)
+    assert [r.name for r in first] == [name for name, _ in records[:taken]]
+    want = reference_pack(records[taken:], max_lanes=2, window=3)
+    assert content_digest(got) == content_digest(want)
+
+
+def test_window_ending_in_a_short_record(tmp_path):
+    """A window of one parser block that ends in a record shorter than its
+    bucket: every lane is read as wide as the bucket, past the block's
+    last code."""
+    text = ">x\nACGTACGTACGT\n>y\nACGTACGTACG\n>z\n"
+    path = tmp_path / "db.fa"
+    path.write_bytes(text.encode("ascii"))
+    got = pack_database(stream_fasta(path), window=2)
+    want = reference_pack(reference(text), window=2)
+    assert content_digest(got) == content_digest(want)

@@ -303,9 +303,9 @@ class TestBoundIndexLifecycle:
         from repro.parallel.pool import AlignmentWorkerPool
 
         builds = []
-        real_build = db_mod.build_bound_index
+        real_build = db_mod._bucket_index
         monkeypatch.setattr(
-            db_mod, "build_bound_index", lambda codes, k: builds.append(k) or real_build(codes, k)
+            db_mod, "_bucket_index", lambda codes, k: builds.append(k) or real_build(codes, k)
         )
         published, blobs = [], []
         real_arena = pool_mod.SequenceArena
