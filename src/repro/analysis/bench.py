@@ -3,7 +3,8 @@
 Regenerates every entry of ``BENCH_kernels.json`` from fixed seeds: the
 4 kBP pairwise scan (naive -> vectorized -> workspace), the batched row
 block, one 500 x 500 blocked tile through the compiled rows and through
-numpy's, the 1,000-sequence database search through the classic batched
+numpy's, inline blocked phase 1 (DP plus region detection) on a planted
+4 kbp pair, the 1,000-sequence database search through the classic batched
 kernel (its compiled and numpy lanes timed apart) and the striped
 query-profile kernel of :mod:`repro.core.striped` (its compiled and numpy
 scans timed apart),
@@ -239,6 +240,50 @@ def _bench_tile(quick: bool, rounds: int) -> dict:
         "compiled_gcups": gcups(cells, compiled_s),
         "numpy_gcups": gcups(cells, numpy_s),
         "compiled_speedup_vs_numpy": numpy_s / compiled_s,
+    }
+
+
+def _bench_phase1_blocked(quick: bool) -> dict:
+    """Inline blocked phase 1 on a planted 4 kbp pair: DP plus detection.
+
+    The ``align-pool`` workload's request shape on one core: a seeded
+    4 kbp :func:`genome_pair` with three planted 300 bp regions, through
+    the 8 x 8 blocked plan on the inline executor, so each sample is every
+    tile's DP with its fused segment cut, the per-band region merge and the
+    queue finalisation.  Every planted region must be found first.  Each
+    of the five samples repeats the run for at least 0.2 s;
+    ``sample_spread`` is ``(slowest - fastest) / fastest`` over them.
+    """
+    from ..plan import InlineExecutor, plan_blocked
+
+    n = 1200 if quick else 4000
+    gp = genome_pair(n, n, n_regions=1 if quick else 3, region_length=300, rng=91)
+    graph = plan_blocked(n, n, n_procs=2, n_bands=8, n_blocks=8)
+    executor = InlineExecutor()
+    found = executor.run(graph, gp.s, gp.t).alignments
+    for planted in gp.regions:
+        if not any(
+            a.s_start < planted.s_end and planted.s_start < a.s_end
+            and a.t_start < planted.t_end and planted.t_start < a.t_end
+            for a in found
+        ):
+            raise AssertionError(f"blocked phase 1 missed the planted region {planted}")
+    repeats, per_call = _long_samples(
+        lambda: executor.run(graph, gp.s, gp.t), 1 if quick else 5, 0.0 if quick else 0.2
+    )
+    best = min(per_call)
+    return {
+        "kernel": "classic",
+        "dtype": "int32",
+        "lane_mode": "pairwise",
+        "plan": "blocked 8x8, inline",
+        "cells": n * n,
+        "regions": len(found),
+        "repeats_per_sample": repeats,
+        "samples": len(per_call),
+        "phase1_seconds": best,
+        "phase1_gcups": gcups(n * n, best),
+        "sample_spread": (max(per_call) - best) / best,
     }
 
 
@@ -719,6 +764,8 @@ ENTRIES = (
      lambda quick, rounds, _: _bench_batched_rows(quick, rounds)),
     ("tile_500x500", "tile: compiled vs numpy rows",
      lambda quick, rounds, _: _bench_tile(quick, rounds)),
+    ("phase1_blocked_4kbp", "phase 1: inline blocked 8x8, DP + detection",
+     lambda quick, _, __: _bench_phase1_blocked(quick)),
     ("db_search_1000seq_2kbp_query", "db_search: classic batched",
      lambda quick, rounds, _: _bench_db_search(quick, rounds)),
     ("db_search_striped_1000seq_2kbp_query", "db_search: striped",

@@ -1,6 +1,6 @@
-/* Compiled phase-1 paths: linear-gap DP rows, a hit-segment scan, the
- * inter-sequence search lanes, the striped search scan and the search
- * prefilter's bound index.
+/* Compiled phase-1 paths: linear-gap DP rows with a fused hit-segment cut,
+ * the region merge, the inter-sequence search lanes, the striped search
+ * scan and the search prefilter's bound index.
  *
  * The numpy kernels in engine.py / regions.py / multi_engine.py / striped.py
  * / bounds.py are the reference; these loops must stay bitwise equal to them
@@ -8,6 +8,15 @@
  * rule reads C.
  */
 #include <stdint.h>
+
+#define MAX(a, b) ((a) > (b) ? (a) : (b))
+#define MIN(a, b) ((a) < (b) ? (a) : (b))
+
+#if defined(__GNUC__)
+#define INLINE inline __attribute__((always_inline))
+#else
+#define INLINE inline
+#endif
 
 /* Advance h rows of H[j] = max(diag, up + gap, [0 if clamp], H[j-1] + gap).
  *
@@ -18,20 +27,39 @@
  *
  * Sums are taken in int64, so the result is exact whenever the true scores
  * fit int32 (numpy's int64 "wide" regime gives the same values).
+ *
+ * With cut (a constant in each instantiation, so the plain loop carries
+ * none of it) the loop also cuts each row's above-threshold segments as
+ * its cells are computed (StreamingRegionFinder's cut): columns 1..w,
+ * split where consecutive hits are more than col_tol apart.  Each segment
+ * is six int64s (row, j_lo, j_hi, peak_j, score, n); peak_j is the first
+ * maximum, as np.argmax picks it.  The cut reads the stored int32 cell, as
+ * the numpy cut reads the finished row, and compares it in 32 bits (about
+ * a fifth of the cut's cost on the align-pool tiles).  The open segment
+ * lives in registers and is stored when the next one opens or the row
+ * ends.  Only whole rows are computed: the loop stops before a row that
+ * might not fit in the cap segments left (a row has at most w), stores the
+ * number of rows done in *rows_done and returns the number of segments
+ * written; the caller resumes from there.
  */
-void rows(const int32_t *profile, int64_t w, const int32_t *prev,
-          const int32_t *lefts, const uint8_t *s_codes, int64_t h,
-          int32_t gap, int clamp, int32_t *out, int64_t out_stride)
+static INLINE int64_t dp_rows(const int32_t *profile, int64_t w, const int32_t *prev,
+                              const int32_t *lefts, const uint8_t *s_codes, int64_t h,
+                              int32_t gap, int clamp, int32_t *out, int64_t out_stride,
+                              const int cut, int32_t thr, int64_t col_tol,
+                              int64_t *seg, int64_t cap, int64_t *rows_done)
 {
     /* Branch-free maxima: on random sequences every comparison is a coin
      * flip, and mispredicted branches cost 4x the whole cell. */
     const int64_t bottom = clamp ? 0 : INT64_MIN;
     const int32_t *up = prev;
-    for (int64_t r = 0; r < h; r++) {
+    int64_t n = 0;
+    int64_t r = 0;
+    for (; r < h && (!cut || cap - n >= w); r++) {
         const int32_t *sub = profile + (int64_t)s_codes[r] * w;
         int32_t *cur = out + r * out_stride;
         int64_t diag = up[0];
         int64_t left = lefts ? lefts[r] : 0;
+        int64_t lo = 0, last = 0, peak = 0, top = 0, hits = 0;
         cur[0] = (int32_t)left;
         for (int64_t j = 1; j <= w; j++) {
             int64_t above = up[j];
@@ -42,57 +70,182 @@ void rows(const int32_t *profile, int64_t w, const int32_t *prev,
             g = left + gap;
             v = v > g ? v : g;
             diag = above;
-            cur[j] = (int32_t)v;
+            const int32_t cell = (int32_t)v;
+            cur[j] = cell;
             left = v;
+            if (cut && cell >= thr) {
+                if (hits && j - last <= col_tol) {
+                    hits++;
+                    if (cell > top) {
+                        top = cell;
+                        peak = j;
+                    }
+                } else {
+                    if (hits) {
+                        int64_t *s = seg + 6 * n++;
+                        s[0] = r; s[1] = lo; s[2] = last;
+                        s[3] = peak; s[4] = top; s[5] = hits;
+                    }
+                    lo = peak = j;
+                    top = cell;
+                    hits = 1;
+                }
+                last = j;
+            }
+        }
+        if (cut && hits) {
+            int64_t *s = seg + 6 * n++;
+            s[0] = r; s[1] = lo; s[2] = last;
+            s[3] = peak; s[4] = top; s[5] = hits;
         }
         up = cur;
     }
+    if (rows_done)
+        *rows_done = r;
+    return n;
 }
 
-/* Above-threshold segments of each row of a band, as StreamingRegionFinder
- * cuts them: columns 1..w, split where consecutive hits are more than
- * col_tol apart.  Each segment is six int64s (row, j_lo, j_hi, peak_j,
- * score, n); peak_j is the first maximum, as np.argmax picks it.
- *
- * Only whole rows are written: the scan stops before a row that might not
- * fit in the cap segments left (a row has at most w), stores the number of
- * rows done in *rows_done and returns the number of segments written.
- */
-int64_t band_segments(const int32_t *band, int64_t h, int64_t w,
-                      int64_t stride, int64_t threshold, int64_t col_tol,
-                      int64_t *seg, int64_t cap, int64_t *rows_done)
+/* dp_rows without the cut, or with it when seg is given (NULL: the other
+ * cut arguments are ignored).  A threshold above INT32_MAX has no hits in
+ * int32 cells, so it cuts nothing; one below INT32_MIN passes every cell,
+ * as INT32_MIN does. */
+int64_t rows(const int32_t *profile, int64_t w, const int32_t *prev,
+             const int32_t *lefts, const uint8_t *s_codes, int64_t h,
+             int32_t gap, int clamp, int32_t *out, int64_t out_stride,
+             int64_t threshold, int64_t col_tol, int64_t *seg, int64_t cap,
+             int64_t *rows_done)
 {
-    int64_t n = 0;
-    int64_t r = 0;
-    for (; r < h && cap - n >= w; r++) {
-        const int32_t *row = band + r * stride;
-        int64_t *s = 0;
-        int64_t last = 0;
-        for (int64_t j = 1; j <= w; j++) {
-            int64_t v = row[j];
-            if (v < threshold)
-                continue;
-            if (s && j - last <= col_tol) {
-                s[2] = j;
-                s[5] += 1;
-                if (v > s[4]) {
-                    s[3] = j;
-                    s[4] = v;
+    if (seg && threshold <= INT32_MAX) {
+        const int32_t thr = threshold < INT32_MIN ? INT32_MIN : (int32_t)threshold;
+        return dp_rows(profile, w, prev, lefts, s_codes, h, gap, clamp, out,
+                       out_stride, 1, thr, col_tol, seg, cap, rows_done);
+    }
+    return dp_rows(profile, w, prev, lefts, s_codes, h, gap, clamp, out,
+                   out_stride, 0, 0, 0, 0, 0, rows_done);
+}
+
+/* StreamingRegionFinder's merge over the segments of rows i0 .. i0 + h - 1.
+ *
+ * A region is REGION int64s in Region's field order: s_start, s_end,
+ * t_start, t_end, score, peak_i, peak_j, n_hits, last_row, cur_lo, cur_hi.
+ * act and fin are the active and finished tables, counts[0] and counts[1]
+ * their lengths; the caller sizes them for every segment to open a region.
+ *
+ * seg holds (row - i0, j_lo, j_hi, peak_j, score, n) sorted by row, then
+ * column.  Consecutive segments of one row at most col_tol apart are first
+ * joined (tile cuts meet at block borders): the later peak wins only if it
+ * scores strictly higher.  Then, row by row, the same steps as the Python
+ * merge in the same order: _retire, and _add_segment with _absorb, so the
+ * tables hold the same regions in the same order as its lists.
+ */
+#define REGION 11
+enum { S0, S1, T0, T1, SCORE, PEAK_I, PEAK_J, HITS, LAST, CUR_LO, CUR_HI };
+
+static void absorb(int64_t *t, const int64_t *e)
+{
+    t[S0] = MIN(t[S0], e[S0]);
+    t[S1] = MAX(t[S1], e[S1]);
+    t[T0] = MIN(t[T0], e[T0]);
+    t[T1] = MAX(t[T1], e[T1]);
+    t[HITS] += e[HITS];
+    if (e[LAST] >= t[LAST]) {
+        t[CUR_LO] = MIN(t[CUR_LO], e[CUR_LO]);
+        t[CUR_HI] = MAX(t[CUR_HI], e[CUR_HI]);
+    }
+    if (e[SCORE] > t[SCORE]) {
+        t[SCORE] = e[SCORE];
+        t[PEAK_I] = e[PEAK_I];
+        t[PEAK_J] = e[PEAK_J];
+    }
+}
+
+void regions_merge(const int64_t *seg, int64_t n, int64_t i0, int64_t h,
+                   int64_t col_tol, int64_t row_tol, int64_t *act,
+                   int64_t *fin, int64_t *counts)
+{
+    int64_t na = counts[0], nf = counts[1];
+    int64_t k = 0;
+    for (int64_t r = 0; r < h; r++) {
+        const int64_t i = i0 + r;
+        /* _retire: regions idle for more than row_tol rows finish */
+        int64_t keep = 0;
+        for (int64_t a = 0; a < na; a++) {
+            int64_t *reg = act + REGION * a;
+            int64_t *dst = i - reg[LAST] > row_tol ? fin + REGION * nf++
+                                                   : act + REGION * keep++;
+            if (dst != reg)
+                for (int f = 0; f < REGION; f++)
+                    dst[f] = reg[f];
+        }
+        na = keep;
+        for (; k < n && seg[6 * k] == r; ) {
+            const int64_t *s = seg + 6 * k++;
+            const int64_t lo = s[1];
+            int64_t hi = s[2], peak = s[3], score = s[4], hits = s[5];
+            for (; k < n && seg[6 * k] == r && seg[6 * k + 1] - hi <= col_tol; k++) {
+                const int64_t *x = seg + 6 * k;
+                hi = x[2];
+                hits += x[5];
+                if (x[4] > score) {
+                    score = x[4];
+                    peak = x[3];
                 }
-            } else {
-                s = seg + 6 * n++;
-                s[0] = r;
-                s[1] = j;
-                s[2] = j;
-                s[3] = j;
-                s[4] = v;
-                s[5] = 1;
             }
-            last = j;
+            /* _add_segment: the first matching region absorbs the others */
+            int64_t *target = 0;
+            keep = 0;
+            for (int64_t a = 0; a < na; a++) {
+                int64_t *reg = act + REGION * a;
+                const int match = lo <= reg[CUR_HI] + col_tol + (i - reg[LAST])
+                                  && hi >= reg[CUR_LO] - col_tol;
+                if (match && target) {
+                    absorb(target, reg);
+                    continue;
+                }
+                int64_t *dst = act + REGION * keep++;
+                if (dst != reg)
+                    for (int f = 0; f < REGION; f++)
+                        dst[f] = reg[f];
+                if (match)
+                    target = dst;
+            }
+            na = keep;
+            if (!target) {
+                int64_t *g = act + REGION * na++;
+                g[S0] = i - 1;
+                g[S1] = i;
+                g[T0] = lo - 1;
+                g[T1] = hi;
+                g[SCORE] = score;
+                g[PEAK_I] = i;
+                g[PEAK_J] = peak;
+                g[HITS] = hits;
+                g[LAST] = i;
+                g[CUR_LO] = lo;
+                g[CUR_HI] = hi;
+                continue;
+            }
+            target[S1] = i;
+            target[T0] = MIN(target[T0], lo - 1);
+            target[T1] = MAX(target[T1], hi);
+            target[HITS] += hits;
+            if (target[LAST] == i) {
+                target[CUR_LO] = MIN(target[CUR_LO], lo);
+                target[CUR_HI] = MAX(target[CUR_HI], hi);
+            } else {
+                target[CUR_LO] = lo;
+                target[CUR_HI] = hi;
+            }
+            target[LAST] = i;
+            if (score > target[SCORE]) {
+                target[SCORE] = score;
+                target[PEAK_I] = i;
+                target[PEAK_J] = peak;
+            }
         }
     }
-    *rows_done = r;
-    return n;
+    counts[0] = na;
+    counts[1] = nf;
 }
 
 /* Signed byte and 32-bit max are SSE4.1 (pmaxsb, pmaxsd): on the baseline
@@ -221,7 +374,6 @@ void lanes(const void *profile, const uint8_t *query, int64_t m, int64_t n,
  * every read of it clamps (MAX0), and the row maximum only reads it (a
  * maximum from 0 up is the maximum of the clamped cells).
  */
-#define MAX(a, b) ((a) > (b) ? (a) : (b))
 #define MAX0(a) ((a) > 0 ? (a) : 0)
 
 #define STRIPES_ROW(NAME, T, U)                                               \

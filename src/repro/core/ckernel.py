@@ -8,9 +8,15 @@ per-row dispatch, once per query residue.  ``ckernel.c`` holds the five
 loops that replace them:
 
 * ``rows`` -- the linear-gap recurrence over a whole tile, behind
-  :meth:`KernelWorkspace.sw_rows`, ``nw_rows`` and ``sw_rows_slice``;
-* ``band_segments`` -- the above-threshold segment scan behind
-  :meth:`StreamingRegionFinder.feed_rows`;
+  :meth:`KernelWorkspace.sw_rows`, ``nw_rows`` and ``sw_rows_slice``; given
+  a segment buffer (:meth:`KernelWorkspace.sw_rows_cut`) it also cuts every
+  row's above-threshold segments while it computes the cells, so phase-1
+  detection reads no row twice and needs no band buffer;
+* ``regions_merge`` -- :class:`StreamingRegionFinder`'s merge over those
+  segments (joined first where a row's cuts meet at a block border), with
+  the active and finished regions in int64 tables, behind
+  :meth:`StreamingRegionFinder.feed_segments` (about 4,000 segments per
+  4 kbp blocked request, each a Python call on the numpy path);
 * ``lanes`` -- a whole query down a packed batch, one 32-byte chunk of
   lanes at a time (each chunk's cells contiguous), behind
   :meth:`MultiSequenceWorkspace.sw_best_scores`, in int16 or int32 lanes;
@@ -57,9 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scoring import SCORE_DTYPE
-
-__all__ = ["available", "band_segments", "bound_index", "lanes", "load", "rows", "stripes"]
+__all__ = ["available", "bound_index", "lanes", "load", "regions_merge", "rows", "stripes"]
 
 _SOURCE = Path(__file__).with_name("ckernel.c")
 
@@ -69,12 +73,14 @@ _SOURCE = Path(__file__).with_name("ckernel.c")
 LANE_CHUNK_BYTES = 32
 
 _CDEF = """
-void rows(const int32_t *profile, int64_t w, const int32_t *prev,
-          const int32_t *lefts, const uint8_t *s_codes, int64_t h,
-          int32_t gap, int clamp, int32_t *out, int64_t out_stride);
-int64_t band_segments(const int32_t *band, int64_t h, int64_t w,
-                      int64_t stride, int64_t threshold, int64_t col_tol,
-                      int64_t *seg, int64_t cap, int64_t *rows_done);
+int64_t rows(const int32_t *profile, int64_t w, const int32_t *prev,
+             const int32_t *lefts, const uint8_t *s_codes, int64_t h,
+             int32_t gap, int clamp, int32_t *out, int64_t out_stride,
+             int64_t threshold, int64_t col_tol, int64_t *seg, int64_t cap,
+             int64_t *rows_done);
+void regions_merge(const int64_t *seg, int64_t n, int64_t i0, int64_t h,
+                   int64_t col_tol, int64_t row_tol, int64_t *act,
+                   int64_t *fin, int64_t *counts);
 void lanes(const void *profile, const uint8_t *query, int64_t m, int64_t n,
            int64_t k, int64_t w, int32_t gap, int itemsize, void *row,
            void *best);
@@ -217,7 +223,8 @@ def rows(
     gap: int,
     clamp: bool,
     out: np.ndarray,
-) -> None:
+    cut: tuple[int, int] | None = None,
+) -> np.ndarray | None:
     """Run the compiled ``rows`` into ``out``; :func:`load` must have succeeded.
 
     The caller guarantees the layout: ``table`` is a C-contiguous int32
@@ -225,63 +232,72 @@ def rows(
     int32 row of ``w + 1`` cells, ``lefts`` contiguous int32 (or None for
     zeros), ``codes`` contiguous uint8, and ``out`` an int32 ``(h, w + 1)``
     array whose columns are contiguous.
+
+    With ``cut = (threshold, col_tolerance)`` the loop also cuts every
+    row's above-threshold segments while it computes the cells, and the
+    ``(n, 6)`` int64 array of them is returned: ``(row, j_lo, j_hi,
+    peak_j, score, hits)`` per segment, row-major, ``row`` counted from
+    the batch's first row and columns from ``out``'s column 0 (the
+    boundary column, never cut).  Without ``cut`` returns None.
     """
     ffi, lib = _handle
-    lib.rows(
-        _ptr(ffi, "int32_t[]", table),
-        table.shape[1],
-        _ptr(ffi, "int32_t[]", prev),
-        ffi.NULL if lefts is None else _ptr(ffi, "int32_t[]", lefts),
-        _ptr(ffi, "uint8_t[]", codes),
-        codes.size,
-        gap,
-        1 if clamp else 0,
-        _ptr(ffi, "int32_t[]", out),
-        out.strides[0] // out.itemsize,
-    )
-
-
-def band_segments(band: np.ndarray, threshold: int, col_tolerance: int) -> list | None:
-    """Per-row hit segments ``[row, j_lo, j_hi, peak_j, score, n]`` of a band.
-
-    ``band`` is ``(h, w + 1)`` with the boundary column at index 0.  Returns
-    None when the compiled path is off or the band's layout does not suit
-    it (not int32, or columns not contiguous); the caller then cuts the
-    segments row by row in numpy.
-    """
-    handle = load()
-    if (
-        handle is None
-        or band.ndim != 2
-        or band.dtype != SCORE_DTYPE
-        or band.strides[1] != band.itemsize
-    ):
+    w, h = table.shape[1], codes.size
+    stride = out.strides[0] // out.itemsize
+    profile = _ptr(ffi, "int32_t[]", table)
+    left = ffi.NULL if lefts is None else _ptr(ffi, "int32_t[]", lefts)
+    code = _ptr(ffi, "uint8_t[]", codes)
+    dest = _ptr(ffi, "int32_t[]", out)
+    if cut is None:
+        lib.rows(profile, w, _ptr(ffi, "int32_t[]", prev), left, code, h, gap,
+                 1 if clamp else 0, dest, stride, 0, 0, ffi.NULL, 0, ffi.NULL)
         return None
-    ffi, lib = handle
-    h, w = band.shape[0], band.shape[1] - 1
-    cap = max(w, 1) + 4 * h
+    threshold, col_tol = cut
+    cap = max(w, 1) + 2 * h  # one segment a row fits in one pass
     buf = np.empty((cap, 6), dtype=np.int64)
+    seg = ffi.from_buffer("int64_t[]", buf)
     done = ffi.new("int64_t *")
-    out: list = []
-    r0 = 0
+    parts, r0, up = [], 0, _ptr(ffi, "int32_t[]", prev)
     while r0 < h:
-        n = lib.band_segments(
-            _ptr(ffi, "int32_t[]", band[r0:]),
-            h - r0,
-            w,
-            band.strides[0] // band.itemsize,
-            threshold,
-            col_tolerance,
-            _ptr(ffi, "int64_t[]", buf),
-            cap,
-            done,
+        n = lib.rows(
+            profile, w, up, left if lefts is None else left + r0, code + r0, h - r0,
+            gap, 1 if clamp else 0, dest + r0 * stride, stride, threshold, col_tol,
+            seg, cap, done,
         )
-        chunk = buf[:n]
-        if r0:
-            chunk[:, 0] += r0
-        out.extend(chunk.tolist())
+        if not parts and done[0] == h:
+            return buf[:n]  # the usual case: the whole batch in one pass
+        chunk = buf[:n].copy()
+        chunk[:, 0] += r0
+        parts.append(chunk)
         r0 += done[0]
-    return out
+        up = dest + (r0 - 1) * stride
+    return np.concatenate(parts) if parts else buf[:0]
+
+
+def regions_merge(
+    segments: np.ndarray,
+    i0: int,
+    h: int,
+    col_tolerance: int,
+    row_tolerance: int,
+    active: np.ndarray,
+    finished: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Run the compiled region merge of rows ``i0 .. i0 + h - 1``;
+    :func:`load` must have succeeded.
+
+    ``segments`` is a C-contiguous ``(n, 6)`` int64 array sorted by row,
+    then column (rows counted from ``i0``); ``active`` and ``finished``
+    are C-contiguous int64 tables of 11 Region fields a row, with room for
+    every segment to open a region, and ``counts`` their two lengths,
+    updated in place with the tables.
+    """
+    ffi, lib = _handle
+    buf = ffi.from_buffer
+    lib.regions_merge(
+        buf("int64_t[]", segments), len(segments), i0, h, col_tolerance, row_tolerance,
+        buf("int64_t[]", active), buf("int64_t[]", finished), buf("int64_t[]", counts),
+    )
 
 
 def lanes(

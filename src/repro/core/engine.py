@@ -5,7 +5,9 @@ Every caller -- the plan runtimes' tiles, the linear-space scans of
 :mod:`repro.core.linear`, the Section 6 reverse scan, the protein scan and
 the phase-2 global rows -- advances rows through the batch API
 (``sw_rows``/``nw_rows``/``sw_rows_slice``), which hands the whole batch to
-the compiled tile loop of :mod:`repro.core.ckernel`.
+the compiled tile loop of :mod:`repro.core.ckernel`;
+``sw_rows_cut`` also cuts the batch's above-threshold row segments inside
+that loop (phase-1 detection), with :func:`cut_segments` as its numpy cut.
 
 The numpy rows behind that loop borrow two standard tricks from the SIMD
 Smith-Waterman literature (Rucci et al.'s KNL kernels, Farrar's striped
@@ -195,13 +197,15 @@ class KernelWorkspace:
             self._table = table
         return table
 
-    def _compiled_rows(self, prev, s_codes, lefts, clamp: bool, out) -> bool:
+    def _compiled_rows(self, prev, s_codes, lefts, clamp: bool, out, cut=None):
         """Advance a batch through the compiled tile loop.
 
-        Returns False, having written nothing, when the loop does not apply
+        Returns None, having written nothing, when the loop does not apply
         (no compiled module, :class:`NumpyWorkspace`, or a layout
         or dtype the C side does not take); the caller then runs the numpy
-        rows, which also raise any shape error.
+        rows, which also raise any shape error.  Otherwise returns the
+        batch's segments when ``cut`` is given (see :func:`ckernel.rows`),
+        else ``out``.
         """
         k = len(s_codes)
         if (
@@ -215,16 +219,16 @@ class KernelWorkspace:
             or (lefts is not None and len(lefts) < k)
             or ckernel.load() is None
         ):
-            return False
+            return None
         codes = np.asarray(s_codes)
         if codes.dtype != np.uint8:
             if codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() > 255:
-                return False
+                return None
             codes = codes.astype(np.uint8)
         codes = np.ascontiguousarray(codes)
         if lefts is not None:
             lefts = np.ascontiguousarray(lefts[:k], dtype=SCORE_DTYPE)
-        ckernel.rows(
+        segments = ckernel.rows(
             self._profile_table(int(codes.max())),
             np.ascontiguousarray(prev),
             lefts,
@@ -232,8 +236,9 @@ class KernelWorkspace:
             self._gap,
             clamp,
             out,
+            cut,
         )
-        return True
+        return out if cut is None else segments
 
     def sw_rows(
         self, prev: np.ndarray, s_codes, out: np.ndarray | None = None
@@ -242,7 +247,7 @@ class KernelWorkspace:
         k = len(s_codes)
         if out is None:
             out = np.empty((k, prev.size), dtype=SCORE_DTYPE)
-        if not self._compiled_rows(prev, s_codes, None, True, out):
+        if self._compiled_rows(prev, s_codes, None, True, out) is None:
             row = prev
             for r in range(k):
                 row = self._sw_row(row, int(s_codes[r]), out=out[r])
@@ -260,7 +265,7 @@ class KernelWorkspace:
         k = len(s_codes)
         if out is None:
             out = np.empty((k, prev.size), dtype=SCORE_DTYPE)
-        if not self._compiled_rows(prev, s_codes, boundaries, False, out):
+        if self._compiled_rows(prev, s_codes, boundaries, False, out) is None:
             row = prev
             for r in range(k):
                 row = self._nw_row(row, int(s_codes[r]), int(boundaries[r]), out=out[r])
@@ -283,12 +288,43 @@ class KernelWorkspace:
         k = len(s_codes)
         if out is None:
             out = np.empty((k, prev.size), dtype=SCORE_DTYPE)
-        if not self._compiled_rows(prev, s_codes, lefts, True, out):
+        if self._compiled_rows(prev, s_codes, lefts, True, out) is None:
             row = prev
             for r in range(k):
                 row = self._sw_row_slice(row, int(s_codes[r]), int(lefts[r]), out=out[r])
         count_cells(k * self.width)
         return out
+
+    def sw_rows_cut(
+        self,
+        prev: np.ndarray,
+        s_codes,
+        lefts,
+        threshold: int,
+        col_tolerance: int,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """:meth:`sw_rows_slice` (``lefts`` None: zeros, as :meth:`sw_rows`)
+        that also cuts the batch's above-threshold row segments.
+
+        Returns them as an ``(n, 6)`` int64 array of ``(row, j_lo, j_hi,
+        peak_j, score, hits)``, row-major, ``row`` counted from the batch's
+        first row and columns from ``out``'s column 0 (which is never
+        cut): the compiled loop cuts them while it computes the cells, the
+        numpy rows leave it to :func:`cut_segments`.
+        """
+        k = len(s_codes)
+        if out is None:
+            out = np.empty((k, prev.size), dtype=SCORE_DTYPE)
+        segments = self._compiled_rows(prev, s_codes, lefts, True, out, (threshold, col_tolerance))
+        if segments is None:
+            row = prev
+            for r in range(k):
+                left = 0 if lefts is None else int(lefts[r])
+                row = self._sw_row_slice(row, int(s_codes[r]), left, out=out[r])
+            segments = cut_segments(out, threshold, col_tolerance)
+        count_cells(k * self.width)
+        return segments
 
 
 class NumpyWorkspace(KernelWorkspace):
@@ -301,6 +337,35 @@ class NumpyWorkspace(KernelWorkspace):
 
     __slots__ = ()
     COMPILED_ROWS = False
+
+
+def cut_segments(rows: np.ndarray, threshold: int, col_tolerance: int) -> np.ndarray:
+    """The above-threshold segments of each of ``rows`` (``(h, w + 1)``,
+    boundary column first), cut in numpy: what the compiled loop of
+    :meth:`KernelWorkspace.sw_rows_cut` cuts while it computes the cells.
+
+    A segment is a run of columns ``1..w`` scoring at least ``threshold``
+    whose consecutive hits are at most ``col_tolerance`` apart; returns
+    ``(row, j_lo, j_hi, peak_j, score, hits)`` per segment, row-major, as
+    an ``(n, 6)`` int64 array.  ``peak_j`` is the first maximum, as
+    ``np.argmax`` picks it in :meth:`StreamingRegionFinder.feed`.
+    """
+    r, j = np.nonzero(rows[:, 1:] >= threshold)
+    if r.size == 0:
+        return np.empty((0, 6), dtype=np.int64)
+    j += 1
+    score = rows[r, j].astype(np.int64)
+    opens = np.ones(r.size, dtype=bool)
+    opens[1:] = (r[1:] != r[:-1]) | (j[1:] - j[:-1] > col_tolerance)
+    first = np.flatnonzero(opens)
+    last = np.append(first[1:], r.size) - 1
+    group = np.cumsum(opens) - 1
+    top = np.maximum.reduceat(score, first)
+    at_top = np.flatnonzero(score == top[group])
+    peak = at_top[np.unique(group[at_top], return_index=True)[1]]
+    return np.column_stack((r[first], j[first], j[last], j[peak], top, last - first + 1)).astype(
+        np.int64
+    )
 
 
 def compute_tile(

@@ -45,12 +45,18 @@ def _block_rows(width: int) -> int:
     return max(1, min(BLOCK_ROWS, BLOCK_CELLS // (width + 1)))
 
 
-def sw_blocks(ws: KernelWorkspace, s: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def sw_blocks(
+    ws: KernelWorkspace, s: np.ndarray, finder=None
+) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(i0, rows)``: SW rows ``i0 .. i0 + len(rows) - 1`` of ``s`` x ``ws.t``.
 
     ``rows`` is a view into one block reused by every iteration; it is valid
     until the generator resumes.  The first row scanned is the local
-    boundary row of zeros.
+    boundary row of zeros.  With a ``finder``
+    (:class:`~repro.core.regions.StreamingRegionFinder`) every block's
+    above-threshold segments are cut while its rows are computed
+    (:meth:`KernelWorkspace.sw_rows_cut`) and fed to it before the block
+    is yielded.
     """
     m = len(s)
     step = _block_rows(ws.width)
@@ -58,7 +64,13 @@ def sw_blocks(ws: KernelWorkspace, s: np.ndarray) -> Iterator[tuple[int, np.ndar
     block = np.empty((min(m, step), ws.width + 1), dtype=SCORE_DTYPE)
     for i0 in range(0, m, step):
         codes = s[i0 : i0 + step]
-        rows = ws.sw_rows(prev, codes, out=block[: len(codes)])
+        rows = block[: len(codes)]
+        if finder is None:
+            ws.sw_rows(prev, codes, out=rows)
+        else:
+            cfg = finder.config
+            cut = ws.sw_rows_cut(prev, codes, None, cfg.threshold, cfg.col_tolerance, out=rows)
+            finder.feed_segments(i0 + 1, len(codes), cut)
         yield i0 + 1, rows
         prev[:] = rows[-1]
 

@@ -25,7 +25,7 @@ import numpy as np
 from ..seq.alphabet import encode
 from . import ckernel
 from .alignment import LocalAlignment
-from .engine import KernelWorkspace
+from .engine import KernelWorkspace, cut_segments
 from .linear import sw_blocks
 from .scoring import DEFAULT_SCORING, Scoring
 
@@ -101,20 +101,53 @@ class Region:
         return (self.s_start, self.s_end, self.t_start, self.t_end)
 
 
+#: int64s per region in the compiled merge's tables: :class:`Region`'s
+#: fields, in declaration order.
+_REGION_FIELDS = 11
+
+
+def _table(regions: list[Region], rows: int) -> np.ndarray:
+    """``regions`` as the first rows of an ``(rows, 11)`` int64 table."""
+    table = np.empty((rows, _REGION_FIELDS), dtype=np.int64)
+    for n, r in enumerate(regions):
+        table[n] = (
+            r.s_start, r.s_end, r.t_start, r.t_end, r.score, r.peak_i, r.peak_j,
+            r.n_hits, r.last_row, r.cur_lo, r.cur_hi,
+        )
+    return table
+
+
 class StreamingRegionFinder:
-    """Cluster above-threshold cells from successive DP rows into regions."""
+    """Cluster above-threshold cells from successive DP rows into regions.
+
+    Rows arrive either whole (:meth:`feed`, the numpy reference: cut, then
+    merge in Python) or as their above-threshold segments
+    (:meth:`feed_segments`, what the compiled DP loop cuts while it runs,
+    merged by one compiled loop with the same steps in the same order).
+    The compiled merge keeps the regions in two int64 tables; the Python
+    merge in two lists of :class:`Region`.  Either side takes the state
+    over from the other when it next runs, so one finder may be fed both
+    ways.
+    """
 
     def __init__(self, config: RegionConfig) -> None:
         self.config = config
         self._active: list[Region] = []
         self._finished: list[Region] = []
+        #: ``(active, finished, counts)`` while the compiled merge holds the
+        #: state, else None and the lists hold it.
+        self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._last_fed = 0
+
+    def _check_order(self, i: int) -> None:
+        if i <= self._last_fed:
+            raise ValueError(f"rows must be fed in increasing order (got {i})")
 
     def feed(self, i: int, row: np.ndarray) -> None:
         """Consume DP row ``i`` (including the boundary column at index 0)."""
-        if i <= self._last_fed:
-            raise ValueError(f"rows must be fed in increasing order (got {i})")
+        self._check_order(i)
         self._last_fed = i
+        self._lists()
         cfg = self.config
         self._retire(i)
         js = np.nonzero(row[1:] >= cfg.threshold)[0] + 1
@@ -134,36 +167,88 @@ class StreamingRegionFinder:
     def feed_rows(self, i0: int, band: np.ndarray) -> None:
         """Consume DP rows ``i0, i0 + 1, ...``: the rows of a ``(h, w + 1)`` band.
 
-        Equivalent to :meth:`feed` row by row.  The above-threshold segments
-        of the whole band are cut in one compiled scan
-        (:func:`repro.core.ckernel.band_segments`); the merge below stays
-        the same Python as :meth:`feed`'s.
+        Equivalent to :meth:`feed` row by row: the band is cut in numpy
+        (:func:`~repro.core.engine.cut_segments`) and merged by
+        :meth:`feed_segments`.
         """
-        h = len(band)
+        cfg = self.config
+        self.feed_segments(i0, len(band), cut_segments(band, cfg.threshold, cfg.col_tolerance))
+
+    def feed_segments(self, i0: int, h: int, segments: np.ndarray) -> None:
+        """Consume DP rows ``i0 .. i0 + h - 1`` given their above-threshold
+        segments.
+
+        ``segments`` is an ``(n, 6)`` int64 array of ``(row - i0, j_lo,
+        j_hi, peak_j, score, hits)`` sorted by row, then column, as
+        :meth:`KernelWorkspace.sw_rows_cut` returns it.  Segments of one
+        row at most ``col_tolerance`` apart are joined first, the later
+        peak winning only if it scores strictly higher: a row cut tile by
+        tile then merges exactly as the whole row fed to :meth:`feed`.
+        """
         if h == 0:
             return
-        if i0 <= self._last_fed:
-            raise ValueError(f"rows must be fed in increasing order (got {i0})")
-        segments = ckernel.band_segments(
-            band, self.config.threshold, self.config.col_tolerance
-        )
-        if segments is None:
-            for r in range(h):
-                self.feed(i0 + r, band[r])
-            return
+        self._check_order(i0)
         self._last_fed = i0 + h - 1
-        k, n = 0, len(segments)
+        cfg = self.config
+        if ckernel.load() is not None:
+            active, finished, counts = self._tables_for(len(segments))
+            ckernel.regions_merge(
+                np.ascontiguousarray(segments, dtype=np.int64),
+                i0, h, cfg.col_tolerance, cfg.row_tolerance, active, finished, counts,
+            )
+            return
+        self._lists()
+        rows = segments.tolist()
+        k, n = 0, len(rows)
         for r in range(h):
             i = i0 + r
             if self._active:
                 self._retire(i)
-            while k < n and segments[k][0] == r:
-                _, j_lo, j_hi, peak_j, score, hits = segments[k]
-                self._add_segment(i, j_lo, j_hi, peak_j, score, hits)
+            while k < n and rows[k][0] == r:
+                _, j_lo, j_hi, peak_j, score, hits = rows[k]
                 k += 1
+                while k < n and rows[k][0] == r and rows[k][1] - j_hi <= cfg.col_tolerance:
+                    _, _, j_hi, other_j, other, more = rows[k]
+                    hits += more
+                    if other > score:
+                        score, peak_j = other, other_j
+                    k += 1
+                self._add_segment(i, j_lo, j_hi, peak_j, score, hits)
+
+    def _tables_for(self, n_segments: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The compiled merge's tables, with room for ``n_segments`` more
+        regions (taken over from the lists if they hold the state)."""
+        if self._tables is None:
+            na, nf = len(self._active), len(self._finished)
+            rows = na + nf + max(n_segments, 16)
+            self._tables = (
+                _table(self._active, rows),
+                _table(self._finished, rows),
+                np.array([na, nf], dtype=np.int64),
+            )
+            self._active, self._finished = [], []
+        active, finished, counts = self._tables
+        need = int(counts[0] + counts[1]) + n_segments
+        if need > len(finished):  # every region might open, then finish
+            rows = max(need, 2 * len(finished))
+            active = np.concatenate((active[: counts[0]], _table([], rows - counts[0])))
+            finished = np.concatenate((finished[: counts[1]], _table([], rows - counts[1])))
+            self._tables = (active, finished, counts)
+        return self._tables
+
+    def _lists(self) -> None:
+        """Take the state over from the compiled merge's tables, if they hold it."""
+        if self._tables is None:
+            return
+        active, finished, counts = self._tables
+        self._active = [Region(*r) for r in active[: counts[0]].tolist()]
+        self._finished = [Region(*r) for r in finished[: counts[1]].tolist()]
+        self._tables = None
 
     def open_count(self) -> int:
         """Regions found so far, finished or still open."""
+        if self._tables is not None:
+            return int(self._tables[2].sum())
         return len(self._finished) + len(self._active)
 
     def _add_segment(
@@ -241,6 +326,7 @@ class StreamingRegionFinder:
 
     def finish(self) -> list[Region]:
         """Close all active regions and return every region found, best first."""
+        self._lists()
         self._finished.extend(self._active)
         self._active = []
         kept = [r for r in self._finished if r.n_hits >= self.config.min_hits]
@@ -256,6 +342,6 @@ def find_regions(
 ) -> list[Region]:
     """Run the linear-space scan over ``s`` x ``t`` and cluster its hits."""
     finder = StreamingRegionFinder(config)
-    for i0, rows in sw_blocks(KernelWorkspace(encode(t), scoring), encode(s)):
-        finder.feed_rows(i0, rows)
+    for _ in sw_blocks(KernelWorkspace(encode(t), scoring), encode(s), finder):
+        pass
     return finder.finish()

@@ -180,8 +180,6 @@ def plan_wavefront(
     home_migration: bool = False,
 ) -> TaskGraph:
     """Section 4.2 schedule: columns split N/P, rows grouped by ``group_rows``."""
-    if cols < n_procs:
-        raise ValueError(f"{cols} columns cannot be split over {n_procs} processors")
     if group_rows <= 0:
         raise ValueError("group_rows must be positive")
     slices = column_partition(cols, n_procs)

@@ -165,12 +165,16 @@ class WavefrontRuntime(PlanRuntime):
         if h <= 0:
             return
         block = np.empty((h, st["prev"].size), dtype=SCORE_DTYPE)
-        lefts = self.borders[p - 1, lo:hi] if p > 0 else np.zeros(h, dtype=SCORE_DTYPE)
-        st["ws"].sw_rows_slice(st["prev"], self.s[lo:hi], lefts, out=block)
+        lefts = self.borders[p - 1, lo:hi] if p > 0 else None
+        finder = st["finder"]
+        cfg = finder.config
+        segments = st["ws"].sw_rows_cut(
+            st["prev"], self.s[lo:hi], lefts, cfg.threshold, cfg.col_tolerance, out=block
+        )
         if p != self.graph.n_procs - 1:
             self.borders[p, lo:hi] = block[:, -1]
         st["prev"][:] = block[-1]
-        st["finder"].feed_rows(lo + 1, block)
+        finder.feed_segments(lo + 1, h, segments)
 
     def emit(self, owner: int) -> list:
         """Regions of one owner as global-coordinate alignment tuples."""
@@ -249,43 +253,64 @@ class _BandedRuntime(PlanRuntime):
 class BlockedRuntime(_BandedRuntime):
     """Section 4.3 execution: banded blocks plus per-band region detection.
 
-    Each owner keeps the rows of its current band in one ``(h, cols + 1)``
-    buffer.  A tile's DP is written straight into its column window, whose
-    column 0 (the previous block's last column) is the tile's left border,
-    so no tile matrix or left column is ever copied.
+    Each owner runs its tiles into one tile-sized scratch and carries the
+    left column from block to block.  The DP loop cuts every row's
+    above-threshold segments while it computes the tile
+    (:meth:`KernelWorkspace.sw_rows_cut`); when the band's last block has
+    run, its segments, in column order, go through one region merge, which
+    joins the segments that meet across a block border.
     """
 
     SPAN_NAME = "tile"
 
     def __init__(self, graph, s, t, scoring, state) -> None:
         super().__init__(graph, s, t, scoring, state)
+        self._config = _region_config(graph.params)
         self._found: dict[int, list] = {}
-        self._band_rows: dict[int, np.ndarray] = {}  # owner -> current band rows
+        self._scratch: dict[int, np.ndarray] = {}  # owner -> tile scratch
+        widths = [c1 - c0 for c0, c1 in self.col_bounds]
+        heights = [r1 - r0 for r0, r1 in self.row_bounds]
+        self._tile_shape = (max(heights, default=0), max(widths, default=0) + 1)
 
     def run_tile(self, tile: Tile) -> None:
         band, block = tile.payload
         r0, r1 = self.row_bounds[band]
         c0, c1 = self.col_bounds[block]
-        h = r1 - r0
+        h, w = r1 - r0, c1 - c0
         if h == 0:
             return
         if block == 0:
-            self._band_rows[tile.owner] = np.zeros(
-                (h, self.graph.shape[1] + 1), dtype=SCORE_DTYPE
-            )
-        rows = self._band_rows[tile.owner]
-        if c1 > c0:
-            self._workspace(block, c0, c1).sw_rows_slice(
+            self._bands[tile.owner] = {
+                "left": np.zeros(h, dtype=SCORE_DTYPE),
+                "segments": [],
+            }
+        st = self._bands[tile.owner]
+        if w > 0:
+            scratch = self._scratch.get(tile.owner)
+            if scratch is None:
+                scratch = self._scratch[tile.owner] = np.empty(self._tile_shape, dtype=SCORE_DTYPE)
+            rows = scratch[:h, : w + 1]
+            cfg = self._config
+            segments = self._workspace(block, c0, c1).sw_rows_cut(
                 self.boundaries[band, c0 : c1 + 1],
                 self.s[r0:r1],
-                rows[:, c0],
-                out=rows[:, c0 : c1 + 1],
+                st["left"],
+                cfg.threshold,
+                cfg.col_tolerance,
+                out=rows,
             )
-            self.boundaries[band + 1, c0 + 1 : c1 + 1] = rows[-1, c0 + 1 : c1 + 1]
+            st["left"] = rows[:, w].copy()
+            self.boundaries[band + 1, c0 + 1 : c1 + 1] = rows[-1, 1:]
+            if len(segments):
+                segments[:, 1:4] += c0  # tile columns -> matrix columns
+                st["segments"].append(segments)
         if block == len(self.col_bounds) - 1:
-            # band finished: phase-1 candidate detection over its rows
-            finder = StreamingRegionFinder(_region_config(self.graph.params))
-            finder.feed_rows(r0 + 1, rows)
+            # band finished: one merge over its segments in (row, column) order
+            parts = st["segments"]
+            segments = np.concatenate(parts) if parts else np.empty((0, 6), dtype=np.int64)
+            segments = segments[np.argsort(segments[:, 0], kind="stable")]
+            finder = StreamingRegionFinder(self._config)
+            finder.feed_segments(r0 + 1, h, segments)
             found = self._found.setdefault(tile.owner, [])
             for region in finder.finish():
                 a = region.as_alignment()

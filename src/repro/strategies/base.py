@@ -31,7 +31,12 @@ __all__ = ["RegionSettings", "ScaledWorkload", "encode_pair"]
 def encode_pair(s, t) -> tuple[np.ndarray, np.ndarray]:
     """Encode the two sequences of a comparison; both must be non-empty.
 
-    The one entry check of every pipeline, simulated or on the pool.
+    The one entry check of every pipeline, simulated or on the pool, and
+    the only shape rule: any non-empty pair runs on every strategy and
+    processor count.  A ``t`` narrower than the processor count leaves the
+    wave-front's last processors an empty column slice, which only passes
+    its left border on, as the blocked plans leave a processor without a
+    band.
     """
     s, t = encode(s), encode(t)
     if len(s) == 0 or len(t) == 0:

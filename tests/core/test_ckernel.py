@@ -1,10 +1,12 @@
 """Parity fuzz: the compiled kernel paths against the numpy reference.
 
 ``repro.core.ckernel`` is the one C source behind the batched row kernels,
-the region finder's segment scan, the database-search lanes and the
-striped search scan.  No static check reads C, so these properties are its
-only guard: every compiled result must be bitwise equal to the numpy rows,
-to row-by-row :meth:`StreamingRegionFinder.feed`, to the numpy lanes of
+their fused phase-1 segment cut, the region merge, the database-search
+lanes and the striped search scan.  No static check reads C, so these
+properties are its only guard: every compiled result must be bitwise
+equal to the numpy rows, to row-by-row :meth:`StreamingRegionFinder.feed`
+(tile cuts joined across block borders included; the Python merge's
+region order included), to the numpy lanes of
 :class:`NumpyMultiWorkspace`, to the numpy striped scan of
 :class:`NumpyStripedMultiWorkspace` (overflow flags included) and to the
 numpy bound index of :func:`build_bound_index`, over every
@@ -19,13 +21,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import PAD_CODE, KernelWorkspace, Scoring, ckernel, striped
 from repro.core.bounds import DEFAULT_KMER_K, build_bound_index
-from repro.core.engine import NumpyWorkspace, compute_tile
+from repro.core.engine import NumpyWorkspace, compute_tile, cut_segments
 from repro.core.multi_engine import (
     CHAIN_LOOP_MIN_LANES,
     MultiSequenceWorkspace,
@@ -218,6 +220,193 @@ class TestFeedRowsParity:
         finder.feed_rows(1, band)
         assert finder.open_count() == 3
         assert len(finder.finish()) == 3
+
+
+def _kernel_off(monkeypatch):
+    """Switch the compiled kernels off, as a failed build leaves them (the
+    failure taken as already reported, so no warning)."""
+    monkeypatch.setattr(ckernel, "_tried", True)
+    monkeypatch.setattr(ckernel, "_handle", None)
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernel(request, monkeypatch):
+    """Run the test with the compiled kernels on, then with them off."""
+    if request.param == "numpy":
+        _kernel_off(monkeypatch)
+    return request.param
+
+
+@st.composite
+def tiled_pairs(draw):
+    """A small DP matrix cut into bands and blocks of 1 to 64 columns.
+
+    Alphabets of one or two letters make long above-threshold runs that
+    straddle the block borders and many equal cells (ties at the peak)."""
+    h = draw(st.integers(1, 40))
+    w = draw(st.integers(1, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = draw(st.sampled_from([1, 2, 4]))
+    s = rng.integers(0, alphabet, h).astype(np.uint8)
+    t = rng.integers(0, alphabet, w).astype(np.uint8)
+    widths = draw(st.lists(st.integers(1, 64), min_size=1, max_size=6))
+    col_bounds, c0 = [], 0
+    while c0 < w:
+        c1 = min(w, c0 + widths[len(col_bounds) % len(widths)])
+        col_bounds.append((c0, c1))
+        c0 = c1
+    cuts = sorted(set(draw(st.lists(st.integers(1, h), max_size=3))) - {h})
+    edges = [0, *cuts, h]
+    return s, t, list(zip(edges, edges[1:])), col_bounds
+
+
+def _join(segments, col_tolerance):
+    """Join consecutive segments of one row at most ``col_tolerance`` apart
+    (the border join of the merge, spelled out)."""
+    out = []
+    for row, lo, hi, peak, score, hits in segments.tolist():
+        last = out[-1] if out else None
+        if last and last[0] == row and lo - last[2] <= col_tolerance:
+            last[2] = hi
+            last[5] += hits
+            if score > last[4]:
+                last[3], last[4] = peak, score
+        else:
+            out.append([row, lo, hi, peak, score, hits])
+    return out
+
+
+TOLERANCES = st.one_of(st.just(0), st.integers(0, 20))
+FUSED_SCORINGS = st.sampled_from([Scoring(), Scoring(2, -1, -2), Scoring(1, -3, -1)])
+
+
+class TestFusedCutParity:
+    """The blocked runtime's detection: each tile's segments cut inside the
+    DP loop, joined at the block borders and merged band by band, against
+    :meth:`StreamingRegionFinder.feed` on the whole rows."""
+
+    @given(tiled_pairs(), FUSED_SCORINGS, st.integers(1, 12), TOLERANCES, TOLERANCES)
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_tiles_join_to_feed(self, kernel, pair, scoring, threshold, col_tol, row_tol):
+        s, t, row_bounds, col_bounds = pair
+        config = RegionConfig(threshold, col_tol, row_tol)
+        full = NumpyWorkspace(t, scoring).sw_rows(np.zeros(len(t) + 1, dtype=SCORE_DTYPE), s)
+        reference = StreamingRegionFinder(config)
+        for i, row in enumerate(full, start=1):
+            reference.feed(i, row)
+        fused = StreamingRegionFinder(config)  # one finder, one call per band
+        top = np.zeros(len(t) + 1, dtype=SCORE_DTYPE)
+        for r0, r1 in row_bounds:
+            left, bottom, parts = np.zeros(r1 - r0, dtype=SCORE_DTYPE), top.copy(), []
+            for c0, c1 in col_bounds:
+                rows = np.empty((r1 - r0, c1 - c0 + 1), dtype=SCORE_DTYPE)
+                part = KernelWorkspace(t[c0:c1], scoring).sw_rows_cut(
+                    top[c0 : c1 + 1], s[r0:r1], left, threshold, col_tol, out=rows
+                )
+                assert np.array_equal(rows[:, 1:], full[r0:r1, c0 + 1 : c1 + 1])
+                left, bottom[c0 + 1 : c1 + 1] = rows[:, -1].copy(), rows[-1, 1:]
+                part[:, 1:4] += c0
+                parts.append(part)
+            segments = np.concatenate(parts)
+            segments = segments[np.argsort(segments[:, 0], kind="stable")]
+            want = cut_segments(full[r0:r1], threshold, col_tol)
+            assert _join(segments, col_tol) == want.tolist()
+            fused.feed_segments(r0 + 1, r1 - r0, segments)
+            top = bottom
+        assert fused.open_count() == reference.open_count()
+        assert fused.finish() == reference.finish()
+
+    @given(bands(), st.integers(1, 45), TOLERANCES, TOLERANCES, st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_merge_keeps_the_python_order(
+        self, band_cuts, threshold, col_tol, row_tol, width
+    ):
+        """Same segments (cut in ``width``-column blocks, so borders need
+        joining), same regions in the same active and finished order."""
+        band, cuts = band_cuts
+        config = RegionConfig(threshold, col_tol, row_tol)
+        w = band.shape[1] - 1
+        parts = []
+        for c0 in range(0, w, width):
+            window = band[:, c0 : c0 + width + 1]  # column 0: the border, never cut
+            part = cut_segments(window, threshold, col_tol)
+            part[:, 1:4] += c0
+            parts.append(part)
+        segments = np.concatenate(parts) if parts else np.empty((0, 6), dtype=np.int64)
+        segments = segments[np.argsort(segments[:, 0], kind="stable")]
+        edges = [0, *cuts, len(band)]
+
+        def merged():
+            finder = StreamingRegionFinder(config)
+            for lo, hi in zip(edges, edges[1:]):
+                rows = (segments[:, 0] >= lo) & (segments[:, 0] < hi)
+                part = segments[rows].copy()
+                part[:, 0] -= lo
+                finder.feed_segments(1 + lo, hi - lo, part)
+            count = finder.open_count()
+            finder._lists()
+            return count, list(finder._active), list(finder._finished), finder.finish()
+
+        with pytest.MonkeyPatch.context() as m:
+            _kernel_off(m)
+            python = merged()
+        assert ckernel.available()
+        assert merged() == python
+        assert python[3] == _regions(config, band)
+
+    @pytest.mark.parametrize("threshold", [2**31, 2**31 - 1, 0, -(2**31), -(2**31) - 9, -(2**40)])
+    def test_thresholds_at_the_int32_edges(self, kernel, threshold):
+        """The loop compares cells in 32 bits; thresholds beyond int32 cut
+        what the numpy cut does (nothing above, every cell below)."""
+        rng = np.random.default_rng(11)
+        t = rng.integers(0, 4, 30).astype(np.uint8)
+        s = rng.integers(0, 4, 12).astype(np.uint8)
+        rows = np.empty((12, 31), dtype=SCORE_DTYPE)
+        prev = np.zeros(31, dtype=SCORE_DTYPE)
+        got = KernelWorkspace(t).sw_rows_cut(prev, s, None, threshold, 2, out=rows)
+        assert got.tolist() == cut_segments(rows, threshold, 2).tolist()
+
+    def test_segment_buffer_refills(self, kernel):
+        """Far more segments than one buffer holds (every positive cell its
+        own segment): the loop stops at a whole row and resumes."""
+        rng = np.random.default_rng(13)
+        t = rng.integers(0, 4, 200).astype(np.uint8)
+        s = rng.integers(0, 4, 60).astype(np.uint8)
+        rows = np.empty((60, 201), dtype=SCORE_DTYPE)
+        got = KernelWorkspace(t).sw_rows_cut(np.zeros(201, dtype=SCORE_DTYPE), s, None, 1, 0, out=rows)
+        assert len(got) > 201 + 2 * 60  # the first pass's buffer
+        assert np.array_equal(rows, NumpyWorkspace(t).sw_rows(np.zeros(201, dtype=SCORE_DTYPE), s))
+        assert got.tolist() == cut_segments(rows, 1, 0).tolist()
+
+    def test_feed_then_segments_on_one_finder(self, kernel):
+        """The Python and the compiled merge hand the state over mid-stream."""
+        rng = np.random.default_rng(5)
+        band = rng.integers(0, 12, (30, 41)).astype(SCORE_DTYPE)
+        config = RegionConfig(8, col_tolerance=2, row_tolerance=1)
+        finder = StreamingRegionFinder(config)
+        for i in range(1, 11):
+            finder.feed(i, band[i - 1])
+        finder.feed_rows(11, band[10:20])
+        finder.feed(21, band[20])
+        finder.feed_rows(22, band[21:])
+        assert finder.finish() == _regions(config, band)
+
+    def test_blocked_regions_identical_on_every_backend(self, kernel):
+        from repro.parallel import AlignmentWorkerPool
+        from repro.plan import InlineExecutor, PoolExecutor, SimExecutor, plan_blocked
+        from repro.seq import genome_pair
+
+        gp = genome_pair(900, 850, n_regions=2, region_length=80, mutation_rate=0.02, rng=41)
+        graph = plan_blocked(len(gp.s), len(gp.t), n_procs=2, n_bands=5, n_blocks=7, threshold=20)
+        inline = InlineExecutor().run(graph, gp.s, gp.t).alignments
+        sim = SimExecutor().run(graph, gp.s, gp.t).alignments
+        with AlignmentWorkerPool(n_workers=2) as pool:  # forked: the kernel switch holds
+            pooled = PoolExecutor(pool).run(graph, gp.s, gp.t).alignments
+        assert inline
+        assert inline == sim == pooled
+        assert ckernel.available() == (kernel == "compiled")
 
 
 #: (scoring, alphabet size, lane dtype, max query length).  The int32 lanes

@@ -149,6 +149,18 @@ class TestMpPipeline:
             n_procs=2, n_bands=8, n_blocks=8, threshold=35
         )
 
+    @pytest.mark.parametrize("strategy", ["heuristic", "heuristic_block", "pre_process"])
+    @pytest.mark.parametrize("path", ["sim", "pool"])
+    def test_one_column_target_accepted_on_both_paths(self, pool2, path, strategy):
+        """The entry check's other half: any non-empty pair runs, a ``t``
+        narrower than the processor count included."""
+        if path == "sim":
+            result = run_pipeline("ACGTACGTAC", "A", strategy=strategy, n_procs=4)
+            assert result.phase1.alignments == []
+        elif strategy != "pre_process":  # pre_process has no pool backend
+            result = run_mp_pipeline("ACGTACGTAC", "A", backend=strategy, pool=pool2)
+            assert result.regions == [] and result.records == []
+
     @pytest.mark.parametrize("empty", ["s", "t"])
     @pytest.mark.parametrize("path", ["sim", "pool"])
     def test_empty_sequence_rejected_on_both_paths(self, pool1, path, empty):

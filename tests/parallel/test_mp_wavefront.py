@@ -47,8 +47,11 @@ class TestMpWavefront:
         blocked = pool2.run_plan(spec, gp.s, gp.t).alignments
         assert max(a.score for a in front) == max(a.score for a in blocked)
 
-    def test_narrow_input_rejected(self, pool2):
-        """A ``t`` narrower than the worker count fails in the planner, by name."""
+    def test_narrow_input_accepted(self, pool1, pool2):
+        """A ``t`` narrower than the worker count runs: the second worker's
+        column slice is empty, so the regions are the one-worker ones."""
         gp = genome_pair(10, 10, n_regions=0, rng=124)
-        with pytest.raises(ValueError, match="1 columns cannot be split over 2"):
-            pool2.run_plan(wavefront_spec(n_procs=2), gp.s, gp.t[:1])
+        s, t = gp.s, gp.t[:1]
+        got = pool2.run_plan(wavefront_spec(n_procs=2, threshold=1), s, t).alignments
+        want = pool1.run_plan(wavefront_spec(n_procs=1, threshold=1), s, t).alignments
+        assert got and got == want

@@ -172,8 +172,8 @@ class TestPoolLifecycle:
 
         with AlignmentWorkerPool(n_workers=2) as p:
             with pytest.raises((PoolJobError, ValueError)):
-                # t narrower than worker count -> worker-side / parent-side error
-                p.run_plan(WAVEFRONT, pair.s[:4], pair.t[:1])
+                # an invalid plan -> worker-side / parent-side error
+                p.run_plan(wavefront_spec(n_procs=2, group_rows=0), pair.s, pair.t)
             # the pool still serves good jobs afterwards
             assert p.run_plan(WAVEFRONT, pair.s, pair.t).alignments
 

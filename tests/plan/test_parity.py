@@ -69,6 +69,29 @@ class TestRegionParity:
         assert regions(inline)
         assert regions(inline) == regions(sim) == regions(pooled)
 
+    @pytest.mark.parametrize("backend", ["sim", "inline", "pool"])
+    @pytest.mark.parametrize("kind", ["wavefront", "blocked"])
+    def test_one_column_target_runs_on_every_backend(self, pool, backend, kind):
+        """A ``t`` narrower than the processor count is accepted everywhere:
+        the extra processors' slices (or bands) are empty, so the regions
+        are the one-processor plan's."""
+        s, t = encode("AAAACAAAAAAGAAAAAAAA"), encode("A")
+
+        def plan(n_procs):
+            if kind == "wavefront":
+                return plan_wavefront(len(s), 1, n_procs=n_procs, threshold=1)
+            return plan_blocked(len(s), 1, n_procs=n_procs, n_bands=4, n_blocks=2, threshold=1)
+
+        executor = {
+            "sim": SimExecutor(),
+            "inline": InlineExecutor(),
+            "pool": PoolExecutor(pool),
+        }[backend]
+        got = executor.run(plan(2), s, t)
+        want = InlineExecutor().run(plan(1), s, t)
+        assert regions(want)
+        assert regions(got) == regions(want)
+
     def test_backends_are_stamped(self, pair, pool):
         s, t = pair
         graph = plan_blocked(len(s), len(t), n_procs=2, n_bands=8, n_blocks=8)

@@ -42,9 +42,13 @@ class TestWavefrontPlan:
         g = plan_wavefront(10, 8, n_procs=2, group_rows=4)
         assert g.total_cells == 10 * 8
 
-    def test_too_few_columns_rejected(self):
-        with pytest.raises(ValueError, match="columns"):
-            plan_wavefront(10, 3, n_procs=4)
+    def test_too_few_columns_leave_empty_slices(self):
+        """Fewer columns than processors: the last processors get an empty
+        slice (zero-cell tiles that pass the border on), not an error."""
+        g = plan_wavefront(10, 3, n_procs=4)
+        assert g.params["slices"] == ((0, 1), (1, 2), (2, 3), (3, 3))
+        assert g.total_cells == 10 * 3
+        assert all(t.cells == 0 for t in g.tiles_of(3))
 
     def test_group_rows_must_be_positive(self):
         with pytest.raises(ValueError, match="group_rows"):

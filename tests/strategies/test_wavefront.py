@@ -142,10 +142,16 @@ class TestRunWavefront:
         assert res.phases.total == pytest.approx(res.total_time)
         assert res.phases.init > 0 and res.phases.term > 0
 
-    def test_too_many_procs_rejected(self):
+    def test_more_procs_than_columns_idle_the_rest(self):
+        """16 processors on 10 columns: one column each for the first ten,
+        an empty slice for the rest, and the ten-processor regions."""
         gp = genome_pair(10, 10, n_regions=0, rng=11)
-        with pytest.raises(ValueError):
-            run_wavefront(ScaledWorkload(gp.s, gp.t), WavefrontConfig(n_procs=16))
+        wl = ScaledWorkload(gp.s, gp.t)
+        low = RegionSettings(threshold=1)
+        many = run_wavefront(wl, WavefrontConfig(n_procs=16, regions=low))
+        ten = run_wavefront(wl, WavefrontConfig(n_procs=10, regions=low))
+        assert many.alignments
+        assert many.alignments == ten.alignments
 
     def test_deterministic(self):
         gp = genome_pair(500, 500, n_regions=1, region_length=50, rng=12)
