@@ -661,15 +661,17 @@ def _bench_fasta_ingest(quick: bool) -> dict:
 def _bench_bound_sweep(quick: bool) -> dict:
     """The pool coordinator's prefilter bound sweep, bound index warm.
 
-    ``TieredFilter.ceilings`` (length, composition and k-mer tiers) over
-    every bucket of an 800-sequence database shaped like the
+    ``TieredFilter.ceilings`` (length, composition and k-mer tiers) in one
+    call over the whole of an 800-sequence database shaped like the
     ``search-pool`` workload's (150-600 bp, classic packing) for one 400 bp
     query, reading the per-database :class:`repro.core.bounds.BoundIndex`
-    built once up front.  Ceilings from the index are asserted equal to
-    the raw-code ones before timing.  Each of the five samples repeats
-    the sweep for at least 0.2 s; ``sample_spread`` is
-    ``(slowest - fastest) / fastest`` over the samples.
+    built once up front: the compiled ``kmer_hits`` loop counts every
+    lane's shared k-mers in one pass.  Ceilings from the index are asserted
+    equal to the raw-code ones, bucket by bucket, before timing.  Each of
+    the five samples repeats the sweep for at least 0.2 s;
+    ``sample_spread`` is ``(slowest - fastest) / fastest`` over the samples.
     """
+    from ..core import ckernel
     from ..core.bounds import TieredFilter
 
     n_db = 200 if quick else 800
@@ -679,20 +681,22 @@ def _bench_bound_sweep(quick: bool) -> dict:
     packed = pack_database(db)
     tiered = TieredFilter(query, DEFAULT_SCORING)
     indexes = packed.bound_index(tiered.index_k)
-    for bucket, index in zip(packed.buckets, indexes):
-        warm = tiered.ceilings(index, bucket.lengths)[0]
-        if warm.tobytes() != tiered.ceilings(bucket.codes, bucket.lengths)[0].tobytes():
-            raise AssertionError("index ceilings diverged from the raw-code ones")
+    lengths = np.concatenate([bucket.lengths for bucket in packed.buckets])
+    raw = np.concatenate(
+        [tiered.ceilings(bucket.codes, bucket.lengths)[0] for bucket in packed.buckets]
+    )
+    if tiered.ceilings(indexes, lengths)[0].tobytes() != raw.tobytes():
+        raise AssertionError("index ceilings diverged from the raw-code ones")
 
     def sweep():
-        for bucket, index in zip(packed.buckets, indexes):
-            tiered.ceilings(index, bucket.lengths)
+        tiered.ceilings(indexes, lengths)
 
     repeats, per_call = _long_samples(sweep, 1 if quick else 5, 0.0 if quick else 0.2)
     best = min(per_call)
     cells = len(query) * packed.total_residues
     return {
-        "kernel": "bound_index",
+        "kernel": "kmer_hits",
+        "compiled": ckernel.available(),
         "dtype": "uint16",
         "lane_mode": "gather",
         "n_sequences": n_db,

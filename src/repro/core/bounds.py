@@ -24,13 +24,16 @@ Three tiers, in ascending cost order (:data:`TIER_ORDER`):
   many separate runs, and each extra run costs at least one penalised
   (mismatch or gap) column.  See DESIGN.md section 5i for the closed form.
 
-All bounds are vectorized over one packed bucket: ``codes`` is the padded
-``(lanes, width)`` uint8 matrix (PAD rows out-of-alphabet codes never count)
-or that bucket's :class:`BoundIndex`, and ``lengths`` the per-lane real
-lengths.  The index is the query-independent part of the composition and
+All bounds are vectorized over lanes: ``codes`` is one packed bucket's
+padded ``(lanes, width)`` uint8 matrix (PAD rows out-of-alphabet codes never
+count), that bucket's :class:`BoundIndex`, or a whole database's per-bucket
+indexes, and ``lengths`` the real length of every lane, bucket after
+bucket.  The index is the query-independent part of the composition and
 k-mer tiers (letter counts and k-mer window ids), built once per bucket by
 :func:`build_bound_index`; given raw codes, a bound builds the part it needs
-on the spot, a lane block at a time.
+on the spot, a lane block at a time.  Given indexes, the k-mer tier counts
+every lane's hits in one compiled pass (:func:`repro.core.ckernel.kmer_hits`),
+with :func:`kmer_hits`' numpy gather as the reference and the fallback.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import ckernel
 from .scoring import Scoring
 
 __all__ = [
@@ -47,6 +51,7 @@ __all__ = [
     "DEFAULT_KMER_K",
     "MAX_KMER_K",
     "BoundIndex",
+    "Lanes",
     "TIER_ORDER",
     "QueryBoundContext",
     "TieredFilter",
@@ -111,6 +116,16 @@ class BoundIndex:
     def nbytes(self) -> int:
         ids = 0 if self.kmer_ids is None else self.kmer_ids.nbytes
         return int(ids + self.counts.nbytes)
+
+
+#: What a bound reads: one bucket's code matrix, its :class:`BoundIndex`, or
+#: a whole database's per-bucket indexes.
+Lanes = np.ndarray | BoundIndex | Sequence[BoundIndex]
+
+
+def _indexes(lanes: BoundIndex | Sequence[BoundIndex]) -> list[BoundIndex]:
+    """One bucket's index, or a database's per-bucket indexes, as a list."""
+    return [lanes] if isinstance(lanes, BoundIndex) else list(lanes)
 
 
 def _lane_blocks(codes: np.ndarray) -> Iterator[slice]:
@@ -232,7 +247,7 @@ class QueryBoundContext:
 
 
 def length_bound(
-    ctx: QueryBoundContext, codes: np.ndarray | BoundIndex, lengths: np.ndarray
+    ctx: QueryBoundContext, codes: Lanes, lengths: np.ndarray
 ) -> np.ndarray:  # repro: admissible
     """``min(m, n) * s_max``: the trivial per-pair ceiling.
 
@@ -246,7 +261,7 @@ def length_bound(
 
 
 def composition_bound(
-    ctx: QueryBoundContext, codes: np.ndarray | BoundIndex, lengths: np.ndarray
+    ctx: QueryBoundContext, codes: Lanes, lengths: np.ndarray
 ) -> np.ndarray:  # repro: admissible
     """Letter-count ceiling: pairing capacity caps the column scores.
 
@@ -257,14 +272,46 @@ def composition_bound(
     each letter its best row (query side) or column (target side) score --
     both one-sided overcounts -- and takes the smaller.
     """
-    index = codes if isinstance(codes, BoundIndex) else build_bound_index(codes, None)
-    t_counts = index.counts
+    if isinstance(codes, np.ndarray):
+        t_counts = build_bound_index(codes, None).counts
+    else:
+        t_counts = np.concatenate(
+            [index.counts for index in _indexes(codes)]
+            or [np.zeros((0, _ALPHABET), dtype=np.int64)]
+        )
     if ctx.off_max <= 0:
         per_letter = np.minimum(ctx.q_counts[np.newaxis, :], t_counts)
         return per_letter @ np.maximum(ctx.diag, 0)
     query_side = int((ctx.q_counts * np.maximum(ctx.row_max, 0)).sum())
     target_side = t_counts @ np.maximum(ctx.col_max, 0)
     return np.minimum(target_side, query_side)
+
+
+def _kmer_ids(ctx: QueryBoundContext, index: BoundIndex) -> np.ndarray:
+    """``index``'s window ids, refused unless they are the k-mer tier's."""
+    if index.k != ctx.kmer_k or index.kmer_ids is None:
+        raise ValueError(
+            f"bound index holds k={index.k} windows, the k-mer tier needs k={ctx.kmer_k}"
+        )
+    return index.kmer_ids
+
+
+def _swept_hits(ctx: QueryBoundContext, codes: Lanes, lengths: np.ndarray) -> np.ndarray:
+    """Every lane's k-mer hits: one compiled pass over all the indexes.
+
+    :func:`kmer_hits` (the reference) runs instead on a code matrix, and
+    bucket by bucket when the compiled path is off.
+    """
+    if isinstance(codes, np.ndarray):
+        return kmer_hits(ctx, codes)
+    indexes = _indexes(codes)
+    ids = [_kmer_ids(ctx, index) for index in indexes]
+    hits = ckernel.kmer_hits(ids, lengths, ctx.kmer_k, ctx.kmer_table)
+    if hits is None:
+        hits = np.concatenate(
+            [kmer_hits(ctx, index) for index in indexes] or [np.zeros(0, dtype=np.int64)]
+        )
+    return hits
 
 
 def kmer_hits(ctx: QueryBoundContext, codes: np.ndarray | BoundIndex) -> np.ndarray:
@@ -276,11 +323,7 @@ def kmer_hits(ctx: QueryBoundContext, codes: np.ndarray | BoundIndex) -> np.ndar
     """
     table = ctx.kmer_table
     if isinstance(codes, BoundIndex):
-        if codes.k != ctx.kmer_k:
-            raise ValueError(
-                f"bound index holds k={codes.k} windows, the k-mer tier needs k={ctx.kmer_k}"
-            )
-        return table[codes.kmer_ids].sum(axis=1, dtype=np.int64)
+        return table[_kmer_ids(ctx, codes)].sum(axis=1, dtype=np.int64)
     codes = np.asarray(codes)
     hits = np.empty(codes.shape[0], dtype=np.int64)
     for rows in _lane_blocks(codes):
@@ -290,7 +333,7 @@ def kmer_hits(ctx: QueryBoundContext, codes: np.ndarray | BoundIndex) -> np.ndar
 
 
 def kmer_bound(
-    ctx: QueryBoundContext, codes: np.ndarray | BoundIndex, lengths: np.ndarray
+    ctx: QueryBoundContext, codes: Lanes, lengths: np.ndarray
 ) -> np.ndarray | None:  # repro: admissible
     """Diagonal-run ceiling from shared k-mer counts (DESIGN.md section 5i).
 
@@ -318,7 +361,7 @@ def kmer_bound(
         return np.zeros(len(lengths), dtype=np.int64)
     k = ctx.kmer_k
     pen = ctx.run_penalty
-    hits = kmer_hits(ctx, codes)
+    hits = _swept_hits(ctx, codes, lengths)
     cap = np.minimum(lengths, ctx.query_len)
 
     def f(runs: np.ndarray) -> np.ndarray:
@@ -336,7 +379,7 @@ def kmer_bound(
 #: only here) is what puts it on the hook for verification.
 ADMISSIBLE_BOUNDS: dict[
     str,
-    Callable[[QueryBoundContext, np.ndarray | BoundIndex, np.ndarray], Optional[np.ndarray]],
+    Callable[[QueryBoundContext, Lanes, np.ndarray], Optional[np.ndarray]],
 ] = {
     "length": length_bound,
     "composition": composition_bound,
@@ -349,7 +392,7 @@ class TieredFilter:
 
     One instance per (query, scoring, tiers) triple, the two passes of
     :func:`repro.strategies.prefilter.pruned_search`: :meth:`ceilings`
-    sweeps each bucket once, before any threshold exists, and
+    sweeps the whole database once, before any threshold exists, and
     :meth:`survivors` prunes the swept ceilings once the seed prefix has
     set one.  Pruning is strict (``ceiling < threshold``): a tie must
     survive because an equal score at a smaller index still displaces the
@@ -375,17 +418,20 @@ class TieredFilter:
         )
 
     def ceilings(
-        self, lanes: np.ndarray | BoundIndex, lengths: np.ndarray
+        self, lanes: Lanes, lengths: np.ndarray
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Pass 1: ``(combined, per_tier)`` ceilings for every lane.
 
-        ``lanes`` is a bucket's code matrix or its :class:`BoundIndex`.
-        Thresholdless: the search needs every lane's ceiling up front --
-        both to scan the highest-ceiling prefix first (strongest threshold
-        earliest) and to prune the rest in one vectorized comparison once
-        that threshold exists.  ``combined`` is the min over applicable
-        tiers (each admissible, so their min is); ``per_tier`` keeps the
-        individual ceilings for prune attribution.
+        ``lanes`` is a bucket's code matrix or :class:`BoundIndex`, or a
+        whole database's per-bucket indexes, and ``lengths`` every lane's
+        length in the same order: each tier's closed form then runs once
+        over all of the database's lanes.  Thresholdless: the search needs
+        every lane's ceiling up front -- both to scan the highest-ceiling
+        prefix first (strongest threshold earliest) and to prune the rest
+        in one vectorized comparison once that threshold exists.
+        ``combined`` is the min over applicable tiers (each admissible, so
+        their min is); ``per_tier`` keeps the individual ceilings for prune
+        attribution.
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         # Float on purpose: +inf is the identity of the running min, and the

@@ -1,6 +1,6 @@
 /* Compiled phase-1 paths: linear-gap DP rows with a fused hit-segment cut,
  * the region merge, the inter-sequence search lanes, the striped search
- * scan and the search prefilter's bound index.
+ * scan, the search prefilter's bound index and its k-mer hit sweep.
  *
  * The numpy kernels in engine.py / regions.py / multi_engine.py / striped.py
  * / bounds.py are the reference; these loops must stay bitwise equal to them
@@ -594,4 +594,59 @@ void bound_index(const uint8_t *codes, int64_t lanes, int64_t width, int64_t k,
         bound_index16(codes, lanes, width, k, counts, ids);
     else
         bound_index32(codes, lanes, width, k, counts, ids);
+}
+
+/* The k-mer tier's hit count of a whole database, as bounds.kmer_hits
+ * gathers it bucket by bucket: per lane, how many of its window ids are
+ * present in the query's table (one byte per id, the sentinel 4**k
+ * absent).  A lane of length L has L - k + 1 windows clear of padding; the
+ * index's later windows touch PAD, hold the sentinel and never count, so
+ * the loop stops there.  In a bucket whose lanes differ in length that
+ * skips up to half its slots.
+ *
+ * ids      per bucket, its (lanes[b], n_win[b]) window ids
+ * lengths  every lane's length, bucket after bucket
+ * hits     every lane's count, in the order of lengths
+ */
+#define KMER_HITS(NAME, T)                                                    \
+static void NAME(const void *const *ids, const int64_t *shape,                \
+                 int64_t n_buckets, const int64_t *restrict lengths,          \
+                 int64_t k, const uint8_t *restrict table,                    \
+                 int64_t *restrict hits)                                      \
+{                                                                             \
+    for (int64_t b = 0; b < n_buckets; b++) {                                 \
+        const int64_t lanes = shape[2 * b], n_win = shape[2 * b + 1];         \
+        const T *restrict row = (const T *)ids[b];                            \
+        for (int64_t lane = 0; lane < lanes; lane++, row += n_win) {          \
+            const int64_t n = MIN(lengths[lane] - k + 1, n_win);              \
+            int64_t h0 = 0, h1 = 0, h2 = 0, h3 = 0;                           \
+            int64_t w = 0;                                                    \
+            for (; w + 3 < n; w += 4) {                                       \
+                h0 += table[row[w]];                                          \
+                h1 += table[row[w + 1]];                                      \
+                h2 += table[row[w + 2]];                                      \
+                h3 += table[row[w + 3]];                                      \
+            }                                                                 \
+            for (; w < n; w++)                                                \
+                h0 += table[row[w]];                                          \
+            hits[lane] = h0 + h1 + h2 + h3;                                   \
+        }                                                                     \
+        lengths += lanes;                                                     \
+        hits += lanes;                                                        \
+    }                                                                         \
+}
+
+KMER_HITS(kmer_hits16, uint16_t)
+KMER_HITS(kmer_hits32, uint32_t)
+
+/* itemsize 2 or 4 for uint16 or uint32 ids; shape holds (lanes, n_win)
+ * per bucket. */
+void kmer_hits(const void *const *ids, const int64_t *shape, int64_t n_buckets,
+               const int64_t *lengths, int64_t k, const uint8_t *table,
+               int64_t *hits, int itemsize)
+{
+    if (itemsize == 2)
+        kmer_hits16(ids, shape, n_buckets, lengths, k, table, hits);
+    else
+        kmer_hits32(ids, shape, n_buckets, lengths, k, table, hits);
 }

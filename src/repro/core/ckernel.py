@@ -4,7 +4,7 @@ The paper's unit of work (the band x block tile of §4.3, the NW rows of
 §4.4 phase 2) runs one DP row at a time through numpy, about eight ufunc
 calls per row; on 100 x 100 tiles that dispatch is the whole cost.  The
 database search (one query against many packed targets) pays the same
-per-row dispatch, once per query residue.  ``ckernel.c`` holds the five
+per-row dispatch, once per query residue.  ``ckernel.c`` holds the six
 loops that replace them:
 
 * ``rows`` -- the linear-gap recurrence over a whole tile, behind
@@ -27,7 +27,13 @@ loops that replace them:
   (uint16 or uint32), behind :meth:`repro.seq.PackedDatabase.bound_index`,
   bit for bit what :func:`repro.core.bounds.build_bound_index` builds:
   the numpy builder took several passes over every window's codes and
-  cost as much as the FASTA parse on every ``repro search`` run.
+  cost as much as the FASTA parse on every ``repro search`` run;
+* ``kmer_hits`` -- every lane's count of window ids present in the
+  query's k-mer table, over a whole database's indexes in one call, behind
+  the k-mer tier of :meth:`repro.core.bounds.TieredFilter.ceilings`,
+  equal to :func:`repro.core.bounds.kmer_hits`' gather bucket by bucket:
+  the gather was the largest step of a pruned request's bound sweep, and
+  the loop also stops at each lane's last window clear of padding.
 
 The module is built with cffi in API mode on the *first kernel call*
 (never on ``import repro``), in a child interpreter so the compiler
@@ -63,7 +69,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "bound_index", "lanes", "load", "regions_merge", "rows", "stripes"]
+__all__ = [
+    "available", "bound_index", "kmer_hits", "lanes", "load", "regions_merge", "rows", "stripes",
+]
 
 _SOURCE = Path(__file__).with_name("ckernel.c")
 
@@ -90,6 +98,9 @@ void stripes(const void *profile, const uint8_t *query, int64_t m,
              void *best, uint8_t *ovf);
 void bound_index(const uint8_t *codes, int64_t lanes, int64_t width, int64_t k,
                  int64_t *counts, void *ids, int itemsize);
+void kmer_hits(const void *const *ids, const int64_t *shape, int64_t n_buckets,
+               const int64_t *lengths, int64_t k, const uint8_t *table,
+               int64_t *hits, int itemsize);
 """
 
 #: Compiler flags, appended after the interpreter's own CFLAGS.
@@ -385,3 +396,50 @@ def bound_index(codes: np.ndarray, k: int | None):
         2 if ids is None else ids.itemsize,
     )
     return BoundIndex(k, ids, counts)
+
+
+def kmer_hits(ids, lengths: np.ndarray, k: int, table: np.ndarray) -> np.ndarray | None:
+    """Every lane's k-mer hit count over a whole database from the compiled
+    loop; None when the compiled path is off, and the caller then runs
+    :func:`~repro.core.bounds.kmer_hits` bucket by bucket.
+
+    ``ids`` holds each bucket's window ids (:attr:`BoundIndex.kmer_ids
+    <repro.core.bounds.BoundIndex>` for this ``k``, so none exceeds the
+    sentinel ``4**k`` and the loop reads only table slots), ``lengths`` every
+    lane's length, bucket after bucket, and ``table`` the query's
+    ``4**k + 1`` slot bool presence table
+    (:attr:`~repro.core.bounds.QueryBoundContext.kmer_table`).  The counts
+    come back in the order of ``lengths``, equal to the numpy gather's
+    over the same indexes concatenated: a lane's windows past
+    ``length - k + 1`` touch padding, hold the sentinel and are not read.
+    """
+    handle = load()
+    if handle is None:
+        return None
+    from .bounds import kmer_id_dtype
+
+    dtype = kmer_id_dtype(k)
+    ids = [np.ascontiguousarray(a) for a in ids]
+    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+    shape = np.array([a.shape for a in ids], dtype=np.int64).reshape(-1, 2)
+    if (
+        any(a.dtype != dtype for a in ids)
+        or int(shape[:, 0].sum()) != lengths.size
+        or table.dtype != np.bool_
+        or table.size != 4**k + 1
+    ):
+        raise ValueError(f"kmer_hits needs k={k} window ids, their lane lengths and table")
+    ffi, lib = handle
+    buffers = [ffi.from_buffer(a) for a in ids]  # alive until the call returns
+    hits = np.empty(lengths.size, dtype=np.int64)
+    lib.kmer_hits(
+        ffi.new("void *[]", buffers),
+        ffi.from_buffer("int64_t[]", shape),
+        len(ids),
+        ffi.from_buffer("int64_t[]", lengths),
+        k,
+        ffi.from_buffer("uint8_t[]", table.view(np.uint8)),
+        ffi.from_buffer("int64_t[]", hits),
+        dtype.itemsize,
+    )
+    return hits

@@ -97,6 +97,11 @@ def pruned_search(
         return [], 0, 0
     max_lanes = config.resolved_max_lanes
     max_waste = config.resolved_max_waste
+    tracer = get_tracer()
+
+    def repack(wanted: np.ndarray) -> PackedDatabase:
+        with tracer.span("repack", "computation", sequences=int(wanted.size)):
+            return pack_subset(packed, wanted, max_lanes, max_waste)
 
     def ship(subset: PackedDatabase) -> None:
         # Honour the config's shard count, but never deal more shards than
@@ -111,14 +116,15 @@ def pruned_search(
             if n_shards > 1
             else None
         )
-        graph = plan_search_buckets(
-            subset,
-            query_len,
-            top_k=config.top_k,
-            kernel=config.kernel,
-            n_shards=n_shards,
-            shards=shards,
-        )
+        with tracer.span("plan_build", "computation", shards=n_shards):
+            graph = plan_search_buckets(
+                subset,
+                query_len,
+                top_k=config.top_k,
+                kernel=config.kernel,
+                n_shards=n_shards,
+                shards=shards,
+            )
         blob = search_blob(shards or subset)
         top.merge(run_search_graph(graph, query, blob, config.scoring, pool).hits)
 
@@ -128,21 +134,14 @@ def pruned_search(
     # comparison itself.  The query-independent half of the sweep (letter
     # counts, k-mer window ids) is built once and memoised on `packed`.
     tiered = TieredFilter(query, config.scoring, tiers)
-    tracer = get_tracer()
     indexes = packed.bound_index(tiered.index_k)
-    with tracer.span("prefilter_bounds", "computation", sequences=packed.n_sequences):
-        swept = [
-            tiered.ceilings(index, bucket.lengths)
-            for bucket, index in zip(packed.buckets, indexes)
-        ]
     indices = np.concatenate([bucket.indices for bucket in packed.buckets])
-    combined = np.concatenate([c for c, _ in swept])
-    per_tier = {
-        tier: np.concatenate([p[tier] for _, p in swept]) for tier in swept[0][1]
-    }
+    lengths = np.concatenate([bucket.lengths for bucket in packed.buckets])
+    with tracer.span("prefilter_bounds", "computation", sequences=packed.n_sequences):
+        combined, per_tier = tiered.ceilings(indexes, lengths)
     order = np.lexsort((indices, -combined))
     n_seeds = default_seed_count(config.top_k)
-    ship(pack_subset(packed, indices[order[:n_seeds]], max_lanes, max_waste))
+    ship(repack(indices[order[:n_seeds]]))
 
     # Pass 2: prune everything else whose ceiling is strictly below the
     # seeded threshold, then scan the survivors.
@@ -162,5 +161,5 @@ def pruned_search(
             metrics.counter(f"prefilter_{tier}_pruned").inc(n)
         if threshold != float("-inf"):
             metrics.gauge("prefilter_threshold").set(float(threshold))
-    ship(pack_subset(packed, indices[rest[keep]], max_lanes, max_waste))
+    ship(repack(indices[rest[keep]]))
     return top.ranked(), int(dropped.size), skipped

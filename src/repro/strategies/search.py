@@ -188,22 +188,26 @@ def search_db(
     config = config or SearchConfig()
     if config.n_shards < 1:
         raise ValueError("n_shards must be positive")
+    if config.top_k < 0:
+        # Here, not in the workers: a pool would report it as a job error.
+        raise ValueError("top_k must be non-negative")
     query = encode(query)
     packed = _as_packed(database, config)
     tiers = resolve_prefilter(config.prefilter, packed.n_sequences)
     key = digest = None
+    tracer = get_tracer()
     if config.cache:
-        # Probe *before* the tracer span and any planning: a hit must leave
-        # zero tile spans behind -- its only cost is the probe itself.
-        digest = content_digest(packed)
-        key = cache_key(query, digest, config.scoring, config.top_k, tiers)
-        with Stopwatch() as probe:
-            hit = DEFAULT_CACHE.get(key)
+        # Probe *before* the search span and any planning: a hit must leave
+        # no span but the probe's behind -- its only cost is the probe itself.
+        with tracer.span("cache_probe", "computation"):
+            digest = content_digest(packed)
+            key = cache_key(query, digest, config.scoring, config.top_k, tiers)
+            with Stopwatch() as probe:
+                hit = DEFAULT_CACHE.get(key)
         if hit is not None:
             hit.wall_seconds = probe.elapsed
             return hit
     cells = int(len(query)) * packed.total_residues
-    tracer = get_tracer()
     with Stopwatch() as sw, tracer.span(
         "search_db",
         "phase",
@@ -226,14 +230,15 @@ def search_db(
                 if config.n_shards > 1
                 else None
             )
-            graph = plan_search_buckets(
-                packed,
-                len(query),
-                top_k=config.top_k,
-                kernel=config.kernel,
-                n_shards=config.n_shards,
-                shards=shards,
-            )
+            with tracer.span("plan_build", "computation", shards=config.n_shards):
+                graph = plan_search_buckets(
+                    packed,
+                    len(query),
+                    top_k=config.top_k,
+                    kernel=config.kernel,
+                    n_shards=config.n_shards,
+                    shards=shards,
+                )
             blob = search_blob(shards or packed)
             ranked = run_search_graph(graph, query, blob, config.scoring, pool).hits
             pruned = skipped = 0

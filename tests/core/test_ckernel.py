@@ -9,7 +9,8 @@ equal to the numpy rows, to row-by-row :meth:`StreamingRegionFinder.feed`
 region order included), to the numpy lanes of
 :class:`NumpyMultiWorkspace`, to the numpy striped scan of
 :class:`NumpyStripedMultiWorkspace` (overflow flags included) and to the
-numpy bound index of :func:`build_bound_index`, over every
+numpy bound index of :func:`build_bound_index` and to the numpy k-mer
+hit gather of :func:`repro.core.bounds.kmer_hits`, over every
 scoring regime the kernels serve -- plain and matrix DNA scoring, int8,
 int16 and int32 lanes, the int64 ``_wide`` regime, lazily profiled protein
 codes -- and over degenerate shapes.  A
@@ -803,6 +804,135 @@ def test_fasta_ingest_without_the_compiled_loop(tmp_path, monkeypatch):
     for k in INDEX_KS:
         for g, w in zip(got[k], want[k], strict=True):
             assert_same_index(g, w)
+
+
+@st.composite
+def swept_databases(draw):
+    """A query and a database's worth of buckets at one window size: zero to
+    four buckets of any lane count (zero included) and width, each lane
+    PAD_CODE past its length (lengths below k included), with PAD or codes
+    >= 4 inside lanes and stretches of the query copied in, so that the
+    hit counts are not all zero even at k = 15."""
+    k = draw(st.sampled_from([2, 6, 7, 8, 15]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    query = rng.integers(0, 4, draw(st.integers(0, 80))).astype(np.uint8)
+    buckets = []
+    for _ in range(draw(st.integers(0, 4))):
+        lanes = draw(st.sampled_from([0, 1, 3, 17]))
+        width = draw(st.one_of(st.integers(0, 20), st.integers(60, 150)))
+        codes = rng.integers(0, 4, (lanes, width)).astype(np.uint8)
+        for lane in range(0, lanes, 2):
+            n = min(width, query.size)
+            codes[lane, :n] = query[:n]
+        lengths = rng.integers(0, width + 1, lanes)
+        lengths[: lanes // 3] = np.minimum(rng.integers(0, k, lanes // 3), width)
+        holes = rng.random((lanes, width)) < draw(st.sampled_from([0.0, 0.02, 0.2]))
+        codes[holes] = rng.choice(np.array([4, 5, 17, 254, PAD_CODE], np.uint8), int(holes.sum()))
+        codes[np.arange(width) >= lengths[:, np.newaxis]] = PAD_CODE
+        buckets.append((codes, lengths.astype(np.int64)))
+    return k, query, buckets
+
+
+class TestKmerHitsParity:
+    """The compiled whole-database k-mer sweep against the numpy gather."""
+
+    @given(swept_databases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_kmer_hits(self, database):
+        from repro.core.bounds import QueryBoundContext, kmer_hits, kmer_id_dtype
+
+        k, query, buckets = database
+        ctx = QueryBoundContext(query, Scoring(1, -3, -4), k)
+        indexes = [build_bound_index(codes, k) for codes, _ in buckets]
+        lengths = np.concatenate([n for _, n in buckets] or [np.zeros(0, np.int64)])
+        got = ckernel.kmer_hits([i.kmer_ids for i in indexes], lengths, k, ctx.kmer_table)
+        parts = [kmer_hits(ctx, index) for index in indexes]
+        want = np.concatenate(parts or [np.zeros(0, np.int64)])
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+        raw = [kmer_hits(ctx, codes) for codes, _ in buckets]
+        assert got.tolist() == np.concatenate(raw or [np.zeros(0, np.int64)]).tolist()
+        assert all(i.kmer_ids.dtype == kmer_id_dtype(k) for i in indexes)
+
+    def test_refuses_ids_lengths_or_table_that_do_not_fit(self):
+        ids = [np.zeros((3, 4), np.uint16)]
+        table = np.zeros(4**6 + 1, bool)
+        lengths = np.array([9, 5, 0])
+        assert ckernel.kmer_hits(ids, lengths, 6, table).tolist() == [0, 0, 0]
+        for bad in (
+            (ids, lengths[:2], 6, table),  # a length short
+            ([ids[0].astype(np.uint32)], lengths, 6, table),  # another k's dtype
+            (ids, lengths, 6, table[:-1]),  # another k's table
+            (ids, lengths, 6, table.view(np.uint8)),
+        ):
+            with pytest.raises(ValueError, match="kmer_hits needs k=6"):
+                ckernel.kmer_hits(*bad)
+
+
+def _database_ceilings(scoring):
+    """A query against a mixed-length database of several buckets: the
+    whole-database ceilings from its indexes, and the per-bucket raw-code
+    ones concatenated (the numpy reference)."""
+    from repro.core.bounds import TieredFilter
+    from repro.seq import pack_database, synthetic_database
+
+    rng = np.random.default_rng(53)
+    db = synthetic_database(n=90, min_length=0, max_length=140, rng=rng)
+    query = np.concatenate([db[4].codes[:50], rng.integers(0, 4, 40).astype(np.uint8)])
+    packed = pack_database(db, max_lanes=16)
+    tiered = TieredFilter(query, scoring)
+    lengths = np.concatenate([b.lengths for b in packed.buckets])
+    got = tiered.ceilings(packed.bound_index(tiered.index_k), lengths)
+    swept = [tiered.ceilings(b.codes, b.lengths) for b in packed.buckets]
+    want = (
+        np.concatenate([c for c, _ in swept]),
+        {t: np.concatenate([p[t] for _, p in swept]) for t in swept[0][1]},
+    )
+    assert len(packed.buckets) > 1
+    return got, want
+
+
+def assert_same_ceilings(got, want):
+    (combined, per_tier), (want_combined, want_tiers) = got, want
+    assert combined.dtype == want_combined.dtype
+    assert combined.tobytes() == want_combined.tobytes()
+    assert list(per_tier) == list(want_tiers)
+    for tier, values in per_tier.items():
+        assert values.dtype == want_tiers[tier].dtype
+        assert values.tobytes() == want_tiers[tier].tobytes()
+
+
+@pytest.mark.parametrize("scoring", [Scoring(1, -3, -4), Scoring(2, 0, -1)], ids=["kmer", "no-kmer"])
+def test_database_ceilings_equal_the_per_bucket_ones(scoring, monkeypatch):
+    """One whole-database sweep gives each lane the ceilings the numpy
+    per-bucket sweep gives it, combined and per tier, and it is the
+    compiled loop that counts the hits."""
+    calls = []
+    real = ckernel.kmer_hits
+    monkeypatch.setattr(ckernel, "kmer_hits", lambda *a: calls.append(len(a[0])) or real(*a))
+    assert_same_ceilings(*_database_ceilings(scoring))
+    assert len(calls) == (1 if scoring.mismatch < 0 else 0)
+
+
+def test_database_ceilings_without_the_compiled_loop(monkeypatch):
+    """A broken loader leaves the whole-database ceilings identical (the
+    numpy gather runs bucket by bucket) and warns once."""
+    want = _database_ceilings(Scoring(1, -3, -4))[0]
+
+    def broken():
+        raise RuntimeError("no compiler")
+
+    monkeypatch.setattr(ckernel, "_load", broken)
+    monkeypatch.setattr(ckernel, "_tried", False)
+    monkeypatch.setattr(ckernel, "_handle", None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first, reference = _database_ceilings(Scoring(1, -3, -4))
+        second, _ = _database_ceilings(Scoring(1, -3, -4))
+    assert not ckernel.available()
+    assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
+    for fallback in (first, second, reference):
+        assert_same_ceilings(fallback, want)
 
 
 def _workload():

@@ -31,6 +31,7 @@ from repro.strategies import (
     search_db,
     search_db_sequential,
 )
+from repro.strategies.prefilter import default_seed_count
 from repro.strategies.search import sequential_best_score
 
 SCORINGS = [
@@ -81,25 +82,40 @@ class TestAdmissibility:
 
     @pytest.mark.parametrize("scoring", SCORINGS, ids=lambda s: repr(s)[:30])
     @pytest.mark.parametrize("tier", sorted(ADMISSIBLE_BOUNDS))
-    def test_ceiling_dominates_true_score(self, tier, scoring):
+    def test_ceiling_dominates_true_score(self, tier, scoring, monkeypatch):
+        """Each bound is checked three ways: per bucket on raw codes, and in
+        one sweep over the whole database's indexes with the compiled k-mer
+        loop on and then off (the numpy gather)."""
+        from repro.core import ckernel
+
         rng = np.random.default_rng(sum(map(ord, tier)))
         query = random_dna(60, rng)
         records = adversarial_db(rng, query)
         packed = pack_database(records, max_lanes=8)
         ctx = QueryBoundContext(query, scoring, DEFAULT_KMER_K)
         bound = ADMISSIBLE_BOUNDS[tier]
-        for bucket in packed.buckets:
-            ceilings = bound(ctx, bucket.codes, bucket.lengths)
+        lanes = [
+            bucket.codes[lane, : int(bucket.lengths[lane])]
+            for bucket in packed.buckets
+            for lane in range(bucket.lanes)
+        ]
+        true = [sequential_best_score(query, target, scoring) for target in lanes]
+        lengths = np.concatenate([bucket.lengths for bucket in packed.buckets])
+        indexes = packed.bound_index(DEFAULT_KMER_K)
+        per_bucket = [bound(ctx, b.codes, b.lengths) for b in packed.buckets]
+        sweeps = {"codes": None if per_bucket[0] is None else np.concatenate(per_bucket)}
+        if ckernel.available():
+            sweeps["compiled"] = bound(ctx, indexes, lengths)
+        monkeypatch.setattr(ckernel, "_tried", True)
+        monkeypatch.setattr(ckernel, "_handle", None)
+        sweeps["numpy"] = bound(ctx, indexes, lengths)
+        for path, ceilings in sweeps.items():
             if ceilings is None:  # tier not applicable under this scoring
                 continue
-            for lane in range(bucket.lanes):
-                width = int(bucket.lengths[lane])
-                true = sequential_best_score(
-                    query, bucket.codes[lane, :width], scoring
-                )
-                assert ceilings[lane] >= true, (
-                    f"{tier} under-estimated lane {lane}: "
-                    f"ceiling {ceilings[lane]} < true score {true}"
+            for lane, score in enumerate(true):
+                assert ceilings[lane] >= score, (
+                    f"{tier} ({path}) under-estimated lane {lane}: "
+                    f"ceiling {ceilings[lane]} < true score {score}"
                 )
 
     def test_combined_ceiling_is_admissible_too(self):
@@ -355,6 +371,31 @@ class TestBoundIndexLifecycle:
         }
 
 
+    def test_traced_search_stage_spans(self):
+        """A traced search names its stages before the plan: the cache probe,
+        the sweep, the prune, both re-packs and both plan builds; an
+        unpruned search builds one plan and re-packs nothing."""
+        from repro.obs import observed
+
+        query, records = self.records()
+        packed = pack_database(records, max_lanes=8)
+        stages = {"cache_probe", "prefilter_bounds", "prefilter", "repack", "plan_build"}
+        runs, results = {}, {}
+        for mode in ("kmer", "off"):
+            with observed() as (tracer, _):
+                config = SearchConfig(top_k=3, prefilter=mode, cache=True)
+                results[mode] = search_db(query, packed, config)
+            runs[mode] = [s.name for s in tracer.spans if s.name in stages]
+        # The survivors' plan is built only when some survive the prune.
+        seeds = min(default_seed_count(3), packed.n_sequences)
+        survive = packed.n_sequences - seeds - results["kmer"].sequences_pruned > 0
+        assert sorted(runs["kmer"]) == sorted(
+            ["cache_probe", "prefilter_bounds", "prefilter", "repack", "repack"]
+            + ["plan_build"] * (1 + survive)
+        )
+        assert runs["off"] == ["cache_probe", "plan_build"]
+
+
 class TestResolvePrefilter:
     def test_modes(self):
         assert resolve_prefilter("off", 10**6) == ()
@@ -538,6 +579,66 @@ class TestBackendsPruneAlike:
             pooled.cells_skipped,
         )
         assert inline_prune == pooled_prune
+
+
+class TestPrunedSearchConsistency:
+    """Search edge cases hold on the pruned path: a database past ``auto``'s
+    size gate, each case equal with ``auto`` and with ``off`` to
+    :func:`search_db_sequential`, inline and on a 2-worker pool, with the
+    compiled k-mer sweep on and off."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        from repro.seq import synthetic_database
+
+        rng = np.random.default_rng(67)
+        db = synthetic_database(n=AUTO_MIN_SEQUENCES + 90, min_length=8, max_length=40, rng=rng)
+        packed = pack_database(db)
+        query = np.concatenate([db[9].codes, random_dna(16, rng)])
+        n = packed.n_sequences
+        # (query, k, hits expected): an empty query and one shorter than a
+        # k-mer still fill the top-k with score-0 hits; k = 0 asks for none;
+        # a k past the database returns every sequence.
+        cases = [
+            (np.zeros(0, np.uint8), 5, 5),
+            (query[:3], 5, 5),
+            (query, 0, 0),
+            (query, n + 4, n),
+        ]
+        reference = [
+            search_db_sequential(q, packed, SearchConfig(top_k=k)).hits for q, k, _ in cases
+        ]
+        return query, packed, cases, reference
+
+    @pytest.mark.parametrize("compiled", ["compiled", "numpy"])
+    @pytest.mark.parametrize("backend", ["inline", "pool"])
+    def test_edge_cases_match_sequential(self, workload, backend, compiled, monkeypatch):
+        from contextlib import nullcontext
+
+        from repro.core import ckernel
+        from repro.parallel import AlignmentWorkerPool
+
+        query, packed, cases, reference = workload
+        if compiled == "numpy":
+            monkeypatch.setattr(ckernel, "_tried", True)
+            monkeypatch.setattr(ckernel, "_handle", None)
+        tiers = ",".join(resolve_prefilter("auto", packed.n_sequences))
+        with AlignmentWorkerPool(n_workers=2) if backend == "pool" else nullcontext() as pool:
+            for kernel in ("classic", "striped"):
+                for mode in ("auto", "off"):
+                    for (q, k, n_hits), want in zip(cases, reference):
+                        config = SearchConfig(top_k=k, kernel=kernel, prefilter=mode)
+                        got = search_db(q, packed, config, pool=pool)
+                        assert got.prefilter == (tiers if mode == "auto" else "off")
+                        assert len(got.hits) == n_hits
+                        assert got.hits == want
+                    with pytest.raises(ValueError):
+                        search_db(
+                            query,
+                            packed,
+                            SearchConfig(top_k=-1, kernel=kernel, prefilter=mode),
+                            pool=pool,
+                        )
 
 
 class TestPackSubset:

@@ -180,7 +180,8 @@ class TestResultCache:
         with obs.observed("coordinator") as (tracer, _):
             hit = search_db(query, packed, config)
         assert hit.cached
-        assert tracer.spans == [], "a cache hit must plan and scan nothing"
+        names = [span.name for span in tracer.spans]
+        assert names == ["cache_probe"], "a cache hit must plan and scan nothing"
 
     def test_key_ignores_kernel_shards_and_backend(self, workload):
         query, packed = workload
