@@ -179,8 +179,16 @@ def _bench_pair_scan(quick: bool, rounds: int) -> dict:
     }
 
 
-def _bench_batched_rows(quick: bool, rounds: int) -> dict:
-    """The sw_rows batch API filling a whole matrix block."""
+def _bench_batched_rows(quick: bool) -> dict:
+    """The sw_rows batch API filling a whole matrix block.
+
+    ``row_lanes`` is the compiled row body's column count on this CPU
+    (:func:`repro.core.ckernel.row_lanes`).  Each of the five samples
+    repeats the fill for at least 0.2 s; ``sample_spread`` is ``(slowest -
+    fastest) / fastest`` over them.
+    """
+    from ..core import ckernel
+
     n = 512 if quick else 4096
     m = 128 if quick else 512
     s = random_dna(n, rng=11)
@@ -192,22 +200,30 @@ def _bench_batched_rows(quick: bool, rounds: int) -> dict:
         ws.sw_rows(block[0], s[:m], out=block[1:])
         return block
 
-    elapsed = _best_of(fill, rounds)
+    repeats, per_call = _long_samples(fill, 1 if quick else 5, 0.0 if quick else 0.2)
+    elapsed = min(per_call)
     return {
         "kernel": "classic",
         "dtype": "int32",
         "lane_mode": "pairwise",
+        "row_lanes": ckernel.row_lanes(),
+        "repeats_per_sample": repeats,
+        "samples": len(per_call),
         "cells_per_s": m * n / elapsed,
         "gcups": gcups(m * n, elapsed),
+        "sample_spread": (max(per_call) - elapsed) / elapsed,
     }
 
 
-def _bench_tile(quick: bool, rounds: int) -> dict:
+def _bench_tile(quick: bool) -> dict:
     """One blocked-strategy tile: the compiled rows against numpy's.
 
     The paper's band x block tile through :func:`compute_tile`, once with
     the compiled tile loop of :mod:`repro.core.ckernel` and once with the
     numpy reference rows; the two tiles are asserted bitwise equal first.
+    ``row_lanes`` is the compiled row body's column count on this CPU.
+    Each of the five samples of either side repeats the tile for at least
+    0.2 s; ``*_sample_spread`` is ``(slowest - fastest) / fastest``.
     """
     from ..core import ckernel
     from ..core.engine import compute_tile
@@ -225,22 +241,25 @@ def _bench_tile(quick: bool, rounds: int) -> dict:
 
     if not np.array_equal(run(compiled)(), run(reference)()):
         raise AssertionError("compiled tile diverged from the numpy rows")
-    rounds *= 10  # a compiled tile takes well under a millisecond
-    compiled_s = _best_of(run(compiled), rounds)
-    numpy_s = _best_of(run(reference), rounds)
     cells = n * n
-    return {
+    entry: dict = {
         "kernel": "classic",
         "dtype": "int32",
         "lane_mode": "pairwise",
         "compiled": ckernel.available(),
+        "row_lanes": ckernel.row_lanes(),
         "cells": cells,
-        "compiled_seconds": compiled_s,
-        "numpy_seconds": numpy_s,
-        "compiled_gcups": gcups(cells, compiled_s),
-        "numpy_gcups": gcups(cells, numpy_s),
-        "compiled_speedup_vs_numpy": numpy_s / compiled_s,
     }
+    for name, ws in (("compiled", compiled), ("numpy", reference)):
+        repeats, per_call = _long_samples(run(ws), 1 if quick else 5, 0.0 if quick else 0.2)
+        best = min(per_call)
+        entry[f"{name}_repeats_per_sample"] = repeats
+        entry[f"{name}_seconds"] = best
+        entry[f"{name}_gcups"] = gcups(cells, best)
+        entry[f"{name}_sample_spread"] = (max(per_call) - best) / best
+    entry["samples"] = len(per_call)
+    entry["compiled_speedup_vs_numpy"] = entry["numpy_seconds"] / entry["compiled_seconds"]
+    return entry
 
 
 def _bench_phase1_blocked(quick: bool) -> dict:
@@ -252,8 +271,10 @@ def _bench_phase1_blocked(quick: bool) -> dict:
     tile's DP with its fused segment cut, the per-band region merge and the
     queue finalisation.  Every planted region must be found first.  Each
     of the five samples repeats the run for at least 0.2 s;
-    ``sample_spread`` is ``(slowest - fastest) / fastest`` over them.
+    ``sample_spread`` is ``(slowest - fastest) / fastest`` over them, and
+    ``row_lanes`` is the compiled row body's column count on this CPU.
     """
+    from ..core import ckernel
     from ..plan import InlineExecutor, plan_blocked
 
     n = 1200 if quick else 4000
@@ -277,6 +298,7 @@ def _bench_phase1_blocked(quick: bool) -> dict:
         "dtype": "int32",
         "lane_mode": "pairwise",
         "plan": "blocked 8x8, inline",
+        "row_lanes": ckernel.row_lanes(),
         "cells": n * n,
         "regions": len(found),
         "repeats_per_sample": repeats,
@@ -765,9 +787,9 @@ ENTRIES = (
     ("sw_scan_4096x4096", "sw_scan: naive / vectorized / workspace",
      lambda quick, rounds, _: _bench_pair_scan(quick, rounds)),
     ("sw_rows_batched_512x4096", "sw_rows: batched block",
-     lambda quick, rounds, _: _bench_batched_rows(quick, rounds)),
+     lambda quick, _, __: _bench_batched_rows(quick)),
     ("tile_500x500", "tile: compiled vs numpy rows",
-     lambda quick, rounds, _: _bench_tile(quick, rounds)),
+     lambda quick, _, __: _bench_tile(quick)),
     ("phase1_blocked_4kbp", "phase 1: inline blocked 8x8, DP + detection",
      lambda quick, _, __: _bench_phase1_blocked(quick)),
     ("db_search_1000seq_2kbp_query", "db_search: classic batched",

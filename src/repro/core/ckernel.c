@@ -1,6 +1,7 @@
-/* Compiled phase-1 paths: linear-gap DP rows with a fused hit-segment cut,
- * the region merge, the inter-sequence search lanes, the striped search
- * scan, the search prefilter's bound index and its k-mer hit sweep.
+/* Compiled phase-1 paths: linear-gap DP rows with a fused hit-segment cut
+ * (8 int32 lanes a row on AVX2 CPUs), the region merge, the inter-sequence
+ * search lanes, the striped search scan, the search prefilter's bound index
+ * and its k-mer hit sweep.
  *
  * The numpy kernels in engine.py / regions.py / multi_engine.py / striped.py
  * / bounds.py are the reference; these loops must stay bitwise equal to them
@@ -18,6 +19,251 @@
 #define INLINE inline
 #endif
 
+/* One cell at or above the threshold at column j of row r: it extends the
+ * open segment (the first maximum stays its peak) when the last hit is at
+ * most col_tol columns back, else it closes that segment into seg and opens
+ * one.  The segment state is the caller's locals lo, last, peak, top, hits
+ * and n. */
+#define SEG_CLOSE()                                                           \
+    do {                                                                      \
+        int64_t *s_ = seg + 6 * n++;                                          \
+        s_[0] = r; s_[1] = lo; s_[2] = last;                                  \
+        s_[3] = peak; s_[4] = top; s_[5] = hits;                              \
+    } while (0)
+
+#define SEG_HIT(j, cell)                                                      \
+    do {                                                                      \
+        if (hits && (j) - last <= col_tol) {                                  \
+            hits++;                                                           \
+            if ((cell) > top) {                                               \
+                top = (cell);                                                 \
+                peak = (j);                                                   \
+            }                                                                 \
+        } else {                                                              \
+            if (hits)                                                         \
+                SEG_CLOSE();                                                  \
+            lo = peak = (j);                                                  \
+            top = (cell);                                                     \
+            hits = 1;                                                         \
+        }                                                                     \
+        last = (j);                                                           \
+    } while (0)
+
+/* A row's state where its vector chunks hand over to its scalar columns:
+ * the row-above cell of the next diagonal, the left cell, the open segment
+ * and the number of segments written. */
+struct row_state {
+    int64_t diag, left, lo, last, peak, top, hits, n;
+};
+
+#if defined(__GNUC__) && defined(__x86_64__)
+#include <immintrin.h>
+#define ROW_AVX2 __attribute__((target("avx2")))
+
+/* 1 when this CPU runs the AVX2 row body (row_lanes() is 8). */
+static int row_simd(void)
+{
+    static int known = -1;
+    if (known < 0) {
+        __builtin_cpu_init();
+        known = __builtin_cpu_supports("avx2") ? 1 : 0;
+    }
+    return known;
+}
+
+/* The range rule: 1 when no value a call can reach, and no intermediate of
+ * row_chunks, leaves int32, so its 32-bit lanes equal the int64 loop.
+ * Every cell of columns 1..w is reached from a border cell (prev, lefts)
+ * or the clamp's 0 by at most min(h, w) diagonal steps, each at most the
+ * largest substitution score, and vertical and horizontal steps that only
+ * add gap <= 0.  So cells lie in [lo, hi] with
+ *     hi = max(borders, 0) + min(h, w) * max(s_max, 0)
+ *     lo = min(borders) + h * gap
+ * and the body adds at most s_max above them and min(s_min, 8 * gap) below.
+ * The profile's extremes are those of the codes that occur in s_codes. */
+ROW_AVX2 static int rows_fit_int32(const int32_t *profile, int64_t w,
+                                   const int32_t *prev, const int32_t *lefts,
+                                   const uint8_t *s_codes, int64_t h, int32_t gap)
+{
+    if (gap > 0 || w < 8 || w > INT32_MAX - 16 || h > INT32_MAX
+        || 8 * (int64_t)gap < INT32_MIN)
+        return 0;
+    int32_t b_min = 0, b_max = 0;  /* lefts NULL: column 0 is all zeros */
+    for (int64_t j = 0; j <= w; j++) {
+        b_min = MIN(b_min, prev[j]);
+        b_max = MAX(b_max, prev[j]);
+    }
+    if (lefts)
+        for (int64_t r = 0; r < h; r++) {
+            b_min = MIN(b_min, lefts[r]);
+            b_max = MAX(b_max, lefts[r]);
+        }
+    uint8_t seen[256] = {0};
+    for (int64_t r = 0; r < h; r++)
+        seen[s_codes[r]] = 1;
+    int32_t s_min = 0, s_max = 0;
+    for (int c = 0; c < 256; c++) {
+        if (!seen[c])
+            continue;
+        const int32_t *sub = profile + (int64_t)c * w;
+        int32_t a = sub[0], b = sub[0];
+        for (int64_t j = 1; j < w; j++) {
+            a = MIN(a, sub[j]);
+            b = MAX(b, sub[j]);
+        }
+        s_min = MIN(s_min, a);
+        s_max = MAX(s_max, b);
+    }
+    const int64_t hi = (int64_t)b_max + MIN(h, w) * (int64_t)s_max + s_max;
+    const int64_t lo = (int64_t)b_min + h * (int64_t)gap + MIN(s_min, 8 * (int64_t)gap);
+    return hi <= INT32_MAX && lo >= INT32_MIN;
+}
+
+/* Largest (smallest) lane of x, in every lane. */
+ROW_AVX2 static inline __m256i hmax8(__m256i x)
+{
+    x = _mm256_max_epi32(x, _mm256_permute2x128_si256(x, x, 1));
+    x = _mm256_max_epi32(x, _mm256_shuffle_epi32(x, _MM_SHUFFLE(1, 0, 3, 2)));
+    return _mm256_max_epi32(x, _mm256_shuffle_epi32(x, _MM_SHUFFLE(2, 3, 0, 1)));
+}
+
+ROW_AVX2 static inline __m256i hmin8(__m256i x)
+{
+    x = _mm256_min_epi32(x, _mm256_permute2x128_si256(x, x, 1));
+    x = _mm256_min_epi32(x, _mm256_shuffle_epi32(x, _MM_SHUFFLE(1, 0, 3, 2)));
+    return _mm256_min_epi32(x, _mm256_shuffle_epi32(x, _MM_SHUFFLE(2, 3, 0, 1)));
+}
+
+/* Fold a run of whole-hit chunks (per lane: its maximum and the first
+ * column it was reached at) into the open segment's (top, peak): a higher
+ * maximum wins, at the lowest column that holds it. */
+ROW_AVX2 static inline void fold_run(__m256i run_top, __m256i run_col, int64_t *top,
+                                     int64_t *peak)
+{
+    const __m256i best = hmax8(run_top);
+    const int32_t t = _mm256_cvtsi256_si32(best);
+    if (t > *top) {
+        const __m256i at = _mm256_blendv_epi8(_mm256_set1_epi32(INT32_MAX), run_col,
+                                              _mm256_cmpeq_epi32(run_top, best));
+        *top = t;
+        *peak = _mm256_cvtsi256_si32(hmin8(at));
+    }
+}
+
+/* Columns 1 .. 8k of row r (8k <= w) eight at a time, in int32 lanes; the
+ * caller's scalar loop takes columns 8k + 1 .. w from st.  Per chunk:
+ *
+ *   v = max(diag + sub, up + gap, [0])  two unaligned loads of the row above
+ *   v = max(v, v << s + s * gap)        s = 1, 2, 4: the horizontal chain
+ *                                       H[j] = max(v[j], H[j-1] + gap) as an
+ *                                       in-vector prefix maximum (a shift
+ *                                       is one vpermd; its low lanes read
+ *                                       themselves, and v + s * gap <= v)
+ *   H = max(v, left + (1..8) * gap)     the carry from the chunk before
+ *   left = max(v[7], left + 8 * gap)    so the chain between chunks is one
+ *                                       add and one max per 8 cells
+ *
+ * out may alias the row above (a one-row batch): each chunk loads the next
+ * chunk's diagonal, whose lane 0 it is about to overwrite, before it
+ * stores, and hands the remainder's diagonal over from a register.
+ *
+ * The cut: a chunk without hits costs one compare.  A chunk of 8 hits that
+ * extends the open segment only counts them and keeps a per-lane running
+ * maximum with the first column it was reached at; the run is folded into
+ * (top, peak) when it ends (strictly greater wins, then the lowest column
+ * of the maximum, so the peak is still the first maximum).  Any other
+ * chunk with hits takes SEG_HIT cell by cell. */
+ROW_AVX2 static int64_t row_chunks(const int32_t *sub, const int32_t *up, int32_t *cur,
+                                   int64_t w, int32_t gap, int clamp, int cut, int32_t thr,
+                                   int64_t col_tol, int64_t *seg, int64_t r,
+                                   struct row_state *st)
+{
+    const __m256i vgap = _mm256_set1_epi32(gap);
+    const __m256i gap2 = _mm256_set1_epi32(2 * gap), gap4 = _mm256_set1_epi32(4 * gap);
+    const __m256i gap8 = _mm256_set1_epi32(8 * gap);
+    const __m256i ramp = _mm256_mullo_epi32(vgap, _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 8));
+    const __m256i shl1 = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
+    const __m256i shl2 = _mm256_setr_epi32(0, 1, 0, 1, 2, 3, 4, 5);
+    const __m256i shl4 = _mm256_setr_epi32(0, 1, 2, 3, 0, 1, 2, 3);
+    const __m256i lane7 = _mm256_set1_epi32(7);
+    const __m256i bottom = _mm256_set1_epi32(clamp ? 0 : INT32_MIN);
+    const __m256i below = _mm256_set1_epi32(thr == INT32_MIN ? 0 : thr - 1);
+    const __m256i eight = _mm256_set1_epi32(8);
+    const int all_hit = thr == INT32_MIN; /* every int32 cell is a hit */
+    __m256i left = _mm256_set1_epi32((int32_t)st->left);
+    __m256i diag = _mm256_loadu_si256((const __m256i *)up);
+    __m256i above = diag;
+    __m256i col = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 8);
+    __m256i run_top = diag, run_col = col;
+    int run = 0;
+    int64_t lo = 0, last = 0, peak = 0, top = 0, hits = 0, n = st->n;
+    int64_t j = 1;
+    for (; j + 7 <= w; j += 8) {
+        above = _mm256_loadu_si256((const __m256i *)(up + j));
+        const __m256i s = _mm256_loadu_si256((const __m256i *)(sub + j - 1));
+        __m256i v = _mm256_max_epi32(_mm256_add_epi32(diag, s), _mm256_add_epi32(above, vgap));
+        v = _mm256_max_epi32(v, bottom);
+        v = _mm256_max_epi32(v, _mm256_add_epi32(_mm256_permutevar8x32_epi32(v, shl1), vgap));
+        v = _mm256_max_epi32(v, _mm256_add_epi32(_mm256_permutevar8x32_epi32(v, shl2), gap2));
+        v = _mm256_max_epi32(v, _mm256_add_epi32(_mm256_permutevar8x32_epi32(v, shl4), gap4));
+        const __m256i cells = _mm256_max_epi32(v, _mm256_add_epi32(left, ramp));
+        left = _mm256_max_epi32(_mm256_permutevar8x32_epi32(v, lane7),
+                                _mm256_add_epi32(left, gap8));
+        if (j + 15 <= w)
+            diag = _mm256_loadu_si256((const __m256i *)(up + j + 7));
+        _mm256_storeu_si256((__m256i *)(cur + j), cells);
+        if (cut) {
+            const unsigned m = all_hit ? 0xFFu : (unsigned)_mm256_movemask_ps(
+                _mm256_castsi256_ps(_mm256_cmpgt_epi32(cells, below)));
+            if (m == 0xFFu && hits && j - last <= col_tol) {
+                if (run) {
+                    const __m256i gain = _mm256_cmpgt_epi32(cells, run_top);
+                    run_top = _mm256_max_epi32(run_top, cells);
+                    run_col = _mm256_blendv_epi8(run_col, col, gain);
+                } else {
+                    run_top = cells;
+                    run_col = col;
+                    run = 1;
+                }
+                hits += 8;
+                last = j + 7;
+            } else if (m) {
+                if (run) {
+                    fold_run(run_top, run_col, &top, &peak);
+                    run = 0;
+                }
+                for (unsigned b = m; b; b &= b - 1) {
+                    const int64_t jj = j + __builtin_ctz(b);
+                    const int32_t cell = cur[jj];
+                    SEG_HIT(jj, cell);
+                }
+            }
+            col = _mm256_add_epi32(col, eight);
+        }
+    }
+    if (run)
+        fold_run(run_top, run_col, &top, &peak);
+    st->diag = _mm256_extract_epi32(above, 7);
+    st->left = _mm256_cvtsi256_si32(left);
+    st->lo = lo;
+    st->last = last;
+    st->peak = peak;
+    st->top = top;
+    st->hits = hits;
+    st->n = n;
+    return j;
+}
+#else
+static int row_simd(void) { return 0; }
+#endif
+
+/* 8 when the rows run the AVX2 body on this CPU (whenever the range rule
+ * lets them), 1 when every row runs the scalar loop. */
+int row_lanes(void)
+{
+    return row_simd() ? 8 : 1;
+}
+
 /* Advance h rows of H[j] = max(diag, up + gap, [0 if clamp], H[j-1] + gap).
  *
  * profile  (n_codes x w) substitution rows; row c scores query code c
@@ -25,8 +271,18 @@
  * lefts    column 0 of each row, never clamped; NULL means all zeros
  * out      row r starts at out + r * out_stride; out may alias prev
  *
- * Sums are taken in int64, so the result is exact whenever the true scores
- * fit int32 (numpy's int64 "wide" regime gives the same values).
+ * The scalar loop takes its sums in int64, so the result is exact whenever
+ * the true scores fit int32 (numpy's int64 "wide" regime gives the same
+ * values).  On an AVX2 CPU columns 1 .. 8k of each row run in 8 int32 lanes
+ * instead (row_chunks), and column 0 and the last w % 8 columns in the
+ * scalar loop.  Two rules keep the lanes equal to the int64 loop:
+ *
+ * range     rows_fit_int32 bounds every value and intermediate of the
+ *           call from prev, lefts, the profile's extremes, h and w; a call
+ *           that might leave int32 runs the scalar loop throughout.
+ * aliasing  out may alias prev for a one-row batch (the in-place reverse
+ *           scan): each chunk reads the row above up to the next chunk's
+ *           diagonal before it stores over it, and column 0 is stored last.
  *
  * With cut (a constant in each instantiation, so the plain loop carries
  * none of it) the loop also cuts each row's above-threshold segments as
@@ -48,6 +304,9 @@ static INLINE int64_t dp_rows(const int32_t *profile, int64_t w, const int32_t *
                               const int cut, int32_t thr, int64_t col_tol,
                               int64_t *seg, int64_t cap, int64_t *rows_done)
 {
+#ifdef ROW_AVX2
+    const int vec = row_simd() && rows_fit_int32(profile, w, prev, lefts, s_codes, h, gap);
+#endif
     /* Branch-free maxima: on random sequences every comparison is a coin
      * flip, and mispredicted branches cost 4x the whole cell. */
     const int64_t bottom = clamp ? 0 : INT64_MIN;
@@ -58,10 +317,25 @@ static INLINE int64_t dp_rows(const int32_t *profile, int64_t w, const int32_t *
         const int32_t *sub = profile + (int64_t)s_codes[r] * w;
         int32_t *cur = out + r * out_stride;
         int64_t diag = up[0];
-        int64_t left = lefts ? lefts[r] : 0;
+        const int64_t left0 = lefts ? lefts[r] : 0;
+        int64_t left = left0;
         int64_t lo = 0, last = 0, peak = 0, top = 0, hits = 0;
-        cur[0] = (int32_t)left;
-        for (int64_t j = 1; j <= w; j++) {
+        int64_t j = 1;
+#ifdef ROW_AVX2
+        if (vec) {
+            struct row_state st = {.left = left, .n = n};
+            j = row_chunks(sub, up, cur, w, gap, clamp, cut, thr, col_tol, seg, r, &st);
+            diag = st.diag;
+            left = st.left;
+            lo = st.lo;
+            last = st.last;
+            peak = st.peak;
+            top = st.top;
+            hits = st.hits;
+            n = st.n;
+        }
+#endif
+        for (; j <= w; j++) {
             int64_t above = up[j];
             int64_t v = diag + sub[j - 1];
             int64_t g = above + gap;
@@ -73,31 +347,12 @@ static INLINE int64_t dp_rows(const int32_t *profile, int64_t w, const int32_t *
             const int32_t cell = (int32_t)v;
             cur[j] = cell;
             left = v;
-            if (cut && cell >= thr) {
-                if (hits && j - last <= col_tol) {
-                    hits++;
-                    if (cell > top) {
-                        top = cell;
-                        peak = j;
-                    }
-                } else {
-                    if (hits) {
-                        int64_t *s = seg + 6 * n++;
-                        s[0] = r; s[1] = lo; s[2] = last;
-                        s[3] = peak; s[4] = top; s[5] = hits;
-                    }
-                    lo = peak = j;
-                    top = cell;
-                    hits = 1;
-                }
-                last = j;
-            }
+            if (cut && cell >= thr)
+                SEG_HIT(j, cell);
         }
-        if (cut && hits) {
-            int64_t *s = seg + 6 * n++;
-            s[0] = r; s[1] = lo; s[2] = last;
-            s[3] = peak; s[4] = top; s[5] = hits;
-        }
+        cur[0] = (int32_t)left0;
+        if (cut && hits)
+            SEG_CLOSE();
         up = cur;
     }
     if (rows_done)

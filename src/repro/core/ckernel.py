@@ -11,7 +11,11 @@ loops that replace them:
   :meth:`KernelWorkspace.sw_rows`, ``nw_rows`` and ``sw_rows_slice``; given
   a segment buffer (:meth:`KernelWorkspace.sw_rows_cut`) it also cuts every
   row's above-threshold segments while it computes the cells, so phase-1
-  detection reads no row twice and needs no band buffer;
+  detection reads no row twice and needs no band buffer.  On an AVX2 CPU
+  each row runs 8 columns at a time in int32 lanes, its horizontal gap
+  chain resolved as an in-vector prefix maximum (Snytsar's closed-form
+  lazy-F, see PAPERS.md); calls whose values could leave int32 keep the
+  scalar int64 loop (:func:`row_lanes` tells which body the CPU has);
 * ``regions_merge`` -- :class:`StreamingRegionFinder`'s merge over those
   segments (joined first where a row's cuts meet at a block border), with
   the active and finished regions in int64 tables, behind
@@ -49,7 +53,12 @@ under -O3's vectorizer cost model (at -O2 they run scalar), and the cache
 is not keyed by CPU, so ``-march=native`` would make a cached build unsafe
 to load on another machine.  The lane chunk loop, the striped row and the
 bound index instead ask gcc (x86-64 Linux) for an AVX2 clone beside the
-baseline one, picked per CPU at load time.
+baseline one, picked per CPU at load time.  The DP rows' AVX2 body is
+written with intrinsics in a ``target("avx2")`` function (a prototype
+with gcc's vector extensions under a clone ran at 0.92x of the scalar
+loop) and picked per
+CPU with ``__builtin_cpu_supports`` (x86-64, gcc or clang); column 0, each
+row's last ``w % 8`` columns and other CPUs run the scalar loop.
 
 The numpy kernels stay the reference.  When cffi or a compiler is missing
 the build fails once, :func:`load` warns once, and every caller keeps
@@ -70,7 +79,8 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "available", "bound_index", "kmer_hits", "lanes", "load", "regions_merge", "rows", "stripes",
+    "available", "bound_index", "kmer_hits", "lanes", "load", "regions_merge", "row_lanes", "rows",
+    "stripes",
 ]
 
 _SOURCE = Path(__file__).with_name("ckernel.c")
@@ -86,6 +96,7 @@ int64_t rows(const int32_t *profile, int64_t w, const int32_t *prev,
              int32_t gap, int clamp, int32_t *out, int64_t out_stride,
              int64_t threshold, int64_t col_tol, int64_t *seg, int64_t cap,
              int64_t *rows_done);
+int row_lanes(void);
 void regions_merge(const int64_t *seg, int64_t n, int64_t i0, int64_t h,
                    int64_t col_tol, int64_t row_tol, int64_t *act,
                    int64_t *fin, int64_t *counts);
@@ -217,6 +228,15 @@ def load():
 def available() -> bool:
     """True when the compiled path is active in this process."""
     return load() is not None
+
+
+def row_lanes() -> int:
+    """Columns the compiled ``rows`` computes at a time on this CPU: 8 with
+    its AVX2 body, 1 with the scalar loop only (or with no compiled module,
+    where the numpy rows run).  Read-only: the body is picked per CPU, and
+    per call by the range rule in ``ckernel.c``."""
+    handle = load()
+    return 1 if handle is None else int(handle[1].row_lanes())
 
 
 def _ptr(ffi, ctype: str, arr: np.ndarray):

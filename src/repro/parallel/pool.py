@@ -85,6 +85,19 @@ class PoolJobError(RuntimeError):
 # Worker side
 # --------------------------------------------------------------------------
 
+#: Spans that split a traced pool job's fixed cost, all "coordination":
+#: ``job_receipt`` (the coordinator's submit to the worker's pickup: job
+#: pickling, the task queue, unpickling) and, on the coordinator,
+#: ``result_put`` (the worker's put to the coordinator's get: pickling, the
+#: result queue and its poll wake-up) for every job; for plan jobs also
+#: ``arena_attach`` (pair arena, plan cache, shared state and done flags),
+#: ``make_runtime``, ``first_tile`` (ready to the end of the worker's first
+#: tile, its waits included), ``last_tile`` (the start of the last tile's
+#: waits to its end) and ``emit``.
+JOB_SPANS = (
+    "job_receipt", "arena_attach", "make_runtime", "first_tile", "last_tile", "emit", "result_put",
+)
+
 
 def _close_arenas(arenas: dict) -> None:
     """Close every cached arena attachment, dropping its views first.
@@ -139,6 +152,12 @@ def _job_plan(role: int, job: dict, arenas: dict) -> list:
     surfaces as a descriptive error instead of a hang.  The kernels count
     their own cells.
     """
+    # Telemetry is tile-grained: with the tracer disabled each tile pays
+    # three branch checks, keeping the hot per-row path untouched.  The
+    # job's fixed cost is split by the JOB_SPANS, stamped only when tracing.
+    tracer = get_tracer()
+    tracing = tracer.enabled
+    t_job = perf_counter() if tracing else 0.0
     s, t = _get_pair(arenas, job["arena"])
     graph = cached_plan(job["spec"], len(s), len(t))
     timeout: float = job["timeout"]
@@ -146,17 +165,23 @@ def _job_plan(role: int, job: dict, arenas: dict) -> list:
     with _state_array(graph, job["state"]) as state, attach_shared_array(
         job["done"], (len(graph.tiles),), np.int64
     ) as done:
+        if tracing:
+            t_attached = perf_counter()
+            tracer.record("arena_attach", "coordination", t_job, t_attached - t_job)
         runtime = make_runtime(
             graph, s, t, scoring, state=None if state is None else state.array
         )
         done_flags = done.array
         tiles = graph.tiles
-        # Telemetry is tile-grained: with the tracer disabled each tile pays
-        # two branch checks, keeping the hot per-row path untouched.
-        tracer = get_tracer()
-        tracing = tracer.enabled
+        if tracing:
+            t_ready = perf_counter()
+            tracer.record("make_runtime", "coordination", t_attached, t_ready - t_attached)
         wait_s = busy_s = 0.0
-        for tile in graph.tiles_of(role):
+        mine = graph.tiles_of(role)
+        t_tile = first_done = 0.0  # the latest tile's start, the first's end
+        for tile in mine:
+            if tracing:
+                t_tile = perf_counter()
             for dep in tile.deps:
                 if tiles[dep].owner == role:
                     continue  # program order: own tiles run in id order
@@ -188,11 +213,23 @@ def _job_plan(role: int, job: dict, arenas: dict) -> list:
                     spent,
                     **runtime.tile_args(tile),
                 )
+                first_done = first_done or t0 + spent
         if tracing:
+            t_done = perf_counter()
+            if mine:
+                tracer.record(
+                    "first_tile", "coordination", t_ready, first_done - t_ready, tile=mine[0].id
+                )
+                tracer.record(
+                    "last_tile", "coordination", t_tile, t_done - t_tile, tile=mine[-1].id
+                )
             metrics = get_metrics()
             metrics.counter("worker_busy_seconds").inc(busy_s)
             metrics.counter("worker_wait_seconds").inc(wait_s)
-        return runtime.emit(role)
+        emitted = runtime.emit(role)
+        if tracing:
+            tracer.record("emit", "coordination", t_done, perf_counter() - t_done)
+        return emitted
 
 
 def _job_search(role: int, job: dict, arenas: dict, works) -> dict:
@@ -263,18 +300,27 @@ def _pool_worker(role: int, tasks, results, works) -> None:
             job = tasks.get()
             if job is SENTINEL:
                 break
+            obs = job.get("obs")
+            t_put = 0.0  # stamped when the job is observed: see result_put
             try:
                 # observed_worker installs this job's tracer/registry (or
                 # resets any state inherited over fork) and writes the
                 # telemetry segment on the way out, error or not.
-                with observed_worker(job.get("obs"), f"worker-{role}"):
+                with observed_worker(obs, f"worker-{role}") as (tracer, _):
+                    if obs is not None:
+                        t_recv = perf_counter()
+                        tracer.record(
+                            "job_receipt", "coordination", obs.t_submit, t_recv - obs.t_submit
+                        )
                     if job["kind"] == "search":
                         payload = _job_search(role, job, arenas, works)
                     else:
                         payload = _job_plan(role, job, arenas)
-                results.put((job["id"], role, "ok", payload))
+                if obs is not None:
+                    t_put = perf_counter()
+                results.put((job["id"], role, "ok", payload, t_put))
             except Exception as exc:  # propagate, keep the worker alive
-                results.put((job["id"], role, "error", f"{type(exc).__name__}: {exc}"))
+                results.put((job["id"], role, "error", f"{type(exc).__name__}: {exc}", t_put))
     finally:
         _close_arenas(arenas)
 
@@ -427,7 +473,7 @@ class AlignmentWorkerPool:
         deadline = time.monotonic() + self.timeout
         while len(collected) + len(errors) < self.n_workers:
             try:
-                jid, role, status, payload = self._results.get(timeout=0.2)
+                jid, role, status, payload, t_put = self._results.get(timeout=0.2)
             except _queue.Empty:
                 dead = [
                     (w, p.exitcode)
@@ -444,6 +490,11 @@ class AlignmentWorkerPool:
                 continue
             if jid != job_id:
                 continue  # stale result from a previously failed job
+            if t_put:
+                # Put to here: pickling, the pipe and this loop's wake-up.
+                get_tracer().record(
+                    "result_put", "coordination", t_put, perf_counter() - t_put, worker=role
+                )
             if status == "error":
                 # fail_fast suits the statically-partitioned jobs; search
                 # waits for every worker so the shared work queue is quiet

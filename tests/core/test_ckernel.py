@@ -410,6 +410,146 @@ class TestFusedCutParity:
         assert ckernel.available() == (kernel == "compiled")
 
 
+#: Row widths on, just below and just above the 8-column chunks of the
+#: AVX2 row body, plus rows long enough for many chunks.
+ROW_EDGES = (7, 8, 9, 15, 16, 17, 63, 64, 65)
+ROW_WIDTHS = st.one_of(st.sampled_from(ROW_EDGES), st.integers(500, 700))
+
+
+@st.composite
+def edge_tiles(draw):
+    """Tiles whose widths sit at the chunk edges (or span many chunks)."""
+    scoring, alphabet, max_h = draw(REGIMES)
+    w = draw(ROW_WIDTHS)
+    h = draw(st.integers(1, max_h if w < 500 else min(max_h, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.integers(0, alphabet, h).astype(np.uint8)
+    t = rng.integers(0, alphabet, w).astype(np.uint8)
+    prev = rng.integers(0, 30, w + 1).astype(SCORE_DTYPE)
+    lefts = rng.integers(-10, 30, h).astype(SCORE_DTYPE)
+    return scoring, s, t, prev, lefts
+
+
+@st.composite
+def hot_rows(draw):
+    """A few rows under a border row with hot column runs, so the hits of
+    the first rows sit where the runs are: segments open and close at any
+    column, in a chunk or in the scalar remainder, and the gaps between
+    them straddle chunk edges."""
+    w = draw(ROW_WIDTHS)
+    h = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prev = rng.integers(0, 8, w + 1).astype(SCORE_DTYPE)
+    for _ in range(draw(st.integers(1, 6))):
+        lo = draw(st.integers(0, w))
+        hi = draw(st.integers(lo, min(w, lo + 40)))
+        prev[lo : hi + 1] = draw(st.sampled_from([30, 60, 61]))  # equal tops
+    alphabet = draw(st.sampled_from([1, 2, 4]))
+    s = rng.integers(0, alphabet, h).astype(np.uint8)
+    t = rng.integers(0, alphabet, w).astype(np.uint8)
+    return s, t, prev
+
+
+class TestRowChunkEdges:
+    """The AVX2 row body (8 columns a chunk, a scalar remainder) against
+    the numpy rows at the chunk edges, on whichever body this host runs."""
+
+    @given(edge_tiles())
+    @settings(max_examples=150, deadline=None)
+    def test_batches(self, tile):
+        scoring, s, t, prev, lefts = tile
+        fast, ref = _pair(t, scoring, False)
+        assert np.array_equal(fast.sw_rows(prev, s), ref.sw_rows(prev, s))
+        assert np.array_equal(fast.nw_rows(prev, s, lefts), ref.nw_rows(prev, s, lefts))
+        assert np.array_equal(
+            fast.sw_rows_slice(prev, s, lefts), ref.sw_rows_slice(prev, s, lefts)
+        )
+
+    @given(edge_tiles(), st.integers(-6, 0))
+    @settings(max_examples=100, deadline=None)
+    def test_nw_rows_negative_borders(self, tile, slope):
+        """Global rows under falling borders: every cell can be negative."""
+        scoring, s, t, _, _ = tile
+        prev = (slope * 50 * np.arange(len(t) + 1)).astype(SCORE_DTYPE)
+        lefts = (slope * 50 * np.arange(1, len(s) + 1) - 7).astype(SCORE_DTYPE)
+        fast, ref = _pair(t, scoring, False)
+        assert np.array_equal(fast.nw_rows(prev, s, lefts), ref.nw_rows(prev, s, lefts))
+
+    @given(hot_rows(), st.integers(20, 62), TOLERANCES)
+    @settings(max_examples=300, deadline=None)
+    def test_cut_at_chunk_edges(self, rows, threshold, col_tol):
+        s, t, prev = rows
+        out = np.empty((len(s), len(t) + 1), dtype=SCORE_DTYPE)
+        got = KernelWorkspace(t).sw_rows_cut(prev, s, None, threshold, col_tol, out=out)
+        assert np.array_equal(out, NumpyWorkspace(t).sw_rows(prev, s))
+        assert got.tolist() == cut_segments(out, threshold, col_tol).tolist()
+
+    @pytest.mark.parametrize("w", [16, 17, 24, 63, 64, 65, 500, 503])
+    def test_one_letter_ties_across_lanes(self, w):
+        """One letter: each row is a ramp up to a plateau of equal cells,
+        so whole-hit chunks hold the row maximum in every lane and the
+        first maximum must come from the right lane of the right chunk."""
+        t = np.zeros(w, dtype=np.uint8)
+        s = np.zeros(12, dtype=np.uint8)
+        prev = np.zeros(w + 1, dtype=SCORE_DTYPE)
+        prev[w // 3] = 9  # a second plateau start inside the row
+        out = np.empty((12, w + 1), dtype=SCORE_DTYPE)
+        for threshold, col_tol in ((1, 0), (3, 2), (5, 16), (9, 7)):
+            got = KernelWorkspace(t).sw_rows_cut(prev, s, None, threshold, col_tol, out=out)
+            assert np.array_equal(out, NumpyWorkspace(t).sw_rows(prev, s))
+            assert got.tolist() == cut_segments(out, threshold, col_tol).tolist()
+
+    @pytest.mark.parametrize("w", [16, 17, 31, 64, 65, 500])
+    def test_in_place_single_row_batch(self, w):
+        """``out`` aliasing ``prev`` across several chunks and a remainder,
+        row after row, as the reverse scan runs."""
+        rng = np.random.default_rng(w)
+        t = rng.integers(0, 4, w).astype(np.uint8)
+        s = rng.integers(0, 4, 20).astype(np.uint8)
+        row = rng.integers(0, 20, w + 1).astype(SCORE_DTYPE)
+        expected = NumpyWorkspace(t).sw_rows(row.copy(), s)
+        fast = KernelWorkspace(t)
+        for r in range(len(s)):
+            fast.sw_rows(row, s[r : r + 1], out=row[None, :])
+            assert np.array_equal(row, expected[r])
+
+    @pytest.mark.parametrize("w", [8, 17, 64])
+    def test_wide_scores_past_the_range_rule(self, w):
+        """+2^28 matches over 8 rows: the range rule's bound leaves int32,
+        so the call runs the int64 loop; the true scores still fit (one
+        match column), and both paths give them."""
+        scoring = Scoring(2**28, -1, -2)
+        t = np.full(w, 1, dtype=np.uint8)
+        t[w // 2] = 0
+        s = np.zeros(8, dtype=np.uint8)
+        s[3] = 2
+        prev = np.arange(w + 1, dtype=SCORE_DTYPE)
+        lefts = np.arange(8, dtype=SCORE_DTYPE)
+        fast, ref = KernelWorkspace(t, scoring), NumpyWorkspace(t, scoring)
+        assert np.array_equal(fast.sw_rows(prev, s), ref.sw_rows(prev, s))
+        assert np.array_equal(fast.nw_rows(prev, s, lefts), ref.nw_rows(prev, s, lefts))
+
+    @pytest.mark.parametrize("floor", [-(2**31) + 3, -(2**31) + 40, -(2**31) + 10**5])
+    @pytest.mark.parametrize("w", [9, 64, 500])
+    def test_borders_near_int32_min(self, floor, w):
+        """Border cells at the bottom of int32: the first two floors put the
+        range rule's lower bound out of int32 (the int64 loop runs), the
+        last keeps it in (the lanes run right at the edge)."""
+        rng = np.random.default_rng(w)
+        t = rng.integers(0, 4, w).astype(np.uint8)
+        s = rng.integers(0, 4, 6).astype(np.uint8)
+        prev = rng.integers(0, 9, w + 1).astype(SCORE_DTYPE)
+        prev[rng.integers(0, w + 1, w // 3)] = floor
+        lefts = np.zeros(6, dtype=SCORE_DTYPE)
+        lefts[1::2] = floor  # row 0 starts at 0, so no true score leaves int32
+        fast, ref = KernelWorkspace(t), NumpyWorkspace(t)
+        assert np.array_equal(fast.nw_rows(prev, s, lefts), ref.nw_rows(prev, s, lefts))
+        assert np.array_equal(fast.sw_rows_slice(prev, s, lefts), ref.sw_rows_slice(prev, s, lefts))
+
+    def test_row_lanes(self):
+        assert ckernel.row_lanes() in (1, 8)
+
+
 #: (scoring, alphabet size, lane dtype, max query length).  The int32 lanes
 #: come from a match too large for int16; the wide regime's +2^28 matches
 #: overflow int32 after 7 rows, so its queries stay short.

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import LocalAlignment
 from repro.core.global_align import align_region
 from repro.parallel import (
@@ -22,6 +23,7 @@ from repro.parallel import (
     WorkerCrashed,
     create_shared_array,
 )
+from repro.parallel.pool import JOB_SPANS
 from repro.parallel.shm import attach_arena
 from repro.plan import InlineExecutor, blocked_spec, wavefront_spec
 from repro.seq import genome_pair
@@ -130,6 +132,25 @@ class TestPoolMatchesOneShotBackends:
             assert [a.region for a in got.alignments] == [
                 a.region for a in expected.alignments
             ]
+
+    def test_traced_plan_splits_the_fixed_cost(self, pool, pair):
+        """Each worker stamps its job's stages, and the coordinator each
+        result's trip back, inside the plan span."""
+        spec = blocked_spec(n_procs=2, n_bands=4, n_blocks=4)
+        with obs.observed() as (tracer, _):
+            pool.run_plan(spec, pair.s, pair.t)
+        plan = next(sp for sp in tracer.spans if sp.name == "plan:blocked")
+        mine = [sp for sp in tracer.spans if sp.name in JOB_SPANS]
+        for role in range(2):
+            worker = f"worker-{role}"
+            names = [sp.name for sp in mine if sp.process == worker]
+            assert sorted(names) == sorted(set(JOB_SPANS) - {"result_put"})
+            put = [sp for sp in mine if sp.name == "result_put" and sp.args["worker"] == role]
+            assert len(put) == 1 and not put[0].process.startswith("worker")
+        for sp in mine:
+            assert sp.category == "coordination"
+            assert sp.duration >= 0.0
+            assert plan.start - 1e-6 <= sp.start and sp.end <= plan.end + 1e-6
 
     def test_pair_switch(self, pool, pair):
         other = genome_pair(
