@@ -52,20 +52,20 @@ def rerun() -> dict:
     return run_kernel_bench(quick=False)
 
 
-#: Floor on the sharded-search entry's cache-hit speedup.  Unlike the
-#: throughput figures this ratio is machine-independent -- both times come
-#: from the same host seconds apart -- and a hit that only beats the scan
-#: by less than this has started doing real work (planning, packing, DP),
+#: Floor on the pruned-search entry's cache-hit speedup over its ``off``
+#: scan.  Unlike the throughput figures this ratio is machine-independent
+#: -- both times come from the same host seconds apart -- and a hit that
+#: only beats the scan by less than this has started doing real work (planning, packing, DP),
 #: which is exactly the regression the cache guard exists to catch.
 MIN_CACHE_HIT_SPEEDUP = 50.0
 
 
 def test_cache_hit_speedup_floor(rerun):
-    entry = rerun.get("db_search_sharded_5000seq")
-    assert entry is not None, "sharded-search bench entry missing"
+    entry = rerun.get("db_search_pruned_5000seq_1500bp_query")
+    assert entry is not None, "pruned-search bench entry missing"
     assert entry["cache_hit_speedup"] >= MIN_CACHE_HIT_SPEEDUP, (
         f"cache hit only {entry['cache_hit_speedup']:.1f}x faster than the "
-        f"sharded scan (floor {MIN_CACHE_HIT_SPEEDUP:.0f}x): a hit should "
+        f"unpruned scan (floor {MIN_CACHE_HIT_SPEEDUP:.0f}x): a hit should "
         f"skip planning and all DP work"
     )
 

@@ -179,18 +179,12 @@ def cmd_search(args) -> int:
     query = next(stream_fasta(args.query), None)
     if query is None:
         raise SystemExit("empty query FASTA")
-    if args.workers > 1 and args.shards > args.workers:
-        raise SystemExit(
-            f"--shards {args.shards} exceeds --workers {args.workers}: "
-            "each shard needs its own worker group"
-        )
     config = SearchConfig(
         top_k=args.top,
         max_lanes=args.batch_lanes,
         max_waste=args.max_waste,
         kernel=args.kernel,
         prefilter=args.prefilter,
-        n_shards=args.shards,
         cache=args.cache,
     )
     observing = bool(args.trace or args.metrics)
@@ -218,11 +212,10 @@ def cmd_search(args) -> int:
         f"sequences ({packed.total_residues:,} residues in {len(packed.buckets)} "
         f"buckets, {packed.padded_slots - packed.total_residues:,} padded slots)"
     )
-    shard_note = f", {result.n_shards} shard(s)" if result.n_shards > 1 else ""
     print(
         f"{result.total_cells:,} cells in {result.wall_seconds:.3f} s wall = "
-        f"{result.gcups:.3f} GCUPS ({result.backend}, {result.n_workers} "
-        f"worker(s){shard_note})"
+        f"{result.gcups:.3f} GCUPS ({result.backend}, "
+        f"{result.n_workers} worker(s))"
     )
     if result.prefilter != "off":
         print(
@@ -314,7 +307,7 @@ def cmd_check(args) -> int:
         from .plan import sweep_plans
 
         # The sweep's finding paths name only the plan kind; stamp the full
-        # combination (planner@backend, search[kernel]xshards@backend)
+        # combination (planner@backend, search[kernel]@backend)
         # so a report line identifies which sweep leg broke.
         findings.extend(
             replace(finding, path=f"<plan:{label}@{backend}>")
@@ -504,7 +497,7 @@ def _count_at_least(text: str, minimum: int) -> int:
 
 
 def positive_count(text: str) -> int:
-    """argparse type of process, worker and shard counts (>= 1)."""
+    """argparse type of process and worker counts (>= 1)."""
     return _count_at_least(text, 1)
 
 
@@ -629,14 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
         "auto = kmer tiers on databases of 512+ sequences)",
     )
     p_search.add_argument(
-        "--shards",
-        type=positive_count,
-        default=1,
-        help="deal the database round-robin into this many disjoint shards, "
-        "each scanned independently and tournament-merged (rankings are "
-        "unchanged; with --workers, shards may not exceed workers)",
-    )
-    p_search.add_argument(
         "--cache",
         action="store_true",
         help="consult the content-addressed result cache: a repeat of the "
@@ -711,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plans",
         action="store_true",
         help="also statically verify every planner x backend combination, "
-        "search kernels and shard counts included (PLAN001-PLAN006)",
+        "search kernels included (PLAN001-PLAN006)",
     )
     p_check.add_argument(
         "--baseline",

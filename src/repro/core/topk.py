@@ -49,15 +49,16 @@ class TopK:
     def merge(self, other: "TopK | list | tuple") -> None:
         """Fold another heap (or a heap's :meth:`items` list) into this one.
 
-        Accepts either a :class:`TopK` -- the shard-merge form -- or a plain
-        iterable of ``(score, index)`` pairs (worker-local :meth:`items`).
-        Merging goes through :meth:`push`, so the strict total order
+        Accepts either a :class:`TopK` or a plain iterable of
+        ``(score, index)`` pairs (a pool worker's :meth:`items`).  Merging
+        goes through :meth:`push`, so the strict total order
         ``(score, -index)`` decides every survivor: a tie with this heap's
         k-th entry at a *smaller* database index still displaces it, exactly
         as if both heaps' entries had been pushed into one heap from the
-        start.  That invariance is what makes the sharded search's
-        tournament reduce (:func:`tournament_merge`) order-independent and
-        bitwise-equal to a sequential scan.
+        start.  That invariance is what makes folding the workers' heaps in
+        any order bitwise-equal to a sequential scan: an entry outside one
+        worker's local top-k is dominated by ``k`` entries of that worker,
+        so dropping it locally loses nothing.
         """
         items = other.items() if isinstance(other, TopK) else other
         for score, index in items:
@@ -85,29 +86,3 @@ class TopK:
     def ranked(self) -> list[tuple[int, int]]:
         """Survivors sorted by score descending, index ascending."""
         return sorted(self.items(), key=lambda e: (-e[0], e[1]))
-
-
-def tournament_merge(tops: list[TopK], k: int) -> TopK:
-    """Merge per-shard heaps pairwise (SWAPHI's final top-k reduce).
-
-    Rounds halve the field: heap ``i`` absorbs heap ``i + stride`` until one
-    remains.  Because :meth:`TopK.merge` is a fold through the strict
-    ``(score, -index)`` total order, the result is independent of pairing
-    *and* of how lanes were sharded: any sequence outside its shard's local
-    top-k is dominated by ``k`` same-shard entries and so can never enter
-    the global top-k -- dropping it locally loses nothing.  The tournament
-    shape matters only for the simulated cluster (log-depth merge traffic),
-    not for the answer.
-    """
-    if not tops:
-        return TopK(k)
-    ring = list(tops)
-    while len(ring) > 1:
-        nxt: list[TopK] = []
-        for i in range(0, len(ring) - 1, 2):
-            ring[i].merge(ring[i + 1])
-            nxt.append(ring[i])
-        if len(ring) % 2:
-            nxt.append(ring[-1])
-        ring = nxt
-    return ring[0]

@@ -208,22 +208,6 @@ class WorkerRow:
 
 
 @dataclass
-class ShardRow:
-    """One shard's share of a sharded search window.
-
-    Aggregated from the ``shard`` arg the search runtime stamps on every
-    tile span, so the rows survive in exported traces and the run ledger
-    without needing the graph back.
-    """
-
-    shard: int
-    tiles: int
-    busy_seconds: float
-    cells: int
-    util_pct: float
-
-
-@dataclass
 class Stall:
     """One classified idle interval of one worker (window-relative start)."""
 
@@ -251,7 +235,6 @@ class Attribution:
     measured_gcups: float
     spec_digest: str
     workers: list[WorkerRow] = field(default_factory=list)
-    shards: list[ShardRow] = field(default_factory=list)
     stalls: list[Stall] = field(default_factory=list)
 
     @property
@@ -292,16 +275,6 @@ class Attribution:
                 }
                 for w in self.workers
             ],
-            "shards": [
-                {
-                    "shard": s.shard,
-                    "tiles": s.tiles,
-                    "busy_seconds": s.busy_seconds,
-                    "cells": s.cells,
-                    "util_pct": s.util_pct,
-                }
-                for s in self.shards
-            ],
             "stall_seconds_by_cause": self.stall_seconds_by_cause(),
             "top_stalls": [
                 {
@@ -335,14 +308,6 @@ class Attribution:
                 f"    {w.process:<16} tiles={w.tiles:<6} busy={w.busy_seconds:.4f} s"
                 f"  comm={w.comm_seconds:.4f} s  util={w.util_pct:5.1f} %"
             )
-        if len(self.shards) > 1:
-            lines.append("  shards:")
-            for s in self.shards:
-                lines.append(
-                    f"    shard {s.shard:<11} tiles={s.tiles:<6} "
-                    f"busy={s.busy_seconds:.4f} s  cells={s.cells:,}  "
-                    f"util={s.util_pct:5.1f} %"
-                )
         shown = sorted(self.stalls, key=lambda s: -s.seconds)[:top_stalls]
         lines.append(f"  stalls (top {len(shown)} of {len(self.stalls)}):")
         if not shown:
@@ -422,20 +387,6 @@ def attribute(
     gcups = rate / 1e9
 
     window = span.dur
-    by_shard: dict[int, list[Event]] = {}
-    for e in tiles:
-        if "shard" in e.args:
-            by_shard.setdefault(int(e.args["shard"]), []).append(e)
-    shard_rows = [
-        ShardRow(
-            shard=s,
-            tiles=len(mine),
-            busy_seconds=sum(e.dur for e in mine),
-            cells=sum(int(e.args.get("cells", 0)) for e in mine),
-            util_pct=100.0 * safe_rate(sum(e.dur for e in mine), window),
-        )
-        for s, mine in sorted(by_shard.items())
-    ]
     workers: list[WorkerRow] = []
     stalls: list[Stall] = []
     by_process: dict[str, list[Event]] = {}
@@ -511,7 +462,6 @@ def attribute(
         measured_gcups=gcups,
         spec_digest=span_digest(span),
         workers=workers,
-        shards=shard_rows,
         stalls=stalls,
     )
 

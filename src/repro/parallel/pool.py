@@ -232,25 +232,18 @@ def _job_plan(role: int, job: dict, arenas: dict) -> list:
         return emitted
 
 
-def _job_search(role: int, job: dict, arenas: dict, works) -> dict:
+def _job_search(role: int, job: dict, arenas: dict, work) -> dict:
     """Dynamic-dispatch database search: pull graph tiles until SENTINEL.
 
-    The job's ``shard_of`` map assigns this worker to one database shard:
-    the worker attaches that shard's arena (``s`` slot the query, ``t`` the
-    shard's flat bucket blob, see :func:`repro.plan.search_blob`) and pulls
-    from that shard's work queue -- workers sharing a shard self-schedule
-    greedily off the same queue, so an unsharded job (every worker in group
-    0) behaves exactly as before.  Tiles carry shard-local offsets, so the
-    runtime runs them against the private blob at base 0.  The worker's
-    :class:`~repro.plan.SearchRuntime` keeps a local top-k (deterministic
-    total order, so the merge is interleaving-independent) and stops at the
-    first SENTINEL -- exactly one per worker is enqueued ahead of the job;
-    the emission is tagged with the shard for the coordinator's tournament
-    reduce.
+    The worker attaches the job's arena (``s`` slot the query, ``t`` the
+    flat bucket blob, see :func:`repro.plan.search_blob`) and pulls tiles
+    off the pool's one work queue, self-scheduling greedily with every other
+    worker.  Its :class:`~repro.plan.SearchRuntime` keeps a local top-k
+    (deterministic total order, so the coordinator's merge is
+    interleaving-independent) and stops at the first SENTINEL -- exactly
+    one per worker is enqueued behind the job's tiles.
     """
-    shard = job["shard_of"][role]
-    work = works[shard]
-    q, blob = _get_pair(arenas, job["arenas"][shard])
+    q, blob = _get_pair(arenas, job["arena"])
     runtime = SearchRuntime(q, blob, job["scoring"], job["top_k"], kernel=job["kernel"])
     tracer = get_tracer()
     tracing = tracer.enabled
@@ -288,12 +281,10 @@ def _job_search(role: int, job: dict, arenas: dict, works) -> dict:
         metrics.gauge("search_queue_depth").set(queue_depth)
         if busy_s > 0.0:
             metrics.gauge(f"search_worker{role}_gcups").set(gcups(runtime.cells, busy_s))
-    out = runtime.emit(role)
-    out["shard"] = shard
-    return out
+    return runtime.emit(role)
 
 
-def _pool_worker(role: int, tasks, results, works) -> None:
+def _pool_worker(role: int, tasks, results, work) -> None:
     arenas: dict = {}
     try:
         while True:
@@ -313,7 +304,7 @@ def _pool_worker(role: int, tasks, results, works) -> None:
                             "job_receipt", "coordination", obs.t_submit, t_recv - obs.t_submit
                         )
                     if job["kind"] == "search":
-                        payload = _job_search(role, job, arenas, works)
+                        payload = _job_search(role, job, arenas, work)
                     else:
                         payload = _job_plan(role, job, arenas)
                 if obs is not None:
@@ -352,16 +343,14 @@ class AlignmentWorkerPool:
         ctx = mp.get_context()
         self._tasks = [ctx.Queue() for _ in range(n_workers)]
         self._results = ctx.Queue()
-        # The dynamic work queues for search jobs -- one per worker so a
-        # sharded job can give each shard group its own queue (shard s uses
-        # queue s).  Queues can only be inherited at fork time, so they
-        # exist for the pool's whole life whatever n_shards later jobs ask
-        # for; all are empty between jobs (drained even on failure).
-        self._works = [ctx.Queue() for _ in range(n_workers)]
+        # The dynamic work queue of search jobs.  Queues can only be
+        # inherited at fork time, so it exists for the pool's whole life;
+        # it is empty between jobs (drained even on failure).
+        self._work = ctx.Queue()
         self._procs = [
             ctx.Process(
                 target=_pool_worker,
-                args=(w, self._tasks[w], self._results, self._works),
+                args=(w, self._tasks[w], self._results, self._work),
                 daemon=True,
             )
             for w in range(n_workers)
@@ -601,63 +590,42 @@ class AlignmentWorkerPool:
     ) -> ExecutionResult:
         """Dynamic-dispatch execution of one search graph.
 
-        Unsharded: publishes the query plus the flat bucket blob through a
-        single arena, enqueues every tile on work queue 0 (then one SENTINEL
-        per worker), and broadcasts the job; workers pull tiles greedily and
-        return local top-k heaps.  Sharded (``graph.n_shards > 1``): the
-        concatenated blob is cut back into per-shard blobs along
-        ``params["shard_bases"]``, each shard gets its *own* arena and work
-        queue, and worker ``r`` serves shard ``r % n_shards`` -- long-lived
-        per-shard worker groups, each self-scheduling off its shard's queue.
-        Emissions come back shard-tagged and :func:`repro.plan.finalize_plan`
-        runs the tournament reduce; the deterministic total order makes the
-        merged ranking interleaving- *and* shard-independent.
+        Publishes the query plus the flat bucket blob through one arena,
+        enqueues every tile on the work queue (then one SENTINEL per
+        worker), and broadcasts the job; workers pull tiles greedily and
+        return local top-k heaps, which :func:`repro.plan.finalize_plan`
+        folds into one.  The deterministic total order makes the merged
+        ranking interleaving-independent.
         """
         check_search_inputs(graph, query, blob)
-        n_shards = graph.n_shards
-        if n_shards > self.n_workers:
-            raise ValueError(
-                f"graph wants {n_shards} shards but the pool has only "
-                f"{self.n_workers} workers (one worker group per shard)"
-            )
         maybe_verify(graph, "pool")
         tracer = get_tracer()
         # The search graph has no rebuildable spec, so everything attribution
         # needs (tiles/cells/critical-path) rides this span's args directly.
         span_args = graph.span_args(backend="pool") if tracer.enabled else {}
-        shard_of = {role: role % n_shards for role in range(self.n_workers)}
-        bases = list(graph.params["shard_bases"])
-        bases.append(int(blob.size))
-        arenas: list[SequenceArena] = []
+        arena: SequenceArena | None = None
         with tracer.span(f"plan:{graph.kind}", "coordination", **span_args):
             try:
-                # Arenas are created inside the try so that *any* failure
-                # after one exists -- including the metrics block below --
-                # unwinds them; previously an exception between creation and
-                # dispatch leaked the named segment.
-                with get_tracer().span(
+                # The arena is created inside the try so that *any* failure
+                # after it exists -- the metrics block below included --
+                # unwinds it.
+                with tracer.span(
                     "shm_publish", "communication", bytes=int(query.size + blob.size)
                 ):
-                    for s in range(n_shards):
-                        arenas.append(
-                            SequenceArena(query, blob[bases[s] : bases[s + 1]])
-                        )
+                    arena = SequenceArena(query, blob)
                 if is_enabled():
                     metrics = get_metrics()
-                    metrics.counter("arena_bytes_published").inc(
-                        n_shards * int(query.size) + int(blob.size)
-                    )
+                    metrics.counter("arena_bytes_published").inc(int(query.size + blob.size))
                     metrics.gauge("search_queue_chunks").set(len(graph.tiles))
                 try:
                     for tile in graph.tiles:
-                        self._works[tile.shard].put(tile)
-                    for role in range(self.n_workers):
-                        self._works[shard_of[role]].put(SENTINEL)
+                        self._work.put(tile)
+                    for _ in range(self.n_workers):
+                        self._work.put(SENTINEL)
                     collected = self._submit(
                         {
                             "kind": "search",
-                            "arenas": [a.handle for a in arenas],
-                            "shard_of": shard_of,
+                            "arena": arena.handle,
                             "top_k": graph.params["top_k"],
                             "kernel": graph.params["kernel"],
                             "scoring": scoring,
@@ -676,19 +644,17 @@ class AlignmentWorkerPool:
                     self.close(join_timeout=1.0)
                     raise
             finally:
-                for arena in arenas:
+                if arena is not None:
                     arena.close()
-        parts = [collected[role] for role in sorted(collected)]
-        result = finalize_plan(graph, parts)
+        result = finalize_plan(graph, list(collected.values()))
         result.backend = "pool"
         return result
 
     def _drain_work(self) -> None:
         import queue as _queue
 
-        for work in self._works:
-            while True:
-                try:
-                    work.get(timeout=0.1)
-                except (_queue.Empty, OSError, ValueError):
-                    break
+        while True:
+            try:
+                self._work.get(timeout=0.1)
+            except (_queue.Empty, OSError, ValueError):
+                break

@@ -41,8 +41,6 @@ class Tile(NamedTuple):
     (e.g. ``(lo, hi, c0, c1)`` for a wave-front row group, ``(band, block)``
     for a blocked tile, a bucket locator for search).  ``cells`` is the DP
     cell count the tile represents, used for accounting and cost charging.
-    ``shard`` is the database partition the tile works on (sharded search
-    graphs only; static DP plans and unsharded searches leave it 0).
     """
 
     id: int
@@ -50,7 +48,6 @@ class Tile(NamedTuple):
     cells: int
     payload: tuple
     deps: tuple[int, ...] = ()
-    shard: int = 0
 
 
 @dataclass
@@ -71,20 +68,15 @@ class TaskGraph:
     tiles: tuple[Tile, ...]
     params: dict = field(default_factory=dict)
     spec: PlanSpec | None = None
-    n_shards: int = 1
 
     def validate(self) -> "TaskGraph":
         if self.n_procs <= 0:
             raise ValueError("n_procs must be positive")
-        if self.n_shards <= 0:
-            raise ValueError("n_shards must be positive")
         for i, tile in enumerate(self.tiles):
             if tile.id != i:
                 raise ValueError(f"tile ids must be dense: tile {i} has id {tile.id}")
             if tile.owner != DYNAMIC and not 0 <= tile.owner < self.n_procs:
                 raise ValueError(f"tile {i}: owner {tile.owner} out of range")
-            if not 0 <= tile.shard < self.n_shards:
-                raise ValueError(f"tile {i}: shard {tile.shard} out of range")
             for dep in tile.deps:
                 if not 0 <= dep < i:
                     raise ValueError(
@@ -133,7 +125,6 @@ class TaskGraph:
             "cells": self.total_cells,
             "critical_path_cells": self.critical_path_cells(),
             "n_procs": self.n_procs,
-            "n_shards": self.n_shards,
             "rows": self.shape[0],
             "cols": self.shape[1],
             **extra,

@@ -384,93 +384,50 @@ def plan_phase2(
     return graph.validate()
 
 
-def _bucket_locators(packed) -> tuple[list[tuple], int]:
-    """Per-bucket ``(offset, width, lanes, lengths, indices)`` + blob size."""
-    locators = []
-    offset = 0
-    for bucket in packed.buckets:
-        locators.append(
-            (
-                offset,
-                int(bucket.width),
-                int(bucket.lanes),
-                tuple(int(x) for x in bucket.lengths),
-                tuple(int(x) for x in bucket.indices),
-            )
-        )
-        offset += int(bucket.codes.size)
-    return locators, offset
-
-
 def plan_search_buckets(
     packed,
     query_len: int,
     *,
     top_k: int = 10,
     kernel: str = "classic",
-    n_shards: int = 1,
-    shards=None,
 ) -> TaskGraph:
     """Database search: one independent tile per length bucket.
 
     Tiles carry ``(offset, width, lanes, lengths, indices)`` locating one
-    bucket inside the flat blob built by :func:`search_blob`; there are no
-    edges, so any dispatch order (greedy work queue included) is valid.
-    Score-bound pruning happens before planning
+    bucket inside the flat blob built by :func:`search_blob`; every tile is
+    :data:`DYNAMIC` and there are no edges, so any dispatch order (the
+    pool's greedy work queue included) is valid.  Score-bound pruning
+    happens before planning
     (:func:`repro.strategies.prefilter.pruned_search` plans the seed prefix
     and the survivors as two such graphs).
-
-    With ``n_shards > 1`` the database is dealt round-robin into shards
-    (:func:`repro.seq.db.shard_database`, or pass pre-split ``shards``) and
-    each shard gets its own independent tile set, tagged
-    ``Tile.shard = s``.  Locator offsets are shard-local (relative to that
-    shard's own blob); ``params["shard_bases"]`` holds each shard's base
-    offset in the concatenated blob (:func:`search_blob` over the shard
-    list), and pool workers use their shard's private arena with base 0.
-    Per-shard top-k results merge by tournament
-    (:func:`repro.core.topk.tournament_merge`) into the same global ranking
-    as an unsharded scan.
 
     Search graphs have no spec: they derive from a packed database, not from
     ``(rows, cols)``.
     """
-    if n_shards <= 0:
-        raise ValueError("n_shards must be positive")
-    if shards is not None:
-        if len(shards) != n_shards:
-            raise ValueError(f"got {len(shards)} shards for n_shards={n_shards}")
-        shard_dbs = list(shards)
-    elif n_shards == 1:
-        shard_dbs = [packed]
-    else:
-        from ..seq.db import shard_database
-
-        shard_dbs = shard_database(packed, n_shards)
     tiles: list[Tile] = []
-    shard_bases: list[int] = []
-    base = 0
-    tid = 0
-    for s, db in enumerate(shard_dbs):
-        locators, size = _bucket_locators(db)
-        shard_bases.append(base)
-        base += size
-        for loc in locators:
-            tiles.append(Tile(tid, DYNAMIC, query_len * sum(loc[3]), loc, (), s))
-            tid += 1
+    offset = 0
+    for tid, bucket in enumerate(packed.buckets):
+        lengths = tuple(int(x) for x in bucket.lengths)
+        locator = (
+            offset,
+            int(bucket.width),
+            int(bucket.lanes),
+            lengths,
+            tuple(int(x) for x in bucket.indices),
+        )
+        tiles.append(Tile(tid, DYNAMIC, query_len * sum(lengths), locator))
+        offset += int(bucket.codes.size)
     params = {
         "top_k": top_k,
         "query_len": query_len,
         "kernel": _check_kernel(kernel),
-        "n_shards": n_shards,
-        "shard_bases": tuple(shard_bases),
     }
     graph = TaskGraph(
         kind="search",
-        n_procs=max(1, n_shards),
-        shape=(query_len, base),
+        n_procs=1,
+        shape=(query_len, offset),
         tiles=tuple(tiles),
         params=params,
-        n_shards=n_shards,
     )
     return graph.validate()
 
@@ -478,21 +435,16 @@ def plan_search_buckets(
 def search_blob(packed) -> np.ndarray:
     """Flatten every bucket's code matrix into one contiguous uint8 blob.
 
-    Accepts a single :class:`~repro.seq.db.PackedDatabase` or a list of
-    per-shard databases (concatenated in shard order).  Offsets match
-    :func:`plan_search_buckets` (same iteration order): a tile's shard-local
-    ``(offset, width, lanes)`` plus its shard's ``shard_bases`` entry slices
-    the blob back into exactly that bucket's code matrix.
+    Offsets match :func:`plan_search_buckets` (same iteration order): a
+    tile's ``(offset, width, lanes)`` slices the blob back into exactly that
+    bucket's code matrix.
     """
-    dbs = list(packed) if isinstance(packed, (list, tuple)) else [packed]
-    total = sum(int(b.codes.size) for db in dbs for b in db.buckets)
-    blob = np.empty(total, dtype=np.uint8)
+    blob = np.empty(sum(int(b.codes.size) for b in packed.buckets), dtype=np.uint8)
     offset = 0
-    for db in dbs:
-        for bucket in db.buckets:
-            flat = np.ascontiguousarray(bucket.codes).reshape(-1)
-            blob[offset : offset + flat.size] = flat
-            offset += flat.size
+    for bucket in packed.buckets:
+        flat = np.ascontiguousarray(bucket.codes).reshape(-1)
+        blob[offset : offset + flat.size] = flat
+        offset += flat.size
     return blob
 
 

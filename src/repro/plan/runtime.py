@@ -34,7 +34,7 @@ from ..core.multi_engine import MultiSequenceWorkspace
 from ..core.regions import RegionConfig, StreamingRegionFinder
 from ..core.scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
 from ..core.striped import StripedMultiWorkspace
-from ..core.topk import TopK, tournament_merge
+from ..core.topk import TopK
 from .ir import TaskGraph, Tile
 from .result import ExecutionResult
 
@@ -384,14 +384,8 @@ class SearchRuntime(PlanRuntime):
     arena and the tiles through the work queue, never the graph object.
 
     Each tile's payload ``(offset, width, lanes, lengths, indices)`` locates
-    one bucket in the blob, and the tile scans every lane of it.
-
-    With ``n_shards > 1`` (the inline/sim path over a concatenated blob)
-    each shard keeps its *own* :class:`TopK` --
-    matching what physically-separate shard workers would see -- and
-    ``shard_bases`` translates the tiles' shard-local offsets into blob
-    positions.  Pool workers instead run one unsharded runtime per worker
-    over their shard's private arena (base 0) and the coordinator merges.
+    one bucket in the blob, and the tile scans every lane of it into the
+    runtime's one :class:`TopK`.
     """
 
     SPAN_NAME = "search_chunk"
@@ -403,8 +397,6 @@ class SearchRuntime(PlanRuntime):
         scoring: Scoring = DEFAULT_SCORING,
         top_k: int = 10,
         kernel: str = "classic",
-        n_shards: int = 1,
-        shard_bases: tuple[int, ...] | None = None,
     ) -> None:
         self.query = query
         self.blob = blob
@@ -415,47 +407,22 @@ class SearchRuntime(PlanRuntime):
         # Lane dtypes are chosen per bucket: int16-when-provably-safe for the
         # classic batch, the int8->int16->int32 escalation for striped.
         self.dtype_name = "auto"
-        self.n_shards = n_shards
-        self.shard_bases = shard_bases
-        self.tops = {s: TopK(top_k) for s in range(n_shards)}
-        self.top = self.tops[0]  # unsharded alias (pool workers, tests)
+        self.top = TopK(top_k)
         self.cells = 0  # residues scanned x query length (local accounting)
-
-    def tile_args(self, tile: Tile) -> dict:
-        args = super().tile_args(tile)
-        args["shard"] = tile.shard
-        return args
-
-    def _slot(self, tile: Tile) -> int:
-        """The local shard slot a tile lands in.
-
-        An unsharded runtime serving sharded tiles is a pool worker whose
-        arena *is* one shard's blob -- everything lands in slot 0 there.
-        """
-        return tile.shard if self.n_shards > 1 else 0
-
-    def _base(self, shard: int) -> int:
-        return self.shard_bases[shard] if self.shard_bases else 0
 
     def run_tile(self, tile: Tile) -> None:
         offset, width, lanes, lengths, indices = tile.payload
-        slot = self._slot(tile)
-        offset += self._base(slot)
         codes = self.blob[offset : offset + lanes * width].reshape(lanes, width)
         lengths = np.asarray(lengths, dtype=np.int64)
         if self.kernel == "striped":
             ws = StripedMultiWorkspace(codes, lengths, self.scoring)
         else:
             ws = MultiSequenceWorkspace(codes, lengths, self.scoring)
-        self.tops[slot].push_lanes(ws.sw_best_scores(self.query), indices)
+        self.top.push_lanes(ws.sw_best_scores(self.query), indices)
         self.cells += tile.cells
 
     def emit(self, owner: int) -> dict:
-        """Picklable partial result: per-shard survivor lists when sharded,
-        ``{"items"}`` for an unsharded runtime (pool workers, one per shard
-        at base 0)."""
-        if self.n_shards > 1:
-            return {"shards": {s: top.items() for s, top in self.tops.items()}}
+        """Picklable partial result: this runtime's top-k survivors."""
         return {"items": self.top.items()}
 
 
@@ -463,9 +430,9 @@ def check_search_inputs(graph: TaskGraph, query: np.ndarray, blob: np.ndarray) -
     """Refuse a query or blob of another size than the search graph's.
 
     Tile locators are offsets into the blob the graph was planned for; a
-    blob of another packing (say the unsharded database under a graph
-    whose shards were dealt inside the planner) slices the wrong lanes and
-    returns a wrong ranking without any error.
+    blob of another packing (say the whole database under a graph planned
+    over a re-packed subset of it) slices the wrong lanes and returns a
+    wrong ranking without any error.
     """
     if (len(query), len(blob)) != graph.shape:
         raise ValueError(
@@ -504,8 +471,6 @@ def make_runtime(
             scoring,
             graph.params["top_k"],
             kernel=graph.params.get("kernel", "classic"),
-            n_shards=graph.n_shards,
-            shard_bases=graph.params.get("shard_bases"),
         )
     try:
         cls = _RUNTIMES[graph.kind]
@@ -571,18 +536,12 @@ def finalize_plan(
             "n_chunks": params["n_chunks"],
         }
     elif graph.kind == "search":
-        k = params["top_k"]
-        n_shards = graph.n_shards
-        shard_tops = {s: TopK(k) for s in range(n_shards)}
+        # Every worker's heap folds into one: the strict (score, -index)
+        # order makes the fold exact and independent of arrival order.
+        top = TopK(params["top_k"])
         for part in parts:
-            if "shards" in part:  # sharded runtime emission
-                for s, items in part["shards"].items():
-                    shard_tops[int(s)].merge(items)
-            else:  # one worker's emission, tagged with its shard (or 0)
-                shard_tops[int(part.get("shard", 0))].merge(part["items"])
-        top = tournament_merge([shard_tops[s] for s in range(n_shards)], k)
+            top.merge(part["items"])
         result.hits = top.ranked()
-        result.extras = {"n_shards": n_shards}
     elif graph.kind == "phase2":
         records: list = [None] * len(graph.tiles)
         for part in parts:

@@ -139,35 +139,24 @@ class SimExecutor(Executor):
             extras={**merged.extras, **sim_extras()},
         )
 
-    # -- Database search: work-queue pull, then the tournament reduce -------
+    # -- Database search: the work-queue pull ------------------------------
 
     def _search_execute(self, graph, runtime, sim, dsm, scale, marks):
         """Simulate a search graph in virtual time.
 
-        Node ``p`` runs shard ``p``'s tiles in id order; an unsharded graph
-        puts everything on node 0.  Each tile costs one work-queue dispatch
-        message plus its DP cells at ``search_cell_time``.
-
-        A sharded run ends with the tournament reduce: ``ceil(log2(S))``
-        rounds in which every losing node ships its bounded top-k (one
-        ``64 + 32*top_k``-byte message) to its round winner.  The rounds are
-        barrier-separated, so the merge adds *log-depth* virtual time on top
-        of the slowest shard -- the cross-shard traffic term that lets the
-        virtual-time story scale past the 8-node DSM.
+        Node 0 pulls every tile off the work queue in id order.  Each tile
+        costs one work-queue dispatch message plus its DP cells at
+        ``search_cell_time``.
         """
         cost = self.cost
         stage_seconds: dict[str, float] = {}
-        n_shards = graph.n_shards
-        mine = [
-            [t for t in graph.tiles if t.shard == p] for p in range(graph.n_procs)
-        ]
 
         def node(p: int):
             yield Delay(cost.node_startup_time)
             yield from dsm.barrier(p)
             if p == 0:
                 marks["core_start"] = sim.now
-            for tile in mine[p]:
+            for tile in graph.tiles if p == 0 else ():
                 dispatch = cost.message_time(64)
                 dsm.stats[p].record_message(64)
                 dsm.stats[p].breakdown.add("communication", dispatch)
@@ -180,20 +169,6 @@ class SimExecutor(Executor):
             yield from dsm.barrier(p)
             if p == 0:
                 marks["core_end"] = sim.now
-            # tournament reduce: stride doubles each round, losers ship up
-            stride = 1
-            while stride < n_shards:
-                if p % (2 * stride) == stride:
-                    nbytes = 64 + 32 * graph.params["top_k"]
-                    mtime = cost.message_time(nbytes)
-                    dsm.stats[p].record_message(nbytes)
-                    dsm.stats[p].breakdown.add("communication", mtime)
-                    stage_seconds["merge"] = (
-                        stage_seconds.get("merge", 0.0) + mtime
-                    )
-                    yield Delay(mtime)
-                yield from dsm.barrier(p)
-                stride *= 2
             yield Delay(cost.node_teardown_time)
             yield from dsm.barrier(p)
 

@@ -20,19 +20,16 @@ graph-level breaches):
   indexing and the simulator's cv numbering all index by id.
 * **PLAN003 -- owner breach.**  An owner outside ``0..n_procs-1`` (and not
   :data:`~repro.plan.ir.DYNAMIC`), a work-queue tile inside a static
-  schedule, a shard outside ``0..n_shards-1`` (or any non-zero shard in a
-  static schedule), a sharded search graph with more shards than
-  processors (the extra shards' tiles would never be dispatched), or --
-  for the wave-front, whose column partition gives every rank work -- a
-  rank that owns nothing (its column slice would never be computed).
+  schedule, or -- for the wave-front, whose column partition gives every
+  rank work -- a rank that owns nothing (its column slice would never be
+  computed).
 * **PLAN004 -- cell-count breach.**  Conservation against the partition
   geometry: every tile's ``cells`` must equal what its payload covers, the
   payload bounds must tile the DP matrix (or the packed buckets) exactly,
   and nothing may be covered twice or dropped.  This is the check that
-  catches a planner whose tiles silently skip rows.  Sharded search graphs
-  are conserved *per shard* (each shard's buckets score every lane exactly
-  once) plus *exactly-once across shards*: no database sequence may appear
-  in two shards, or its duplicate scores would double up in the merge.
+  catches a planner whose tiles silently skip rows.  Search graphs are
+  conserved *per sequence*: each database index appears in exactly one
+  lane of one tile, or its duplicate scores would double up in the merge.
   Phase-2 graphs are conserved against their queue: each tile's cells are
   its region's area, every queue slot is aligned exactly once, and slot
   ``i`` is owned by rank ``i mod P`` (the scattered mapping; unlike the
@@ -40,20 +37,20 @@ graph-level breaches):
 * **PLAN005 -- deadlock.**  The pool's worker/coordinator handshake is
   simulated as a state machine: each worker walks its own tiles in id
   order, blocking on cross-owner ``done`` flags (static plans) or pulling
-  from the shared queue until the sentinel (search plans).  If no worker
+  from the one work queue until the sentinel (search plans).  If no worker
   can step and work remains, the stuck worker/tile/dependency triple is
   reported.  With PLAN001 clean this cannot fire -- the smallest unfinished
   id is always runnable -- which is exactly the theorem the simulation
   re-checks instead of assuming.
 * **PLAN006 -- backend illegality.**  A graph handed to an executor that
   cannot run it: search graphs on :class:`~repro.plan.executors.PoolExecutor`
-  (no rebuildable spec), search tiles depending across shard queues,
-  spec-less pair graphs on the pool, unknown plan kinds on the simulator's
-  choreography table.
+  (no rebuildable spec), search tiles with dependencies on the pool (its
+  work queue has no done flags), spec-less pair graphs on the pool,
+  unknown plan kinds on the simulator's choreography table.
 
 ``verify_graph``/``verify_plan`` are the library entry points;
 :func:`sweep_plans` enumerates planner x backend combinations (search:
-x kernel x shards) for ``repro check --plans``; :func:`maybe_verify` is the
+x kernel) for ``repro check --plans``; :func:`maybe_verify` is the
 strict-mode hook the executors call (enable with ``REPRO_VERIFY_PLANS=1``
 or :func:`set_strict`).
 """
@@ -123,18 +120,6 @@ def _check_structure(graph: TaskGraph) -> Iterator[Finding]:
     n = len(graph.tiles)
     if graph.n_procs <= 0:
         yield _finding(graph, "PLAN003", f"n_procs must be positive, got {graph.n_procs}")
-    if graph.n_shards <= 0:
-        yield _finding(
-            graph, "PLAN003", f"n_shards must be positive, got {graph.n_shards}"
-        )
-    elif graph.kind == "search" and graph.n_shards > graph.n_procs:
-        yield _finding(
-            graph,
-            "PLAN003",
-            f"graph declares {graph.n_shards} shards over {graph.n_procs} "
-            f"processors: shards beyond the node count would never be "
-            f"dispatched (the sim runs shard p on node p)",
-        )
     for pos, tile in enumerate(graph.tiles):
         if tile.id != pos:
             yield _finding(
@@ -179,22 +164,6 @@ def _check_structure(graph: TaskGraph) -> Iterator[Finding]:
                 "PLAN003",
                 f"tile {tile.id} owner {tile.owner} is outside ranks "
                 f"0..{graph.n_procs - 1}: no pool worker would run it",
-                tile.id,
-            )
-        if graph.n_shards > 0 and not 0 <= tile.shard < graph.n_shards:
-            yield _finding(
-                graph,
-                "PLAN003",
-                f"tile {tile.id} shard {tile.shard} is outside shards "
-                f"0..{graph.n_shards - 1}: no shard group would run it",
-                tile.id,
-            )
-        elif tile.shard != 0 and graph.kind in STATIC_KINDS:
-            yield _finding(
-                graph,
-                "PLAN003",
-                f"tile {tile.id} carries shard {tile.shard} inside the static "
-                f"{graph.kind!r} schedule: only search graphs are sharded",
                 tile.id,
             )
     if graph.kind == "wavefront" and graph.tiles:
@@ -366,41 +335,34 @@ def _check_search_cells(graph: TaskGraph) -> Iterator[Finding]:
     if query_len is None:
         yield _finding(graph, "PLAN004", "search params carry no 'query_len'")
         return
-    scanned: dict[tuple, int] = {}  # (shard, locator) -> first tile scanning it
-    index_shard: dict[int, int] = {}  # db index -> the shard that owns it
+    scorer: dict[int, int] = {}  # db index -> the first tile scoring it
     for tile in graph.tiles:
-        loc = tuple(tile.payload[:5])
-        expected = query_len * sum(loc[3])
+        lengths, indices = tile.payload[3], tile.payload[4]
+        expected = query_len * sum(lengths)
         if tile.cells != expected:
             yield _finding(
                 graph,
                 "PLAN004",
                 f"tile {tile.id} claims {tile.cells} cells but its "
-                f"{len(loc[3])} lanes cover {expected}",
+                f"{len(lengths)} lanes cover {expected}",
                 tile.id,
             )
-        # exactly-once across shards: a db sequence in two shards would be
-        # scored twice and its duplicate could double up in the merge
-        for index in loc[4]:
-            owner_shard = index_shard.setdefault(index, tile.shard)
-            if owner_shard != tile.shard:
-                yield _finding(
-                    graph,
-                    "PLAN004",
-                    f"tile {tile.id} (shard {tile.shard}) aligns database "
-                    f"sequence {index}, already owned by shard {owner_shard}: "
-                    f"each sequence must live in exactly one shard",
-                    tile.id,
-                )
-        # per-shard conservation: within its shard, each bucket once
-        first = scanned.setdefault((tile.shard, loc), tile.id)
-        if first != tile.id:
+        # exactly once: a sequence in two lanes would be scored twice and
+        # its duplicate could double up in the top-k merge
+        seen: set[int] = set()
+        again: dict[int, list[int]] = {}
+        for index in indices:
+            first = scorer.setdefault(index, tile.id)
+            if first != tile.id or index in seen:
+                again.setdefault(first, []).append(index)
+            seen.add(index)
+        for first, repeated in sorted(again.items()):
             yield _finding(
                 graph,
                 "PLAN004",
-                f"tile {tile.id} re-aligns the bucket at offset {loc[0]} "
-                f"(shard {tile.shard}) that tile {first} aligns: each lane "
-                f"must be scored once",
+                f"tile {tile.id} re-aligns database sequence(s) {repeated} "
+                f"that tile {first} aligns: each sequence must be scored in "
+                f"exactly one lane of one tile",
                 tile.id,
             )
 
@@ -414,12 +376,9 @@ def _check_deadlock(graph: TaskGraph) -> Iterator[Finding]:
     Static plans: one cursor per rank over its id-ordered tiles; a cursor
     may advance when every dependency's done flag is up (same-owner deps
     are satisfied by program order, cross-owner ones by the shared array).
-    Search plans: one cursor per *shard queue* (unsharded = the single
-    queue); workers pull any queued tile whose deps are done --
-    dependency-bearing tiles on a dynamic queue only work because ids are
-    enqueued in order, which PLAN001 already guarantees, and cross-shard
-    edges (which no shard group could ever satisfy locally) surface here as
-    a stuck cursor.  Either way, if no cursor can advance while work
+    Search plans: one cursor over the single work queue, which holds the
+    tiles in enqueue order = id order (PLAN006 rejects dependencies there
+    on the pool).  Either way, if no cursor can advance while work
     remains, that is the deadlock the runtime would experience as a starved
     ``poll_until`` (static) or a worker blocked past the sentinel (search).
     """
@@ -435,10 +394,8 @@ def _check_deadlock(graph: TaskGraph) -> Iterator[Finding]:
         walks = [
             [t for t in tiles if t.owner == rank] for rank in range(graph.n_procs)
         ]
-    else:  # one queue per shard; queue order = enqueue order = id order
-        walks = [
-            [t for t in tiles if t.shard == s] for s in range(max(1, graph.n_shards))
-        ]
+    else:  # the one work queue; queue order = enqueue order = id order
+        walks = [list(tiles)]
     cursors = [0] * len(walks)
     progress = True
     while progress:
@@ -455,11 +412,7 @@ def _check_deadlock(graph: TaskGraph) -> Iterator[Finding]:
         if cursors[w] < len(walk):
             tile = walk[cursors[w]]
             blocked_on = [d for d in tile.deps if not done[by_pos[d]]]
-            who = (
-                f"worker {w}"
-                if graph.kind in STATIC_KINDS
-                else f"shard {w}'s work queue"
-            )
+            who = f"worker {w}" if graph.kind in STATIC_KINDS else "the work queue"
             yield _finding(
                 graph,
                 "PLAN005",
@@ -487,21 +440,14 @@ def _check_backend(graph: TaskGraph, backend: str) -> Iterator[Finding]:
         return
     if backend == "pool":
         if graph.kind == "search":
-            tiles = graph.tiles
-            for tile in tiles:
-                crossing = [
-                    d
-                    for d in tile.deps
-                    if 0 <= d < len(tiles) and tiles[d].shard != tile.shard
-                ]
-                if crossing:
+            for tile in graph.tiles:
+                if tile.deps:
                     yield _finding(
                         graph,
                         "PLAN006",
-                        f"tile {tile.id} (shard {tile.shard}) depends on "
-                        f"tiles {crossing} in other shards: shard groups "
-                        f"share no done flags, so the pool cannot order "
-                        f"across queues",
+                        f"search tile {tile.id} depends on tiles "
+                        f"{list(tile.deps)}: the pool's work queue has no "
+                        f"done flags, so a worker may pull it before they finish",
                         tile.id,
                     )
         elif graph.spec is None:
@@ -574,7 +520,6 @@ def _verdict_key(graph: TaskGraph, backend: str) -> Optional[tuple]:
         backend,
         graph.kind,
         graph.n_procs,
-        graph.n_shards,
         graph.shape,
         graph.tiles,
         params,
@@ -649,8 +594,7 @@ def sweep_plans(
     shape: tuple[int, int] = (96, 128),
     kernels: Sequence[str] = ("classic", "striped"),
 ) -> list[tuple[str, str, Finding]]:
-    """Verify every planner x backend combination, and every search kernel x
-    shard count.
+    """Verify every planner x backend combination, and every search kernel.
 
     Returns ``(plan description, backend, finding)`` triples -- empty when
     every combination proves out, which is what CI's ``check --plans`` job
@@ -666,12 +610,8 @@ def sweep_plans(
                 breaches.append((label, backend, finding))
     packed = _sweep_packed()
     for kernel in kernels:
-        for n_shards in (1, 2, 4):
-            graph = plan_search_buckets(
-                packed, query_len=120, top_k=5, kernel=kernel, n_shards=n_shards
-            )
-            label = f"search[{kernel}]x{n_shards}"
-            for backend in BACKENDS:
-                for finding in verify_graph(graph, backend):
-                    breaches.append((label, backend, finding))
+        graph = plan_search_buckets(packed, query_len=120, top_k=5, kernel=kernel)
+        for backend in BACKENDS:
+            for finding in verify_graph(graph, backend):
+                breaches.append((f"search[{kernel}]", backend, finding))
     return breaches

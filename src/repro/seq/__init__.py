@@ -16,7 +16,6 @@ from .db import (
     PackedDatabase,
     content_digest,
     pack_database,
-    shard_database,
     synthetic_database,
 )
 from .dotplot import DotPlot, dotplot, zoom
@@ -70,7 +69,6 @@ __all__ = [
     "random_dna",
     "read_fasta",
     "reverse_complement",
-    "shard_database",
     "stream_fasta",
     "synthetic_database",
     "write_fasta",

@@ -98,7 +98,7 @@ class PackedDatabase:
         Built on first use -- only a search whose prefilter tiers resolve on
         asks -- and reused by every later query against this instance.
         ``k=None`` holds letter counts only.  Re-packed databases
-        (:func:`pack_subset`, :func:`shard_database`) start without one.
+        (:func:`pack_subset`) start without one.
         """
         cached = self._bound_index.get(k)
         if cached is None:
@@ -282,51 +282,6 @@ def pack_database(
     )
 
 
-def _lane_table(packed: PackedDatabase) -> tuple[np.ndarray, ...]:
-    """Every lane of ``packed`` as parallel ``(bucket, row, index, length)`` arrays."""
-    buckets = packed.buckets
-    if not buckets:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, empty
-    lanes = [b.lanes for b in buckets]
-    first = np.repeat(np.cumsum(lanes) - lanes, lanes)  # each lane's bucket start
-    return (
-        np.repeat(np.arange(len(buckets)), lanes),
-        np.arange(first.size) - first,
-        np.concatenate([b.indices for b in buckets]).astype(np.int64, copy=False),
-        np.concatenate([b.lengths for b in buckets]).astype(np.int64, copy=False),
-    )
-
-
-def _repack(
-    packed: PackedDatabase,
-    table: tuple[np.ndarray, ...],
-    picked: np.ndarray,
-    max_lanes: int,
-    max_waste: float,
-) -> PackedDatabase:
-    """Cut the ``picked`` lanes of ``table`` into fresh buckets.
-
-    The same buckets :func:`pack_database` cuts from the lanes' records in
-    index order, bit for bit, but gathered from the source matrices a
-    (new bucket, source bucket) block at a time.
-    """
-    source, row, index, length = (column[picked] for column in table)
-    buckets: list[PackedBucket] = []
-    for run in _runs(length, index, max_lanes, max_waste):
-        width = int(length[run].max())
-        codes = np.full((run.size, width), PAD_CODE, dtype=np.uint8)
-        run_source = source[run]
-        for b in set(run_source.tolist()):
-            at = np.flatnonzero(run_source == b)
-            src = packed.buckets[b].codes
-            # Source rows are PAD_CODE past their length, as packing leaves them.
-            span = min(width, src.shape[1])
-            codes[at, :span] = src[row[run[at]], :span]
-        buckets.append(PackedBucket(codes=codes, lengths=length[run], indices=index[run]))
-    return PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths)
-
-
 def pack_subset(
     packed: PackedDatabase,
     indices,
@@ -337,56 +292,50 @@ def pack_subset(
 
     The pruned search path uses this twice: to cut the seed prefix into its
     own graph, and to re-pack filter survivors so lane occupancy stays high
-    before shipping to the pool.  Lanes keep their **original** database
+    before they are scanned.  Lanes keep their **original** database
     indices (so rankings merge exactly with hits from other subsets), and
     ``names``/``lengths`` stay the full original arrays -- ``n_sequences`` /
     ``total_residues`` of the returned database therefore describe the
     *original* database, not the subset.
+
+    The buckets are the ones :func:`pack_database` cuts from the picked
+    records in index order, bit for bit, but gathered from the source
+    matrices a (new bucket, source bucket) block at a time.
     """
     _check_packing(max_lanes, max_waste)
     wanted = np.asarray(indices, dtype=np.int64).reshape(-1)
-    table = _lane_table(packed)
+    buckets = packed.buckets
+    if not buckets:
+        lane_index = lane_length = np.zeros(0, dtype=np.int64)
+    else:
+        lane_index = np.concatenate([b.indices for b in buckets]).astype(np.int64, copy=False)
+        lane_length = np.concatenate([b.lengths for b in buckets]).astype(np.int64, copy=False)
     is_wanted = np.zeros(packed.n_sequences, dtype=bool)
     known = (wanted >= 0) & (wanted < is_wanted.size)
     is_wanted[wanted[known]] = True
-    _, _, lane_index, _ = table
     picked = np.flatnonzero(is_wanted[lane_index])
     missing = int(is_wanted.sum()) - picked.size + len(set(wanted[~known].tolist()))
     if missing:
         raise ValueError(f"{missing} requested indices are not in the database")
-    return _repack(packed, table, picked, max_lanes, max_waste)
-
-
-def shard_database(
-    packed: PackedDatabase,
-    n_shards: int,
-    max_lanes: int = 512,
-    max_waste: float = 0.15,
-) -> list[PackedDatabase]:
-    """Split a packed database into ``n_shards`` disjoint bucket sets.
-
-    Sequences are dealt round-robin by original database index
-    (``index % n_shards``), the paper's "scattered" mapping: consecutive
-    records land on different shards, so length (and therefore DP cost)
-    correlated with database order spreads evenly instead of loading one
-    shard with all the long targets.  Each shard is re-packed into its own
-    length buckets; lanes keep their **original** database indices, and
-    every shard carries the full ``names``/``lengths`` arrays (like
-    :func:`pack_subset`), so per-shard rankings merge exactly.
-
-    Exactly-once coverage -- every original index in precisely one shard --
-    is what the plan verifier's sharded PLAN004 rule re-checks downstream.
-    """
-    if n_shards <= 0:
-        raise ValueError("n_shards must be positive")
-    _check_packing(max_lanes, max_waste)
-    table = _lane_table(packed)
-    _, _, lane_index, _ = table
-    shard_of = lane_index % n_shards
-    return [
-        _repack(packed, table, np.flatnonzero(shard_of == s), max_lanes, max_waste)
-        for s in range(n_shards)
-    ]
+    # Each picked lane's source bucket and row there.
+    lanes = np.array([b.lanes for b in buckets], dtype=np.int64)
+    starts = np.cumsum(lanes) - lanes
+    source = np.searchsorted(starts, picked, side="right") - 1
+    row = picked - starts[source]
+    index, length = lane_index[picked], lane_length[picked]
+    out: list[PackedBucket] = []
+    for run in _runs(length, index, max_lanes, max_waste):
+        width = int(length[run].max())
+        codes = np.full((run.size, width), PAD_CODE, dtype=np.uint8)
+        run_source = source[run]
+        for b in set(run_source.tolist()):
+            at = np.flatnonzero(run_source == b)
+            src = buckets[b].codes
+            # Source rows are PAD_CODE past their length, as packing leaves them.
+            span = min(width, src.shape[1])
+            codes[at, :span] = src[row[run[at]], :span]
+        out.append(PackedBucket(codes=codes, lengths=length[run], indices=index[run]))
+    return PackedDatabase(buckets=out, names=packed.names, lengths=packed.lengths)
 
 
 def content_digest(packed: PackedDatabase) -> str:

@@ -2,16 +2,16 @@
 
 A database search is a pure function of (query codes, database content,
 scoring scheme, ``top_k``, resolved prefilter tiers): every backend --
-inline, pool, sim -- and every shard count produces the bitwise-identical
+inline, pool, sim -- and every kernel produces the bitwise-identical
 ranking (that is the repo's core invariant, enforced by the parity suites).
 That purity makes results safely cacheable by *content*: the key is a sha1
-over exactly the inputs the ranking depends on, so a hit can skip planning,
-sharding and every DP tile outright.
+over exactly the inputs the ranking depends on, so a hit can skip planning
+and every DP tile outright.
 
-Deliberately **excluded** from the key: ``kernel``, ``n_shards``, backend
-and packing knobs.  Those change *how* the answer is computed, never *what*
-it is, so a striped 4-shard pool run can serve a later classic inline
-request for the same search.  The database is identified by
+Deliberately **excluded** from the key: ``kernel``, backend and packing
+knobs.  Those change *how* the answer is computed, never *what* it is, so
+a striped pool run can serve a later classic inline request for the same
+search.  The database is identified by
 :func:`repro.seq.db.content_digest` -- re-packing the same sequences into
 different bucket geometry yields a different digest (geometry is part of
 the packed content), which errs on the side of recomputing rather than

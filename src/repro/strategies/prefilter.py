@@ -13,8 +13,8 @@ sweep over the database's memoised bound index, the highest-ceiling *seed*
 prefix scanned first to set a top-k threshold, the rest pruned against it
 in one vectorized pass, and the survivors re-packed into fresh buckets
 (:func:`repro.seq.db.pack_subset`) so lane occupancy stays high.  Both
-graphs (seed, survivors) run on the worker pool when one is given, inline
-otherwise.
+subsets (seed, survivors) are scanned by :func:`scan_packed`, the one
+search dispatch, on the worker pool when one is given, inline otherwise.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ import numpy as np
 from ..core.bounds import TieredFilter
 from ..core.topk import TopK
 from ..obs import get_metrics, get_tracer, is_enabled
-from ..plan import ExecutionResult, InlineExecutor, plan_search_buckets, search_blob
-from ..seq.db import PackedDatabase, pack_subset, shard_database
+from ..plan import InlineExecutor, plan_search_buckets, search_blob
+from ..seq.db import PackedDatabase, pack_subset
 
 __all__ = [
     "AUTO_MIN_SEQUENCES",
     "PREFILTER_MODES",
     "pruned_search",
     "resolve_prefilter",
-    "run_search_graph",
+    "scan_packed",
 ]
 
 #: Valid values of ``SearchConfig.prefilter`` / ``--prefilter``.
@@ -64,13 +64,27 @@ def default_seed_count(top_k: int) -> int:
     return max(32, 2 * top_k)
 
 
-def run_search_graph(
-    graph, query: np.ndarray, blob: np.ndarray, scoring, pool=None
-) -> ExecutionResult:
-    """Run one search graph on ``pool``'s work queue, or inline without one."""
+def scan_packed(
+    query: np.ndarray, packed: PackedDatabase, config, pool=None
+) -> list[tuple[int, int]]:
+    """Scan every lane of ``packed``: its ranked ``(score, index)`` top-k.
+
+    Plans one graph of edge-free bucket tiles, flattens the buckets into
+    one blob and runs it on ``pool``'s work queue, or inline without one.
+    The unpruned search and both of :func:`pruned_search`'s subsets go
+    through here; a database without buckets costs no graph and no round
+    trip.
+    """
+    if not packed.buckets:
+        return []
+    with get_tracer().span("plan_build", "computation"):
+        graph = plan_search_buckets(
+            packed, int(len(query)), top_k=config.top_k, kernel=config.kernel
+        )
+    blob = search_blob(packed)
     if pool is None:
-        return InlineExecutor().run(graph, query, blob, scoring)
-    return pool.run_search_plan(graph, query, blob, scoring=scoring)
+        return InlineExecutor().run(graph, query, blob, config.scoring).hits
+    return pool.run_search_plan(graph, query, blob, scoring=config.scoring).hits
 
 
 def pruned_search(
@@ -99,34 +113,10 @@ def pruned_search(
     max_waste = config.resolved_max_waste
     tracer = get_tracer()
 
-    def repack(wanted: np.ndarray) -> PackedDatabase:
+    def scan(wanted: np.ndarray) -> None:
         with tracer.span("repack", "computation", sequences=int(wanted.size)):
-            return pack_subset(packed, wanted, max_lanes, max_waste)
-
-    def ship(subset: PackedDatabase) -> None:
-        # Honour the config's shard count, but never deal more shards than
-        # the subset has lanes: the seed prefix can be smaller than the
-        # shard count and empty shards would only waste worker groups.
-        lanes = sum(b.lanes for b in subset.buckets)
-        if not lanes:
-            return
-        n_shards = min(config.n_shards, lanes)
-        shards = (
-            shard_database(subset, n_shards, max_lanes, max_waste)
-            if n_shards > 1
-            else None
-        )
-        with tracer.span("plan_build", "computation", shards=n_shards):
-            graph = plan_search_buckets(
-                subset,
-                query_len,
-                top_k=config.top_k,
-                kernel=config.kernel,
-                n_shards=n_shards,
-                shards=shards,
-            )
-        blob = search_blob(shards or subset)
-        top.merge(run_search_graph(graph, query, blob, config.scoring, pool).hits)
+            subset = pack_subset(packed, wanted, max_lanes, max_waste)
+        top.merge(scan_packed(query, subset, config, pool))
 
     # Pass 1: one bound sweep over every lane.  The ceilings serve twice --
     # ordering the seed prefix (highest ceiling first, so the threshold is
@@ -141,7 +131,7 @@ def pruned_search(
         combined, per_tier = tiered.ceilings(indexes, lengths)
     order = np.lexsort((indices, -combined))
     n_seeds = default_seed_count(config.top_k)
-    ship(repack(indices[order[:n_seeds]]))
+    scan(indices[order[:n_seeds]])
 
     # Pass 2: prune everything else whose ceiling is strictly below the
     # seeded threshold, then scan the survivors.
@@ -161,5 +151,5 @@ def pruned_search(
             metrics.counter(f"prefilter_{tier}_pruned").inc(n)
         if threshold != float("-inf"):
             metrics.gauge("prefilter_threshold").set(float(threshold))
-    ship(repack(indices[rest[keep]]))
+    scan(indices[rest[keep]])
     return top.ranked(), int(dropped.size), skipped

@@ -17,11 +17,13 @@ whole database of targets.  :func:`search_db` is that pipeline:
 :func:`search_db` has two routes, and neither depends on the backend: an
 unpruned scan plans one graph over the whole database, and the pruned
 search (:func:`repro.strategies.prefilter.pruned_search`) plans a seed
-graph and a survivor graph.  Every graph runs inline, or -- given a
-:class:`repro.parallel.AlignmentWorkerPool` -- on the pool, which publishes
-the blob once through a shared-memory arena and dispatches buckets through
-a *dynamic* work queue: workers pull the next chunk when free, so a skewed
-bucket cannot stall the rest of the pool (see ``pool.run_search_plan``).
+graph and a survivor graph.  Every graph goes through
+:func:`repro.strategies.prefilter.scan_packed` and runs inline, or -- given
+a :class:`repro.parallel.AlignmentWorkerPool` -- on the pool, which
+publishes the blob once through a shared-memory arena and dispatches
+buckets through one *dynamic* work queue: workers pull the next chunk when
+free, so a skewed bucket cannot stall the rest of the pool (see
+``pool.run_search_plan``).
 
 :func:`search_db_sequential` is the one-at-a-time reference the batched
 path is verified (and benchmarked) against; it scans numpy rows of
@@ -41,11 +43,11 @@ from ..core.topk import TopK
 from ..obs import gcups, get_metrics, get_tracer, is_enabled
 from ..obs.ledger import record_run
 from ..obs.trace import Stopwatch
-from ..plan import plan_search_buckets, search_blob
+from ..plan import plan_search_buckets  # noqa: F401  (perfbench/layers.py wraps this name)
 from ..seq.alphabet import encode
-from ..seq.db import PackedDatabase, content_digest, pack_database, shard_database
+from ..seq.db import PackedDatabase, content_digest, pack_database
 from .cache import DEFAULT_CACHE, cache_key
-from .prefilter import pruned_search, resolve_prefilter, run_search_graph
+from .prefilter import pruned_search, resolve_prefilter, scan_packed
 
 __all__ = [
     "SearchConfig",
@@ -80,15 +82,9 @@ class SearchConfig:
     #: sequences where the bounds cost more than they save).  Pruning never
     #: changes rankings -- only which sequences pay for a DP scan.
     prefilter: str = "auto"
-    #: Shard count.  ``1`` is the unsharded legacy layout; ``> 1`` deals the
-    #: database round-robin into disjoint shards (:func:`repro.seq.db.shard_database`),
-    #: scans each shard's tiles independently, and tournament-merges the
-    #: per-shard top-k heaps -- the ranking stays bitwise identical on every
-    #: backend.  On a pool the shard count may not exceed the worker count.
-    n_shards: int = 1
     #: Consult (and populate) the process-wide content-addressed result
     #: cache (:data:`repro.strategies.cache.DEFAULT_CACHE`).  A hit skips
-    #: planning, sharding and every DP tile.
+    #: planning and every DP tile.
     cache: bool = False
 
     @property
@@ -130,8 +126,6 @@ class SearchResult:
     sequences_pruned: int = 0
     #: DP cells those pruned sequences would have cost.
     cells_skipped: int = 0
-    #: Shards the database was dealt into (1 = unsharded).
-    n_shards: int = 1
     #: True when this result was served from the content-addressed cache
     #: (no planning, no DP tiles -- ``wall_seconds`` is the probe time).
     cached: bool = False
@@ -186,8 +180,6 @@ def search_db(
     out over persistent workers; otherwise the scan runs in-process.
     """
     config = config or SearchConfig()
-    if config.n_shards < 1:
-        raise ValueError("n_shards must be positive")
     if config.top_k < 0:
         # Here, not in the workers: a pool would report it as a job error.
         raise ValueError("top_k must be non-negative")
@@ -215,32 +207,11 @@ def search_db(
         buckets=len(packed.buckets),
         cells=cells,
         prefilter=",".join(tiers) or "off",
-        shards=config.n_shards,
     ):
         if tiers:
             ranked, pruned, skipped = pruned_search(query, packed, config, tiers, pool)
         else:
-            shards = (
-                shard_database(
-                    packed,
-                    config.n_shards,
-                    max_lanes=config.resolved_max_lanes,
-                    max_waste=config.resolved_max_waste,
-                )
-                if config.n_shards > 1
-                else None
-            )
-            with tracer.span("plan_build", "computation", shards=config.n_shards):
-                graph = plan_search_buckets(
-                    packed,
-                    len(query),
-                    top_k=config.top_k,
-                    kernel=config.kernel,
-                    n_shards=config.n_shards,
-                    shards=shards,
-                )
-            blob = search_blob(shards or packed)
-            ranked = run_search_graph(graph, query, blob, config.scoring, pool).hits
+            ranked = scan_packed(query, packed, config, pool)
             pruned = skipped = 0
     n_workers = 1 if pool is None else pool.n_workers
     if is_enabled():
@@ -262,7 +233,6 @@ def search_db(
             "query_bp": int(len(query)),
             "prefilter": ",".join(tiers) or "off",
             "sequences_pruned": pruned,
-            "n_shards": config.n_shards,
             "cache": config.cache,
         },
     )
@@ -278,7 +248,6 @@ def search_db(
         prefilter=",".join(tiers) or "off",
         sequences_pruned=pruned,
         cells_skipped=skipped,
-        n_shards=config.n_shards,
     )
     if key is not None:
         DEFAULT_CACHE.put(key, digest, result)

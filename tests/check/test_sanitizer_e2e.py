@@ -96,6 +96,31 @@ def test_forced_worker_death_leaves_no_owner_leak(sanitize, pair):
     assert_clean()
 
 
+def test_killed_worker_fails_a_search_fast_and_cleanly(sanitize):
+    """SIGKILL a pool worker, then search: the dispatch raises
+    ``WorkerCrashed`` in seconds, closes its arena and drains the work
+    queue, leaving no shared-memory segment behind."""
+    import time
+
+    from repro.parallel.pool import AlignmentWorkerPool, WorkerCrashed
+    from repro.seq.db import pack_database, synthetic_database
+    from repro.strategies import SearchConfig, search_db
+
+    def segments() -> set[str]:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+    packed = pack_database(synthetic_database(n=40, min_length=60, max_length=200, rng=4))
+    before = segments()
+    with AlignmentWorkerPool(n_workers=2) as pool:
+        os.kill(pool._procs[1].pid, signal.SIGKILL)
+        start = time.monotonic()
+        with pytest.raises(WorkerCrashed):
+            search_db("ACGT" * 30, packed, SearchConfig(top_k=5, prefilter="off"), pool=pool)
+        assert time.monotonic() - start < 30.0
+    assert segments() <= before
+    assert_clean()
+
+
 def test_search_failure_path_closes_the_arena(sanitize):
     """A dispatch failure after the arena exists must still close it."""
     from repro.parallel.pool import AlignmentWorkerPool
@@ -117,7 +142,7 @@ def test_search_failure_path_closes_the_arena(sanitize):
 
                 raise queue.Empty
 
-        pool._works = [BrokenQueue() for _ in range(pool.n_workers)]
+        pool._work = BrokenQueue()
         with pytest.raises(Boom):
             search_db("ACGTACGT", packed, SearchConfig(top_k=3), pool=pool)
     assert_clean()

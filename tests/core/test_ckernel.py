@@ -1153,9 +1153,9 @@ def test_module_name_keys_the_build_recipe(monkeypatch):
     assert ckernel._module_name() != name
 
 
-def test_search_db_pool_sharded_auto_matches_sequential():
-    """The compiled lanes behind a real search: pool workers, two shards and
-    the auto prefilter (on: the database is past its size gate)."""
+def test_search_db_pool_auto_matches_sequential():
+    """The compiled lanes behind a real search: pool workers and the auto
+    prefilter (on: the database is past its size gate)."""
     from repro.parallel import AlignmentWorkerPool
     from repro.seq import pack_database, random_dna, synthetic_database
     from repro.strategies import SearchConfig, search_db, search_db_sequential
@@ -1167,7 +1167,7 @@ def test_search_db_pool_sharded_auto_matches_sequential():
     packed = pack_database(db)
     query = np.concatenate([db[3].codes[:40], random_dna(30, rng)])
     want = search_db_sequential(query, packed, SearchConfig(top_k=7)).hits
-    config = SearchConfig(top_k=7, n_shards=2, prefilter="auto")
+    config = SearchConfig(top_k=7, prefilter="auto")
     DEFAULT_CACHE.clear()
     with AlignmentWorkerPool(n_workers=2) as pool:
         got = search_db(query, packed, config, pool=pool)

@@ -92,7 +92,7 @@ def test_search_closes_arena_when_dispatch_fails(monkeypatch):
             raise queue.Empty
 
     with AlignmentWorkerPool(n_workers=2) as pool:
-        pool._works = [BrokenQueue() for _ in range(pool.n_workers)]
+        pool._work = BrokenQueue()
         with pytest.raises(Boom):
             search_db("ACGTACGTACGT", packed, SearchConfig(top_k=3), pool=pool)
     assert len(arenas) == 1

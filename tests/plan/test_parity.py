@@ -26,7 +26,7 @@ from repro.plan import (
     wavefront_spec,
 )
 from repro.seq import encode, genome_pair
-from repro.seq.db import pack_database, synthetic_database
+from repro.seq.db import pack_database, pack_subset, synthetic_database
 from repro.strategies import SearchConfig, search_db, search_db_sequential
 
 
@@ -184,9 +184,10 @@ class TestExecutorGuards:
         packed = pack_database(
             synthetic_database(n=40, min_length=40, max_length=300, rng=5)
         )
-        # Shards dealt inside the planner are packed with other buckets than
-        # the unsharded database, so its blob does not match the locators.
-        graph = plan_search_buckets(packed, 120, top_k=5, n_shards=2)
+        # A subset re-packed into its own buckets has other locators than
+        # the whole database, so the whole database's blob does not match.
+        subset = pack_subset(packed, range(0, packed.n_sequences, 2))
+        graph = plan_search_buckets(subset, 120, top_k=5)
         blob = search_blob(packed)
         assert blob.size != graph.shape[1]
         query = encode("ACGT" * 30)

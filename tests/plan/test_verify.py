@@ -1,7 +1,7 @@
 """The static plan verifier: the sweep proves out, illegal graphs do not.
 
 The acceptance bar mirrors the dataflow prover's: every planner x backend
-combination (search: x kernel x shards) the system can build must verify
+combination (search: x kernel) the system can build must verify
 clean, and hand-built graphs that break each invariant class -- cycle,
 missing owner, cell-count mismatch, spec-less graph on the pool -- must be rejected
 with findings precise enough to name the tile and the breach.  The graphs below are built
@@ -183,6 +183,36 @@ def test_bucket_scanned_twice_is_a_plan004():
     )
 
 
+def test_sequence_scored_in_two_tiles_is_a_plan004():
+    packed = _sweep_packed()
+    graph = plan_search_buckets(packed, query_len=80, top_k=5)
+    # Point tile 1's first lane at the sequence tile 0's first lane scores:
+    # the cells still add up, but that sequence is now scored twice.
+    t0, t1 = graph.tiles[0], graph.tiles[1]
+    indices = (t0.payload[4][0],) + tuple(t1.payload[4][1:])
+    graph.tiles = (t0, t1._replace(payload=t1.payload[:4] + (indices,))) + graph.tiles[2:]
+    findings = verify_graph(graph)
+    assert rules_of(findings) == {"PLAN004"}
+    assert any(
+        f.line == 1 and "that tile 0 aligns" in f.message and "exactly one lane" in f.message
+        for f in findings
+    )
+
+
+def test_sequence_in_two_lanes_of_one_tile_is_a_plan004():
+    packed = _sweep_packed()
+    graph = plan_search_buckets(packed, query_len=80, top_k=5)
+    victim = next(t for t in graph.tiles if t.payload[2] > 1)
+    indices = (victim.payload[4][0],) * 2 + tuple(victim.payload[4][2:])
+    tiles = list(graph.tiles)
+    tiles[victim.id] = victim._replace(payload=victim.payload[:4] + (indices,))
+    graph.tiles = tuple(tiles)
+    assert any(
+        f.rule == "PLAN004" and f.line == victim.id and "exactly one lane" in f.message
+        for f in verify_graph(graph)
+    )
+
+
 def _phase2_graph():
     regions = [(30, 0, 40, 0, 50), (20, 10, 30, 5, 35), (10, 50, 60, 60, 64)]
     return plan_phase2(96, 128, n_procs=2, regions=regions)
@@ -226,78 +256,17 @@ def test_phase2_owner_off_the_scattered_mapping_is_a_plan004():
     assert "rank 1" in finding.message and "rank 0" in finding.message
 
 
-def test_more_shards_than_processors_is_a_plan003():
+def test_search_dependency_on_the_pool_is_a_plan006():
     packed = _sweep_packed()
-    good = plan_search_buckets(packed, query_len=80, top_k=5, n_shards=2)
-    # Same tiles, but the graph claims fewer nodes than shards: shard 1's
-    # tiles would sit on a queue no worker group ever drains.
-    graph = TaskGraph(
-        kind="search", n_procs=1, shape=good.shape, tiles=good.tiles,
-        params=good.params, n_shards=2,
-    )
-    assert any(
-        f.rule == "PLAN003" and "never be dispatched" in f.message
-        for f in verify_graph(graph)
-    )
-
-
-def test_shard_outside_the_declared_range_is_a_plan003():
-    packed = _sweep_packed()
-    graph = plan_search_buckets(packed, query_len=80, top_k=5, n_shards=2)
-    victim = graph.tiles[0]
-    graph.tiles = (victim._replace(shard=5),) + graph.tiles[1:]
-    assert any(
-        f.rule == "PLAN003" and f.line == victim.id
-        and "no shard group would run it" in f.message
-        for f in verify_graph(graph)
-    )
-
-
-def test_sharded_tile_in_a_static_schedule_is_a_plan003():
-    graph = TaskGraph(
-        kind="blocked", n_procs=2, shape=(10, 10),
-        tiles=(Tile(0, 0, 50, (0, 0), ()), Tile(1, 1, 50, (1, 0), (), 1)),
-        params={
-            "row_bounds": ((0, 5), (5, 10)), "col_bounds": ((0, 10),),
-            "n_bands": 2, "n_blocks": 1,
-        },
-        n_shards=2,
-    )
-    assert any(
-        f.rule == "PLAN003" and "only search graphs are sharded" in f.message
-        for f in verify_graph(graph)
-    )
-
-
-def test_sequence_in_two_shards_is_a_plan004():
-    packed = _sweep_packed()
-    graph = plan_search_buckets(packed, query_len=80, top_k=5, n_shards=2)
-    # Duplicate a shard-0 tile into shard 1: every lane it covers is now
-    # scored in both shards, so its entries could double up in the merge.
-    victim = next(t for t in graph.tiles if t.shard == 0)
-    dup = victim._replace(id=len(graph.tiles), shard=1)
-    graph.tiles = graph.tiles + (dup,)
-    assert any(
-        f.rule == "PLAN004" and f.line == dup.id
-        and "exactly one shard" in f.message
-        for f in verify_graph(graph)
-    )
-
-
-def test_cross_shard_dependency_on_the_pool_is_a_plan006():
-    packed = _sweep_packed()
-    graph = plan_search_buckets(packed, query_len=80, top_k=5, n_shards=2)
+    graph = plan_search_buckets(packed, query_len=80, top_k=5)
     tiles = list(graph.tiles)
-    donor = next(t for t in tiles if t.shard == 0)
-    victim = next(t for t in tiles if t.shard == 1 and t.id > donor.id)
-    tiles[victim.id] = victim._replace(deps=(donor.id,))
+    tiles[1] = tiles[1]._replace(deps=(0,))
     graph.tiles = tuple(tiles)
     assert any(
-        f.rule == "PLAN006" and f.line == victim.id
-        and "share no done flags" in f.message
+        f.rule == "PLAN006" and f.line == 1 and "no done flags" in f.message
         for f in verify_graph(graph, "pool")
     )
-    # The same edge is harmless where one process sees every shard.
+    # The same edge is harmless where one process runs the tiles in id order.
     assert verify_graph(graph, "inline") == []
 
 

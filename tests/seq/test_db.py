@@ -15,7 +15,7 @@ from repro.seq import (
     synthetic_database,
     write_fasta,
 )
-from repro.seq.db import pack_subset, shard_database
+from repro.seq.db import pack_subset
 
 
 @pytest.fixture
@@ -156,22 +156,13 @@ class TestSyntheticDatabase:
             synthetic_database(min_length=10, max_length=5)
 
 
-def _per_lane_repack(packed, buffers, max_lanes, max_waste):
-    """The per-lane reference: one ``(index, codes)`` buffer per output
-    database, cut by the per-record oracle packer (``tests/_packing.py``)."""
+def naive_pack_subset(packed, indices, max_lanes, max_waste):
+    """The per-lane reference: the wanted ``(index, codes)`` records, cut
+    by the per-record oracle packer (``tests/_packing.py``)."""
     from _packing import reference_buckets
 
     from repro.seq.db import PackedDatabase
 
-    out = []
-    for buffer in buffers:
-        buffer.sort(key=lambda item: item[0])
-        buckets = reference_buckets(buffer, max_lanes, max_waste)
-        out.append(PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths))
-    return out
-
-
-def naive_pack_subset(packed, indices, max_lanes, max_waste):
     wanted = {int(i) for i in indices}
     buffer = []
     for bucket in packed.buckets:
@@ -181,17 +172,9 @@ def naive_pack_subset(packed, indices, max_lanes, max_waste):
                 buffer.append((index, bucket.codes[lane, : int(bucket.lengths[lane])]))
     if len(buffer) != len(wanted):
         raise ValueError("not in the database")
-    return _per_lane_repack(packed, [buffer], max_lanes, max_waste)[0]
-
-
-def naive_shard_database(packed, n_shards, max_lanes, max_waste):
-    buffers = [[] for _ in range(n_shards)]
-    for bucket in packed.buckets:
-        for lane in range(bucket.lanes):
-            index = int(bucket.indices[lane])
-            width = int(bucket.lengths[lane])
-            buffers[index % n_shards].append((index, bucket.codes[lane, :width]))
-    return _per_lane_repack(packed, buffers, max_lanes, max_waste)
+    buffer.sort(key=lambda item: item[0])
+    buckets = reference_buckets(buffer, max_lanes, max_waste)
+    return PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths)
 
 
 def assert_same_packing(got, want):
@@ -206,8 +189,8 @@ def assert_same_packing(got, want):
 
 
 class TestRepackMatchesPerLaneReference:
-    """``pack_subset``/``shard_database`` gather whole blocks at a time; the
-    buckets they cut must equal the per-lane reference bit for bit."""
+    """``pack_subset`` gathers whole blocks at a time; the buckets it cuts
+    must equal the per-lane reference bit for bit."""
 
     @pytest.fixture
     def packed(self, rng):
@@ -230,19 +213,9 @@ class TestRepackMatchesPerLaneReference:
         got = pack_subset(packed, wanted, 8, 0.2)
         assert_same_packing(got, naive_pack_subset(packed, wanted, 8, 0.2))
 
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 7, 200])
-    def test_shard_database(self, packed, n_shards):
-        got = shard_database(packed, n_shards, 6, 0.25)
-        want = naive_shard_database(packed, n_shards, 6, 0.25)
-        assert len(got) == len(want) == n_shards
-        for g, w in zip(got, want):
-            assert_same_packing(g, w)
-            assert g._bound_index == {}
-
     def test_empty_database(self):
         empty = pack_database([])
         assert pack_subset(empty, [], 4, 0.5).buckets == []
-        assert [s.buckets for s in shard_database(empty, 3)] == [[], [], []]
 
     @pytest.mark.parametrize("bad", [[90], [-1], [0, 1, 1000]])
     def test_missing_index_raises(self, packed, bad):

@@ -525,7 +525,7 @@ class TestSurvivors:
 
 class TestBackendsPruneAlike:
     """Inline and pooled searches run one pruned algorithm: the same
-    rankings and the same prune statistics, sharded or not."""
+    rankings and the same prune statistics."""
 
     @pytest.fixture(scope="class")
     def pool(self):
@@ -562,11 +562,10 @@ class TestBackendsPruneAlike:
         }
         return result, prune
 
-    @pytest.mark.parametrize("n_shards", [1, 2])
     @pytest.mark.parametrize("mode", ["composition", "kmer", "auto"])
-    def test_inline_and_pool_prune_identically(self, pool, workload, mode, n_shards):
+    def test_inline_and_pool_prune_identically(self, pool, workload, mode):
         query, packed, expected = workload
-        config = SearchConfig(top_k=5, max_lanes=64, prefilter=mode, n_shards=n_shards)
+        config = SearchConfig(top_k=5, max_lanes=64, prefilter=mode)
         inline, inline_prune = self.observed_search(query, packed, config)
         pooled, pooled_prune = self.observed_search(query, packed, config, pool)
         assert inline.scores() == pooled.scores() == expected

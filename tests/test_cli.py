@@ -38,7 +38,7 @@ class TestParser:
             (["align", "--demo", "--top", "-1"], "--top"),
             (["search", "q.fa", "db.fa", "--workers", "0"], "--workers"),
             (["search", "q.fa", "db.fa", "--workers", "-2"], "--workers"),
-            (["search", "q.fa", "db.fa", "--shards", "0"], "--shards"),
+            (["search", "q.fa", "db.fa", "--workers", "two"], "--workers"),
             (["search", "q.fa", "db.fa", "--top", "-1"], "--top"),
             (["search", "q.fa", "db.fa", "--top", "ten"], "--top"),
             (["tune", "--procs", "0"], "--procs"),
