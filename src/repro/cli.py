@@ -20,7 +20,7 @@ Subcommands
 ``search``     scan one query against a FASTA database with the batched
                multi-sequence kernel (length-bucketed SIMD lanes) and print
                the top-scoring hits; ``--workers N`` fans buckets out over
-               the persistent worker pool's dynamic work queue.
+               the persistent worker pool, whose workers claim them greedily.
 ``check``      run the project's static analyzer (``repro.check``) over one or
                more paths; exits 1 when findings remain.  ``--format json``
                emits the machine-readable report CI archives.

@@ -9,30 +9,32 @@ keeps ``n_workers`` processes alive across requests:
 * Sequences are published once per pair through a
   :class:`repro.parallel.shm.SequenceArena`; workers attach by name and slice
   zero-copy views, so a request carries only a small job descriptor.
-* Every statically-partitioned job speaks one *generic task protocol*
-  (:func:`_job_plan`): the job ships a
-  :class:`repro.plan.PlanSpec`, each worker rebuilds the identical
-  :class:`repro.plan.TaskGraph` via :func:`repro.plan.cached_plan`, runs its
-  own tiles in id order and gates every cross-worker dependency on a shared
-  *done-flag* array indexed by tile id.  Shared flags (not
+* Every job speaks one *generic task protocol* (:func:`_job_plan`): the job
+  ships a :class:`repro.plan.PlanSpec` (each worker rebuilds the identical
+  :class:`repro.plan.TaskGraph` via :func:`repro.plan.cached_plan`) or, for
+  a graph without one (search), the graph itself.  Each worker runs its own
+  tiles in id order, gating every cross-worker dependency on a shared
+  *done-flag* array indexed by tile id, then claims
+  :data:`~repro.plan.DYNAMIC` tiles in id order from a *claim cursor*, one
+  more int64 slot of the same per-job segment, read and advanced under one
+  lock the pool creates before it forks.  Shared flags (not
   semaphores/events) because synchronisation primitives can only be
   inherited at fork time while shm segments can be attached by name at any
   moment -- exactly what a long-lived pool serving arbitrary job shapes
-  needs.
+  needs; the one inherited lock guards a cursor that lives per job.
 * Worker death is detected while collecting results (exit-code polling in
   :meth:`AlignmentWorkerPool._collect`), so a crashed worker fails the
   request in well under a second instead of hanging for the full timeout.
 
-The pool speaks two job protocols.  The static ``plan`` job serves every
-plan kind with a spec -- the non-blocked wave-front (Section 4.2), the
-blocked wave-front (Section 4.3), the pre_process scoreboard (Section 5)
-and the phase-2 scattered mapping (Section 4.4).  The ``search`` job
-(:meth:`AlignmentWorkerPool.run_search_plan`) replaces the static per-role
-partition with a *dynamic* work queue: the packed database is published
-once through the arena, each length-bucket tile of the search graph goes
-on a shared queue, and workers pull the next tile whenever they finish one
-(greedy self-scheduling), so a skewed bucket cannot stall the rest of the
-pool.
+The job serves every plan kind: the non-blocked wave-front (Section 4.2),
+the blocked wave-front (Section 4.3), the pre_process scoreboard
+(Section 5), the phase-2 scattered mapping (Section 4.4) and the database
+search (:meth:`AlignmentWorkerPool.run_search_plan`), whose graph is a set
+of edge-free ``DYNAMIC`` bucket tiles over one arena.  Workers claim those
+greedily (self-scheduling), so a skewed bucket cannot stall the rest of the
+pool.  The cursor lives in the job's own segment, so a worker still
+finishing a failed job cannot take tiles from the next one: every job fails
+fast, and nothing is left over between jobs.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ import shutil
 import tempfile
 import time
 from contextlib import nullcontext
+from itertools import chain
 from time import perf_counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,13 +55,14 @@ from ..core.alignment import LocalAlignment
 from ..core.global_align import SubsequenceAlignment
 from ..core.kernels import SCORE_DTYPE
 from ..core.scoring import DEFAULT_SCORING, Scoring
-from ..obs import gcups, get_metrics, get_tracer, is_enabled
+from ..obs import get_metrics, get_tracer, is_enabled
 from ..obs.collect import ObsJob, discard_segments, merge_into, observed_worker
 from ..plan import (
+    DYNAMIC,
     ExecutionResult,
     PlanSpec,
-    SearchRuntime,
     TaskGraph,
+    Tile,
     cached_plan,
     finalize_plan,
     make_runtime,
@@ -71,9 +75,9 @@ from ..seq.alphabet import encode
 from .guard import WorkerCrashed, poll_until
 from .shm import ArenaHandle, SequenceArena, attach_arena, attach_shared_array, create_shared_array
 
-#: End-of-stream marker of every pool queue.  ``None`` by value (needs no
-#: shared state to compare against); always spelled ``SENTINEL`` so the
-#: shutdown handshake is explicit at every get/put site.
+#: End-of-stream marker of the workers' task queues.  ``None`` by value
+#: (needs no shared state to compare against); always spelled ``SENTINEL``
+#: so the shutdown handshake is explicit at every get/put site.
 SENTINEL = None
 
 
@@ -87,13 +91,14 @@ class PoolJobError(RuntimeError):
 
 #: Spans that split a traced pool job's fixed cost, all "coordination":
 #: ``job_receipt`` (the coordinator's submit to the worker's pickup: job
-#: pickling, the task queue, unpickling) and, on the coordinator,
-#: ``result_put`` (the worker's put to the coordinator's get: pickling, the
-#: result queue and its poll wake-up) for every job; for plan jobs also
-#: ``arena_attach`` (pair arena, plan cache, shared state and done flags),
-#: ``make_runtime``, ``first_tile`` (ready to the end of the worker's first
-#: tile, its waits included), ``last_tile`` (the start of the last tile's
-#: waits to its end) and ``emit``.
+#: pickling, the task queue, unpickling), ``arena_attach`` (pair arena, plan
+#: cache, shared state and done flags), ``make_runtime``, ``first_tile``
+#: (ready to the end of the worker's first tile, owned or claimed, its waits
+#: included), ``last_tile`` (the start of the last tile's waits to the end
+#: of the worker's tile loop, its last empty claim included) and ``emit``;
+#: and, on the coordinator, ``result_put`` (the worker's put to the
+#: coordinator's get: pickling, the result queue and its poll wake-up).  A
+#: worker that ran no tile stamps neither ``first_tile`` nor ``last_tile``.
 JOB_SPANS = (
     "job_receipt", "arena_attach", "make_runtime", "first_tile", "last_tile", "emit", "result_put",
 )
@@ -140,17 +145,35 @@ def _state_array(graph: TaskGraph, name: str | None = None):
     return attach_shared_array(name, shape, SCORE_DTYPE)
 
 
-def _job_plan(role: int, job: dict, arenas: dict) -> list:
-    """Generic ready-set execution of one planned job (any static kind).
+def _claims(tiles: list[Tile], cursor: np.ndarray, lock) -> Iterator[Tile]:
+    """``DYNAMIC`` tiles claimed in id order from the job's shared cursor.
 
-    The worker rebuilds the task graph from the job's spec (cached across
-    requests on the same pair), attaches the shared cross-owner state array
-    (if the kind has one) plus the shared per-tile done-flag array, and
-    walks its own tiles in id order.  A tile may run once every dependency's
-    flag is up: same-owner dependencies are satisfied by program order,
-    cross-owner ones are polled under the job timeout so a stuck neighbour
-    surfaces as a descriptive error instead of a hang.  The kernels count
-    their own cells.
+    Each claim reads and advances ``cursor[0]`` under the pool's one claim
+    lock, so every tile goes to exactly one worker; a graph with no such
+    tile never takes the lock.
+    """
+    while tiles:
+        with lock:
+            claim = int(cursor[0])
+            cursor[0] = claim + 1
+        if claim >= len(tiles):
+            return
+        yield tiles[claim]
+
+
+def _job_plan(role: int, job: dict, arenas: dict, lock) -> list:
+    """Generic ready-set execution of one planned job (any plan kind).
+
+    The worker takes the job's graph, or rebuilds it from the job's spec
+    (cached across requests on the same pair), attaches the shared
+    cross-owner state array (if the kind has one) plus the shared per-tile
+    done-flag array, whose extra last slot is the job's claim cursor, and
+    walks its own tiles in id order, then claims ``DYNAMIC`` tiles until
+    none is left.  A tile may run once every dependency's flag is up:
+    same-owner dependencies are satisfied by program order, cross-owner
+    ones are polled under the job timeout so a stuck neighbour surfaces as
+    a descriptive error instead of a hang; claimed tiles are edge-free
+    (PLAN006) and wait on nothing.  The kernels count their own cells.
     """
     # Telemetry is tile-grained: with the tracer disabled each tile pays
     # three branch checks, keeping the hot per-row path untouched.  The
@@ -159,11 +182,13 @@ def _job_plan(role: int, job: dict, arenas: dict) -> list:
     tracing = tracer.enabled
     t_job = perf_counter() if tracing else 0.0
     s, t = _get_pair(arenas, job["arena"])
-    graph = cached_plan(job["spec"], len(s), len(t))
+    plan = job["plan"]
+    graph = plan if isinstance(plan, TaskGraph) else cached_plan(plan, len(s), len(t))
+    tiles = graph.tiles
     timeout: float = job["timeout"]
     scoring: Scoring = job["scoring"]
     with _state_array(graph, job["state"]) as state, attach_shared_array(
-        job["done"], (len(graph.tiles),), np.int64
+        job["done"], (len(tiles) + 1,), np.int64
     ) as done:
         if tracing:
             t_attached = perf_counter()
@@ -172,17 +197,17 @@ def _job_plan(role: int, job: dict, arenas: dict) -> list:
             graph, s, t, scoring, state=None if state is None else state.array
         )
         done_flags = done.array
-        tiles = graph.tiles
+        claimed = _claims(graph.tiles_of(DYNAMIC), done_flags[len(tiles) :], lock)
         if tracing:
             t_ready = perf_counter()
             tracer.record("make_runtime", "coordination", t_attached, t_ready - t_attached)
         wait_s = busy_s = 0.0
-        mine = graph.tiles_of(role)
         t_tile = first_done = 0.0  # the latest tile's start, the first's end
-        for tile in mine:
+        first = last = None  # ids of the first and the latest tile run
+        for tile in chain(graph.tiles_of(role), claimed):
             if tracing:
                 t_tile = perf_counter()
-            for dep in tile.deps:
+            for dep in tile.deps if tile.owner == role else ():
                 if tiles[dep].owner == role:
                     continue  # program order: own tiles run in id order
                 t0 = perf_counter() if tracing else 0.0
@@ -213,16 +238,16 @@ def _job_plan(role: int, job: dict, arenas: dict) -> list:
                     spent,
                     **runtime.tile_args(tile),
                 )
-                first_done = first_done or t0 + spent
+                if first is None:
+                    first, first_done = tile.id, t0 + spent
+                last = tile.id
         if tracing:
             t_done = perf_counter()
-            if mine:
+            if first is not None:
                 tracer.record(
-                    "first_tile", "coordination", t_ready, first_done - t_ready, tile=mine[0].id
+                    "first_tile", "coordination", t_ready, first_done - t_ready, tile=first
                 )
-                tracer.record(
-                    "last_tile", "coordination", t_tile, t_done - t_tile, tile=mine[-1].id
-                )
+                tracer.record("last_tile", "coordination", t_tile, t_done - t_tile, tile=last)
             metrics = get_metrics()
             metrics.counter("worker_busy_seconds").inc(busy_s)
             metrics.counter("worker_wait_seconds").inc(wait_s)
@@ -232,59 +257,7 @@ def _job_plan(role: int, job: dict, arenas: dict) -> list:
         return emitted
 
 
-def _job_search(role: int, job: dict, arenas: dict, work) -> dict:
-    """Dynamic-dispatch database search: pull graph tiles until SENTINEL.
-
-    The worker attaches the job's arena (``s`` slot the query, ``t`` the
-    flat bucket blob, see :func:`repro.plan.search_blob`) and pulls tiles
-    off the pool's one work queue, self-scheduling greedily with every other
-    worker.  Its :class:`~repro.plan.SearchRuntime` keeps a local top-k
-    (deterministic total order, so the coordinator's merge is
-    interleaving-independent) and stops at the first SENTINEL -- exactly
-    one per worker is enqueued behind the job's tiles.
-    """
-    q, blob = _get_pair(arenas, job["arena"])
-    runtime = SearchRuntime(q, blob, job["scoring"], job["top_k"], kernel=job["kernel"])
-    tracer = get_tracer()
-    tracing = tracer.enabled
-    busy_s = 0.0
-    chunks_done = 0
-    queue_depth = 0
-    while True:
-        tile = work.get()
-        if tile is SENTINEL:
-            break
-        if tracing:
-            try:
-                queue_depth = max(queue_depth, work.qsize())
-            except NotImplementedError:  # qsize is unimplemented on macOS
-                pass
-        t0 = perf_counter()
-        runtime.run_tile(tile)
-        chunks_done += 1
-        if tracing:
-            spent = perf_counter() - t0
-            busy_s += spent
-            tracer.record(
-                "search_chunk",
-                "computation",
-                t0,
-                spent,
-                lanes=tile.payload[2],
-                width=tile.payload[1],
-                **runtime.tile_args(tile),
-            )
-    if tracing:
-        metrics = get_metrics()
-        metrics.counter("search_chunks").inc(chunks_done)
-        metrics.counter("worker_busy_seconds").inc(busy_s)
-        metrics.gauge("search_queue_depth").set(queue_depth)
-        if busy_s > 0.0:
-            metrics.gauge(f"search_worker{role}_gcups").set(gcups(runtime.cells, busy_s))
-    return runtime.emit(role)
-
-
-def _pool_worker(role: int, tasks, results, work) -> None:
+def _pool_worker(role: int, tasks, results, lock) -> None:
     arenas: dict = {}
     try:
         while True:
@@ -303,10 +276,7 @@ def _pool_worker(role: int, tasks, results, work) -> None:
                         tracer.record(
                             "job_receipt", "coordination", obs.t_submit, t_recv - obs.t_submit
                         )
-                    if job["kind"] == "search":
-                        payload = _job_search(role, job, arenas, work)
-                    else:
-                        payload = _job_plan(role, job, arenas)
+                    payload = _job_plan(role, job, arenas, lock)
                 if obs is not None:
                     t_put = perf_counter()
                 results.put((job["id"], role, "ok", payload, t_put))
@@ -343,14 +313,14 @@ class AlignmentWorkerPool:
         ctx = mp.get_context()
         self._tasks = [ctx.Queue() for _ in range(n_workers)]
         self._results = ctx.Queue()
-        # The dynamic work queue of search jobs.  Queues can only be
-        # inherited at fork time, so it exists for the pool's whole life;
-        # it is empty between jobs (drained even on failure).
-        self._work = ctx.Queue()
+        # Guards every job's claim cursor.  Locks can only be inherited at
+        # fork time, so one lock serves the pool's whole life; the cursor it
+        # guards lives in each job's own done-flag segment.
+        self._claim_lock = ctx.Lock()
         self._procs = [
             ctx.Process(
                 target=_pool_worker,
-                args=(w, self._tasks[w], self._results, self._work),
+                args=(w, self._tasks[w], self._results, self._claim_lock),
                 daemon=True,
             )
             for w in range(n_workers)
@@ -429,7 +399,7 @@ class AlignmentWorkerPool:
 
     # -- job plumbing ------------------------------------------------------
 
-    def _submit(self, job: dict, fail_fast: bool = True) -> dict[int, object]:
+    def _submit(self, job: dict) -> dict[int, object]:
         if self._closed:
             raise RuntimeError("pool is closed")
         self._job_counter += 1
@@ -443,10 +413,10 @@ class AlignmentWorkerPool:
                 self._obs_dir = tempfile.mkdtemp(prefix="repro-obs-")
             obs = ObsJob(self._obs_dir, f"job{job['id']}", perf_counter())
             job["obs"] = obs
-        with tracer.span(f"pool_job:{job['kind']}", "coordination", job=job["id"]):
+        with tracer.span("pool_job", "coordination", job=job["id"]):
             for q in self._tasks:
                 q.put(job)
-            collected = self._collect(job["id"], fail_fast=fail_fast)
+            collected = self._collect(job["id"])
         if obs is not None:
             # Fold every worker's segment (spans + metric snapshot) into the
             # coordinator's tracer/registry -- one coherent timeline per run.
@@ -454,13 +424,12 @@ class AlignmentWorkerPool:
             discard_segments(obs.dir, obs.key)
         return collected
 
-    def _collect(self, job_id: int, fail_fast: bool = True) -> dict[int, object]:
+    def _collect(self, job_id: int) -> dict[int, object]:
         import queue as _queue
 
         collected: dict[int, object] = {}
-        errors: list[str] = []
         deadline = time.monotonic() + self.timeout
-        while len(collected) + len(errors) < self.n_workers:
+        while len(collected) < self.n_workers:
             try:
                 jid, role, status, payload, t_put = self._results.get(timeout=0.2)
             except _queue.Empty:
@@ -485,16 +454,8 @@ class AlignmentWorkerPool:
                     "result_put", "coordination", t_put, perf_counter() - t_put, worker=role
                 )
             if status == "error":
-                # fail_fast suits the statically-partitioned jobs; search
-                # waits for every worker so the shared work queue is quiet
-                # (and safe to drain) by the time the error propagates.
-                if fail_fast:
-                    raise PoolJobError(str(payload))
-                errors.append(f"worker {role}: {payload}")
-                continue
+                raise PoolJobError(str(payload))
             collected[role] = payload
-        if errors:
-            raise PoolJobError("; ".join(errors))
         return collected
 
     # -- planned jobs -------------------------------------------------------
@@ -516,18 +477,24 @@ class AlignmentWorkerPool:
         done-flag protocol.  Returns the merged
         :class:`repro.plan.ExecutionResult`.
         """
-        return self._run_static(spec, self._ensure_pair(s, t), scoring, timeout)
+        handle = self._ensure_pair(s, t)
+        graph = cached_plan(spec, handle.s_len, handle.t_len)
+        return self._run_graph(graph, handle, scoring, timeout)
 
-    def _run_static(
+    def _run_graph(
         self,
-        spec: PlanSpec,
+        graph: TaskGraph,
         handle: ArenaHandle,
         scoring: Scoring,
         timeout: float | None,
     ) -> ExecutionResult:
-        """The ``plan`` job behind :meth:`run_plan` and :meth:`phase2`."""
-        graph = cached_plan(spec, handle.s_len, handle.t_len)
-        if graph.n_procs != self.n_workers:
+        """The one pool job behind :meth:`run_plan`, :meth:`phase2` and
+        :meth:`run_search_plan`: ship the graph's spec (or, without one, the
+        graph), fresh done flags with the claim cursor, and any shared
+        state; merge what the workers emit."""
+        # Ranked tiles need one worker per rank; a spec-less (search) graph
+        # has only DYNAMIC tiles, which any number of workers can claim.
+        if graph.spec is not None and graph.n_procs != self.n_workers:
             raise ValueError(
                 f"plan wants {graph.n_procs} processors"
                 f" but the pool has {self.n_workers} workers"
@@ -536,20 +503,21 @@ class AlignmentWorkerPool:
         tracer = get_tracer()
         # run_mp_pipeline comes here directly (not through Executor.run),
         # so the pool stamps its own plan span; attribution deduplicates the
-        # nested copy when a PoolExecutor wraps this call.
+        # nested copy when a PoolExecutor wraps this call.  A search graph
+        # has no rebuildable spec, so everything attribution needs
+        # (tiles/cells/critical path) rides these args directly.
         span_args = graph.span_args(backend="pool") if tracer.enabled else {}
         # Nested `with` (not sequential creates + try/finally): if the second
         # allocation raises, the first segment is still unwound.
         with tracer.span(
             f"plan:{graph.kind}", "coordination", **span_args
         ), _state_array(graph) as state, create_shared_array(
-            (len(graph.tiles),), np.int64
+            (len(graph.tiles) + 1,), np.int64
         ) as done:
             collected = self._submit(
                 {
-                    "kind": "plan",
                     "arena": handle,
-                    "spec": spec,
+                    "plan": graph if graph.spec is None else graph.spec,
                     "state": None if state is None else state.name,
                     "done": done.name,
                     "timeout": self.timeout if timeout is None else timeout,
@@ -575,8 +543,8 @@ class AlignmentWorkerPool:
         handle = self._ensure_pair(s, t)
         if not regions:
             return []
-        spec = phase2_spec(self.n_workers, regions)
-        return self._run_static(spec, handle, scoring, None).extras["records"]
+        graph = cached_plan(phase2_spec(self.n_workers, regions), handle.s_len, handle.t_len)
+        return self._run_graph(graph, handle, scoring, None).extras["records"]
 
     # -- database search -----------------------------------------------------
 
@@ -588,73 +556,22 @@ class AlignmentWorkerPool:
         *,
         scoring: Scoring = DEFAULT_SCORING,
     ) -> ExecutionResult:
-        """Dynamic-dispatch execution of one search graph.
+        """Execute one search graph: its bucket tiles claimed greedily.
 
-        Publishes the query plus the flat bucket blob through one arena,
-        enqueues every tile on the work queue (then one SENTINEL per
-        worker), and broadcasts the job; workers pull tiles greedily and
-        return local top-k heaps, which :func:`repro.plan.finalize_plan`
-        folds into one.  The deterministic total order makes the merged
-        ranking interleaving-independent.
+        Publishes the query plus the flat bucket blob through one arena for
+        this call and runs the graph as any other job; every tile is
+        ``DYNAMIC``, so workers claim them from the job's cursor and return
+        local top-k heaps, which :func:`repro.plan.finalize_plan` folds into
+        one.  The deterministic total order makes the merged ranking
+        independent of who claimed what.
         """
         check_search_inputs(graph, query, blob)
-        maybe_verify(graph, "pool")
-        tracer = get_tracer()
-        # The search graph has no rebuildable spec, so everything attribution
-        # needs (tiles/cells/critical-path) rides this span's args directly.
-        span_args = graph.span_args(backend="pool") if tracer.enabled else {}
-        arena: SequenceArena | None = None
-        with tracer.span(f"plan:{graph.kind}", "coordination", **span_args):
-            try:
-                # The arena is created inside the try so that *any* failure
-                # after it exists -- the metrics block below included --
-                # unwinds it.
-                with tracer.span(
-                    "shm_publish", "communication", bytes=int(query.size + blob.size)
-                ):
-                    arena = SequenceArena(query, blob)
-                if is_enabled():
-                    metrics = get_metrics()
-                    metrics.counter("arena_bytes_published").inc(int(query.size + blob.size))
-                    metrics.gauge("search_queue_chunks").set(len(graph.tiles))
-                try:
-                    for tile in graph.tiles:
-                        self._work.put(tile)
-                    for _ in range(self.n_workers):
-                        self._work.put(SENTINEL)
-                    collected = self._submit(
-                        {
-                            "kind": "search",
-                            "arena": arena.handle,
-                            "top_k": graph.params["top_k"],
-                            "kernel": graph.params["kernel"],
-                            "scoring": scoring,
-                        },
-                        fail_fast=False,
-                    )
-                except PoolJobError:
-                    # Every worker has reported back (fail_fast=False), so
-                    # nothing is still pulling: leftover tiles and the failed
-                    # worker's sentinel can be drained without starving anyone.
-                    self._drain_work()
-                    raise
-                except BaseException:
-                    # Timeout/crash/interrupt: workers may be mid-pull, so the
-                    # queue cannot be drained safely -- retire the pool.
-                    self.close(join_timeout=1.0)
-                    raise
-            finally:
-                if arena is not None:
-                    arena.close()
-        result = finalize_plan(graph, list(collected.values()))
-        result.backend = "pool"
-        return result
-
-    def _drain_work(self) -> None:
-        import queue as _queue
-
-        while True:
-            try:
-                self._work.get(timeout=0.1)
-            except (_queue.Empty, OSError, ValueError):
-                break
+        nbytes = int(query.size + blob.size)
+        t0 = perf_counter()
+        with SequenceArena(query, blob) as arena:
+            get_tracer().record(
+                "shm_publish", "communication", t0, perf_counter() - t0, bytes=nbytes
+            )
+            if is_enabled():
+                get_metrics().counter("arena_bytes_published").inc(nbytes)
+            return self._run_graph(graph, arena.handle, scoring, None)

@@ -15,7 +15,7 @@ Invariants (checked by :meth:`TaskGraph.validate`):
 * every dependency id is smaller than the tile's own id, so iterating the
   tuple (or any per-owner subsequence of it) is a topological order;
 * owners are processor ranks ``0 .. n_procs-1``, or :data:`DYNAMIC` for
-  tiles dispatched through a work queue (the search plan).
+  tiles any worker may claim (the search plan).
 
 ``Tile`` is a ``NamedTuple`` rather than a dataclass on purpose: wave-front
 plans at row granularity contain thousands of tiles per graph and tuple
@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:  # planners imports us; the annotation must not re-import it
     from .planners import PlanSpec
 
-#: Owner value of tiles dispatched dynamically (work queue, not a rank).
+#: Owner value of tiles dispatched dynamically (claimed by any worker in id
+#: order, not run by a fixed rank).
 DYNAMIC = -1
 
 

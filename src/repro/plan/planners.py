@@ -11,7 +11,7 @@ One planner per schedule the paper describes:
 * :func:`plan_preprocess` -- Section 5's bands x column-chunks, same edge
   structure as the blocked plan but with the scoreboard payload.
 * :func:`plan_search_buckets` -- the database search: one independent tile
-  per length bucket, owned by :data:`DYNAMIC` (work-queue dispatch).
+  per length bucket, owned by :data:`DYNAMIC` (claimed, not assigned).
 * :func:`plan_phase2` -- Section 4.4's scattered mapping: one independent
   tile per queue slot, slot ``i`` owned by rank ``i mod P``.
 
@@ -396,7 +396,7 @@ def plan_search_buckets(
     Tiles carry ``(offset, width, lanes, lengths, indices)`` locating one
     bucket inside the flat blob built by :func:`search_blob`; every tile is
     :data:`DYNAMIC` and there are no edges, so any dispatch order (the
-    pool's greedy work queue included) is valid.  Score-bound pruning
+    pool's greedy claims included) is valid.  Score-bound pruning
     happens before planning
     (:func:`repro.strategies.prefilter.pruned_search` plans the seed prefix
     and the survivors as two such graphs).

@@ -84,10 +84,10 @@ class PlanRuntime:
 
     SPAN_NAME = "tile"
 
-    #: Attribution labels (see :meth:`tile_args`).  Graph-bound runtimes
-    #: overwrite these in ``__init__`` from the graph's params; the search
-    #: runtime sets its own.  ``dtype_name`` is the *scheduled* DP state
-    #: dtype ("auto" where the kernel picks lane dtypes per bucket).
+    #: Attribution labels (see :meth:`tile_args`).  Runtimes overwrite
+    #: these in ``__init__`` from the graph.  ``dtype_name`` is the
+    #: *scheduled* DP state dtype ("auto" where the kernel picks lane
+    #: dtypes per bucket).
     kind_name = ""
     kernel_name = "classic"
     dtype_name = "int32"
@@ -379,36 +379,26 @@ class Phase2Runtime(PlanRuntime):
 class SearchRuntime(PlanRuntime):
     """Database-search execution: one batched bucket scan per tile.
 
-    Deliberately constructible without a graph (``query``, ``blob``,
-    ``scoring``, ``top_k``): pool workers receive the blob through a shared
-    arena and the tiles through the work queue, never the graph object.
-
-    Each tile's payload ``(offset, width, lanes, lengths, indices)`` locates
-    one bucket in the blob, and the tile scans every lane of it into the
-    runtime's one :class:`TopK`.
+    ``s`` is the encoded query and ``t`` the flat bucket blob
+    (:func:`repro.plan.planners.search_blob`).  Each tile's payload
+    ``(offset, width, lanes, lengths, indices)`` locates one bucket in the
+    blob, and the tile scans every lane of it into the runtime's one
+    :class:`TopK`.
     """
 
     SPAN_NAME = "search_chunk"
 
-    def __init__(
-        self,
-        query: np.ndarray,
-        blob: np.ndarray,
-        scoring: Scoring = DEFAULT_SCORING,
-        top_k: int = 10,
-        kernel: str = "classic",
-    ) -> None:
-        self.query = query
-        self.blob = blob
+    def __init__(self, graph, s, t, scoring, state=None) -> None:
+        self.query = s
+        self.blob = t
         self.scoring = scoring
-        self.kernel = kernel
-        self.kind_name = "search"
-        self.kernel_name = kernel
+        self.kernel = graph.params["kernel"]
+        self.kind_name = graph.kind
+        self.kernel_name = self.kernel
         # Lane dtypes are chosen per bucket: int16-when-provably-safe for the
         # classic batch, the int8->int16->int32 escalation for striped.
         self.dtype_name = "auto"
-        self.top = TopK(top_k)
-        self.cells = 0  # residues scanned x query length (local accounting)
+        self.top = TopK(graph.params["top_k"])
 
     def run_tile(self, tile: Tile) -> None:
         offset, width, lanes, lengths, indices = tile.payload
@@ -419,7 +409,6 @@ class SearchRuntime(PlanRuntime):
         else:
             ws = MultiSequenceWorkspace(codes, lengths, self.scoring)
         self.top.push_lanes(ws.sw_best_scores(self.query), indices)
-        self.cells += tile.cells
 
     def emit(self, owner: int) -> dict:
         """Picklable partial result: this runtime's top-k survivors."""
@@ -447,6 +436,7 @@ _RUNTIMES = {
     "blocked": BlockedRuntime,
     "preprocess": PreprocessRuntime,
     "phase2": Phase2Runtime,
+    "search": SearchRuntime,
 }
 
 
@@ -465,13 +455,6 @@ def make_runtime(
     """
     if graph.kind == "search":
         check_search_inputs(graph, s, t)
-        return SearchRuntime(
-            s,
-            t,
-            scoring,
-            graph.params["top_k"],
-            kernel=graph.params.get("kernel", "classic"),
-        )
     try:
         cls = _RUNTIMES[graph.kind]
     except KeyError:

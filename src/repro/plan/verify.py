@@ -19,7 +19,7 @@ graph-level breaches):
   tuple order: the pool's shared done-flag array, the runtimes' state
   indexing and the simulator's cv numbering all index by id.
 * **PLAN003 -- owner breach.**  An owner outside ``0..n_procs-1`` (and not
-  :data:`~repro.plan.ir.DYNAMIC`), a work-queue tile inside a static
+  :data:`~repro.plan.ir.DYNAMIC`), a cursor-claimed tile inside a static
   schedule, or -- for the wave-front, whose column partition gives every
   rank work -- a rank that owns nothing (its column slice would never be
   computed).
@@ -36,16 +36,17 @@ graph-level breaches):
   wave-front, a rank with no slot is legal).
 * **PLAN005 -- deadlock.**  The pool's worker/coordinator handshake is
   simulated as a state machine: each worker walks its own tiles in id
-  order, blocking on cross-owner ``done`` flags (static plans) or pulling
-  from the one work queue until the sentinel (search plans).  If no worker
+  order, blocking on cross-owner ``done`` flags, and the job's claim cursor
+  hands the ``DYNAMIC`` tiles out in id order (search plans).  If nothing
   can step and work remains, the stuck worker/tile/dependency triple is
   reported.  With PLAN001 clean this cannot fire -- the smallest unfinished
   id is always runnable -- which is exactly the theorem the simulation
   re-checks instead of assuming.
 * **PLAN006 -- backend illegality.**  A graph handed to an executor that
   cannot run it: search graphs on :class:`~repro.plan.executors.PoolExecutor`
-  (no rebuildable spec), search tiles with dependencies on the pool (its
-  work queue has no done flags), spec-less pair graphs on the pool,
+  (no rebuildable spec), search tiles with dependencies on the pool (a
+  tile claimed from its cursor waits on no done flags), spec-less pair
+  graphs on the pool,
   unknown plan kinds on the simulator's choreography table.
 
 ``verify_graph``/``verify_plan`` are the library entry points;
@@ -153,9 +154,9 @@ def _check_structure(graph: TaskGraph) -> Iterator[Finding]:
                 yield _finding(
                     graph,
                     "PLAN003",
-                    f"tile {tile.id} is work-queue owned (DYNAMIC) inside the "
-                    f"static {graph.kind!r} schedule: no worker would ever "
-                    f"raise its done flag",
+                    f"tile {tile.id} is cursor-claimed (DYNAMIC) inside the "
+                    f"static {graph.kind!r} schedule: its runtime keeps "
+                    f"state and emits results per rank, and no rank owns it",
                     tile.id,
                 )
         elif not 0 <= tile.owner < graph.n_procs:
@@ -373,14 +374,13 @@ def _check_search_cells(graph: TaskGraph) -> Iterator[Finding]:
 def _check_deadlock(graph: TaskGraph) -> Iterator[Finding]:
     """Walk the worker/coordinator state machine to a fixpoint.
 
-    Static plans: one cursor per rank over its id-ordered tiles; a cursor
-    may advance when every dependency's done flag is up (same-owner deps
-    are satisfied by program order, cross-owner ones by the shared array).
-    Search plans: one cursor over the single work queue, which holds the
-    tiles in enqueue order = id order (PLAN006 rejects dependencies there
-    on the pool).  Either way, if no cursor can advance while work
-    remains, that is the deadlock the runtime would experience as a starved
-    ``poll_until`` (static) or a worker blocked past the sentinel (search).
+    One walk per rank over its id-ordered tiles, plus one for the job's
+    claim cursor over the ``DYNAMIC`` tiles (search plans), which it hands
+    out in id order; a walk may advance when every dependency's done flag
+    is up (same-owner deps are satisfied by program order, cross-owner ones
+    by the shared array; PLAN006 rejects dependencies of claimed tiles on
+    the pool).  If no walk can advance while work remains, that is the
+    deadlock the runtime would experience as a starved ``poll_until``.
     """
     # Skip the simulation if the structure is already broken in a way that
     # would make every step report the same PLAN001 breach again.
@@ -390,12 +390,8 @@ def _check_deadlock(graph: TaskGraph) -> Iterator[Finding]:
     if len(by_pos) != n or any(not 0 <= d < n for t in tiles for d in t.deps):
         return
     done = [False] * n
-    if graph.kind in STATIC_KINDS:
-        walks = [
-            [t for t in tiles if t.owner == rank] for rank in range(graph.n_procs)
-        ]
-    else:  # the one work queue; queue order = enqueue order = id order
-        walks = [list(tiles)]
+    walks = [graph.tiles_of(rank) for rank in range(graph.n_procs)]
+    walks.append(graph.tiles_of(DYNAMIC))  # the claim cursor: id order
     cursors = [0] * len(walks)
     progress = True
     while progress:
@@ -412,7 +408,7 @@ def _check_deadlock(graph: TaskGraph) -> Iterator[Finding]:
         if cursors[w] < len(walk):
             tile = walk[cursors[w]]
             blocked_on = [d for d in tile.deps if not done[by_pos[d]]]
-            who = f"worker {w}" if graph.kind in STATIC_KINDS else "the work queue"
+            who = f"worker {w}" if w < graph.n_procs else "the claim cursor"
             yield _finding(
                 graph,
                 "PLAN005",
@@ -446,8 +442,9 @@ def _check_backend(graph: TaskGraph, backend: str) -> Iterator[Finding]:
                         graph,
                         "PLAN006",
                         f"search tile {tile.id} depends on tiles "
-                        f"{list(tile.deps)}: the pool's work queue has no "
-                        f"done flags, so a worker may pull it before they finish",
+                        f"{list(tile.deps)}: a tile claimed from the pool's "
+                        f"cursor waits on no done flags, so a worker may run "
+                        f"it before they finish",
                         tile.id,
                     )
         elif graph.spec is None:

@@ -12,8 +12,8 @@ provides the ingestion side:
 * :func:`pack_database` -- a greedy length-bucket packer.  Records are
   buffered in windows, sorted by length, and cut into buckets whose shortest
   lane is within ``max_waste`` of the bucket width; each bucket is capped at
-  ``max_lanes`` lanes so buckets double as the dispatch chunks of the
-  dynamic work queue in :func:`repro.strategies.search_db`.
+  ``max_lanes`` lanes so buckets double as the tiles the pool's workers
+  claim one at a time in :func:`repro.strategies.search_db`.
 * :func:`synthetic_database` -- seeded random databases for benchmarks, CI
   smoke runs and the ``generate-db`` CLI subcommand.
 """
@@ -246,7 +246,7 @@ def pack_database(
     from the parser's blocks when ``records`` is a
     :func:`repro.seq.stream_fasta` stream), cut into buckets by
     :func:`_runs`, and each bucket is filled by one gather; buckets double
-    as the dispatch chunks of the search work queue.
+    as the tiles of the search graph.
     """
     _check_packing(max_lanes, max_waste)
     if window <= 0:

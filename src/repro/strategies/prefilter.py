@@ -70,7 +70,7 @@ def scan_packed(
     """Scan every lane of ``packed``: its ranked ``(score, index)`` top-k.
 
     Plans one graph of edge-free bucket tiles, flattens the buckets into
-    one blob and runs it on ``pool``'s work queue, or inline without one.
+    one blob and runs it on ``pool``, or inline without one.
     The unpruned search and both of :func:`pruned_search`'s subsets go
     through here; a database without buckets costs no graph and no round
     trip.

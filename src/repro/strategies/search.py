@@ -20,10 +20,9 @@ search (:func:`repro.strategies.prefilter.pruned_search`) plans a seed
 graph and a survivor graph.  Every graph goes through
 :func:`repro.strategies.prefilter.scan_packed` and runs inline, or -- given
 a :class:`repro.parallel.AlignmentWorkerPool` -- on the pool, which
-publishes the blob once through a shared-memory arena and dispatches
-buckets through one *dynamic* work queue: workers pull the next chunk when
-free, so a skewed bucket cannot stall the rest of the pool (see
-``pool.run_search_plan``).
+publishes the blob once through a shared-memory arena and lets workers
+claim the next bucket from a shared cursor when free, so a skewed bucket
+cannot stall the rest of the pool (see ``pool.run_search_plan``).
 
 :func:`search_db_sequential` is the one-at-a-time reference the batched
 path is verified (and benchmarked) against; it scans numpy rows of

@@ -98,8 +98,8 @@ def test_forced_worker_death_leaves_no_owner_leak(sanitize, pair):
 
 def test_killed_worker_fails_a_search_fast_and_cleanly(sanitize):
     """SIGKILL a pool worker, then search: the dispatch raises
-    ``WorkerCrashed`` in seconds, closes its arena and drains the work
-    queue, leaving no shared-memory segment behind."""
+    ``WorkerCrashed`` in seconds and closes its arena, leaving no
+    shared-memory segment behind."""
     import time
 
     from repro.parallel.pool import AlignmentWorkerPool, WorkerCrashed
@@ -132,17 +132,56 @@ def test_search_failure_path_closes_the_arena(sanitize):
     class Boom(RuntimeError):
         pass
 
+    def broken_submit(job):
+        raise Boom("task queue unavailable")
+
     with AlignmentWorkerPool(n_workers=2) as pool:
-        class BrokenQueue:
-            def put(self, item):
-                raise Boom("work queue unavailable")
-
-            def get(self, *a, **k):
-                import queue
-
-                raise queue.Empty
-
-        pool._work = BrokenQueue()
+        pool._submit = broken_submit
         with pytest.raises(Boom):
             search_db("ACGTACGT", packed, SearchConfig(top_k=3), pool=pool)
+    assert_clean()
+
+
+@pytest.mark.parametrize("job", ["blocked", "search"])
+def test_worker_dying_inside_a_tile_fails_the_job_fast_and_cleanly(
+    sanitize, pair, monkeypatch, job
+):
+    """A worker exits inside ``run_tile`` mid-job (a blocked plan, whose
+    other worker waits on its done flags, or a search graph, whose other
+    worker keeps claiming): the call raises ``WorkerCrashed`` in seconds and
+    no shared-memory segment outlives the pool."""
+    import time
+
+    from repro.parallel.pool import AlignmentWorkerPool, WorkerCrashed
+    from repro.plan.runtime import BlockedRuntime, SearchRuntime
+    from repro.seq.db import pack_database, synthetic_database
+    from repro.strategies import SearchConfig, search_db
+
+    def segments() -> set[str]:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+    runtime = BlockedRuntime if job == "blocked" else SearchRuntime
+    real = runtime.run_tile
+
+    def dying(self, tile):
+        if tile.id == 1:
+            os._exit(3)
+        real(self, tile)
+
+    # Patched before the pool forks, so every worker inherits it.
+    monkeypatch.setattr(runtime, "run_tile", dying)
+    monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
+    packed = pack_database(
+        synthetic_database(n=40, min_length=60, max_length=200, rng=4), max_lanes=4
+    )
+    before = segments()
+    with AlignmentWorkerPool(n_workers=2) as pool:
+        start = time.monotonic()
+        with pytest.raises(WorkerCrashed):
+            if job == "blocked":
+                pool.run_plan(BLOCKED, *pair)
+            else:
+                search_db("ACGT" * 30, packed, SearchConfig(top_k=5, prefilter="off"), pool=pool)
+        assert time.monotonic() - start < 10.0
+    assert segments() <= before
     assert_clean()

@@ -1,8 +1,7 @@
 """TopK.merge: folding the workers' heaps never changes the ranking.
 
 A pooled search gives each worker its own bounded heap, filled by whichever
-tiles that worker pulled off the work queue, and the coordinator folds the
-heaps into one.  The fold is exact because of two properties of the heap:
+tiles that worker claimed, and the coordinator folds the heaps into one.  The fold is exact because of two properties of the heap:
 the ``(score, -index)`` comparison is a strict total order (so a tie at a
 smaller database index still displaces the k-th entry), and any item
 outside its worker's local top-k is dominated by ``k`` items of that worker

@@ -23,10 +23,12 @@ from repro.parallel import (
     WorkerCrashed,
     create_shared_array,
 )
-from repro.parallel.pool import JOB_SPANS
+from repro.parallel.pool import JOB_SPANS, PoolJobError
 from repro.parallel.shm import attach_arena
 from repro.plan import InlineExecutor, blocked_spec, wavefront_spec
-from repro.seq import genome_pair
+from repro.seq import genome_pair, pack_database, random_dna, synthetic_database
+from repro.seq.db import PackedBucket, PackedDatabase
+from repro.strategies import SearchConfig, search_db, search_db_sequential
 
 WAVEFRONT = wavefront_spec(n_procs=2, group_rows=16)
 
@@ -135,22 +137,42 @@ class TestPoolMatchesOneShotBackends:
 
     def test_traced_plan_splits_the_fixed_cost(self, pool, pair):
         """Each worker stamps its job's stages, and the coordinator each
-        result's trip back, inside the plan span."""
-        spec = blocked_spec(n_procs=2, n_bands=4, n_blocks=4)
-        with obs.observed() as (tracer, _):
-            pool.run_plan(spec, pair.s, pair.t)
-        plan = next(sp for sp in tracer.spans if sp.name == "plan:blocked")
-        mine = [sp for sp in tracer.spans if sp.name in JOB_SPANS]
-        for role in range(2):
-            worker = f"worker-{role}"
-            names = [sp.name for sp in mine if sp.process == worker]
-            assert sorted(names) == sorted(set(JOB_SPANS) - {"result_put"})
-            put = [sp for sp in mine if sp.name == "result_put" and sp.args["worker"] == role]
-            assert len(put) == 1 and not put[0].process.startswith("worker")
-        for sp in mine:
-            assert sp.category == "coordination"
-            assert sp.duration >= 0.0
-            assert plan.start - 1e-6 <= sp.start and sp.end <= plan.end + 1e-6
+        result's trip back, inside the plan span: for a static plan and for
+        a search, whose tiles are all claimed (a worker that claimed none
+        stamps no first or last tile)."""
+        packed = pack_database(
+            synthetic_database(n=30, min_length=40, max_length=300, rng=8), max_lanes=4
+        )
+        config = SearchConfig(top_k=3, prefilter="off")
+        jobs = {
+            "plan:blocked": lambda: pool.run_plan(
+                blocked_spec(n_procs=2, n_bands=4, n_blocks=4), pair.s, pair.t
+            ),
+            "plan:search": lambda: search_db("ACGT" * 20, packed, config, pool=pool),
+        }
+        for plan_name, run in jobs.items():
+            with obs.observed() as (tracer, _):
+                run()
+            plan = next(sp for sp in tracer.spans if sp.name == plan_name)
+            mine = [sp for sp in tracer.spans if sp.name in JOB_SPANS]
+            for role in range(2):
+                worker = f"worker-{role}"
+                names = [sp.name for sp in mine if sp.process == worker]
+                expected = set(JOB_SPANS) - {"result_put"}
+                if not any(
+                    sp.process == worker and sp.category == "computation"
+                    for sp in tracer.spans
+                ):
+                    expected -= {"first_tile", "last_tile"}
+                assert sorted(names) == sorted(expected), plan_name
+                put = [
+                    sp for sp in mine if sp.name == "result_put" and sp.args["worker"] == role
+                ]
+                assert len(put) == 1 and not put[0].process.startswith("worker")
+            for sp in mine:
+                assert sp.category == "coordination"
+                assert sp.duration >= 0.0
+                assert plan.start - 1e-6 <= sp.start and sp.end <= plan.end + 1e-6
 
     def test_pair_switch(self, pool, pair):
         other = genome_pair(
@@ -164,6 +186,53 @@ class TestPoolMatchesOneShotBackends:
 
     def test_phase2_empty(self, pool, pair):
         assert pool.phase2([], pair.s, pair.t) == []
+
+
+class TestClaimCursor:
+    """Search tiles are claimed from a per-job cursor, each exactly once."""
+
+    CONFIG = SearchConfig(top_k=8, prefilter="off")
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        rng = np.random.default_rng(33)
+        db = synthetic_database(n=120, min_length=20, max_length=900, rng=rng)
+        packed = pack_database(db, max_lanes=4)  # ~30 buckets of unequal widths
+        query = random_dna(150, rng)
+        return query, packed, search_db_sequential(query, packed, self.CONFIG).scores()
+
+    def test_every_tile_is_claimed_exactly_once(self, skewed):
+        """More workers than cores race for the cursor on every tile; a lost
+        update would hand one tile to two workers."""
+        query, packed, expected = skewed
+        with AlignmentWorkerPool(n_workers=4, timeout=30.0) as crowded:
+            for _ in range(3):
+                with obs.observed() as (tracer, _):
+                    result = search_db(query, packed, self.CONFIG, pool=crowded)
+                claimed = sorted(
+                    sp.args["tile"]
+                    for sp in tracer.spans
+                    if sp.name == "search_chunk" and sp.process.startswith("worker")
+                )
+                assert claimed == list(range(len(packed.buckets)))
+                assert result.scores() == expected
+
+    def test_a_failed_search_leaves_no_tile_to_the_next(self, pool, skewed):
+        """The first tile raises, so the job fails while the other worker
+        still claims its tiles; the search right after must be exact."""
+        query, good, expected = skewed
+        first = good.buckets[0]
+        bad = PackedDatabase(
+            buckets=[
+                PackedBucket(first.codes, first.lengths + 10_000, first.indices)
+            ]
+            + good.buckets[1:],
+            names=good.names,
+            lengths=good.lengths,
+        )
+        with pytest.raises(PoolJobError):
+            search_db(query, bad, self.CONFIG, pool=pool)
+        assert search_db(query, good, self.CONFIG, pool=pool).scores() == expected
 
 
 class TestPoolLifecycle:

@@ -82,17 +82,11 @@ def test_search_closes_arena_when_dispatch_fails(monkeypatch):
 
     monkeypatch.setattr(pool_mod, "SequenceArena", TrackedArena)
 
-    class BrokenQueue:
-        def put(self, item):
-            raise Boom("work queue unavailable")
-
-        def get(self, *a, **k):
-            import queue
-
-            raise queue.Empty
+    def broken_submit(job):
+        raise Boom("task queue unavailable")
 
     with AlignmentWorkerPool(n_workers=2) as pool:
-        pool._work = BrokenQueue()
+        monkeypatch.setattr(pool, "_submit", broken_submit)
         with pytest.raises(Boom):
             search_db("ACGTACGTACGT", packed, SearchConfig(top_k=3), pool=pool)
     assert len(arenas) == 1

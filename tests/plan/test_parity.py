@@ -135,8 +135,6 @@ class TestTileTraceParity:
             for span in tracer.spans:
                 if span.category == "computation" and "tile" in span.args:
                     args = dict(span.args)
-                    args.pop("lanes", None)  # pool search extras, not labels
-                    args.pop("width", None)
                     tile_id = args.pop("tile")
                     tiles[tile_id] = tuple(sorted(args.items()))
         return tiles

@@ -157,7 +157,7 @@ class TestPoolSearch:
         expected = search_db_sequential(query, db, config).scores()
         with AlignmentWorkerPool(n_workers=3) as pool:
             first = search_db(query, db, config, pool=pool)
-            # A second search proves the work queue is clean between jobs.
+            # A second search proves nothing of the first is left over.
             second = search_db(query, db, config, pool=pool)
             empty = search_db(query, pack_database([]), config, pool=pool)
         assert first.scores() == expected
@@ -186,7 +186,7 @@ class TestPoolSearch:
         with AlignmentWorkerPool(n_workers=2) as pool:
             with pytest.raises(PoolJobError):
                 search_db(query, bad, config, pool=pool)
-            # The queue was drained: the next search must be correct.
+            # The failed job claimed from its own cursor: the next is exact.
             assert search_db(query, good, config, pool=pool).scores() == expected
 
     def test_pool_then_pairwise_jobs_coexist(self, rng):
