@@ -15,29 +15,22 @@ Run:  python examples/real_multiprocessing.py
 import os
 
 from repro.parallel import AlignmentWorkerPool
-from repro.plan import blocked_spec
 from repro.seq import genome_pair
-from repro.strategies import BlockedConfig, ScaledWorkload, run_blocked, run_mp_pipeline
+from repro.strategies import BlockedConfig, ScaledWorkload, run_blocked, run_pipeline
 
 pair = genome_pair(3000, 3000, n_regions=3, region_length=150, mutation_rate=0.03, rng=17)
 workers = min(4, os.cpu_count() or 1)
 print(f"host has {os.cpu_count()} CPU(s); using {workers} worker process(es)\n")
 
+config = BlockedConfig(n_procs=workers, n_bands=12, n_blocks=8)
 with AlignmentWorkerPool(n_workers=workers) as pool:
-    result = run_mp_pipeline(
-        pair.s,
-        pair.t,
-        backend="blocked",
-        pool=pool,
-        phase1_config=blocked_spec(n_procs=workers, n_bands=12, n_blocks=8),
+    result = run_pipeline(
+        pair.s, pair.t, "blocked", workers, phase1_config=config, executor=pool
     )
-real = result.regions
+real = result.phase1.alignments
 print(f"real backend: {len(real)} regions in {result.phase1_seconds:.2f} wall-clock s")
 
-sim = run_blocked(
-    ScaledWorkload(pair.s, pair.t),
-    BlockedConfig(n_procs=workers, n_bands=12, n_blocks=8),
-).alignments
+sim = run_blocked(ScaledWorkload(pair.s, pair.t), config).alignments
 agree = [a.region for a in real] == [a.region for a in sim]
 print(f"simulated backend found the same queue: {agree}")
 

@@ -3,11 +3,13 @@
 Subcommands
 -----------
 ``align``      compare two FASTA files (or a synthetic demo pair) with one of
-               the paper's strategies on the simulated cluster and print the
-               similar regions plus their global alignments.  ``--trace FILE``
-               writes a wall-clock Chrome trace (coordinator + worker spans,
-               open in https://ui.perfetto.dev); ``--metrics`` prints the
-               metric registry (cells, GCUPS, queue waits).
+               the paper's strategies -- both phases on the simulated
+               cluster, inline or on the worker pool (``--backend``) -- and
+               print the similar regions plus their global alignments.
+               ``--trace FILE`` writes a wall-clock Chrome trace
+               (coordinator + worker spans, open in
+               https://ui.perfetto.dev); ``--metrics`` prints the metric
+               registry (cells, GCUPS, queue waits).
 ``obs``        observability utilities; ``obs report TRACE.json`` prints the
                per-phase time/cells/GCUPS table from an ``align --trace`` run.
                ``obs critical-path TRACE.json`` joins the per-tile spans
@@ -70,81 +72,67 @@ def _install_ledger(args) -> None:
         set_ledger(args.ledger)
 
 
+def _align_executor(args):
+    """The executor ``--backend`` names, as a context manager."""
+    from contextlib import nullcontext
+
+    if args.backend == "pool":
+        from .parallel import AlignmentWorkerPool
+
+        return AlignmentWorkerPool(n_workers=args.workers)
+    from .plan import InlineExecutor, SimExecutor
+
+    return nullcontext(InlineExecutor() if args.backend == "inline" else SimExecutor())
+
+
 def cmd_align(args) -> int:
     from contextlib import nullcontext
 
     from . import obs
+    from .strategies import canonical_strategy, run_pipeline
 
     _install_ledger(args)
     s, t = _load_pair(args)
+    strategy = canonical_strategy(args.strategy)
+    simulated = args.backend == "sim"
     observing = bool(args.trace or args.metrics)
     scope = obs.observed("coordinator") if observing else nullcontext((None, None))
     with scope as (tracer, metrics):
-        if args.backend == "pool":
-            from .strategies import canonical_strategy, pool_phase1_spec, run_mp_pipeline
-
-            strategy = canonical_strategy(args.strategy)
-            if strategy == "pre_process":
-                raise SystemExit(
-                    f"strategy {args.strategy!r} has no real-parallel backend; "
-                    "use --strategy heuristic or heuristic_block with --backend pool"
-                )
-            result = run_mp_pipeline(
+        with _align_executor(args) as executor:
+            result = run_pipeline(
                 s,
                 t,
-                backend=strategy,
-                n_workers=args.workers,
-                phase1_config=pool_phase1_spec(strategy, args.workers),
+                strategy=strategy,
+                n_procs=args.workers if args.backend == "pool" else args.procs,
+                scale=args.scale,
+                executor=executor,
             )
+        p1 = result.phase1
+        where = {
+            "sim": f"{p1.n_procs} simulated processors",
+            "inline": "inline execution",
+            "pool": f"{p1.n_procs} worker processes",
+        }[args.backend]
+        clock = (
+            f"{p1.total_time:.2f} virtual s" if simulated else f"{result.phase1_seconds:.2f} s wall"
+        )
+        print(f"phase 1 ({strategy}, {where}): {clock}, {len(p1.alignments)} similar regions")
+        if result.phase2_skipped_reason:
+            print(f"phase 2 skipped: {result.phase2_skipped_reason}")
+        elif simulated:
             print(
-                f"phase 1 ({result.backend}, {result.n_workers} worker processes): "
-                f"{result.phase1_seconds:.2f} s wall, {len(result.regions)} similar regions"
+                f"phase 2: {result.phase2.total_time:.2f} virtual s, "
+                f"{len(result.records)} global alignments "
+                f"({result.wall_seconds:.2f} s wall)"
             )
+        else:
             print(
                 f"phase 2: {result.phase2_seconds:.2f} s wall, "
                 f"{len(result.records)} global alignments"
             )
-            for rec in result.best_records(args.top):
-                print()
-                print(rec.render())
-        else:
-            from .strategies import run_pipeline
-
-            executor = None
-            if args.backend == "inline":
-                from .plan import InlineExecutor
-
-                executor = InlineExecutor()
-            result = run_pipeline(
-                s,
-                t,
-                strategy=args.strategy,
-                n_procs=args.procs,
-                scale=args.scale,
-                executor=executor,
-            )
-            p1 = result.phase1
-            if args.backend == "inline":
-                print(
-                    f"phase 1 ({p1.name}, inline execution): "
-                    f"{p1.total_time:.2f} s wall, {len(p1.alignments)} similar regions"
-                )
-            else:
-                print(
-                    f"phase 1 ({p1.name}, {p1.n_procs} simulated processors): "
-                    f"{p1.total_time:.2f} virtual s, {len(p1.alignments)} similar regions"
-                )
-            if result.phase2_skipped_reason:
-                print(f"phase 2 skipped: {result.phase2_skipped_reason}")
-            else:
-                print(
-                    f"phase 2: {result.phase2.total_time:.2f} virtual s, "
-                    f"{len(result.records)} global alignments "
-                    f"({result.wall_seconds:.2f} s wall)"
-                )
-            for rec in result.best_records(args.top):
-                print()
-                print(rec.render())
+        for rec in result.best_records(args.top):
+            print()
+            print(rec.render())
     if args.trace:
         tracer.write_chrome_trace(args.trace, metrics=metrics.snapshot())
         print()

@@ -78,7 +78,7 @@ def observed(process: str = "coordinator"):
     """Enable observability for a scope; restores the prior state on exit.
 
     >>> with observed() as (tracer, metrics):
-    ...     run_mp_pipeline(s, t)
+    ...     run_pipeline(s, t, executor=pool)
     >>> tracer.write_chrome_trace("out.json", metrics=metrics.snapshot())
     """
     global _tracer, _metrics

@@ -112,25 +112,13 @@ def events_of(payload: dict) -> list[Event]:
 
 
 def plan_spans(events: list[Event]) -> list[Event]:
-    """Top-level ``plan:{kind}`` coordination spans, outermost copy only.
-
-    A :class:`~repro.plan.executors.PoolExecutor` wraps
-    ``pool.run_plan`` -- which stamps its own span for the direct
-    ``pool.wavefront`` path -- so a pool-backend trace holds two nested
-    copies of the same plan span.  Time containment keeps the outer one.
-    """
-    spans = [
+    """The ``plan:{kind}`` coordination spans: one per plan execution, on
+    every backend."""
+    return [
         e
         for e in events
         if e.name.startswith("plan:") and e.cat == "coordination" and "cells" in e.args
     ]
-    kept: list[Event] = []
-    eps = 1e-9
-    for e in spans:  # sorted by (start, -dur): outer copies come first
-        if any(k.start - eps <= e.start and e.end <= k.end + eps for k in kept):
-            continue
-        kept.append(e)
-    return kept
 
 
 def pick_plan(events: list[Event], pick: int | None = None) -> Event:

@@ -16,7 +16,8 @@ Conventional metric names used across the repo:
 ``worker_busy_seconds``       per-worker computation time (counter)
 ``worker_wait_seconds``       per-worker border/block wait time (counter)
 ``phase1_seconds`` / ``phase2_seconds`` / ``phase1_gcups`` / ``phase2_gcups``
-                              pipeline gauges set by the runner
+                              pipeline gauges: wall seconds and GCUPS per
+                              phase, set by ``run_pipeline`` on every backend
 
 GCUPS (giga cell updates per second) is the conventional unit of SW
 throughput (Rucci et al., Liu & Schmidt -- see PAPERS.md); :func:`gcups`

@@ -8,7 +8,8 @@ keeps ``n_workers`` processes alive across requests:
 
 * Sequences are published once per pair through a
   :class:`repro.parallel.shm.SequenceArena`; workers attach by name and slice
-  zero-copy views, so a request carries only a small job descriptor.
+  zero-copy views, so a request carries only a small job descriptor,
+  pickled once and unpickled by every worker.
 * Every job speaks one *generic task protocol* (:func:`_job_plan`): the job
   ships a :class:`repro.plan.PlanSpec` (each worker rebuilds the identical
   :class:`repro.plan.TaskGraph` via :func:`repro.plan.cached_plan`) or, for
@@ -35,11 +36,17 @@ greedily (self-scheduling), so a skewed bucket cannot stall the rest of the
 pool.  The cursor lives in the job's own segment, so a worker still
 finishing a failed job cannot take tiles from the next one: every job fails
 fast, and nothing is left over between jobs.
+
+:meth:`AlignmentWorkerPool.run` has the executor signature
+(:meth:`repro.plan.Executor.run`), so the pool runs any graph the align
+pipeline (:func:`repro.strategies.run_pipeline`, both phases) or the search
+hands it.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import pickle
 import shutil
 import tempfile
 import time
@@ -66,8 +73,8 @@ from ..plan import (
     cached_plan,
     finalize_plan,
     make_runtime,
-    maybe_verify,
     phase2_spec,
+    plan_span,
     state_shape,
 )
 from ..plan.runtime import check_search_inputs
@@ -90,9 +97,10 @@ class PoolJobError(RuntimeError):
 # --------------------------------------------------------------------------
 
 #: Spans that split a traced pool job's fixed cost, all "coordination":
-#: ``job_receipt`` (the coordinator's submit to the worker's pickup: job
-#: pickling, the task queue, unpickling), ``arena_attach`` (pair arena, plan
-#: cache, shared state and done flags), ``make_runtime``, ``first_tile``
+#: ``job_receipt`` (the coordinator's submit to the worker's pickup: the
+#: job's one pickling, the task queue, this worker's unpickling),
+#: ``arena_attach`` (pair arena, plan cache, shared state and done flags),
+#: ``make_runtime``, ``first_tile``
 #: (ready to the end of the worker's first tile, owned or claimed, its waits
 #: included), ``last_tile`` (the start of the last tile's waits to the end
 #: of the worker's tile loop, its last empty claim included) and ``emit``;
@@ -261,9 +269,10 @@ def _pool_worker(role: int, tasks, results, lock) -> None:
     arenas: dict = {}
     try:
         while True:
-            job = tasks.get()
-            if job is SENTINEL:
+            message = tasks.get()
+            if message is SENTINEL:
                 break
+            job = pickle.loads(message)  # pickled once by the coordinator
             obs = job.get("obs")
             t_put = 0.0  # stamped when the job is observed: see result_put
             try:
@@ -304,6 +313,8 @@ class AlignmentWorkerPool:
     :meth:`phase2`; the pool republishes the arena only when the pair
     actually changes.
     """
+
+    BACKEND = "pool"
 
     def __init__(self, n_workers: int = 2, timeout: float = 300.0) -> None:
         if n_workers <= 0:
@@ -414,8 +425,10 @@ class AlignmentWorkerPool:
             obs = ObsJob(self._obs_dir, f"job{job['id']}", perf_counter())
             job["obs"] = obs
         with tracer.span("pool_job", "coordination", job=job["id"]):
+            # One pickling for every worker: a search job carries its graph.
+            message = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
             for q in self._tasks:
-                q.put(job)
+                q.put(message)
             collected = self._collect(job["id"])
         if obs is not None:
             # Fold every worker's segment (spans + metric snapshot) into the
@@ -460,14 +473,31 @@ class AlignmentWorkerPool:
 
     # -- planned jobs -------------------------------------------------------
 
-    def run_plan(
+    def run(
         self,
-        spec: PlanSpec,
-        s=None,
-        t=None,
-        *,
+        graph: TaskGraph,
+        s: np.ndarray,
+        t: np.ndarray,
         scoring: Scoring = DEFAULT_SCORING,
-        timeout: float | None = None,
+        *,
+        scale: int = 1,
+    ) -> ExecutionResult:
+        """Execute any graph, with the :class:`repro.plan.Executor` signature.
+
+        A search graph goes to :meth:`run_search_plan` (``s`` is the query,
+        ``t`` its bucket blob); any other graph to :meth:`run_plan` by its
+        spec, which every worker rebuilds.
+        """
+        if scale != 1:
+            raise ValueError("real backends execute actual cells only (scale=1)")
+        if graph.kind == "search":
+            return self.run_search_plan(graph, s, t, scoring=scoring)
+        if graph.spec is None:
+            raise ValueError("pool execution needs a graph with a PlanSpec")
+        return self.run_plan(graph.spec, s, t, scoring=scoring)
+
+    def run_plan(
+        self, spec: PlanSpec, s=None, t=None, *, scoring: Scoring = DEFAULT_SCORING
     ) -> ExecutionResult:
         """Execute one planned job (any static plan kind) on the workers.
 
@@ -478,20 +508,16 @@ class AlignmentWorkerPool:
         :class:`repro.plan.ExecutionResult`.
         """
         handle = self._ensure_pair(s, t)
-        graph = cached_plan(spec, handle.s_len, handle.t_len)
-        return self._run_graph(graph, handle, scoring, timeout)
+        return self._run_graph(cached_plan(spec, handle.s_len, handle.t_len), handle, scoring)
 
     def _run_graph(
-        self,
-        graph: TaskGraph,
-        handle: ArenaHandle,
-        scoring: Scoring,
-        timeout: float | None,
+        self, graph: TaskGraph, handle: ArenaHandle, scoring: Scoring
     ) -> ExecutionResult:
         """The one pool job behind :meth:`run_plan`, :meth:`phase2` and
-        :meth:`run_search_plan`: ship the graph's spec (or, without one, the
-        graph), fresh done flags with the claim cursor, and any shared
-        state; merge what the workers emit."""
+        :meth:`run_search_plan`, under the graph's one ``plan:{kind}`` span:
+        ship the graph's spec (or, without one, the graph), fresh done flags
+        with the claim cursor, and any shared state; merge what the workers
+        emit.  A graph without tiles (an empty phase-2 queue) ships no job."""
         # Ranked tiles need one worker per rank; a spec-less (search) graph
         # has only DYNAMIC tiles, which any number of workers can claim.
         if graph.spec is not None and graph.n_procs != self.n_workers:
@@ -499,19 +525,18 @@ class AlignmentWorkerPool:
                 f"plan wants {graph.n_procs} processors"
                 f" but the pool has {self.n_workers} workers"
             )
-        maybe_verify(graph, "pool")
-        tracer = get_tracer()
-        # run_mp_pipeline comes here directly (not through Executor.run),
-        # so the pool stamps its own plan span; attribution deduplicates the
-        # nested copy when a PoolExecutor wraps this call.  A search graph
-        # has no rebuildable spec, so everything attribution needs
-        # (tiles/cells/critical path) rides these args directly.
-        span_args = graph.span_args(backend="pool") if tracer.enabled else {}
+        with plan_span(graph, self.BACKEND) as sw:
+            parts = self._ship(graph, handle, scoring) if graph.tiles else []
+        result = finalize_plan(graph, parts)
+        result.backend = self.BACKEND
+        result.wall_seconds = sw.elapsed
+        return result
+
+    def _ship(self, graph: TaskGraph, handle: ArenaHandle, scoring: Scoring) -> list:
+        """Submit one job for ``graph``; every worker's emission, by role."""
         # Nested `with` (not sequential creates + try/finally): if the second
         # allocation raises, the first segment is still unwound.
-        with tracer.span(
-            f"plan:{graph.kind}", "coordination", **span_args
-        ), _state_array(graph) as state, create_shared_array(
+        with _state_array(graph) as state, create_shared_array(
             (len(graph.tiles) + 1,), np.int64
         ) as done:
             collected = self._submit(
@@ -520,14 +545,11 @@ class AlignmentWorkerPool:
                     "plan": graph if graph.spec is None else graph.spec,
                     "state": None if state is None else state.name,
                     "done": done.name,
-                    "timeout": self.timeout if timeout is None else timeout,
+                    "timeout": self.timeout,
                     "scoring": scoring,
                 }
             )
-        parts = [collected[role] for role in sorted(collected)]
-        result = finalize_plan(graph, parts)
-        result.backend = "pool"
-        return result
+        return [collected[role] for role in sorted(collected)]
 
     # -- alignment requests -------------------------------------------------
 
@@ -541,10 +563,8 @@ class AlignmentWorkerPool:
         """Section 4.4's scattered mapping on the persistent workers: the
         rendered records of :func:`repro.plan.plan_phase2`, in queue order."""
         handle = self._ensure_pair(s, t)
-        if not regions:
-            return []
         graph = cached_plan(phase2_spec(self.n_workers, regions), handle.s_len, handle.t_len)
-        return self._run_graph(graph, handle, scoring, None).extras["records"]
+        return self._run_graph(graph, handle, scoring).extras["records"]
 
     # -- database search -----------------------------------------------------
 
@@ -574,4 +594,4 @@ class AlignmentWorkerPool:
             )
             if is_enabled():
                 get_metrics().counter("arena_bytes_published").inc(nbytes)
-            return self._run_graph(graph, arena.handle, scoring, None)
+            return self._run_graph(graph, arena.handle, scoring)

@@ -12,8 +12,9 @@ schedule out of the backends:
   :class:`PlanSpec`;
 * :mod:`repro.plan.runtime` -- the single copy of kernel-driving code every
   backend executes tiles with (parity by construction);
-* :mod:`repro.plan.executors` / :mod:`repro.plan.sim_exec` -- the inline,
-  pool and simulated executors;
+* :mod:`repro.plan.executors` / :mod:`repro.plan.sim_exec` -- the inline
+  and simulated executors (the pool, :mod:`repro.parallel`, runs the same
+  graphs through the same ``run`` signature);
 * :mod:`repro.plan.verify` -- the static graph verifier (:func:`verify_plan`,
   ``repro check --plans``) that proves a schedule's invariants before any
   backend runs it.
@@ -22,7 +23,7 @@ Import discipline: nothing in this package imports :mod:`repro.strategies`
 or :mod:`repro.parallel`; both of those layers import *us*.
 """
 
-from .executors import Executor, InlineExecutor, PoolExecutor
+from .executors import Executor, InlineExecutor, plan_span
 from .ir import DYNAMIC, TaskGraph, Tile
 from .partition import (
     Tiling,
@@ -84,7 +85,6 @@ __all__ = [
     "PlanRuntime",
     "PlanSpec",
     "PlanVerificationError",
-    "PoolExecutor",
     "PreprocessRuntime",
     "SearchRuntime",
     "SimExecutor",
@@ -111,6 +111,7 @@ __all__ = [
     "plan_phase2",
     "plan_preprocess",
     "plan_search_buckets",
+    "plan_span",
     "plan_wavefront",
     "preprocess_spec",
     "search_blob",

@@ -6,20 +6,23 @@ orthogonal to the strategy that produced the graph:
 
 * :class:`InlineExecutor` -- single process, tiles in topological order.
   The fastest way to get exact answers on one host, and the oracle the
-  multi-process backends are parity-tested against.
-* :class:`PoolExecutor` -- dispatches the graph to a persistent
-  :class:`repro.parallel.AlignmentWorkerPool` (duck-typed: anything with
-  ``run_plan`` / ``run_search_plan`` works), which executes it over shared
-  memory with the generic ready-set task protocol.
+  multi-process backend is parity-tested against.
+* :class:`repro.parallel.AlignmentWorkerPool` -- the persistent worker
+  pool; its ``run`` has the executor signature and executes the graph over
+  shared memory with the generic ready-set task protocol.  This package
+  never imports :mod:`repro.parallel`.
 
 The simulated backend lives in :mod:`repro.plan.sim_exec`; it shares this
-base class so observability (the ``plan:{kind}`` coordination span, the
-tile counter) is emitted uniformly no matter where tiles actually run.
+base class, and the pool shares :func:`plan_span`, so observability (the
+one ``plan:{kind}`` coordination span, the tile counter) is emitted
+uniformly no matter where tiles actually run.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from time import perf_counter
+from typing import Iterator
 
 import numpy as np
 
@@ -50,6 +53,25 @@ def run_tile_traced(runtime, tile) -> None:
     )
 
 
+@contextmanager
+def plan_span(graph: TaskGraph, backend: str) -> Iterator[Stopwatch]:
+    """Verify ``graph`` for ``backend`` (strict mode), then time its
+    execution under the one ``plan:{kind}`` coordination span.
+
+    Span args (including the O(tiles) critical-path walk and the embedded
+    spec for trace-side attribution) are only built when a tracer is
+    installed -- the disabled path stays one branch.  The yielded
+    stopwatch holds the wall seconds once the block has exited.
+    """
+    maybe_verify(graph, backend)
+    tracer = get_tracer()
+    span_args = graph.span_args(backend=backend) if tracer.enabled else {}
+    with Stopwatch() as sw, tracer.span(f"plan:{graph.kind}", "coordination", **span_args):
+        yield sw
+    if is_enabled():
+        get_metrics().counter("plan_tiles_executed").inc(len(graph.tiles))
+
+
 class Executor:
     """Template: wrap ``_execute`` in timing and observability.
 
@@ -71,18 +93,8 @@ class Executor:
         *,
         scale: int = 1,
     ):
-        maybe_verify(graph, self.BACKEND)
-        tracer = get_tracer()
-        # Span args (including the O(tiles) critical-path walk and the
-        # embedded spec for trace-side attribution) are only built when a
-        # tracer is installed -- the disabled path stays one branch.
-        span_args = graph.span_args(backend=self.BACKEND) if tracer.enabled else {}
-        with Stopwatch() as sw, tracer.span(
-            f"plan:{graph.kind}", "coordination", **span_args
-        ):
+        with plan_span(graph, self.BACKEND) as sw:
             result = self._execute(graph, s, t, scoring, scale)
-        if is_enabled():
-            get_metrics().counter("plan_tiles_executed").inc(len(graph.tiles))
         if isinstance(result, ExecutionResult):
             result.backend = self.BACKEND
             result.wall_seconds = sw.elapsed
@@ -104,32 +116,3 @@ class InlineExecutor(Executor):
         for tile in graph.tiles:
             run_tile_traced(runtime, tile)
         return finalize_plan(graph, [runtime.emit(owner) for owner in graph.owners()])
-
-
-class PoolExecutor(Executor):
-    """Hand the graph to a persistent worker pool for real parallelism.
-
-    ``pool`` is duck-typed (``run_plan(spec, s, t, ...)`` for sequence-pair
-    graphs, ``run_search_plan(graph, ...)`` for search graphs) so this
-    module never imports :mod:`repro.parallel`.
-    """
-
-    BACKEND = "pool"
-
-    def __init__(self, pool, timeout: float | None = None) -> None:
-        self.pool = pool
-        self.timeout = timeout
-
-    def _execute(self, graph, s, t, scoring, scale) -> ExecutionResult:
-        if scale != 1:
-            raise ValueError("real backends execute actual cells only (scale=1)")
-        if graph.kind == "search":
-            raise ValueError(
-                "search graphs carry no rebuildable spec; "
-                "use pool.run_search_plan directly (or repro.strategies.search_db)"
-            )
-        if graph.spec is None:
-            raise ValueError("pool execution needs a graph with a PlanSpec")
-        return self.pool.run_plan(
-            graph.spec, s, t, scoring=scoring, timeout=self.timeout
-        )

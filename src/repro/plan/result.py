@@ -1,16 +1,15 @@
 """Result types shared by every executor backend.
 
-:class:`StrategyResult` is what the simulated backend has always produced
-(virtual cluster seconds, DSM statistics, found alignments); it moved here
-from ``repro.strategies.base`` -- which still re-exports it -- so the
+:class:`StrategyResult` is what the simulated backend produces (virtual
+cluster seconds, DSM statistics, found alignments); it lives here so the
 executors can build results without importing the strategy layer.
 
 :class:`ExecutionResult` is the real-execution counterpart: what the inline
 and pool executors return for any plan kind.  It deliberately duck-types the
-fields the pipeline runner and CLI read from a phase-1 result (``name``,
-``n_procs``, ``alignments``, ``total_time``) so a
-:class:`repro.plan.executors.InlineExecutor` can slot into ``run_pipeline``
-where a simulated run used to be.
+fields the pipeline runner and CLI read from a phase result (``name``,
+``n_procs``, ``alignments``, ``extras``, ``total_time``) so the inline
+executor and the pool slot into ``run_pipeline`` where the simulator runs
+by default.
 """
 
 from __future__ import annotations

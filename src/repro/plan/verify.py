@@ -43,11 +43,10 @@ graph-level breaches):
   id is always runnable -- which is exactly the theorem the simulation
   re-checks instead of assuming.
 * **PLAN006 -- backend illegality.**  A graph handed to an executor that
-  cannot run it: search graphs on :class:`~repro.plan.executors.PoolExecutor`
-  (no rebuildable spec), search tiles with dependencies on the pool (a
-  tile claimed from its cursor waits on no done flags), spec-less pair
-  graphs on the pool,
-  unknown plan kinds on the simulator's choreography table.
+  cannot run it: search tiles with dependencies on the pool (a tile
+  claimed from its cursor waits on no done flags), spec-less pair graphs
+  on the pool (workers rebuild a pair graph from its spec), unknown plan
+  kinds on the simulator's choreography table.
 
 ``verify_graph``/``verify_plan`` are the library entry points;
 :func:`sweep_plans` enumerates planner x backend combinations (search:

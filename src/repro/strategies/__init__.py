@@ -39,13 +39,10 @@ from .search import (
 )
 from .tuning import TuningResult, tune_blocking
 from .runner import (
-    MP_BACKENDS,
     STRATEGIES,
     STRATEGY_ALIASES,
-    MpPipelineResult,
     PipelineResult,
     canonical_strategy,
-    pool_phase1_spec,
     run_mp_pipeline,
     run_phase1,
     run_pipeline,
@@ -63,8 +60,6 @@ __all__ = [
     "ExactWavefrontConfig",
     "HeteroConfig",
     "IO_MODES",
-    "MP_BACKENDS",
-    "MpPipelineResult",
     "InterestingRegion",
     "PREFILTER_MODES",
     "PipelineResult",
@@ -91,7 +86,6 @@ __all__ = [
     "explicit_tiling",
     "hetero_serial_time",
     "interesting_regions",
-    "pool_phase1_spec",
     "pruned_search",
     "resolve_prefilter",
     "run_blocked",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..plan import SimExecutor, TaskGraph, Tiling, plan_blocked
+from ..plan import SimExecutor, TaskGraph, Tiling, blocked_spec, cached_plan
 from ..plan.partition import explicit_tiling, tiling_from_multiplier
 from ..plan.result import StrategyResult
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -59,12 +59,11 @@ class BlockedConfig:
 
 
 def blocked_plan(workload: ScaledWorkload, config: BlockedConfig) -> TaskGraph:
-    """The Section 4.3 task graph for this workload and config."""
+    """The Section 4.3 task graph for this workload and config (memoised by
+    :func:`repro.plan.cached_plan`, as the pool memoises its own)."""
     tiling = config.tiling(workload.rows, workload.cols)
     regions = config.regions
-    return plan_blocked(
-        workload.rows,
-        workload.cols,
+    spec = blocked_spec(
         n_procs=config.n_procs,
         n_bands=tiling.n_bands,
         n_blocks=tiling.n_blocks,
@@ -74,6 +73,7 @@ def blocked_plan(workload: ScaledWorkload, config: BlockedConfig) -> TaskGraph:
         min_score=regions.min_score,
         overlap_slack=regions.overlap_slack,
     )
+    return cached_plan(spec, workload.rows, workload.cols)
 
 
 def run_blocked(

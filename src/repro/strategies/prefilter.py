@@ -81,10 +81,7 @@ def scan_packed(
         graph = plan_search_buckets(
             packed, int(len(query)), top_k=config.top_k, kernel=config.kernel
         )
-    blob = search_blob(packed)
-    if pool is None:
-        return InlineExecutor().run(graph, query, blob, config.scoring).hits
-    return pool.run_search_plan(graph, query, blob, scoring=config.scoring).hits
+    return (pool or InlineExecutor()).run(graph, query, search_blob(packed), config.scoring).hits
 
 
 def pruned_search(

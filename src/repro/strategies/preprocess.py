@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..plan import SimExecutor, TaskGraph, plan_preprocess
+from ..plan import SimExecutor, TaskGraph, cached_plan, preprocess_spec
 from ..plan.partition import band_heights
 from ..plan.result import StrategyResult
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -84,16 +84,15 @@ def preprocess_plan(workload: ScaledWorkload, config: PreprocessConfig) -> TaskG
     """The Section 5 task graph for this workload and config.
 
     Config sizes are nominal; the graph is built in actual units, while the
-    cache knobs stay nominal (the sim charges per nominal band height).
+    cache knobs stay nominal (the sim charges per nominal band height).  The
+    graph is memoised by :func:`repro.plan.cached_plan`.
     """
     scale = workload.scale
 
     def to_actual(nominal: int) -> int:
         return max(1, nominal // scale)
 
-    return plan_preprocess(
-        workload.rows,
-        workload.cols,
+    spec = preprocess_spec(
         n_procs=config.n_procs,
         band_size=to_actual(config.band_size),
         chunk_size=to_actual(config.chunk_size),
@@ -106,6 +105,7 @@ def preprocess_plan(workload: ScaledWorkload, config: PreprocessConfig) -> TaskG
         cache_friendly_rows=config.cache_friendly_rows,
         cache_penalty=config.cache_penalty,
     )
+    return cached_plan(spec, workload.rows, workload.cols)
 
 
 def run_preprocess(

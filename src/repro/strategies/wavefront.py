@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..plan import SimExecutor, TaskGraph, plan_wavefront
+from ..plan import SimExecutor, TaskGraph, cached_plan, wavefront_spec
 from ..plan.result import StrategyResult
 from ..sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from .base import RegionSettings, ScaledWorkload
@@ -48,11 +48,10 @@ class WavefrontConfig:
 
 
 def wavefront_plan(workload: ScaledWorkload, config: WavefrontConfig) -> TaskGraph:
-    """The Section 4.2 task graph for this workload and config."""
+    """The Section 4.2 task graph for this workload and config (memoised by
+    :func:`repro.plan.cached_plan`, as the pool memoises its own)."""
     regions = config.regions
-    return plan_wavefront(
-        workload.rows,
-        workload.cols,
+    spec = wavefront_spec(
         n_procs=config.n_procs,
         group_rows=max(1, workload.rows // config.target_groups),
         threshold=regions.threshold,
@@ -62,6 +61,7 @@ def wavefront_plan(workload: ScaledWorkload, config: WavefrontConfig) -> TaskGra
         overlap_slack=regions.overlap_slack,
         home_migration=config.home_migration,
     )
+    return cached_plan(spec, workload.rows, workload.cols)
 
 
 def run_wavefront(

@@ -396,7 +396,7 @@ class TestFusedCutParity:
 
     def test_blocked_regions_identical_on_every_backend(self, kernel):
         from repro.parallel import AlignmentWorkerPool
-        from repro.plan import InlineExecutor, PoolExecutor, SimExecutor, plan_blocked
+        from repro.plan import InlineExecutor, SimExecutor, plan_blocked
         from repro.seq import genome_pair
 
         gp = genome_pair(900, 850, n_regions=2, region_length=80, mutation_rate=0.02, rng=41)
@@ -404,7 +404,7 @@ class TestFusedCutParity:
         inline = InlineExecutor().run(graph, gp.s, gp.t).alignments
         sim = SimExecutor().run(graph, gp.s, gp.t).alignments
         with AlignmentWorkerPool(n_workers=2) as pool:  # forked: the kernel switch holds
-            pooled = PoolExecutor(pool).run(graph, gp.s, gp.t).alignments
+            pooled = pool.run(graph, gp.s, gp.t).alignments
         assert inline
         assert inline == sim == pooled
         assert ckernel.available() == (kernel == "compiled")

@@ -24,7 +24,7 @@ from repro.obs.attrib import (
     plan_spans,
     render_gantt,
 )
-from repro.plan import InlineExecutor, PoolExecutor, cached_plan, wavefront_spec
+from repro.plan import InlineExecutor, cached_plan, wavefront_spec
 from repro.seq import encode, genome_pair, synthetic_database
 from repro.strategies import SearchConfig, search_db
 
@@ -80,19 +80,6 @@ def _tile_ev(process, start_s, dur_s, tile, cells=50, kind="wavefront"):
 
 
 class TestPlanSpanDiscovery:
-    def test_nested_duplicate_keeps_outermost(self):
-        # PoolExecutor.run wraps pool.run_plan: two copies, one contained.
-        payload = {
-            "traceEvents": [
-                _plan_ev(0.0, 1.0),
-                _plan_ev(0.01, 0.98),
-                _tile_ev("worker-0", 0.1, 0.2, tile=0),
-            ]
-        }
-        spans = plan_spans(events_of(payload))
-        assert len(spans) == 1
-        assert spans[0].dur == pytest.approx(1.0)
-
     def test_sequential_runs_both_kept_and_pick_prefers_cells(self):
         payload = {
             "traceEvents": [
@@ -238,7 +225,7 @@ class TestPoolAttribution:
         s, t = pair
         with AlignmentWorkerPool(n_workers=2) as pool:
             with obs.observed() as (tracer, metrics):
-                PoolExecutor(pool).run(wavefront_graph, s, t)
+                pool.run(wavefront_graph, s, t)
         return payload_from_tracer(tracer, metrics)
 
     def test_acceptance_reconciliation(self, wavefront_graph, pool_run):
@@ -253,9 +240,8 @@ class TestPoolAttribution:
             assert 0.0 < w.util_pct <= 100.0
         assert all(s.cause in STALL_CAUSES for s in a.stalls)
 
-    def test_nested_plan_span_deduplicated(self, pool_run):
-        # Executor.run wraps pool.run_plan: the trace holds two copies but
-        # attribution must see exactly one window.
+    def test_pool_run_stamps_one_plan_span(self, pool_run):
+        # pool.run hands the graph to run_plan, which alone stamps the span.
         assert len(plan_spans(events_of(pool_run))) == 1
 
     def test_gantt_has_one_row_per_process(self, pool_run):

@@ -93,7 +93,7 @@ class TestRunnerClocks:
         assert not obs.is_enabled()
         result = run_mp_pipeline(pair.s, pair.t, backend="wavefront", n_workers=2)
         assert result.phase1_seconds > 0
-        assert result.total_seconds == result.phase1_seconds + result.phase2_seconds
+        assert result.wall_seconds == result.phase1_seconds + result.phase2_seconds
 
 
 class TestReport:

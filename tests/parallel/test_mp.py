@@ -5,9 +5,16 @@ import pytest
 from repro.core import LocalAlignment, needleman_wunsch
 from repro.core.global_align import align_region
 from repro.parallel import AlignmentWorkerPool, attach_shared_array, create_shared_array
-from repro.plan import blocked_spec, wavefront_spec
+from repro.plan import InlineExecutor, blocked_spec
 from repro.seq import genome_pair
-from repro.strategies import pool_phase1_spec, run_mp_pipeline, run_pipeline
+from repro.strategies import (
+    BlockedConfig,
+    PreprocessConfig,
+    ScaledWorkload,
+    run_mp_pipeline,
+    run_pipeline,
+)
+from repro.strategies.blocked import blocked_plan
 
 
 def blocked(pool, gp, **params):
@@ -125,29 +132,31 @@ class TestMpPipeline:
     def test_n_workers_defaults_to_the_pool(self, pool1):
         gp = genome_pair(300, 300, n_regions=1, region_length=60, mutation_rate=0.0, rng=58)
         result = run_mp_pipeline(gp.s, gp.t, backend="blocked", pool=pool1)
-        assert result.n_workers == 1
-        assert result.regions
+        assert result.phase1.n_procs == 1
+        assert result.phase1.alignments
 
     def test_n_workers_must_match_the_pool(self, pool2):
         gp = genome_pair(300, 300, n_regions=0, rng=59)
-        with pytest.raises(ValueError, match="n_workers=5 but the pool has 2 workers"):
+        with pytest.raises(ValueError, match="plan wants 5 processors but the pool has 2 workers"):
             run_mp_pipeline(gp.s, gp.t, backend="blocked", n_workers=5, pool=pool2)
         result = run_mp_pipeline(gp.s, gp.t, backend="blocked", n_workers=2, pool=pool2)
-        assert result.n_workers == 2
+        assert result.phase1.n_procs == 2
 
     def test_phase1_spec_kind_must_match_the_backend(self, pool2):
         gp = genome_pair(300, 300, n_regions=0, rng=60)
-        spec = blocked_spec(n_procs=2, n_bands=8, n_blocks=8)
-        with pytest.raises(ValueError, match="'blocked' spec but the backend is 'wavefront'"):
-            run_mp_pipeline(gp.s, gp.t, backend="heuristic", pool=pool2, phase1_config=spec)
+        config = BlockedConfig(n_procs=2, n_bands=8, n_blocks=8)
+        with pytest.raises(ValueError, match="BlockedConfig but the strategy 'heuristic'"):
+            run_mp_pipeline(gp.s, gp.t, backend="heuristic", pool=pool2, phase1_config=config)
 
-    def test_default_specs(self):
-        assert pool_phase1_spec("heuristic", 2) == wavefront_spec(
-            n_procs=2, group_rows=1, threshold=35
-        )
-        assert pool_phase1_spec("blocked", 2) == blocked_spec(
-            n_procs=2, n_bands=8, n_blocks=8, threshold=35
-        )
+    def test_default_specs(self, pool2):
+        """The pool pipeline's blocked default is 8 bands x 8 blocks at
+        threshold 35, over the pool's workers."""
+        gp = genome_pair(300, 300, n_regions=0, rng=61)
+        default = blocked_plan(ScaledWorkload(gp.s, gp.t), BlockedConfig(2, n_bands=8, n_blocks=8))
+        assert default.spec == blocked_spec(n_procs=2, n_bands=8, n_blocks=8, threshold=35)
+        result = run_mp_pipeline(gp.s, gp.t, backend="blocked", pool=pool2)
+        assert result.phase1.kind == "blocked" and result.phase1.n_procs == 2
+        assert (result.phase1.extras["n_bands"], result.phase1.extras["n_blocks"]) == (8, 8)
 
     @pytest.mark.parametrize("strategy", ["heuristic", "heuristic_block", "pre_process"])
     @pytest.mark.parametrize("path", ["sim", "pool"])
@@ -156,10 +165,23 @@ class TestMpPipeline:
         narrower than the processor count included."""
         if path == "sim":
             result = run_pipeline("ACGTACGTAC", "A", strategy=strategy, n_procs=4)
-            assert result.phase1.alignments == []
-        elif strategy != "pre_process":  # pre_process has no pool backend
+        else:
             result = run_mp_pipeline("ACGTACGTAC", "A", backend=strategy, pool=pool2)
-            assert result.regions == [] and result.records == []
+        assert result.phase1.alignments == [] and result.records == []
+
+    def test_result_matrix_identical_on_every_executor(self, pool2):
+        """pre_process on sim, inline and the pool: one result matrix."""
+        gp = genome_pair(1200, 1200, n_regions=2, region_length=100, rng=1)
+        config = PreprocessConfig(n_procs=2, band_size=50, chunk_size=50)
+        matrices = [
+            run_pipeline(
+                gp.s, gp.t, "pre_process", 2, phase1_config=config, executor=executor
+            ).phase1.extras["result_matrix"]
+            for executor in (None, InlineExecutor(), pool2)
+        ]
+        assert matrices[0].shape == (24, 2) and matrices[0].sum() > 0
+        for matrix in matrices[1:]:
+            assert (matrix == matrices[0]).all()
 
     @pytest.mark.parametrize("empty", ["s", "t"])
     @pytest.mark.parametrize("path", ["sim", "pool"])

@@ -9,16 +9,24 @@ Two leak windows existed in ``AlignmentWorkerPool``:
   try/finally that closed it; any exception in between (metrics, queue
   dispatch) leaked the named segment.  Fixed by moving creation inside an
   outer ``try`` whose ``finally`` closes.
+
+The fault injection at the end fails one job's done-flag allocation the way
+a full ``/dev/shm`` does (``ENOSPC``) and checks the contract: the error
+names the cause, no segment is left, and the pool serves the next job.
 """
 
 from __future__ import annotations
+
+import errno
+import glob
 
 import numpy as np
 import pytest
 
 import repro.parallel.pool as pool_mod
 from repro.parallel.pool import AlignmentWorkerPool
-from repro.plan import blocked_spec, wavefront_spec
+from repro.plan import InlineExecutor, blocked_spec, cached_plan, wavefront_spec
+from repro.seq import genome_pair
 from repro.seq.db import pack_database, synthetic_database
 from repro.strategies import SearchConfig, search_db
 
@@ -118,3 +126,32 @@ def test_close_is_idempotent_and_releases_the_loaded_arena(pair):
     pool.close()
     assert pool._arena is None and arena._shm is None
     pool.close()  # second close is a no-op, not a double-unlink
+
+
+def test_full_shared_memory_fails_one_job_and_the_pool_serves_the_next(monkeypatch):
+    gp = genome_pair(400, 400, n_regions=1, region_length=80, mutation_rate=0.0, rng=3)
+    pair = gp.s, gp.t
+    spec = blocked_spec(n_procs=2, n_bands=4, n_blocks=4)
+    real = pool_mod.create_shared_array
+    failed = []
+
+    def no_space_for_done_flags(shape, dtype=np.int32):
+        if dtype == np.int64 and not failed:  # the job's done flags + cursor
+            failed.append(shape)
+            raise OSError(errno.ENOSPC, "No space left on device", "/dev/shm")
+        return real(shape, dtype)
+
+    before = set(glob.glob("/dev/shm/psm_*"))
+    with AlignmentWorkerPool(n_workers=2) as pool:
+        monkeypatch.setattr(pool_mod, "create_shared_array", no_space_for_done_flags)
+        with pytest.raises(OSError, match="No space left on device") as raised:
+            pool.run_plan(spec, *pair)
+        assert raised.value.errno == errno.ENOSPC
+        assert failed == [(4 * 4 + 1,)]
+        # The blocked plan's state segment, allocated first, is unwound; only
+        # the pool's own pair arena is still mapped.
+        assert set(glob.glob("/dev/shm/psm_*")) - before == {f"/dev/shm/{pool._arena.handle.name}"}
+        served = pool.run_plan(spec, *pair)
+        exact = InlineExecutor().run(cached_plan(spec, 400, 400), *pair)
+        assert exact.alignments and served.alignments == exact.alignments
+    assert set(glob.glob("/dev/shm/psm_*")) == before

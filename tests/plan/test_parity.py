@@ -3,7 +3,9 @@
 The planner's whole promise is that the choice of backend -- simulated
 cluster, inline, or the persistent pool -- changes *where* tiles run and
 nothing about the results.  These tests push the same task graph through
-all three and require bitwise-identical region sets and search rankings.
+all three (the pool through its executor ``run``) and require
+bitwise-identical region sets, pre_process result matrices and search
+rankings.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import repro.obs as obs
 from repro.parallel import AlignmentWorkerPool
 from repro.plan import (
     InlineExecutor,
-    PoolExecutor,
     SimExecutor,
     cached_plan,
     plan_blocked,
+    plan_preprocess,
     plan_search_buckets,
     plan_wavefront,
     search_blob,
@@ -56,7 +58,7 @@ class TestRegionParity:
         graph = plan_wavefront(len(s), len(t), n_procs=2, group_rows=16)
         inline = InlineExecutor().run(graph, s, t)
         sim = SimExecutor().run(graph, s, t)
-        pooled = PoolExecutor(pool).run(graph, s, t)
+        pooled = pool.run(graph, s, t)
         assert regions(inline)
         assert regions(inline) == regions(sim) == regions(pooled)
 
@@ -65,30 +67,34 @@ class TestRegionParity:
         graph = plan_blocked(len(s), len(t), n_procs=2, n_bands=8, n_blocks=8)
         inline = InlineExecutor().run(graph, s, t)
         sim = SimExecutor().run(graph, s, t)
-        pooled = PoolExecutor(pool).run(graph, s, t)
+        pooled = pool.run(graph, s, t)
         assert regions(inline)
         assert regions(inline) == regions(sim) == regions(pooled)
 
     @pytest.mark.parametrize("backend", ["sim", "inline", "pool"])
-    @pytest.mark.parametrize("kind", ["wavefront", "blocked"])
+    @pytest.mark.parametrize("kind", ["wavefront", "blocked", "preprocess"])
     def test_one_column_target_runs_on_every_backend(self, pool, backend, kind):
         """A ``t`` narrower than the processor count is accepted everywhere:
         the extra processors' slices (or bands) are empty, so the regions
-        are the one-processor plan's."""
+        (for pre_process, the result matrix) are the one-processor plan's."""
         s, t = encode("AAAACAAAAAAGAAAAAAAA"), encode("A")
 
         def plan(n_procs):
             if kind == "wavefront":
                 return plan_wavefront(len(s), 1, n_procs=n_procs, threshold=1)
+            if kind == "preprocess":
+                return plan_preprocess(
+                    len(s), 1, n_procs=n_procs, band_size=5, chunk_size=1, threshold=1
+                )
             return plan_blocked(len(s), 1, n_procs=n_procs, n_bands=4, n_blocks=2, threshold=1)
 
-        executor = {
-            "sim": SimExecutor(),
-            "inline": InlineExecutor(),
-            "pool": PoolExecutor(pool),
-        }[backend]
+        executor = {"sim": SimExecutor(), "inline": InlineExecutor(), "pool": pool}[backend]
         got = executor.run(plan(2), s, t)
         want = InlineExecutor().run(plan(1), s, t)
+        if kind == "preprocess":
+            assert want.extras["result_matrix"].sum() > 0
+            assert (got.extras["result_matrix"] == want.extras["result_matrix"]).all()
+            return
         assert regions(want)
         assert regions(got) == regions(want)
 
@@ -96,7 +102,7 @@ class TestRegionParity:
         s, t = pair
         graph = plan_blocked(len(s), len(t), n_procs=2, n_bands=8, n_blocks=8)
         inline = InlineExecutor().run(graph, s, t)
-        pooled = PoolExecutor(pool).run(graph, s, t)
+        pooled = pool.run(graph, s, t)
         assert inline.backend == "inline" and pooled.backend == "pool"
         assert inline.name == "blocked"
         assert inline.total_time == inline.wall_seconds
@@ -145,7 +151,7 @@ class TestTileTraceParity:
         graph = cached_plan(spec, len(s), len(t))
         inline = self._traced_tiles(lambda: InlineExecutor().run(graph, s, t))
         sim = self._traced_tiles(lambda: SimExecutor().run(graph, s, t))
-        pooled = self._traced_tiles(lambda: PoolExecutor(pool).run(graph, s, t))
+        pooled = self._traced_tiles(lambda: pool.run(graph, s, t))
         assert set(inline) == {tile.id for tile in graph.tiles}
         assert inline == sim == pooled
 
@@ -162,21 +168,23 @@ class TestTileTraceParity:
 
 
 class TestExecutorGuards:
-    def test_real_backends_reject_scaled_workloads(self, pair):
+    def test_real_backends_reject_scaled_workloads(self, pair, pool):
         s, t = pair
         graph = plan_wavefront(len(s), len(t), n_procs=2, group_rows=16)
         with pytest.raises(ValueError, match="scale=1"):
             InlineExecutor().run(graph, s, t, scale=4)
         with pytest.raises(ValueError, match="scale=1"):
-            PoolExecutor(pool=None).run(graph, s, t, scale=4)
+            pool.run(graph, s, t, scale=4)
 
-    def test_pool_executor_rejects_search_graphs(self):
+    def test_pool_executor_runs_search_graphs(self, pool):
         packed = pack_database(
             synthetic_database(n=4, min_length=40, max_length=60, rng=3)
         )
         graph = plan_search_buckets(packed, 8)
-        with pytest.raises(ValueError, match="run_search_plan"):
-            PoolExecutor(pool=None).run(graph, encode("ACGTACGT"), search_blob(packed))
+        query, blob = encode("ACGTACGT"), search_blob(packed)
+        pooled = pool.run(graph, query, blob)
+        assert pooled.backend == "pool"
+        assert pooled.hits == InlineExecutor().run(graph, query, blob).hits
 
     def test_search_blob_of_another_layout_is_refused(self, pool):
         packed = pack_database(
@@ -198,10 +206,8 @@ class TestExecutorGuards:
         with pytest.raises(ValueError, match="120-residue query"):
             InlineExecutor().run(good, query[:100], blob)
 
-    def test_pool_executor_needs_a_spec(self, pair):
+    def test_pool_executor_needs_a_spec(self, pair, pool):
         s, t = pair
         graph = plan_wavefront(len(s), len(t), n_procs=2, group_rows=16)
         with pytest.raises(ValueError, match="PlanSpec"):
-            PoolExecutor(pool=None).run(
-                dataclasses.replace(graph, spec=None), s, t
-            )
+            pool.run(dataclasses.replace(graph, spec=None), s, t)

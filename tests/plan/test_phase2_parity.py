@@ -21,7 +21,6 @@ from repro.obs.attrib import attribute, payload_from_tracer, rebuild_graph
 from repro.parallel import AlignmentWorkerPool
 from repro.plan import (
     InlineExecutor,
-    PoolExecutor,
     SimExecutor,
     phase2_spec,
     plan_phase2,
@@ -60,7 +59,7 @@ def run_everywhere(graph, s, t, pool):
     runs = {
         "sim": SimExecutor().run(graph, s, t),
         "inline": InlineExecutor().run(graph, s, t),
-        "pool": PoolExecutor(pool).run(graph, s, t),
+        "pool": pool.run(graph, s, t),
     }
     return {name: (r.extras["records"], r.alignments) for name, r in runs.items()}
 

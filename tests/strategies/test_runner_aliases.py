@@ -1,7 +1,7 @@
 """Strategy-name unification and the explicit phase-2 skip reason.
 
 The paper's names (``heuristic``, ``heuristic_block``, ``pre_process``) and
-the mp backends' names (``wavefront``, ``blocked``) must be interchangeable
+the plan kinds' names (``wavefront``, ``blocked``, ``preprocess``) must be interchangeable
 everywhere a strategy is named, and a scaled pipeline must *say* that phase
 2 was skipped instead of silently aligning nothing.
 """
@@ -11,16 +11,16 @@ from __future__ import annotations
 import pytest
 
 from repro.seq import genome_pair
+from repro.parallel import AlignmentWorkerPool
 from repro.strategies import (
-    MP_BACKENDS,
     STRATEGIES,
     STRATEGY_ALIASES,
     ScaledWorkload,
     canonical_strategy,
+    run_mp_pipeline,
     run_phase1,
     run_pipeline,
 )
-from repro.strategies.runner import _mp_backend
 
 
 @pytest.fixture(scope="module")
@@ -61,18 +61,15 @@ class TestAliasesAcceptedEverywhere:
         result = run_pipeline(s, t, strategy="blocked", n_procs=4)
         assert result.phase1.name == "heuristic_block"
 
-    def test_mp_backend_accepts_both_vocabularies(self):
-        assert _mp_backend("wavefront") == "wavefront"
-        assert _mp_backend("heuristic") == "wavefront"
-        assert _mp_backend("heuristic_block") == "blocked"
-        assert _mp_backend("blocked") == "blocked"
-
-    def test_pre_process_has_no_real_backend(self):
-        with pytest.raises(ValueError, match="no real-parallel backend"):
-            _mp_backend("pre_process")
-        with pytest.raises(ValueError, match="no real-parallel backend"):
-            _mp_backend("preprocess")
-        assert "pre_process" not in MP_BACKENDS
+    def test_mp_backend_accepts_both_vocabularies(self, pair):
+        s, t = pair
+        with AlignmentWorkerPool(n_workers=2) as pool:
+            for paper, alias in (("heuristic", "wavefront"), ("pre_process", "preprocess")):
+                one = run_mp_pipeline(s, t, backend=paper, pool=pool)
+                other = run_mp_pipeline(s, t, backend=alias, pool=pool)
+                assert one.phase1.kind == other.phase1.kind == alias
+                assert one.phase1.alignments == other.phase1.alignments
+                assert one.records == other.records
 
 
 class TestPhase2SkipReason:

@@ -81,6 +81,25 @@ class TestAlign:
         assert rc == 0
         assert "inline execution" in capsys.readouterr().out
 
+    def test_every_backend_prints_the_same_records(self, capsys):
+        """One pipeline on sim, inline and the pool: the record blocks are
+        identical, and the real backends' phase-2 line is wall seconds."""
+        blocks = {}
+        for backend in ("sim", "inline", "pool"):
+            rc = main(
+                ["align", "--demo", "--demo-length", "600", "--procs", "2",
+                 "--backend", backend]
+            )
+            assert rc == 0
+            lines = capsys.readouterr().out.splitlines()
+            phase2 = next(i for i, line in enumerate(lines) if line.startswith("phase 2:"))
+            blocks[backend] = lines[phase2 + 1 :]
+            if backend != "sim":
+                assert lines[phase2].endswith("global alignments")
+                assert " s wall, " in lines[phase2] and "virtual" not in lines[phase2]
+        assert any("similarity:" in line for line in blocks["sim"])
+        assert blocks["sim"] == blocks["inline"] == blocks["pool"]
+
     def test_scaled_run_explains_the_phase2_skip(self, capsys):
         rc = main(
             ["align", "--demo", "--demo-length", "600", "--scale", "4",
